@@ -207,24 +207,6 @@ pub fn extract_degrade(args: &[String]) -> (bool, Vec<String>) {
     (degrade, rest)
 }
 
-/// Strips a global `--legacy-flow` flag (valid with any command) from
-/// the raw argument list, returning whether the legacy recursive flow
-/// (the oracle the plan-equivalence suite pins the default flat
-/// execution plan against) was requested and the remaining arguments
-/// for [`parse_args`].
-pub fn extract_legacy_flow(args: &[String]) -> (bool, Vec<String>) {
-    let mut legacy = false;
-    let mut rest = Vec::with_capacity(args.len());
-    for a in args {
-        if a == "--legacy-flow" {
-            legacy = true;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (legacy, rest)
-}
-
 /// The search policy requested on the command line, mirrored into
 /// `claire_core::SearchPolicy` by the binary (this module stays
 /// dependency-free).
@@ -682,10 +664,7 @@ Any command also accepts --threads <n> to set the evaluation
 engine's worker count (else CLAIRE_THREADS, else all cores), and
 --degrade to relax constraints (latency slack, then power density,
 then chiplet area) instead of failing when the DSE finds no feasible
-configuration; degraded results are flagged on stderr. --legacy-flow
-runs the legacy recursive flow (per-model staged sweeps) instead of
-the default flat execution plan; outputs are bit-identical — the
-recursive flow is kept as the equivalence oracle.
+configuration; degraded results are flagged on stderr.
 
 Search policy (also valid with any command):
   --search exhaustive           Visit every screened DSE point
@@ -836,16 +815,6 @@ mod tests {
         assert_eq!(rest, v(&["flow", "--json"]));
         let (d, rest) = extract_degrade(&v(&["train"]));
         assert!(!d);
-        assert_eq!(rest, v(&["train"]));
-    }
-
-    #[test]
-    fn legacy_flow_is_extracted_from_any_position() {
-        let (l, rest) = extract_legacy_flow(&v(&["flow", "--legacy-flow", "--json"]));
-        assert!(l);
-        assert_eq!(rest, v(&["flow", "--json"]));
-        let (l, rest) = extract_legacy_flow(&v(&["train"]));
-        assert!(!l);
         assert_eq!(rest, v(&["train"]));
     }
 

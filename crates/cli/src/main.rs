@@ -8,8 +8,8 @@ mod serve;
 mod summary;
 
 use args::{
-    extract_cache_dir, extract_degrade, extract_legacy_flow, extract_metrics_json, extract_search,
-    extract_threads, extract_trace_out, parse_args, CliSearch, Command, USAGE,
+    extract_cache_dir, extract_degrade, extract_metrics_json, extract_search, extract_threads,
+    extract_trace_out, parse_args, CliSearch, Command, USAGE,
 };
 use claire_core::{
     paper_table3_subsets, ChipletLibrary, Claire, ClaireError, ClaireOptions, Degradation, Engine,
@@ -24,7 +24,6 @@ use summary::{CustomSummary, FlowSummary, TrainSummary};
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (degrade, argv) = extract_degrade(&argv);
-    let (legacy_flow, argv) = extract_legacy_flow(&argv);
     let parsed = extract_trace_out(&argv).and_then(|(trace, rest)| {
         let (metrics, rest) = extract_metrics_json(&rest)?;
         let (cache_dir, rest) = extract_cache_dir(&rest)?;
@@ -44,7 +43,6 @@ fn main() {
             let globals = Globals {
                 threads,
                 degrade,
-                legacy_flow,
                 search,
                 cache_dir,
                 telemetry: TelemetryOptions {
@@ -138,7 +136,6 @@ fn warn_train(out: &TrainOutput) {
 struct Globals {
     threads: Option<usize>,
     degrade: bool,
-    legacy_flow: bool,
     search: Option<CliSearch>,
     cache_dir: Option<String>,
     telemetry: TelemetryOptions,
@@ -182,11 +179,6 @@ fn options(
     }
     if g.degrade {
         opts.policy = RobustnessPolicy::Degrade;
-    }
-    // The legacy recursive flow is opt-in; the flat execution plan is
-    // the default (bit-identical either way).
-    if g.legacy_flow {
-        opts.legacy_flow = true;
     }
     opts.search = search_policy(g.search);
     opts.telemetry = g.telemetry.clone();

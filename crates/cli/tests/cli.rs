@@ -313,6 +313,60 @@ fn flow_exports_chrome_trace_and_metrics() {
     }
 }
 
+/// FNV-1a 64-bit digest of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn sampled_flow_runs_on_the_plan_with_pinned_output() {
+    // The pinned digest is the sampled search's own answer; a change
+    // means the plan no longer replays that search byte for byte.
+    for threads in ["1", "8"] {
+        let metrics = std::env::temp_dir().join(format!(
+            "claire-cli-sampled-{}-{threads}.json",
+            std::process::id()
+        ));
+        let out = cli()
+            .args([
+                "flow",
+                "--json",
+                "--search",
+                "successive-halving",
+                "--budget",
+                "16",
+                "--seed",
+                "3",
+                "--threads",
+                threads,
+                "--metrics-json",
+                metrics.to_str().expect("utf8"),
+            ])
+            .output()
+            .expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            fnv1a64(&out.stdout),
+            0xe9cd_10ab_f2f2_5f97,
+            "sampled flow output changed at --threads {threads}"
+        );
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        std::fs::remove_file(&metrics).ok();
+        let parsed: serde_json::Value = serde_json::from_str(&text).expect("metrics reparses");
+        let stages = parsed["stages"].as_array().expect("stages");
+        assert!(
+            stages.iter().any(|s| s["name"].as_str() == Some("plan")),
+            "sampled flow skipped the plan stage: {stages:?}"
+        );
+    }
+}
+
 #[test]
 fn trace_out_requires_a_value() {
     let out = cli().args(["flow", "--trace-out"]).output().expect("run");

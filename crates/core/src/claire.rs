@@ -2,14 +2,12 @@
 //! configurations) and test phase (assignment + metric evaluation),
 //! i.e. the full Fig. 1 pipeline.
 
-use crate::assign::{
-    assign_test, partition_training, partition_training_merged, scaled_vector, WeightScale,
-};
+use crate::assign::{partition_training, partition_training_merged, scaled_vector, WeightScale};
 use crate::chiplet::cluster_into_chiplets_with_engine;
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
-    custom_config_searched, custom_config_with_engine, set_config_with_engine,
-    with_relaxation_observed, Degradation, DseObjective, RobustnessPolicy,
+    custom_config_searched, set_config_with_engine, with_relaxation_observed, Degradation,
+    DseObjective, RobustnessPolicy,
 };
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
@@ -83,21 +81,13 @@ pub struct ClaireOptions {
     /// trace path is set, so runs without exports stay on the
     /// counters-only fast path.
     pub telemetry: TelemetryOptions,
-    /// Run the legacy recursive flow — per-model staged sweeps with
-    /// nested (serialised) parallel maps — instead of the default
-    /// flat execution plan. The recursive flow is the oracle the
-    /// plan-equivalence suite pins the planned flow against; both
-    /// produce bit-identical outputs at any thread count. Engines
-    /// with an armed fault plan always take the legacy path (fault
-    /// injection sites are calibrated against the recursive call
-    /// order).
-    pub legacy_flow: bool,
     /// How the per-model custom sweeps walk the DSE space (default:
-    /// exhaustive — the oracle). A sampled policy
-    /// ([`SearchPolicy::SuccessiveHalving`]) routes the run through
-    /// the legacy recursive flow: the flat plan's evaluation table
-    /// assumes every model prices the same exhaustively screened
-    /// point set, which sampling deliberately breaks.
+    /// exhaustive — the oracle). Under a sampled policy
+    /// ([`SearchPolicy::SuccessiveHalving`]) the flat plan runs the
+    /// search's halving rungs on each model's row and leaves demoted
+    /// points unpriced, so planned selections replay the sampled
+    /// search exactly. Set sweeps (generic and library stages) never
+    /// sample.
     pub search: SearchPolicy,
     /// Directory for the persistent warm-state snapshot (`None`
     /// disables persistence). When set, drivers load the snapshot
@@ -122,7 +112,6 @@ impl Default for ClaireOptions {
             provision_tanh_in_generic: true,
             policy: RobustnessPolicy::default(),
             telemetry: TelemetryOptions::default(),
-            legacy_flow: false,
             search: SearchPolicy::default(),
             cache_dir: None,
         }
@@ -401,6 +390,21 @@ impl Claire {
         engine: &Engine,
     ) -> Result<CustomResult, ClaireError> {
         self.validate_inputs()?;
+        self.custom_relaxed(model, None, engine)
+    }
+
+    /// The custom-configuration body under the relaxation ladder:
+    /// rung 0 selects from the flat plan's `row` when one is given
+    /// (bit-identical to the search — same feasibility filter, same
+    /// shared selection tail, same evaluations); every other rung runs
+    /// the configured search, memo-warm from the plan (a relaxed
+    /// rung's widened screens can need points outside the row).
+    pub(crate) fn custom_relaxed(
+        &self,
+        model: &Model,
+        mut row: Option<&ModelRow>,
+        engine: &Engine,
+    ) -> Result<CustomResult, ClaireError> {
         let base = self.effective_constraints(model.name(), engine);
         let ((config, report), degradation) = with_relaxation_observed(
             self.opts.policy,
@@ -408,14 +412,17 @@ impl Claire {
             Some(engine.telemetry()),
             model.name(),
             |cons| {
-                let (mut cfg, _) = custom_config_searched(
-                    model,
-                    &self.opts.space,
-                    cons,
-                    DseObjective::MinArea,
-                    self.opts.search,
-                    engine,
-                )?;
+                let (mut cfg, _) = match row.take() {
+                    Some(row) => custom_from_row(model, row, cons, DseObjective::MinArea),
+                    None => custom_config_searched(
+                        model,
+                        &self.opts.space,
+                        cons,
+                        DseObjective::MinArea,
+                        self.opts.search,
+                        engine,
+                    ),
+                }?;
                 cluster_into_chiplets_with_engine(
                     &mut cfg,
                     std::slice::from_ref(model),
@@ -435,54 +442,17 @@ impl Claire {
         })
     }
 
-    /// [`Claire::custom_for_with_engine`]'s planned twin: rung 0 of
-    /// the relaxation ladder selects from the flat plan's
-    /// pre-computed row (bit-identical — same feasibility filter,
-    /// same shared selection tail, same evaluations); relaxed rungs,
-    /// whose widened screens can need points outside the table, fall
-    /// back to the recursive sweep (memo-warm from the plan).
-    pub(crate) fn custom_from_plan(
-        &self,
-        model: &Model,
-        row: &ModelRow,
-        engine: &Engine,
-    ) -> Result<CustomResult, ClaireError> {
-        let base = self.effective_constraints(model.name(), engine);
-        let mut first = true;
-        let ((config, report), degradation) = with_relaxation_observed(
-            self.opts.policy,
-            &base,
-            Some(engine.telemetry()),
-            model.name(),
-            |cons| {
-                let (mut cfg, _) = if std::mem::take(&mut first) {
-                    custom_from_row(model, row, cons, DseObjective::MinArea)
-                } else {
-                    custom_config_with_engine(
-                        model,
-                        &self.opts.space,
-                        cons,
-                        DseObjective::MinArea,
-                        engine,
-                    )
-                }?;
-                cluster_into_chiplets_with_engine(
-                    &mut cfg,
-                    std::slice::from_ref(model),
-                    cons,
-                    self.opts.louvain_resolution,
-                    engine,
-                )?;
-                let report = engine.evaluate(model, &cfg)?;
-                Ok((cfg, report))
-            },
-        )?;
-        Ok(CustomResult {
-            model: model.clone(),
-            config,
-            report,
-            degradation,
-        })
+    /// The flat execution plan for `models` under the configured
+    /// space, constraints and search policy.
+    fn plan(&self, models: &[Model], engine: &Engine) -> EvalTable {
+        build_eval_table(
+            models,
+            &self.opts.space,
+            &self.opts.constraints,
+            self.opts.search,
+            engine,
+            &[],
+        )
     }
 
     /// The constraints a stage actually sees: the configured set,
@@ -559,18 +529,17 @@ impl Claire {
 
     /// [`Claire::train`] on an explicit [`Engine`]: custom
     /// configurations and Fig. 4 evaluations run in parallel over the
-    /// algorithms, every DSE sweep runs in parallel over the space,
-    /// and all layer costs share the engine's memo cache. The output
-    /// is bit-identical to the serial flow at any thread count.
+    /// algorithms, and all layer costs share the engine's memo cache.
+    /// The output is bit-identical to the serial flow at any thread
+    /// count.
     ///
-    /// By default the run opens with the **flat execution plan**
-    /// (`plan` stage): every `(model, hw-point)` evaluation of the
-    /// run is enumerated as one item set and fed through a single
-    /// parallel map, and the per-model/per-subset selections replay
-    /// from the resulting table (see [`crate::plan::flat`]).
-    /// [`ClaireOptions::legacy_flow`] — or an armed fault plan —
-    /// selects the legacy recursive flow instead; both produce
-    /// bit-identical outputs.
+    /// The run opens with the **flat execution plan** (`plan` stage):
+    /// every `(model, hw-point)` evaluation of the run is enumerated
+    /// as one item set and fed through a single parallel map, and the
+    /// per-model/per-subset selections replay from the resulting
+    /// table (see [`crate::plan::flat`]). This is the only execution
+    /// path — armed fault plans and sampled search policies run on it
+    /// too.
     ///
     /// # Errors
     ///
@@ -584,40 +553,12 @@ impl Claire {
             return Err(ClaireError::EmptyAlgorithmSet);
         }
         self.validate_inputs()?;
-        if self.legacy_flow_active(engine) {
-            self.train_impl(models, engine, None)
-        } else {
-            let table = engine.time_stage("plan", || {
-                build_eval_table(models, &self.opts.space, &self.opts.constraints, engine)
-            });
-            self.train_impl(models, engine, Some(&table))
-        }
-    }
+        let table = engine.time_stage("plan", || self.plan(models, engine));
 
-    /// Whether this run takes the legacy recursive flow: requested via
-    /// [`ClaireOptions::legacy_flow`], forced by an armed fault plan
-    /// (injection sites are calibrated against the recursive call
-    /// order), or forced by a sampled search policy (the flat plan's
-    /// table assumes exhaustively screened point sets).
-    pub(crate) fn legacy_flow_active(&self, engine: &Engine) -> bool {
-        self.opts.legacy_flow || engine.faults().is_some() || self.opts.search.is_sampled()
-    }
-
-    /// The shared train-phase body: stage structure and selection
-    /// logic are identical for both flows; `table` (the flat plan's
-    /// output) switches rung-0 DSE selections from recursive sweeps to
-    /// table replays.
-    fn train_impl(
-        &self,
-        models: &[Model],
-        engine: &Engine,
-        table: Option<&EvalTable>,
-    ) -> Result<TrainOutput, ClaireError> {
         // --- Output 1: custom configurations.
         let customs: Vec<CustomResult> = engine.time_stage("customs", || {
-            engine.try_par_map(models, |i, m| match table {
-                Some(t) => self.custom_from_plan(m, &t.rows[i], engine),
-                None => self.custom_for_with_engine(m, engine),
+            engine.try_par_map(models, |i, m| {
+                self.custom_relaxed(m, Some(&table.rows[i]), engine)
             })
         })?;
         let custom_latency: BTreeMap<String, f64> = customs
@@ -625,60 +566,65 @@ impl Claire {
             .map(|c| (c.model.name().to_owned(), c.report.latency_s))
             .collect();
 
+        // The set stages (generic and libraries) under the relaxation
+        // ladder: rung 0 replays from the plan's table, relaxed rungs
+        // re-sweep the space (their widened screens can need points
+        // outside the table). The winner is clustered over
+        // `cluster_models`.
+        let set_stage =
+            |name: &str, members: &[usize], cluster_models: &[Model], provision_tanh: bool| {
+                let mut first = true;
+                with_relaxation_observed(
+                    self.opts.policy,
+                    &self.effective_constraints(name, engine),
+                    Some(engine.telemetry()),
+                    name,
+                    |cons| {
+                        let mut cfg = if std::mem::take(&mut first) {
+                            set_config_from_table(
+                                name,
+                                members,
+                                models,
+                                &table,
+                                cons,
+                                &custom_latency,
+                                engine,
+                            )
+                        } else {
+                            let refs: Vec<&Model> = members.iter().map(|&i| &models[i]).collect();
+                            set_config_with_engine(
+                                name,
+                                &refs,
+                                &self.opts.space,
+                                cons,
+                                &custom_latency,
+                                engine,
+                            )
+                        }?;
+                        if provision_tanh {
+                            cfg.classes
+                                .insert(OpClass::Activation(ActivationKind::Tanh));
+                        }
+                        cluster_into_chiplets_with_engine(
+                            &mut cfg,
+                            cluster_models,
+                            cons,
+                            self.opts.louvain_resolution,
+                            engine,
+                        )?;
+                        Ok(cfg)
+                    },
+                )
+            };
+
         // --- Output 2: the generic configuration.
-        let refs: Vec<&Model> = models.iter().collect();
-        let generic_base = self.effective_constraints("C_g", engine);
         let all_members: Vec<usize> = (0..models.len()).collect();
         let (generic, generic_degradation) = engine.time_stage("generic", || {
-            let mut first = true;
-            with_relaxation_observed(
-                self.opts.policy,
-                &generic_base,
-                Some(engine.telemetry()),
+            set_stage(
                 "C_g",
-                |cons| {
-                    // Rung 0 replays from the flat plan's table; relaxed
-                    // rungs re-sweep recursively (their widened screens
-                    // can need points outside the table).
-                    let from_table = if first {
-                        first = false;
-                        table
-                    } else {
-                        None
-                    };
-                    let mut generic = match from_table {
-                        Some(t) => set_config_from_table(
-                            "C_g",
-                            &all_members,
-                            models,
-                            t,
-                            cons,
-                            &custom_latency,
-                            engine,
-                        ),
-                        None => set_config_with_engine(
-                            "C_g",
-                            &refs,
-                            &self.opts.space,
-                            cons,
-                            &custom_latency,
-                            engine,
-                        ),
-                    }?;
-                    if self.opts.provision_tanh_in_generic {
-                        generic
-                            .classes
-                            .insert(OpClass::Activation(ActivationKind::Tanh));
-                    }
-                    cluster_into_chiplets_with_engine(
-                        &mut generic,
-                        models,
-                        cons,
-                        self.opts.louvain_resolution,
-                        engine,
-                    )?;
-                    Ok(generic)
-                },
+                &all_members,
+                models,
+                self.opts.provision_tanh_in_generic,
             )
         })?;
 
@@ -709,51 +655,8 @@ impl Claire {
         let libraries: Vec<LibraryConfig> = engine.time_stage("libraries", || {
             engine.try_par_map(&subsets, |k, (subset, merged)| -> Result<_, ClaireError> {
                 let name = format!("C_{}", k + 1);
-                let members: Vec<&Model> = subset.iter().map(|&i| &models[i]).collect();
-                let member_models: Vec<Model> = members.iter().map(|m| (*m).clone()).collect();
-                let lib_base = self.effective_constraints(&name, engine);
-                let mut first = true;
-                let (cfg, degradation) = with_relaxation_observed(
-                    self.opts.policy,
-                    &lib_base,
-                    Some(engine.telemetry()),
-                    &name,
-                    |cons| {
-                        let from_table = if first {
-                            first = false;
-                            table
-                        } else {
-                            None
-                        };
-                        let mut cfg = match from_table {
-                            Some(t) => set_config_from_table(
-                                &name,
-                                subset,
-                                models,
-                                t,
-                                cons,
-                                &custom_latency,
-                                engine,
-                            ),
-                            None => set_config_with_engine(
-                                &name,
-                                &members,
-                                &self.opts.space,
-                                cons,
-                                &custom_latency,
-                                engine,
-                            ),
-                        }?;
-                        cluster_into_chiplets_with_engine(
-                            &mut cfg,
-                            &member_models,
-                            cons,
-                            self.opts.louvain_resolution,
-                            engine,
-                        )?;
-                        Ok(cfg)
-                    },
-                )?;
+                let member_models: Vec<Model> = subset.iter().map(|&i| models[i].clone()).collect();
+                let (cfg, degradation) = set_stage(&name, subset, &member_models, false)?;
                 // Node vector for Step #TT1 assignment: the subset's
                 // summed raw node work, scaled afterwards — "the nodes
                 // of the library-synthesized configurations". (Scaling
@@ -857,13 +760,11 @@ impl Claire {
     /// models are evaluated in parallel and layer costs are shared with
     /// any prior training run through the memo cache.
     ///
-    /// By default the test stage opens with the flat execution plan:
-    /// every `(test-model, hw-point)` evaluation runs through one
+    /// The test stage opens with the flat execution plan: every
+    /// `(test-model, hw-point)` evaluation runs through one
     /// load-balanced parallel map before the per-model selections,
-    /// clustering and assignment replay — collapsing the per-model
-    /// nested sweeps whose serialisation skews worker busy time.
-    /// [`ClaireOptions::legacy_flow`] (or an armed fault plan) selects
-    /// the recursive flow; outputs are bit-identical either way.
+    /// clustering and assignment replay from the table — under any
+    /// fault plan or search policy.
     ///
     /// # Errors
     ///
@@ -878,23 +779,19 @@ impl Claire {
             return Err(ClaireError::EmptyAlgorithmSet);
         }
         self.validate_inputs()?;
-        let vectors: Vec<_> = train.libraries.iter().map(|l| l.vector.clone()).collect();
 
         let reports: Vec<TestReport> = engine.time_stage("test", || {
-            let table = (!self.legacy_flow_active(engine))
-                .then(|| build_eval_table(tests, &self.opts.space, &self.opts.constraints, engine));
+            let table = self.plan(tests, engine);
             engine.try_par_map(tests, |i, m| -> Result<_, ClaireError> {
-                let custom = match &table {
-                    Some(t) => self.custom_from_plan(m, &t.rows[i], engine)?,
-                    None => self.custom_for_with_engine(m, engine)?,
-                };
+                let custom = self.custom_relaxed(m, Some(&table.rows[i]), engine)?;
 
                 // Rank libraries by similarity; take the best that covers.
                 let mv = scaled_vector(m, self.opts.assign_scale);
-                let mut ranked: Vec<(usize, f64)> = vectors
+                let mut ranked: Vec<(usize, f64)> = train
+                    .libraries
                     .iter()
                     .enumerate()
-                    .map(|(i, v)| (i, claire_graph::weighted_jaccard(&mv, v)))
+                    .map(|(i, l)| (i, claire_graph::weighted_jaccard(&mv, &l.vector)))
                     .collect();
                 // Similarities are finite by construction; total_cmp
                 // keeps the sort panic-free and identical on them.
@@ -903,7 +800,6 @@ impl Claire {
                     .iter()
                     .find(|&&(i, _)| train.libraries[i].config.covers(m))
                     .copied();
-                let _ = assign_test(m, &vectors); // keep raw argmax observable in tests
 
                 // The generic config covers every *training* op class by
                 // construction; a test model with a novel op class cannot

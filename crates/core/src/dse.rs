@@ -12,7 +12,7 @@ use crate::parallel::Engine;
 use crate::search::{search_with_engine, ParetoFront, SearchPolicy};
 use crate::telemetry::{ArgValue, Metric, Telemetry};
 use claire_model::{Model, OpClass};
-use claire_ppa::{DesignSpace, DseSpace, HwParams};
+use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One evaluated DSE point.
@@ -476,65 +476,96 @@ pub fn set_config_with_engine(
         return Err(ClaireError::EmptyAlgorithmSet);
     }
 
-    let all: Vec<HwParams> = space.iter().collect();
     // Per-member monolithic shells, built once for the whole sweep and
     // cloned-with-hw per point.
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
-    // Stage A: a point is worth full evaluation only if every member's
-    // model-light monolithic area fits the chiplet cap — the same
-    // early-`None` the exhaustive member loop below takes, decided
-    // from the memoized area tables alone.
-    let mut points: Vec<HwParams> = if engine.pruning_enabled() {
+    let members: Vec<(&Model, &DesignConfig)> = models.iter().copied().zip(&shells).collect();
+    let points = screen_set_points(
+        space_points(space),
+        &members,
+        constraints,
+        custom_latency_s,
+        engine,
+    );
+    let mut eval_span = engine.telemetry().span("dse.eval", "dse");
+    eval_span.arg("points", ArgValue::Int(points.len() as u64));
+    let totals: Vec<Option<f64>> = engine.par_map(&points, |_, &(_, hw)| {
+        member_total(&members, constraints, custom_latency_s, |k| {
+            let (m, shell) = members[k];
+            let mut cfg = shell.clone();
+            cfg.hw = hw;
+            engine.evaluate(m, &cfg).ok()
+        })
+    });
+    drop(eval_span);
+
+    let hw = select_set_hw(name, &points, &totals)?;
+    let classes: BTreeSet<OpClass> = shells.into_iter().flat_map(|s| s.classes).collect();
+    Ok(DesignConfig::monolithic(name, hw, classes))
+}
+
+/// The pre-pricing screens of a set sweep, shared by
+/// [`set_config_with_engine`] and the flat-plan replay
+/// ([`crate::plan::flat::set_config_from_table`]). Returns the
+/// surviving `(space index, point)` pairs of `space` in iteration
+/// order.
+///
+/// **Stage A** keeps a point only if every member's model-light
+/// monolithic area fits the chiplet cap — the same early `None` the
+/// member fold takes, decided from the memoized area tables alone.
+/// **Stage A′**: members with a custom latency reference admit an
+/// *absolute* latency bound known before any pricing,
+/// `l_m × (1 + slack)`, so a point whose compute-only cycle lower
+/// bound already exceeds a member's bound would come back `None` from
+/// the member fold (`report.latency_s ≥ lb_s > bound` fails the
+/// latency check). Dropping such points up front leaves the selection
+/// input unchanged.
+pub(crate) fn screen_set_points(
+    space: impl Iterator<Item = (u32, HwParams)>,
+    members: &[(&Model, &DesignConfig)],
+    constraints: &Constraints,
+    custom_latency_s: &BTreeMap<String, f64>,
+    engine: &Engine,
+) -> Vec<(u32, HwParams)> {
+    let mut points: Vec<(u32, HwParams)> = if engine.pruning_enabled() {
         let mut span = engine.telemetry().span("dse.screen", "dse");
-        let kept: Vec<HwParams> = all
-            .iter()
-            .copied()
-            .filter(|hw| {
-                shells.iter().all(|s| {
-                    engine.monolithic_area(&s.classes, hw) <= constraints.chiplet_area_limit_mm2
+        let mut seen: u64 = 0;
+        let kept: Vec<(u32, HwParams)> = space
+            .inspect(|_| seen += 1)
+            .filter(|(_, hw)| {
+                members.iter().all(|(_, shell)| {
+                    engine.monolithic_area(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
                 })
             })
             .collect();
-        engine.note_dse_pruned((all.len() - kept.len()) as u64);
-        span.arg("pruned", ArgValue::Int((all.len() - kept.len()) as u64));
+        engine.note_dse_pruned(seen - kept.len() as u64);
+        span.arg("pruned", ArgValue::Int(seen - kept.len() as u64));
         span.arg("kept", ArgValue::Int(kept.len() as u64));
         kept
     } else {
-        all
+        space.collect()
     };
-    // Stage A′: members with a custom latency reference admit an
-    // *absolute* latency bound known before any pricing —
-    // `l_m × (1 + slack)` — so any point whose compute-only cycle
-    // lower bound already exceeds a member's bound would come back
-    // `None` from the exhaustive member fold below
-    // (`report.latency_s ≥ lb_s > bound` fails `latency_ok`).
-    // Dropping it up front leaves the selection input unchanged.
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() && !points.is_empty() {
-        let bounds: Vec<(usize, f64)> = models
+        let bounds: Vec<(&Model, f64)> = members
             .iter()
-            .enumerate()
-            .filter_map(|(i, m)| {
+            .filter_map(|&(m, _)| {
                 custom_latency_s
                     .get(m.name())
-                    .map(|&l| (i, l * (1.0 + constraints.latency_slack)))
+                    .map(|&l| (m, l * (1.0 + constraints.latency_slack)))
             })
             .filter(|(_, b)| b.is_finite())
             .collect();
         if !bounds.is_empty() {
             let mut span = engine.telemetry().span("dse.lb_screen", "dse");
             let clock = claire_ppa::tech28::CLOCK_HZ;
-            let keep: Vec<bool> = engine.par_map(&points, |_, hw| {
-                bounds.iter().all(|&(i, bound)| {
-                    engine.compute_cycles_lb(models[i], hw) as f64 / clock <= bound
-                })
+            let keep: Vec<bool> = engine.par_map(&points, |_, (_, hw)| {
+                bounds
+                    .iter()
+                    .all(|&(m, bound)| engine.compute_cycles_lb(m, hw) as f64 / clock <= bound)
             });
             let before = points.len();
-            let mut i = 0usize;
-            points.retain(|_| {
-                let k = keep[i];
-                i += 1;
-                k
-            });
+            let mut keep = keep.into_iter();
+            points.retain(|_| keep.next().unwrap_or(false));
             engine.note_dse_lb_pruned((before - points.len()) as u64);
             span.arg("pruned", ArgValue::Int((before - points.len()) as u64));
             span.arg("kept", ArgValue::Int(points.len() as u64));
@@ -543,33 +574,37 @@ pub fn set_config_with_engine(
     if engine.pruning_enabled() {
         engine.note_dse_evaluated(points.len() as u64);
     }
-    let mut eval_span = engine.telemetry().span("dse.eval", "dse");
-    eval_span.arg("points", ArgValue::Int(points.len() as u64));
-    let totals: Vec<Option<f64>> = engine.par_map(&points, |_, &hw| {
-        let mut total_area = 0.0;
-        for (m, shell) in models.iter().zip(&shells) {
-            let mut cfg = shell.clone();
-            cfg.hw = hw;
-            let report = engine.evaluate(m, &cfg).ok()?;
-            let latency_ok = custom_latency_s
-                .get(m.name())
-                .map(|&l| report.latency_s <= l * (1.0 + constraints.latency_slack))
-                .unwrap_or(true);
-            if report.area_mm2 > constraints.chiplet_area_limit_mm2
-                || report.power_density_w_per_mm2() > constraints.power_density_limit_w_per_mm2
-                || !latency_ok
-            {
-                return None;
-            }
-            total_area += report.area_mm2;
-        }
-        Some(total_area)
-    });
-    drop(eval_span);
+    points
+}
 
-    let hw = select_set_hw(name, &points, &totals)?;
-    let classes: BTreeSet<OpClass> = shells.into_iter().flat_map(|s| s.classes).collect();
-    Ok(DesignConfig::monolithic(name, hw, classes))
+/// The member fold of a set sweep at one point, shared with the
+/// flat-plan replay: the members' summed area, or `None` as soon as a
+/// member's report (`report_of(k)` for member `k`) is missing — a
+/// failed evaluation — or breaks the area, power-density or
+/// latency-slack constraint. Members fold in order and stop at the
+/// first failure, so later members are never priced.
+pub(crate) fn member_total(
+    members: &[(&Model, &DesignConfig)],
+    constraints: &Constraints,
+    custom_latency_s: &BTreeMap<String, f64>,
+    mut report_of: impl FnMut(usize) -> Option<PpaReport>,
+) -> Option<f64> {
+    let mut total_area = 0.0;
+    for (k, (m, _)) in members.iter().enumerate() {
+        let report = report_of(k)?;
+        let latency_ok = custom_latency_s
+            .get(m.name())
+            .map(|&l| report.latency_s <= l * (1.0 + constraints.latency_slack))
+            .unwrap_or(true);
+        if report.area_mm2 > constraints.chiplet_area_limit_mm2
+            || report.power_density_w_per_mm2() > constraints.power_density_limit_w_per_mm2
+            || !latency_ok
+        {
+            return None;
+        }
+        total_area += report.area_mm2;
+    }
+    Some(total_area)
 }
 
 /// The selection fold of [`set_config_with_engine`]: the first strict
@@ -584,11 +619,11 @@ pub fn set_config_with_engine(
 /// `None`.
 pub(crate) fn select_set_hw(
     name: &str,
-    points: &[HwParams],
+    points: &[(u32, HwParams)],
     totals: &[Option<f64>],
 ) -> Result<HwParams, ClaireError> {
     let mut best: Option<(f64, HwParams)> = None;
-    for (&hw, total_area) in points.iter().zip(totals) {
+    for (&(_, hw), total_area) in points.iter().zip(totals) {
         let Some(total_area) = *total_area else {
             continue;
         };

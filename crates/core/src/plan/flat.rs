@@ -1,85 +1,79 @@
 //! The flat execution plan: one up-front item set for a whole flow.
 //!
-//! The recursive flow runs one staged DSE sweep per model; the outer
-//! parallel map claims whole models, the nested per-point maps are
-//! forced serial inside workers, and models of very different sizes
-//! leave workers idle (the test stage's ~3.2× worker-busy imbalance
-//! at 4 threads). The flat plan instead enumerates **every**
-//! `(model, hw-point)` evaluation the flow will need as one item set
-//! and feeds it through a single [`Engine::par_map`], so the atomic
-//! work cursor balances points — not models — across workers.
+//! Every flow runs on this plan: training, the test phase, and a
+//! resident server's custom batches. It enumerates **every**
+//! `(model, hw-point)` evaluation a run's selections need as one item
+//! set and feeds it through a single [`Engine::par_map`], so the
+//! atomic work cursor balances points — not models — across workers.
+//! (Per-model sweeps would serialise their nested maps inside workers,
+//! and models of very different sizes would leave workers idle.)
 //!
-//! The per-model and per-subset *selections* then replay serially from
-//! the resulting [`EvalTable`]. Replay calls the exact selection code
-//! the recursive flow uses ([`crate::dse::select_custom_config`],
-//! [`crate::dse::select_set_hw`]) on the same point lists in the same
-//! space iteration order, and every table entry is produced by the
-//! same [`Engine::evaluate`] call the recursive flow would make —
-//! deterministic and cache-state-independent by the engine's core
-//! invariant — so the planned flow's outputs are bit-identical to the
-//! recursive flow's at any thread count.
+//! The per-model and per-subset *selections* then replay serially
+//! from the resulting [`EvalTable`]. A row applies exactly the
+//! screens of the single-subject search
+//! ([`crate::search::search_with_engine`]) and, under a sampled
+//! [`SearchPolicy`], its successive-halving rungs
+//! (`search::halving_rungs`); replay calls the same selection
+//! code ([`crate::dse::select_custom_config`],
+//! `dse::screen_set_points`, [`crate::dse::select_set_hw`]) on
+//! the same point lists in the same space order. Every table entry is
+//! the [`Engine::evaluate`] call the search would make — deterministic
+//! and cache-state-independent by the engine's core invariant — so a
+//! planned selection equals the single-subject search's bit for bit,
+//! at any thread count.
 
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
-    monolithic_for, select_custom_config, select_set_hw, DseObjective, DsePoint, SHELL_HW,
+    member_total, monolithic_for, screen_set_points, select_custom_config, select_set_hw,
+    DseObjective, DsePoint, SHELL_HW,
 };
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::Engine;
+use crate::search::{halving_rungs, SearchPolicy};
 use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
-use claire_ppa::{DseSpace, HwParams};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use claire_ppa::{space_points, DseSpace, HwParams};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One model's slice of the evaluation table: its area-screened DSE
-/// points in space iteration order, with each point's
-/// monolithic-shell evaluation (`None` when the evaluation surfaced
-/// an error — the same points the recursive sweep drops) and a marker
-/// for points the latency lower-bound screen dropped *before*
-/// evaluation (the same points the recursive stage A′ drops).
+/// points in space order, each with its monolithic-shell evaluation
+/// (`None` when the evaluation surfaced an error — the points the
+/// search drops) unless the point is *unpriced*: dropped before
+/// pricing by the latency lower-bound screen or by a sampled policy's
+/// halving rungs, exactly the points the search never prices.
 #[derive(Debug, Clone)]
 pub struct ModelRow {
-    /// The model's area-screened hardware points, in space iteration
-    /// order.
-    pub points: Vec<HwParams>,
+    /// The model's area-screened `(space index, point)` pairs, in
+    /// space order.
+    pub points: Vec<(u32, HwParams)>,
     /// Per-point monolithic-shell reports, parallel to `points`.
-    /// `None` for failed evaluations *and* for lb-screened points —
-    /// `lb_screened` tells them apart.
+    /// `None` for failed evaluations *and* for unpriced points —
+    /// `unpriced` tells them apart.
     pub reports: Vec<Option<PpaReport>>,
-    /// Parallel to `points`: `true` when the latency lower-bound
-    /// screen proved the point can never be selected, so the plan
-    /// never priced it. A subset replay that still needs such a point
-    /// (its member-set bound can be looser than this row's pivot
-    /// bound) prices it lazily through the engine's memo tiers — see
-    /// [`set_config_from_table`].
-    lb_screened: Vec<bool>,
-    /// `points`/`reports`/`lb_screened` re-indexed by hardware point
-    /// for the subset replays (a set sweep visits the intersection of
-    /// its members' screens, so every lookup lands in the member's
-    /// row).
-    by_hw: HashMap<HwParams, (Option<PpaReport>, bool)>,
+    /// Parallel to `points`: `true` when the lower-bound screen or a
+    /// halving rung dropped the point, so the plan never priced it. A
+    /// subset replay that still needs such a point (its member-set
+    /// bound can be looser than this row's pivot bound, and set sweeps
+    /// never sample) prices it lazily through the engine's memo tiers —
+    /// see [`set_config_from_table`].
+    unpriced: Vec<bool>,
 }
 
 impl ModelRow {
     /// The feasible [`DsePoint`]s of this row under `constraints`, in
-    /// space iteration order — exactly the recursive
-    /// [`crate::dse::sweep_with_engine`] survivor list: area screen,
-    /// then the latency lower-bound screen, then per-point
+    /// space order — exactly the search's stage-B survivor list: area
+    /// screen, lower-bound screen, halving rungs, then per-point
     /// feasibility. Every selection over it is bit-identical to the
-    /// recursive flow's (the shared
-    /// [`crate::dse::select_custom_config`] tail, see the
-    /// [`crate::search`] soundness argument).
+    /// search's (the shared [`crate::dse::select_custom_config`] tail,
+    /// see the [`crate::search`] soundness argument).
     pub fn feasible_points(&self, constraints: &Constraints) -> Vec<DsePoint> {
         self.points
             .iter()
             .zip(&self.reports)
-            .zip(&self.lb_screened)
-            .filter_map(|((&hw, r), &screened)| {
-                if screened {
-                    return None;
-                }
+            .filter_map(|(&(_, hw), r)| {
                 let report = (*r)?;
                 let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
                     && report.power_density_w_per_mm2()
@@ -89,10 +83,13 @@ impl ModelRow {
             .collect()
     }
 
-    /// The row's slot for `hw`: `(report, lb_screened)`. `None` when
-    /// the point was dropped by the area screen.
-    fn slot_for(&self, hw: HwParams) -> Option<(Option<PpaReport>, bool)> {
-        self.by_hw.get(&hw).copied()
+    /// The position in `points` of the point at space index `index`,
+    /// found by binary search (`points` is in space order). `None`
+    /// when the area screen dropped the point; a set sweep visits the
+    /// intersection of its members' area screens, so its lookups
+    /// always land.
+    fn position(&self, index: u32) -> Option<usize> {
+        self.points.binary_search_by_key(&index, |&(i, _)| i).ok()
     }
 }
 
@@ -100,9 +97,9 @@ impl ModelRow {
 /// needs, computed once through a single load-balanced parallel map.
 #[derive(Debug, Clone)]
 pub struct EvalTable {
-    /// The full DSE space, in iteration order (the subset replays
-    /// re-screen from it).
-    pub space_points: Vec<HwParams>,
+    /// The full DSE space as `(space index, point)` pairs, in
+    /// iteration order (the subset replays re-screen from it).
+    pub space_points: Vec<(u32, HwParams)>,
     /// Per-model monolithic DSE shells, parallel to the planned model
     /// list.
     pub shells: Vec<DesignConfig>,
@@ -110,57 +107,49 @@ pub struct EvalTable {
     pub rows: Vec<ModelRow>,
 }
 
-/// Builds the evaluation table for `models`: screens each model's
-/// points from the engine's memoized area tables (stage A of the
-/// staged sweep, identical constraints and counters), then evaluates
-/// the union of all screened `(model, hw-point)` items through one
-/// [`Engine::par_map`]. The item count lands on the `plan.items`
-/// counter.
+/// Builds the evaluation table for `models` under `policy`. Each
+/// model's points pass the search's stage A (the area screen, from the
+/// engine's memoized area tables) and stage A′ (the latency
+/// lower-bound screen), with identical constraints and counters; a
+/// sampled policy then runs its halving rungs on each row's
+/// survivors. The union of all remaining `(model, hw-point)` items is
+/// evaluated through one [`Engine::par_map`], and the item count lands
+/// on the `plan.items` counter.
+///
+/// `cancels` is parallel to `models` (an empty slice disables
+/// cancellation). Each evaluation item checks its model's flag when a
+/// worker claims it — the cooperative checkpoint — and returns
+/// unevaluated when the flag is set, so an expired request stops
+/// consuming workers at item granularity. A cancelled model's row is
+/// garbage (its caller must discard it); every *other* model's row is
+/// bit-identical to an uncancelled build, because screens, bounds,
+/// rungs and evaluations are per-model and the shared memo tiers hold
+/// exact values — skipping a neighbour's items can only *miss* warm
+/// entries, never write wrong ones.
 pub fn build_eval_table(
     models: &[Model],
     space: &DseSpace,
     constraints: &Constraints,
-    engine: &Engine,
-) -> EvalTable {
-    build_eval_table_cancellable(models, space, constraints, engine, &[])
-}
-
-/// [`build_eval_table`] with per-model cooperative cancellation.
-///
-/// `cancels` is parallel to `models` (an empty slice disables
-/// cancellation entirely). Each evaluation item checks its model's
-/// flag when a worker claims it — the cooperative checkpoint — and
-/// returns unevaluated when the flag is set, so an expired request
-/// stops consuming workers at item granularity. A cancelled model's
-/// row is garbage (its caller must discard it); every *other* model's
-/// row is bit-identical to an uncancelled build, because screens,
-/// bounds, and evaluations are per-model and the shared memo tiers
-/// hold exact values — skipping a neighbour's items can only *miss*
-/// warm entries, never write wrong ones.
-pub fn build_eval_table_cancellable(
-    models: &[Model],
-    space: &DseSpace,
-    constraints: &Constraints,
+    policy: SearchPolicy,
     engine: &Engine,
     cancels: &[Arc<AtomicBool>],
 ) -> EvalTable {
     let cancelled = |mi: usize| cancels.get(mi).is_some_and(|c| c.load(Ordering::Relaxed));
-    let space_points: Vec<HwParams> = space.iter().collect();
+    let space_points: Vec<(u32, HwParams)> = space_points(space).collect();
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
 
-    // Stage A per model: the same sound area screen the recursive
-    // sweep applies, decided from the memoized area tables alone. The
-    // survivor scratch is hoisted out of the per-model loop — each
-    // screen filters into the same full-capacity buffer and copies
-    // once into an exact-sized row, instead of growth-reallocating a
-    // fresh `Vec` per model.
+    // Stage A per model: the search's sound area screen, decided from
+    // the memoized area tables alone. The survivor scratch is hoisted
+    // out of the per-model loop — each screen filters into the same
+    // full-capacity buffer and copies once into an exact-sized row,
+    // instead of growth-reallocating a fresh `Vec` per model.
     let mut rows: Vec<ModelRow> = Vec::with_capacity(models.len());
-    let mut scratch: Vec<HwParams> = Vec::with_capacity(space_points.len());
+    let mut scratch: Vec<(u32, HwParams)> = Vec::with_capacity(space_points.len());
     for shell in &shells {
-        let points: Vec<HwParams> = if engine.pruning_enabled() {
+        let points: Vec<(u32, HwParams)> = if engine.pruning_enabled() {
             let mut span = engine.telemetry().span("dse.screen", "dse");
             scratch.clear();
-            scratch.extend(space_points.iter().copied().filter(|hw| {
+            scratch.extend(space_points.iter().copied().filter(|(_, hw)| {
                 engine.monolithic_area(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
             }));
             engine.note_dse_pruned((space_points.len() - scratch.len()) as u64);
@@ -177,19 +166,17 @@ pub fn build_eval_table_cancellable(
         rows.push(ModelRow {
             points,
             reports: Vec::new(),
-            lb_screened: vec![false; n],
-            by_hw: HashMap::new(),
+            unpriced: vec![false; n],
         });
     }
 
-    // Stage A′ per model: the latency lower-bound screen — the same
-    // sound pre-pricing drop the recursive sweep applies (see
+    // Stage A′ per model: the search's latency lower-bound screen (see
     // [`crate::search`]). All models' lower bounds run through one
     // flat `par_map` (they hit the memoized `lb` tier and the
     // structural interner, never the full evaluator), each model's
     // pivot — its first minimal-bound point in space order — is
     // priced, and every point whose bound exceeds the pivot's slack-
-    // widened latency is marked screened: provably never selectable,
+    // widened latency is marked unpriced: provably never selectable,
     // so the plan's big map need not price it.
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() {
         let mut span = engine.telemetry().span("plan.lb_screen", "plan");
@@ -199,7 +186,7 @@ pub fn build_eval_table_cancellable(
             .flat_map(|(mi, row)| (0..row.points.len()).map(move |pi| (mi, pi)))
             .collect();
         let lbs: Vec<u64> = engine.par_map(&lb_items, |_, &(mi, pi)| {
-            engine.compute_cycles_lb(&models[mi], &rows[mi].points[pi])
+            engine.compute_cycles_lb(&models[mi], &rows[mi].points[pi].1)
         });
         // Per-model lb slices (rows are contiguous in the flat list).
         let mut offsets = Vec::with_capacity(rows.len());
@@ -239,7 +226,7 @@ pub fn build_eval_table_cancellable(
                 return f64::INFINITY;
             }
             let mut cfg = shells[mi].clone();
-            cfg.hw = rows[mi].points[pi];
+            cfg.hw = rows[mi].points[pi].1;
             match engine.evaluate(&models[mi], &cfg) {
                 Ok(r)
                     if r.area_mm2 <= constraints.chiplet_area_limit_mm2
@@ -262,7 +249,7 @@ pub fn build_eval_table_cancellable(
                 // The pivot's own bound never exceeds its latency, so
                 // the pivot always survives its own screen.
                 if lb as f64 / clock > bounds[mi] {
-                    row.lb_screened[pi] = true;
+                    row.unpriced[pi] = true;
                     total_pruned += 1;
                 }
             }
@@ -270,22 +257,51 @@ pub fn build_eval_table_cancellable(
         engine.note_dse_lb_pruned(total_pruned);
         span.arg("pruned", ArgValue::Int(total_pruned));
     }
+
+    // A sampled policy's halving rungs, on each row's screen survivors
+    // in space order: the search's exact trajectory, demoting every
+    // point a rung drops to unpriced. One map over models; each
+    // model's rungs run serially inside the worker that claims it.
+    if policy.is_sampled() {
+        let promoted: Vec<Vec<(u32, HwParams)>> = engine.par_map(&rows, |mi, row| {
+            let mut candidates: Vec<(u32, HwParams)> = row
+                .points
+                .iter()
+                .zip(&row.unpriced)
+                .filter(|&(_, &unpriced)| !unpriced)
+                .map(|(&p, _)| p)
+                .collect();
+            if !cancelled(mi) {
+                let lb_cycles = |hw: &HwParams| engine.compute_cycles_lb(&models[mi], hw);
+                halving_rungs(&mut candidates, policy, engine, &lb_cycles);
+            }
+            candidates
+        });
+        for (row, promoted) in rows.iter_mut().zip(promoted) {
+            row.unpriced.fill(true);
+            for (idx, _) in promoted {
+                if let Some(pi) = row.position(idx) {
+                    row.unpriced[pi] = false;
+                }
+            }
+        }
+    }
     if engine.pruning_enabled() {
         let evaluated: u64 = rows
             .iter()
-            .map(|r| r.lb_screened.iter().filter(|&&s| !s).count() as u64)
+            .map(|r| r.unpriced.iter().filter(|&&u| !u).count() as u64)
             .sum();
         engine.note_dse_evaluated(evaluated);
     }
 
-    // The flat item set: every surviving evaluation of the flow, one
+    // The flat item set: every priced evaluation of the flow, one
     // parallel map, points (not models) as the unit of work claiming.
     let items: Vec<(usize, usize)> = rows
         .iter()
         .enumerate()
         .flat_map(|(mi, row)| {
             (0..row.points.len())
-                .filter(|&pi| !row.lb_screened[pi])
+                .filter(|&pi| !row.unpriced[pi])
                 .map(move |pi| (mi, pi))
         })
         .collect();
@@ -299,30 +315,19 @@ pub fn build_eval_table_cancellable(
             return None;
         }
         let mut cfg = shells[mi].clone();
-        cfg.hw = rows[mi].points[pi];
+        cfg.hw = rows[mi].points[pi].1;
         engine.evaluate(&models[mi], &cfg).ok()
     });
     drop(span);
 
-    // Scatter the results back into per-model rows; lb-screened slots
-    // stay `None` (never priced).
+    // Scatter the results back into per-model rows; unpriced slots
+    // stay `None`.
     let mut it = reports.into_iter();
     for row in &mut rows {
         row.reports = row
-            .lb_screened
+            .unpriced
             .iter()
-            .map(|&screened| if screened { None } else { it.next().flatten() })
-            .collect();
-        row.by_hw = row
-            .points
-            .iter()
-            .copied()
-            .zip(
-                row.reports
-                    .iter()
-                    .copied()
-                    .zip(row.lb_screened.iter().copied()),
-            )
+            .map(|&unpriced| if unpriced { None } else { it.next().flatten() })
             .collect();
     }
 
@@ -333,9 +338,9 @@ pub fn build_eval_table_cancellable(
     }
 }
 
-/// The flat-plan replay of [`crate::dse::custom_config_with_engine`]:
-/// filters the model's row to its feasible points (the recursive
-/// sweep's exact survivor list) and runs the shared selection tail.
+/// The flat-plan replay of [`crate::dse::custom_config_searched`]:
+/// filters the model's row to its feasible points (the search's exact
+/// stage-B survivor list) and runs the shared selection tail.
 ///
 /// # Errors
 ///
@@ -355,17 +360,17 @@ pub fn custom_from_row(
 }
 
 /// The flat-plan replay of [`crate::dse::set_config_with_engine`]:
-/// re-screens the space for the member set (every member's shell must
-/// fit, then the members' custom-latency lower bounds — same screens,
-/// same counters), computes each surviving point's member-total area
-/// from the table in member order (the recursive sweep's exact
-/// early-exit fold), and runs the shared selection fold.
+/// re-screens the space for the member set with the shared set
+/// screens (`dse::screen_set_points` — same screens, same counters),
+/// computes each surviving point's member-total area from the table
+/// in member order (the set sweep's exact early-exit fold), and runs
+/// the shared selection fold.
 ///
-/// A surviving point may have been lb-screened in a *member's* row
-/// (the member's pivot bound can be tighter than its custom-latency
-/// bound); such points are priced lazily here through the engine's
-/// memo tiers — the identical [`Engine::evaluate`] call the plan's
-/// map would have made, so the fold's inputs are unchanged.
+/// A surviving point may be unpriced in a *member's* row (the
+/// member's pivot bound can be tighter than its custom-latency bound,
+/// and set sweeps never sample); such points are priced lazily here
+/// through the engine's memo tiers — the identical [`Engine::evaluate`]
+/// call the set sweep makes, so the fold's inputs are unchanged.
 ///
 /// # Errors
 ///
@@ -382,97 +387,33 @@ pub fn set_config_from_table(
     if members.is_empty() {
         return Err(ClaireError::EmptyAlgorithmSet);
     }
-    let mut points: Vec<HwParams> = if engine.pruning_enabled() {
-        let mut span = engine.telemetry().span("dse.screen", "dse");
-        let kept: Vec<HwParams> = table
-            .space_points
-            .iter()
-            .copied()
-            .filter(|hw| {
-                members.iter().all(|&mi| {
-                    engine.monolithic_area(&table.shells[mi].classes, hw)
-                        <= constraints.chiplet_area_limit_mm2
-                })
-            })
-            .collect();
-        engine.note_dse_pruned((table.space_points.len() - kept.len()) as u64);
-        span.arg(
-            "pruned",
-            ArgValue::Int((table.space_points.len() - kept.len()) as u64),
-        );
-        span.arg("kept", ArgValue::Int(kept.len() as u64));
-        kept
-    } else {
-        table.space_points.clone()
-    };
-    // Stage A′: members with a custom latency reference admit an
-    // absolute latency bound known before any pricing — the same
-    // screen the recursive set sweep applies (see
-    // [`crate::dse::set_config_with_engine`]); a dropped point's
-    // member fold would have come back `None` anyway.
-    if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() && !points.is_empty() {
-        let bounds: Vec<(usize, f64)> = members
-            .iter()
-            .filter_map(|&mi| {
-                custom_latency_s
-                    .get(models[mi].name())
-                    .map(|&l| (mi, l * (1.0 + constraints.latency_slack)))
-            })
-            .filter(|(_, b)| b.is_finite())
-            .collect();
-        if !bounds.is_empty() {
-            let mut span = engine.telemetry().span("dse.lb_screen", "dse");
-            let clock = claire_ppa::tech28::CLOCK_HZ;
-            let keep: Vec<bool> = engine.par_map(&points, |_, hw| {
-                bounds.iter().all(|&(mi, bound)| {
-                    engine.compute_cycles_lb(&models[mi], hw) as f64 / clock <= bound
-                })
-            });
-            let before = points.len();
-            let mut i = 0usize;
-            points.retain(|_| {
-                let k = keep[i];
-                i += 1;
-                k
-            });
-            engine.note_dse_lb_pruned((before - points.len()) as u64);
-            span.arg("pruned", ArgValue::Int((before - points.len()) as u64));
-            span.arg("kept", ArgValue::Int(points.len() as u64));
-        }
-    }
-    if engine.pruning_enabled() {
-        engine.note_dse_evaluated(points.len() as u64);
-    }
+    let member_shells: Vec<(&Model, &DesignConfig)> = members
+        .iter()
+        .map(|&mi| (&models[mi], &table.shells[mi]))
+        .collect();
+    let points = screen_set_points(
+        table.space_points.iter().copied(),
+        &member_shells,
+        constraints,
+        custom_latency_s,
+        engine,
+    );
     let totals: Vec<Option<f64>> = points
         .iter()
-        .map(|&hw| {
-            let mut total_area = 0.0;
-            for &mi in members {
-                let m = &models[mi];
-                let (stored, lb_screened) = table.rows[mi].slot_for(hw)?;
-                let report = if lb_screened {
-                    // Never priced by the plan (screened under the
-                    // member's tighter pivot bound): price it now,
-                    // memo-warm — bit-identical to the plan's map.
-                    let mut cfg = table.shells[mi].clone();
-                    cfg.hw = hw;
-                    engine.evaluate(m, &cfg).ok()?
-                } else {
-                    stored?
-                };
-                let latency_ok = custom_latency_s
-                    .get(m.name())
-                    .map(|&l| report.latency_s <= l * (1.0 + constraints.latency_slack))
-                    .unwrap_or(true);
-                if report.area_mm2 > constraints.chiplet_area_limit_mm2
-                    || report.power_density_w_per_mm2() > constraints.power_density_limit_w_per_mm2
-                    || !latency_ok
-                {
-                    return None;
+        .map(|&(index, hw)| {
+            member_total(&member_shells, constraints, custom_latency_s, |k| {
+                let mi = members[k];
+                let row = &table.rows[mi];
+                let pi = row.position(index)?;
+                if !row.unpriced[pi] {
+                    return row.reports[pi];
                 }
-                total_area += report.area_mm2;
-            }
-            Some(total_area)
+                // Never priced by the plan: price it now, memo-warm —
+                // bit-identical to the set sweep.
+                let mut cfg = table.shells[mi].clone();
+                cfg.hw = hw;
+                engine.evaluate(&models[mi], &cfg).ok()
+            })
         })
         .collect();
 

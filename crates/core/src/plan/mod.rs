@@ -6,9 +6,9 @@
 //!   `(model, hw-point)` evaluation a run will need as one item set,
 //!   feed the whole set through a single [`crate::Engine::par_map`]
 //!   for load balance, and replay the per-model/per-subset selection
-//!   logic from the resulting table. Bit-identical to the recursive
-//!   per-model flow at any thread count (see MODELING.md, "Flat
-//!   execution plan").
+//!   logic from the resulting table. Every flow runs on it, and its
+//!   selections equal the single-subject searches' bit for bit at any
+//!   thread count (see MODELING.md, "Flat execution plan").
 //! - [`portfolio`](self) — portfolio planning over a hardened chiplet
 //!   library ([`plan_portfolio`]): greedy weighted set cover deciding
 //!   which library configurations are worth hardening for a product

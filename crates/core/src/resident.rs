@@ -28,7 +28,7 @@ use crate::config::Constraints;
 use crate::dse::RobustnessPolicy;
 use crate::error::ClaireError;
 use crate::parallel::Engine;
-use crate::plan::flat::build_eval_table_cancellable;
+use crate::plan::flat::build_eval_table;
 use crate::telemetry::{EventRing, QuantileDigest, QuantileSummary, RateSnapshot, RateWindows};
 use claire_model::Model;
 use serde::{Number, Value};
@@ -280,7 +280,7 @@ pub struct CustomRequest {
     /// options.
     pub policy: Option<RobustnessPolicy>,
     /// Per-request constraint override; `None` inherits the resident
-    /// options. Overridden requests take the recursive sweep (the
+    /// options. Overridden requests run the single-subject search (the
     /// shared flat table is screened under the resident constraints,
     /// so a *looser* override could need points outside it) — still
     /// memo-warm, just not table-replayed.
@@ -473,7 +473,7 @@ impl ResidentEngine {
     /// without a constraint override shares **one** flat evaluation
     /// table — one `par_map` over the union of all `(model, hw-point)`
     /// items — and replays its selection from it; overridden requests
-    /// fall back to the (memo-warm) recursive sweep. Results are in
+    /// run the (memo-warm) single-subject search. Results are in
     /// request order, each independently succeeding or failing.
     pub fn custom_batch(
         &self,
@@ -486,12 +486,10 @@ impl ResidentEngine {
             .filter(|(_, r)| r.constraints.is_none())
             .map(|(i, _)| i)
             .collect();
-        let use_table = !eligible.is_empty() && !self.claire.legacy_flow_active(&self.engine);
-
         let mut out: Vec<Option<Result<CustomResult, ClaireError>>> =
             requests.iter().map(|_| None).collect();
 
-        if use_table {
+        if !eligible.is_empty() {
             let models: Vec<Model> = eligible
                 .iter()
                 .map(|&i| requests[i].model.clone())
@@ -502,10 +500,11 @@ impl ResidentEngine {
                 .collect();
             let opts = self.claire.options();
             let table = self.engine.time_stage("plan", || {
-                build_eval_table_cancellable(
+                build_eval_table(
                     &models,
                     &opts.space,
                     &opts.constraints,
+                    opts.search,
                     &self.engine,
                     &cancels,
                 )
@@ -518,7 +517,7 @@ impl ResidentEngine {
                     continue;
                 }
                 let claire = self.claire_for(requests[i].policy, None);
-                out[i] = Some(claire.custom_from_plan(&requests[i].model, row, &self.engine));
+                out[i] = Some(claire.custom_relaxed(&requests[i].model, Some(row), &self.engine));
             }
         }
 

@@ -226,6 +226,58 @@ fn rung_tie_break(seed: u64, rung: u64, index: u32) -> u64 {
     splitmix64(seed ^ rung.wrapping_mul(0xA076_1D64_78BD_642F) ^ u64::from(index))
 }
 
+/// The successive-halving rungs of a sampled stage B, shared by
+/// [`search_with_engine`] and the flat plan
+/// ([`crate::plan::flat::build_eval_table`]): each rung ranks the
+/// space-ordered `(space index, point)` candidates on `lb_cycles`
+/// (ties broken by [`rung_tie_break`]) and keeps the best
+/// `max(budget, ⌈len / eta⌉)` in space order, until at most `budget`
+/// remain. Returns whether any rung ran — i.e. whether the trajectory
+/// sampled. A no-op under [`SearchPolicy::Exhaustive`].
+pub(crate) fn halving_rungs(
+    candidates: &mut Vec<(u32, HwParams)>,
+    policy: SearchPolicy,
+    engine: &Engine,
+    lb_cycles: &(dyn Fn(&HwParams) -> u64 + Sync),
+) -> bool {
+    let SearchPolicy::SuccessiveHalving { seed, eta, budget } = policy else {
+        return false;
+    };
+    let eta = u64::from(eta.max(2));
+    let budget = budget.max(1);
+    let mut rung: u64 = 0;
+    while candidates.len() > budget {
+        rung += 1;
+        engine.note_search_rung();
+        let mut span = engine.telemetry().span("dse.rung", "dse");
+        span.arg("rung", ArgValue::Int(rung));
+        span.arg("candidates", ArgValue::Int(candidates.len() as u64));
+        let lbs: Vec<u64> = engine.par_map(candidates.as_slice(), |_, (_, hw)| lb_cycles(hw));
+        let keep = budget.max(candidates.len().div_ceil(eta as usize));
+        let mut ranked: Vec<(u64, u64, u32)> = candidates
+            .iter()
+            .zip(&lbs)
+            .map(|(&(idx, _), &lb)| (lb, rung_tie_break(seed, rung, idx), idx))
+            .collect();
+        ranked.sort_unstable();
+        ranked.truncate(keep);
+        ranked.sort_unstable_by_key(|&(_, _, idx)| idx);
+        // Rebuild the candidate list in space order from the promoted
+        // indices (both lists are index-sorted).
+        let mut promoted = ranked.iter().map(|&(_, _, idx)| idx).peekable();
+        candidates.retain(|&(idx, _)| {
+            if promoted.peek() == Some(&idx) {
+                promoted.next();
+                true
+            } else {
+                false
+            }
+        });
+        span.arg("kept", ArgValue::Int(candidates.len() as u64));
+    }
+    rung > 0
+}
+
 /// The three-stage, Pareto-aware, optionally sampled design-space
 /// search (see the module docs for the stage and soundness
 /// arguments). Generalises [`crate::dse::sweep_with_engine`] to any
@@ -326,42 +378,7 @@ pub fn search_with_engine(
 
     // Sampled stage B: successive-halving rungs shrink the candidate
     // set on the lower-bound rank before any exact pricing.
-    let mut sampled = false;
-    if let SearchPolicy::SuccessiveHalving { seed, eta, budget } = policy {
-        let eta = u64::from(eta.max(2));
-        let budget = budget.max(1);
-        let mut rung: u64 = 0;
-        while candidates.len() > budget {
-            sampled = true;
-            rung += 1;
-            engine.note_search_rung();
-            let mut span = engine.telemetry().span("dse.rung", "dse");
-            span.arg("rung", ArgValue::Int(rung));
-            span.arg("candidates", ArgValue::Int(candidates.len() as u64));
-            let lbs: Vec<u64> = engine.par_map(&candidates, |_, (_, hw)| lb_cycles(hw));
-            let keep = budget.max(candidates.len().div_ceil(eta as usize));
-            let mut ranked: Vec<(u64, u64, u32)> = candidates
-                .iter()
-                .zip(&lbs)
-                .map(|(&(idx, _), &lb)| (lb, rung_tie_break(seed, rung, idx), idx))
-                .collect();
-            ranked.sort_unstable();
-            ranked.truncate(keep);
-            ranked.sort_unstable_by_key(|&(_, _, idx)| idx);
-            // Rebuild the candidate list in space order from the
-            // promoted indices (both lists are index-sorted).
-            let mut promoted = ranked.iter().map(|&(_, _, idx)| idx).peekable();
-            candidates.retain(|&(idx, _)| {
-                if promoted.peek() == Some(&idx) {
-                    promoted.next();
-                    true
-                } else {
-                    false
-                }
-            });
-            span.arg("kept", ArgValue::Int(candidates.len() as u64));
-        }
-    }
+    let sampled = halving_rungs(&mut candidates, policy, engine, &lb_cycles);
 
     // Stage B: exact pricing of the final candidates, folded into the
     // Pareto front in space order.

@@ -266,3 +266,63 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
         );
     }
 }
+
+/// Runs a train + test flow on an engine armed with `class` at `rate`
+/// at every thread count, asserting the runs agree bit for bit and
+/// that each ran on the flat plan. Returns the shared fingerprint.
+fn faulted_flow_is_thread_count_independent(
+    class: FaultClass,
+    rate: f64,
+    policy: RobustnessPolicy,
+) -> String {
+    let training = [zoo::resnet18(), zoo::alexnet(), zoo::bert_base()];
+    let tests = [zoo::vgg16(), zoo::gpt2()];
+    let claire = Claire::new(ClaireOptions {
+        policy,
+        ..ClaireOptions::default()
+    });
+    let mut fingerprints = Vec::new();
+    for threads in THREAD_COUNTS {
+        let plan = FaultPlan::new(0xFA11).with(class, rate);
+        let engine = Engine::new(threads).with_faults(plan);
+        let train = claire
+            .train_with_engine(&training, &engine)
+            .expect("the faulted flow trains");
+        let test = claire
+            .evaluate_test_with_engine(&train, &tests, &engine)
+            .expect("the faulted flow tests");
+        let injected = engine.faults().map(|p| p.injections(class)).unwrap_or(0);
+        assert!(injected > 0, "{class:?} at {rate} never fired");
+        let stats = engine.stats();
+        assert!(
+            stats.stages.iter().any(|(name, _)| name == "plan"),
+            "{threads} threads: the faulted flow must run on the flat plan: {stats:?}"
+        );
+        fingerprints.push(format!("{train:?}\n{test:?}"));
+    }
+    assert_eq!(fingerprints[0], fingerprints[1], "1 vs 2 threads");
+    assert_eq!(fingerprints[1], fingerprints[2], "2 vs 8 threads");
+    fingerprints.swap_remove(0)
+}
+
+#[test]
+fn perturbed_flow_runs_on_the_plan_at_any_thread_count() {
+    faulted_flow_is_thread_count_independent(
+        FaultClass::PerturbPpa,
+        0.3,
+        RobustnessPolicy::FailFast,
+    );
+}
+
+#[test]
+fn infeasible_flow_degrades_on_the_plan_at_any_thread_count() {
+    let fingerprint = faulted_flow_is_thread_count_independent(
+        FaultClass::InfeasibleConstraints,
+        0.5,
+        RobustnessPolicy::Degrade,
+    );
+    assert!(
+        fingerprint.contains("degradation: Some"),
+        "a 0.5 infeasibility rate must degrade some subject"
+    );
+}

@@ -1,34 +1,33 @@
-//! Equivalence suite for the flat execution plan: the planned flow
-//! (one up-front item set through a single load-balanced parallel
-//! map, selections replayed from the evaluation table) must produce
-//! results **bit-identical** to the legacy recursive flow (per-model
-//! staged sweeps) — at every thread count, cache on or off, fail-fast
-//! or degrade. Comparisons go through `format!("{:?}")`, which prints
-//! `f64` exactly, so two equal strings mean two bit-equal result
-//! sets.
-//!
-//! The legacy flow stays in the tree behind
-//! `ClaireOptions::legacy_flow` (CLI: `--legacy-flow`) precisely to
-//! serve as this suite's oracle.
+//! Equivalence suite for the flat execution plan, the only execution
+//! path: the planned flow (one up-front item set through a single
+//! load-balanced parallel map, selections replayed from the
+//! evaluation table) must produce results **bit-identical** to the
+//! same flow on the serial oracle engine — one worker, no memo tiers,
+//! no screens — at every thread count, cache on or off, fail-fast or
+//! degrade. Sampled (successive-halving) flows, whose trajectory the
+//! screens shape, are pinned against the serial cache-off engine with
+//! its screens on. Comparisons go through `format!("{:?}")`, which
+//! prints `f64` exactly, so two equal strings mean two bit-equal
+//! result sets.
 
 use claire::core::{
-    Claire, ClaireOptions, Constraints, Engine, RobustnessPolicy, SubsetStrategy, WeightScale,
+    Claire, ClaireOptions, Constraints, Engine, RobustnessPolicy, SearchPolicy, SubsetStrategy,
+    WeightScale,
 };
 use claire::model::zoo;
 
 /// Thread counts the suite sweeps: the serial edge case, a small
-/// pool, and more workers than this container has cores.
+/// pool, and more workers than the machine has cores.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn planned() -> ClaireOptions {
     ClaireOptions::default()
 }
 
-fn legacy() -> ClaireOptions {
-    ClaireOptions {
-        legacy_flow: true,
-        ..ClaireOptions::default()
-    }
+/// The oracle engine: one worker, no memo tiers, no screens — every
+/// DSE point is priced exactly by the bare evaluator.
+fn oracle() -> Engine {
+    Engine::serial().with_cache(false).with_pruning(false)
 }
 
 /// Full train + test fingerprint of one flow run. The model slices
@@ -49,7 +48,7 @@ fn run_fingerprint(
 }
 
 #[test]
-fn planned_flow_equals_legacy_flow_bit_for_bit() {
+fn planned_flow_equals_serial_oracle_bit_for_bit() {
     let training = [
         zoo::resnet18(),
         zoo::alexnet(),
@@ -57,43 +56,75 @@ fn planned_flow_equals_legacy_flow_bit_for_bit() {
         zoo::vgg16(),
     ];
     let tests = [zoo::resnet50(), zoo::vit_base()];
-    let reference = run_fingerprint(
-        legacy(),
-        &training,
-        &tests,
-        &Engine::serial().with_cache(false),
-    );
+    let reference = run_fingerprint(planned(), &training, &tests, &oracle());
     for threads in THREAD_COUNTS {
         for cache in [false, true] {
             let engine = Engine::new(threads).with_cache(cache);
             let got = run_fingerprint(planned(), &training, &tests, &engine);
             assert_eq!(
                 got, reference,
-                "planned flow diverged from the legacy oracle at {threads} thread(s), \
+                "planned flow diverged from the serial oracle at {threads} thread(s), \
                  cache {cache}"
-            );
-            let legacy_engine = Engine::new(threads).with_cache(cache);
-            let legacy_got = run_fingerprint(legacy(), &training, &tests, &legacy_engine);
-            assert_eq!(
-                legacy_got, reference,
-                "legacy flow self-diverged at {threads} thread(s), cache {cache}"
             );
         }
     }
 }
 
 #[test]
-fn planned_flow_equals_legacy_flow_with_jaccard_subsets() {
+fn sampled_flow_is_bit_identical_across_engines() {
+    // Successive halving on the plan: the halving rungs run on each
+    // row's screen survivors, so the screens shape the sampled
+    // trajectory and the reference keeps them (serial, cache off).
+    // Budget 8 on the 81-point space forces rungs for every model.
+    let opts = || ClaireOptions {
+        search: SearchPolicy::SuccessiveHalving {
+            seed: 3,
+            eta: 2,
+            budget: 8,
+        },
+        policy: RobustnessPolicy::Degrade,
+        ..ClaireOptions::default()
+    };
+    let training = [
+        zoo::resnet18(),
+        zoo::alexnet(),
+        zoo::bert_base(),
+        zoo::vgg16(),
+    ];
+    let tests = [zoo::resnet50(), zoo::vit_base()];
+    let reference_engine = Engine::serial().with_cache(false);
+    let reference = run_fingerprint(opts(), &training, &tests, &reference_engine);
+    assert!(
+        reference_engine.stats().search_rungs > 0,
+        "the sampled policy must actually run halving rungs"
+    );
+    for threads in THREAD_COUNTS {
+        for cache in [false, true] {
+            let engine = Engine::new(threads).with_cache(cache);
+            let got = run_fingerprint(opts(), &training, &tests, &engine);
+            assert_eq!(
+                got, reference,
+                "sampled planned flow diverged at {threads} thread(s), cache {cache}"
+            );
+            assert!(
+                engine.stats().stages.iter().any(|(name, _)| name == "plan"),
+                "sampled flow must run on the plan"
+            );
+        }
+    }
+}
+
+#[test]
+fn planned_flow_equals_serial_oracle_with_jaccard_subsets() {
     // A training set chosen so agglomeration forms several
     // multi-member subsets, so the library stage's table replay (set
     // screen ⊆ member screens, member-order early-exit totals) is
     // exercised on non-singleton member lists too.
-    let opts = |legacy_flow| ClaireOptions {
+    let opts = ClaireOptions {
         subsets: SubsetStrategy::WeightedJaccard {
             threshold: 0.6,
             scale: WeightScale::Log,
         },
-        legacy_flow,
         ..ClaireOptions::default()
     };
     let training = [
@@ -104,24 +135,21 @@ fn planned_flow_equals_legacy_flow_with_jaccard_subsets() {
         zoo::vit_base(),
         zoo::gpt2(),
     ];
+    let claire = Claire::new(opts);
     let reference = format!(
         "{:?}",
-        Claire::new(opts(true))
-            .train_with_engine(&training, &Engine::serial().with_cache(false))
-            .unwrap()
+        claire.train_with_engine(&training, &oracle()).unwrap()
     );
     for threads in THREAD_COUNTS {
         for cache in [false, true] {
             let engine = Engine::new(threads).with_cache(cache);
             let got = format!(
                 "{:?}",
-                Claire::new(opts(false))
-                    .train_with_engine(&training, &engine)
-                    .unwrap()
+                claire.train_with_engine(&training, &engine).unwrap()
             );
             assert_eq!(
                 got, reference,
-                "planned library synthesis diverged from the legacy oracle at \
+                "planned library synthesis diverged from the serial oracle at \
                  {threads} thread(s), cache {cache}"
             );
         }
@@ -129,31 +157,29 @@ fn planned_flow_equals_legacy_flow_with_jaccard_subsets() {
 }
 
 #[test]
-fn planned_flow_equals_legacy_flow_under_degrade() {
+fn planned_flow_equals_serial_oracle_under_degrade() {
     // An impossible chiplet-area budget forces every stage down the
     // constraint-relaxation ladder: rung 0 replays from the plan
-    // table, the relaxed rungs fall back to the legacy recursive
-    // sweep — and the outputs must still match the all-legacy oracle
-    // bit for bit.
+    // table, the relaxed rungs re-run the single-subject searches —
+    // and the outputs must still match the serial oracle bit for bit.
     let tight = Constraints {
         chiplet_area_limit_mm2: 0.5,
         ..Constraints::default()
     };
-    let opts = |legacy_flow| ClaireOptions {
+    let claire_planned = Claire::new(ClaireOptions {
         constraints: tight,
         policy: RobustnessPolicy::Degrade,
-        legacy_flow,
         ..ClaireOptions::default()
-    };
-    let claire_legacy = Claire::new(opts(true));
-    let claire_planned = Claire::new(opts(false));
+    });
     let training = [zoo::resnet18(), zoo::alexnet()];
     let tests = [zoo::vgg16()];
 
-    let oracle = Engine::serial().with_cache(false);
-    let train_ref = claire_legacy.train_with_engine(&training, &oracle).unwrap();
+    let oracle = oracle();
+    let train_ref = claire_planned
+        .train_with_engine(&training, &oracle)
+        .unwrap();
     assert!(train_ref.is_degraded(), "scenario must actually degrade");
-    let test_ref = claire_legacy
+    let test_ref = claire_planned
         .evaluate_test_with_engine(&train_ref, &tests, &oracle)
         .unwrap();
     let reference = format!("{train_ref:?}\n{test_ref:?}");
@@ -170,7 +196,7 @@ fn planned_flow_equals_legacy_flow_under_degrade() {
             assert_eq!(
                 format!("{train:?}\n{test:?}"),
                 reference,
-                "degraded planned flow diverged from the legacy oracle at \
+                "degraded planned flow diverged from the serial oracle at \
                  {threads} thread(s), cache {cache}"
             );
         }
@@ -223,22 +249,5 @@ fn plan_memo_tiers_see_traffic() {
     assert!(
         stats.stages.iter().any(|(name, _)| name == "plan"),
         "plan stage not timed: {stats:?}"
-    );
-}
-
-#[test]
-fn legacy_flag_actually_routes_to_the_recursive_flow() {
-    let engine = Engine::new(2);
-    Claire::new(legacy())
-        .train_with_engine(&[zoo::resnet18(), zoo::alexnet()], &engine)
-        .unwrap();
-    let stats = engine.stats();
-    assert_eq!(
-        stats.plan_items, 0,
-        "legacy flow must not enumerate plan items: {stats:?}"
-    );
-    assert!(
-        !stats.stages.iter().any(|(name, _)| name == "plan"),
-        "legacy flow must not run a plan stage: {stats:?}"
     );
 }
