@@ -318,8 +318,8 @@ pub fn extract_metrics_json(
 /// snapshot directory and the remaining arguments for [`parse_args`].
 /// When set, the engine loads `<dir>/claire.snapshot` before the flow
 /// (falling back to a cold start, with a warning, when the file is
-/// missing or invalid) and saves the warmed memo tiers back on
-/// success.
+/// missing or invalid) and, on success, saves the warmed memo tiers
+/// back when they grew or the file is missing or foreign.
 ///
 /// # Errors
 ///
@@ -685,7 +685,9 @@ Search policy (also valid with any command):
 Warm-state persistence (also valid with any command):
   --cache-dir <dir>      Load <dir>/claire.snapshot into the engine
                          before the flow and save the warmed memo
-                         tiers back after it. Results are bit-identical
+                         tiers back after it — only when the run
+                         memoized something new, or the file is
+                         missing or foreign. Results are bit-identical
                          to a cold run — the snapshot only stores memo
                          entries keyed by their exact inputs. A
                          missing, corrupt or version-mismatched

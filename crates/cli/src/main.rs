@@ -99,8 +99,9 @@ fn load_warm(claire: &Claire, engine: &Engine) {
 }
 
 /// Saves the warmed memo tiers back to `--cache-dir` after a
-/// successful run. A write failure costs only the warm start of the
-/// next run, so it warns instead of failing.
+/// successful run, unless the file already holds them. A write
+/// failure costs only the warm start of the next run, so it warns
+/// instead of failing.
 fn save_warm(claire: &Claire, engine: &Engine) {
     if let Err(e) = claire.save_warm_state(engine) {
         eprintln!("warning: failed to save warm state: {e}");

@@ -26,9 +26,10 @@
 //!   in the same batch are untouched — answers stay bit-identical.
 //! * **Crash safety** — with `--cache-dir`, warm state is checkpointed
 //!   every `--checkpoint-ms` (atomic tmp+rename, generation-countered,
-//!   skipped when the memo tiers are unchanged) and saved again on
-//!   SIGINT/SIGTERM after a graceful drain. A `kill -9` loses at most
-//!   one checkpoint interval of warmth, never the snapshot's validity.
+//!   skipped while the file on disk already holds the memo tiers) and
+//!   saved again on SIGINT/SIGTERM after a graceful drain. A `kill -9`
+//!   loses at most one checkpoint interval of warmth, never the
+//!   snapshot's validity.
 //! * **Fault drills** — `--serve-faults SEED[:SPEC]` arms the seeded
 //!   serve-layer [`FaultPlan`] classes (dropped connection, slow-loris
 //!   client, mid-batch panic, checkpoint write failure). The plan is

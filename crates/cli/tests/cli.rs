@@ -438,6 +438,53 @@ fn cache_dir_round_trip_is_bit_identical_and_survives_corruption() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(unix)]
+#[test]
+fn cache_dir_rewrites_the_snapshot_only_when_it_changed() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = std::env::temp_dir().join(format!("claire-cli-skip-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = dir.to_str().expect("utf8");
+    let snapshot = dir.join("claire.snapshot");
+    let run = |model: &str| {
+        let out = cli()
+            .args(["custom", model, "--json", "--cache-dir", cache])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{model}: {err}");
+        assert!(!err.contains("warning"), "{model}: {err}");
+        out.stdout
+    };
+    let stamp = || {
+        let inode = std::fs::metadata(&snapshot).expect("snapshot exists").ino();
+        (inode, std::fs::read(&snapshot).expect("snapshot bytes"))
+    };
+
+    let cold = run("Alexnet");
+    let (inode, bytes) = stamp();
+
+    // A warm run that memoizes nothing leaves the file untouched.
+    assert_eq!(run("Alexnet"), cold);
+    assert_eq!(
+        stamp(),
+        (inode, bytes.clone()),
+        "an unchanged snapshot was rewritten"
+    );
+
+    // New work rewrites it (a fresh file renamed into place).
+    run("Resnet18");
+    let (grown_inode, grown) = stamp();
+    assert_ne!(grown_inode, inode, "new work did not rewrite the snapshot");
+    assert_ne!(grown, bytes);
+
+    // The next run loads the rewritten file with no warning (checked
+    // by `run`) and, memoizing nothing, leaves it in place.
+    run("Resnet18");
+    assert_eq!(stamp(), (grown_inode, grown));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_answers_batched_json_lines_requests() {
     use std::io::Write;

@@ -345,9 +345,11 @@ impl Claire {
 
     /// Saves `engine`'s memo tiers to the snapshot named by the
     /// options (creating `cache_dir` if needed), returning whether
-    /// one was written. `Ok(false)` when persistence is disabled or
-    /// the engine's tiers are not snapshot-sound (cache disabled,
-    /// fault plan armed).
+    /// one was written. `Ok(false)` when persistence is disabled, the
+    /// file already holds exactly these tiers (the engine saved it,
+    /// or loaded it into empty tiers, memoized nothing since, and the
+    /// file's header is unchanged), or the engine's tiers are not
+    /// snapshot-sound (cache disabled, fault plan armed).
     ///
     /// # Errors
     ///
@@ -357,6 +359,9 @@ impl Claire {
         let Some(path) = self.snapshot_path() else {
             return Ok(false);
         };
+        if engine.snapshot_is_current(&path) {
+            return Ok(false);
+        }
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| ClaireError::Internal {
                 detail: format!("cannot create cache dir {}: {e}", dir.display()),

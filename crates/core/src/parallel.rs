@@ -24,6 +24,7 @@
 use crate::config::{monolithic_area_mm2, DesignConfig};
 use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
+use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_certified, louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, OpClass};
@@ -450,6 +451,9 @@ pub struct Engine {
     /// infinite bandwidth), keyed like the compute-sum tier.
     pub(crate) lbs: MemoMap<(u32, HwParams), u64>,
     pub(crate) models: RwLock<ModelInterner>,
+    /// The snapshot file the tiers last matched: set by a save, or by
+    /// a load into empty tiers (see [`crate::snapshot`]).
+    pub(crate) persisted: RwLock<Option<Persisted>>,
     /// The telemetry hub every counter, span and export reads from —
     /// the single source of truth behind [`EngineStats`].
     telemetry: Arc<Telemetry>,
@@ -540,6 +544,7 @@ impl Engine {
             areas: RwLock::new(HashMap::default()),
             lbs: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
+            persisted: RwLock::new(None),
             telemetry: Arc::new(Telemetry::new()),
         }
     }
@@ -663,30 +668,35 @@ impl Engine {
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
     }
 
-    /// A cheap signature of the memo tiers' entry counts, for
-    /// dirty-delta checks (e.g. skipping a warm-state checkpoint when
-    /// nothing new was memoized). Tiers are insert-only, so equal
-    /// signatures across two observations mean no tier grew between
-    /// them; the per-tier counts are mixed positionally so growth in
-    /// one tier cannot cancel growth in another.
-    pub fn tier_signature(&self) -> u64 {
-        let counts = [
+    /// Entry counts of the tiers a snapshot persists, in a fixed
+    /// order (the warm tier counts certified intervals, not graphs).
+    /// Route tables are not persisted, so they are not counted.
+    pub(crate) fn persisted_counts(&self) -> [usize; 9] {
+        [
             self.shards
                 .iter()
                 .map(|s| read_lock(s).len())
                 .sum::<usize>(),
-            read_lock(&self.routes).len(),
             read_lock(&self.sums).len(),
             read_lock(&self.louvains).len(),
             read_lock(&self.graphs).len(),
             read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            read_lock(&self.louvain_warm).len(),
+            read_lock(&self.louvain_warm).values().map(Vec::len).sum(),
             read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
-        ];
+        ]
+    }
+
+    /// A cheap signature of the persisted memo tiers' entry counts,
+    /// for dirty-delta checks (skipping a warm-state save when nothing
+    /// new was memoized). Tiers are insert-only, so equal signatures
+    /// across two observations mean no tier grew between them; the
+    /// per-tier counts are mixed positionally so growth in one tier
+    /// cannot cancel growth in another.
+    pub fn tier_signature(&self) -> u64 {
         let mut sig = 0xcbf2_9ce4_8422_2325_u64;
-        for c in counts {
+        for c in self.persisted_counts() {
             sig = (sig ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
         sig

@@ -349,9 +349,6 @@ pub struct ResidentEngine {
     trained: OnceLock<Result<TrainOutput, ClaireError>>,
     /// Checkpoints written so far (the snapshot generation counter).
     checkpoint_gen: AtomicU64,
-    /// The [`Engine::tier_signature`] at the last written checkpoint;
-    /// an unchanged signature skips the write.
-    checkpoint_sig: AtomicU64,
     /// Live-observability hub: trace ids, flight ring, latency
     /// digests, window rates.
     observer: ServeObserver,
@@ -372,7 +369,6 @@ impl ResidentEngine {
             training,
             trained: OnceLock::new(),
             checkpoint_gen: AtomicU64::new(0),
-            checkpoint_sig: AtomicU64::new(0),
             observer: ServeObserver::new(),
         }
     }
@@ -414,12 +410,14 @@ impl ResidentEngine {
         self.claire.save_warm_state(&self.engine)
     }
 
-    /// Checkpoints warm state if the memo tiers changed since the last
-    /// checkpoint: computes the engine's [`Engine::tier_signature`],
-    /// skips the write when it is unchanged (the dirty-delta
-    /// throttle), and otherwise saves atomically (unique temp +
+    /// Checkpoints warm state if the snapshot would change: saves
+    /// through [`ResidentEngine::save_warm_state`], which skips the
+    /// write while the file on disk already holds exactly these tiers
+    /// (so a server restarted on a warm snapshot does not rewrite an
+    /// identical file), and otherwise saves atomically (unique temp +
     /// rename, so a crash mid-write leaves the previous generation
-    /// intact) and bumps the generation counter.
+    /// intact). The generation counter is bumped exactly when a file
+    /// was written.
     ///
     /// Returns the new generation when a checkpoint was written,
     /// `None` when skipped (clean tiers, or no cache dir configured).
@@ -429,16 +427,9 @@ impl ResidentEngine {
     /// Snapshot write failures, typed; the tiers themselves are
     /// untouched and serving can continue.
     pub fn checkpoint(&self) -> Result<Option<u64>, ClaireError> {
-        let sig = self.engine.tier_signature();
-        if sig == self.checkpoint_sig.load(Ordering::Relaxed)
-            && self.checkpoint_gen.load(Ordering::Relaxed) > 0
-        {
-            return Ok(None);
-        }
         if !self.save_warm_state()? {
             return Ok(None);
         }
-        self.checkpoint_sig.store(sig, Ordering::Relaxed);
         let generation = self.checkpoint_gen.fetch_add(1, Ordering::Relaxed) + 1;
         Ok(Some(generation))
     }

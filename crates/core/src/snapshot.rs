@@ -12,47 +12,96 @@
 //!
 //! # File format
 //!
-//! A fixed binary header followed by a canonical JSON payload:
+//! A fixed binary header followed by a binary body:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 1)
-//!     14     8  payload length in bytes (u64 LE)
-//!     22     8  FNV-1a-64 checksum of the payload (u64 LE)
-//!     30     …  JSON payload
+//!     10     4  format version (u32 LE, currently 2)
+//!     14     8  body length in bytes (u64 LE)
+//!     22     8  FNV-1a-64 checksum of the body (u64 LE)
+//!     30     …  body
 //! ```
 //!
-//! The payload is self-describing JSON (schema in [`Payload`]) with
-//! every float stored as its IEEE-754 bit pattern (`f64::to_bits`), so
-//! a round trip is bit-exact and never passes through decimal
-//! formatting. All sections are canonically ordered and structural ids
-//! are renumbered into content order before writing, which makes
-//! snapshots **byte-identical across thread counts** and across
+//! The body is nine sections in this fixed order. Each section is a
+//! `u32` record count followed by its records. Every integer is
+//! little-endian and every float is stored as its IEEE-754 bit pattern
+//! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
+//!
+//! ```text
+//! section       record
+//! structures    n:u32, n × kind            (position = structural id)
+//! layer_costs   kind, hw, cycles:u64, energy_pj:f64, executions:u64
+//! areas         hw, n:u32 (= 15), n × unit area mm²:f64, by OpClass::index
+//! sums          sid:u32, hw, cycles:u64, energy_pj:f64
+//! lbs           sid:u32, hw, cycles:u64
+//! comms         sid:u32, topo, n:u32, n × transfer
+//! louvains      n:u32, n × key word:u64, partition
+//! louvain_warm  n:u32, n × key word:u64, m:u32, m × (lo:f64, hi:f64, partition)
+//! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
+//!               m:u32, m × (class, class, weight:f64)
+//!
+//! field         encoding
+//! kind          tag:u8, then the variant's fields in declaration order:
+//!               0 Conv2d 11 × u32 (pairs as .0, .1), 1 Conv1d 6 × u32,
+//!               2 Linear 3 × u32, 3 Activation kind:u8 + elements:u64,
+//!               4 Pooling kind:u8 + 2 × u64, 5 Flatten u64, 6 Permute u64
+//! hw            sa_size, n_sa, n_act, n_pool: 4 × u32, each non-zero
+//! class         OpClass::index as u8
+//! bool          u8, 0 or 1
+//! topo          classes:u16, 15 × chiplet mask:u16, 15 × slot (u8, u8),
+//!               n_chiplets:u8
+//! transfer      ser_cycles:u64, fixed_cycles:u64, crosses_chiplet:bool,
+//!               noc_mpj:u64, nop_mpj:u64
+//! partition     n:u32, n × community (m:u32, m × class)
+//! ```
+//!
+//! Records in each section are sorted by their encoded bytes. Each
+//! record starts with its key, keys are distinct, and no key's
+//! encoding is a prefix of another's (variable-length keys carry
+//! their length first), so this is the order of the encoded keys.
+//! Structural ids are renumbered into the sorted order of the
+//! structures before any other section is written. Snapshots are
+//! therefore **byte-identical across thread counts** and across
 //! processes that computed the same entries in different orders.
+//! Route tables are not persisted: every cell refills lazily on first
+//! use, so their keys alone save no work.
 //!
 //! # Versioning and invalidation
 //!
-//! Any reader-visible change to the payload schema or to the meaning
-//! of a cached value (a cost-model change, a new key field) must bump
+//! Any reader-visible change to the body layout or to the meaning of a
+//! cached value (a cost-model change, a new key field) must bump
 //! [`SNAPSHOT_VERSION`]. A reader rejects unknown versions — along
 //! with short files, bad magic, foreign byte order, checksum
-//! mismatches, and payloads that fail validation — with a typed
+//! mismatches, and bodies that fail validation — with a typed
 //! [`ClaireError::SnapshotInvalid`], and the caller degrades to a cold
 //! start. A snapshot is an accelerator, never an input: no failure
 //! mode may panic or alter results.
+//!
+//! # Skipping unchanged saves
+//!
+//! An engine records which snapshot file its tiers match ([`Persisted`]):
+//! after every successful save, and after a successful load into empty
+//! tiers. [`Claire::save_warm_state`](crate::Claire::save_warm_state)
+//! skips the write while that record still holds (same path, same
+//! [`Engine::tier_signature`], same header on disk).
+//! [`Engine::save_snapshot`] itself always writes.
 
 use crate::error::ClaireError;
-use crate::evaluate::{ComputeSum, RouteTable, TransferCost};
+use crate::evaluate::{ComputeSum, TransferCost};
 use crate::parallel::{
     read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr, WarmEntry,
 };
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
-use claire_model::{LayerKind, OpClass};
+use claire_model::{
+    Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
+    Pooling, PoolingKind,
+};
 use claire_ppa::{HwParams, LayerCost};
-use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::io::Read;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Snapshot file magic.
@@ -62,12 +111,19 @@ const MAGIC: [u8; 8] = *b"CLAIRSNP";
 /// foreign-endianness (or byte-swapped) header check cheaply.
 const BOM: u16 = 0xFEFF;
 
-/// Current snapshot format version. Bump on any schema or
+/// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
+
+/// Encoded sizes, for checking record counts against the bytes left.
+/// A layer kind is at least a tag and one `u64` (Flatten, Permute).
+const KIND_MIN: usize = 1 + 8;
+const HW_LEN: usize = 4 * 4;
+const TOPO_LEN: usize = 2 + 2 * OpClass::COUNT + 2 * OpClass::COUNT + 1;
+const TRANSFER_LEN: usize = 8 + 8 + 1 + 8 + 8;
 
 /// FNV-1a 64-bit checksum — dependency-free and byte-order independent.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -85,373 +141,366 @@ fn invalid(detail: impl Into<String>) -> ClaireError {
     }
 }
 
-// --- payload schema -------------------------------------------------------
-
-/// One `layer_cost` tier entry: the memoized per-layer PPA numbers for
-/// a (layer, hardware) pair.
-#[derive(Serialize, Deserialize)]
-struct CostEntry {
-    kind: LayerKind,
-    hw: HwParams,
-    cycles: u64,
-    /// `f64::to_bits` of the energy in pJ.
-    energy_pj: u64,
-    executions: u64,
-}
-
-/// One `area` tier entry: per-class unit areas for a hardware point.
-#[derive(Serialize, Deserialize)]
-struct AreaEntry {
-    hw: HwParams,
-    /// `f64::to_bits` per [`OpClass::index`]; length [`OpClass::COUNT`].
-    areas_mm2: Vec<u64>,
-}
-
-/// One `compute_sum` tier entry, keyed by snapshot structural id.
-#[derive(Serialize, Deserialize)]
-struct SumEntry {
-    sid: u32,
-    hw: HwParams,
-    cycles: u64,
-    energy_pj: u64,
-}
-
-/// One `lb` tier entry: the latency lower bound for (structure, hw).
-#[derive(Serialize, Deserialize)]
-struct LbEntry {
-    sid: u32,
-    hw: HwParams,
-    cycles: u64,
-}
-
-/// A [`TopologyKey`] in portable form (fixed arrays become vectors —
-/// the vendored serde deserializes only into growable containers).
-#[derive(Serialize, Deserialize, PartialEq, Eq, PartialOrd, Ord)]
-struct TopoRecord {
-    classes: u16,
-    chiplets: Vec<u16>,
-    slots: Vec<(u8, u8)>,
-    n_chiplets: u8,
-}
-
-impl TopoRecord {
-    fn of(key: &TopologyKey) -> TopoRecord {
-        TopoRecord {
-            classes: key.classes,
-            chiplets: key.chiplets.to_vec(),
-            slots: key.slots.to_vec(),
-            n_chiplets: key.n_chiplets,
-        }
-    }
-
-    fn into_key(self) -> Result<TopologyKey, ClaireError> {
-        let chiplets: [u16; OpClass::COUNT] = self
-            .chiplets
-            .try_into()
-            .map_err(|_| invalid("topology key with wrong chiplet-mask count"))?;
-        let slots: [(u8, u8); OpClass::COUNT] = self
-            .slots
-            .try_into()
-            .map_err(|_| invalid("topology key with wrong slot count"))?;
-        Ok(TopologyKey {
-            classes: self.classes,
-            chiplets,
-            slots,
-            n_chiplets: self.n_chiplets,
-        })
-    }
-}
-
-/// One `comm` tier entry: the per-edge transfer costs of a model
-/// structure on a topology.
-#[derive(Serialize, Deserialize)]
-struct CommEntry {
-    sid: u32,
-    topo: TopoRecord,
-    /// `(ser_cycles, fixed_cycles, crosses_chiplet, noc_mpj, nop_mpj)`
-    /// per model edge — all fixed-point integers, so exact by nature.
-    costs: Vec<(u64, u64, bool, u64, u64)>,
-}
-
-/// One exact-tier Louvain entry: canonical graph+γ key words and the
-/// partition's communities.
-#[derive(Serialize, Deserialize)]
-struct LouvainEntry {
-    key: Vec<u64>,
-    communities: Vec<Vec<OpClass>>,
-}
-
-/// One warm-tier Louvain record: a certified γ-interval (bounds as
-/// `f64::to_bits`) and the partition it reproduces.
-#[derive(Serialize, Deserialize)]
-struct WarmRecord {
-    lo: u64,
-    hi: u64,
-    communities: Vec<Vec<OpClass>>,
-}
-
-/// All warm-tier records for one graph key.
-#[derive(Serialize, Deserialize)]
-struct WarmGroup {
-    key: Vec<u64>,
-    entries: Vec<WarmRecord>,
-}
-
-/// One universal-graph tier entry: the merged graph of a model set
-/// (weights as `f64::to_bits`); the CSR form is re-interned on load.
-#[derive(Serialize, Deserialize)]
-struct GraphEntry {
-    sids: Vec<u32>,
-    hw: HwParams,
-    nodes: Vec<(OpClass, u64)>,
-    edges: Vec<(OpClass, OpClass, u64)>,
-}
-
-/// The snapshot payload: every memo tier whose keys are canonical.
-/// `structures[i]` is the layer sequence of snapshot structural id
-/// `i`; structures are sorted by their JSON encoding, and every other
-/// section is sorted by its key, so equal tier *contents* produce
-/// equal *bytes* regardless of insertion order.
-#[derive(Serialize, Deserialize)]
-struct Payload {
-    structures: Vec<Vec<LayerKind>>,
-    layer_costs: Vec<CostEntry>,
-    areas: Vec<AreaEntry>,
-    sums: Vec<SumEntry>,
-    lbs: Vec<LbEntry>,
-    /// Route tables are lazily-filled `OnceLock` grids; persisting the
-    /// keys alone preserves the "which topologies exist" working set
-    /// while letting routes refill deterministically on first use.
-    routes: Vec<TopoRecord>,
-    comms: Vec<CommEntry>,
-    louvains: Vec<LouvainEntry>,
-    louvain_warm: Vec<WarmGroup>,
-    graphs: Vec<GraphEntry>,
+/// The snapshot file an engine's tiers match, recorded after a
+/// successful save and after a successful load into empty tiers (only
+/// then do the tiers equal the file's contents).
+#[derive(Debug)]
+pub(crate) struct Persisted {
+    path: PathBuf,
+    /// [`Engine::tier_signature`] when the tiers matched the file.
+    signature: u64,
+    /// The file's header. Its length and body checksum identify the
+    /// body, so a replaced file shows in one 30-byte read.
+    header: [u8; HEADER_LEN],
 }
 
 // --- encoding -------------------------------------------------------------
 
-/// A canonical encoding of a layer sequence — the sort key that fixes
-/// structure order. `LayerKind` is not `Ord`, but its derived `Debug`
-/// is deterministic and injective (the enum is `Eq`, so all-integer),
-/// which is all a canonical order needs.
-fn kinds_sort_key(kinds: &[LayerKind]) -> String {
-    format!("{kinds:?}")
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_partition(p: &Partition<OpClass>) -> Vec<Vec<OpClass>> {
-    p.communities().to_vec()
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Validates and rebuilds a partition. [`Partition::from_communities`]
-/// panics on malformed input, so a corrupt snapshot must be caught
-/// here — before any engine state is touched.
-fn decode_partition(communities: Vec<Vec<OpClass>>) -> Result<Partition<OpClass>, ClaireError> {
-    let mut seen = std::collections::BTreeSet::new();
-    for c in &communities {
-        if c.is_empty() {
-            return Err(invalid("partition with an empty community"));
-        }
-        for n in c {
-            if !seen.insert(*n) {
-                return Err(invalid("partition with a node in two communities"));
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// A list length. Tiers hold far fewer than 2³² entries.
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    put_u32(out, n as u32);
+}
+
+fn put_class(out: &mut Vec<u8>, c: OpClass) {
+    out.push(c.index() as u8);
+}
+
+fn put_hw(out: &mut Vec<u8>, hw: &HwParams) {
+    let HwParams {
+        sa_size,
+        n_sa,
+        n_act,
+        n_pool,
+    } = *hw;
+    for v in [sa_size, n_sa, n_act, n_pool] {
+        put_u32(out, v);
+    }
+}
+
+/// A layer kind: its tag, then every field of its variant. The
+/// patterns are exhaustive, so adding a field fails to compile here.
+fn put_kind(out: &mut Vec<u8>, kind: &LayerKind) {
+    match *kind {
+        LayerKind::Conv2d(Conv2d {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+            ifm,
+            groups,
+        }) => {
+            out.push(0);
+            for v in [
+                in_channels,
+                out_channels,
+                kernel.0,
+                kernel.1,
+                stride.0,
+                stride.1,
+                padding.0,
+                padding.1,
+                ifm.0,
+                ifm.1,
+                groups,
+            ] {
+                put_u32(out, v);
             }
         }
+        LayerKind::Conv1d(Conv1d {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+            length,
+        }) => {
+            out.push(1);
+            for v in [in_channels, out_channels, kernel, stride, padding, length] {
+                put_u32(out, v);
+            }
+        }
+        LayerKind::Linear(Linear {
+            in_features,
+            out_features,
+            tokens,
+        }) => {
+            out.push(2);
+            for v in [in_features, out_features, tokens] {
+                put_u32(out, v);
+            }
+        }
+        LayerKind::Activation(Activation { kind, elements }) => {
+            out.push(3);
+            out.push(kind as u8);
+            put_u64(out, elements);
+        }
+        LayerKind::Pooling(Pooling {
+            kind,
+            input_elements,
+            output_elements,
+        }) => {
+            out.push(4);
+            out.push(kind as u8);
+            put_u64(out, input_elements);
+            put_u64(out, output_elements);
+        }
+        LayerKind::Flatten(Flatten { elements }) => {
+            out.push(5);
+            put_u64(out, elements);
+        }
+        LayerKind::Permute(Permute { elements }) => {
+            out.push(6);
+            put_u64(out, elements);
+        }
     }
-    Ok(Partition::from_communities(communities))
 }
 
-fn decode_finite(bits: u64, what: &str) -> Result<f64, ClaireError> {
-    let v = f64::from_bits(bits);
-    if !v.is_finite() {
-        return Err(invalid(format!("non-finite {what} in snapshot")));
+fn put_topo(out: &mut Vec<u8>, key: &TopologyKey) {
+    let TopologyKey {
+        classes,
+        chiplets,
+        slots,
+        n_chiplets,
+    } = *key;
+    put_u16(out, classes);
+    for mask in chiplets {
+        put_u16(out, mask);
     }
-    Ok(v)
+    for (x, y) in slots {
+        out.extend_from_slice(&[x, y]);
+    }
+    out.push(n_chiplets);
+}
+
+fn put_transfer(out: &mut Vec<u8>, t: &TransferCost) {
+    let TransferCost {
+        ser_cycles,
+        fixed_cycles,
+        crosses_chiplet,
+        noc_mpj,
+        nop_mpj,
+    } = *t;
+    put_u64(out, ser_cycles);
+    put_u64(out, fixed_cycles);
+    out.push(u8::from(crosses_chiplet));
+    put_u64(out, noc_mpj);
+    put_u64(out, nop_mpj);
+}
+
+fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    put_len(out, words.len());
+    for &w in words {
+        put_u64(out, w);
+    }
+}
+
+fn put_partition(out: &mut Vec<u8>, p: &Partition<OpClass>) {
+    put_len(out, p.len());
+    for community in p.communities() {
+        put_len(out, community.len());
+        for &c in community {
+            put_class(out, c);
+        }
+    }
+}
+
+/// Appends one section to `out`: the record count, then `items`
+/// encoded by `put` and sorted by their encoded bytes. Each record is
+/// encoded once, into one shared buffer. Returns the sorted order as
+/// indices into `items`.
+fn put_section<T>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<Item = T>,
+    put: impl Fn(&mut Vec<u8>, T),
+) -> Vec<usize> {
+    let mut buf = Vec::new();
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for item in items {
+        let start = buf.len();
+        put(&mut buf, item);
+        spans.push(start..buf.len());
+    }
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_unstable_by(|&a, &b| buf[spans[a].clone()].cmp(&buf[spans[b].clone()]));
+    put_len(out, order.len());
+    for &i in &order {
+        out.extend_from_slice(&buf[spans[i].clone()]);
+    }
+    order
 }
 
 /// Serializes the engine's memo tiers into snapshot bytes (header +
-/// canonical JSON payload). Pure read: takes every tier lock briefly,
-/// never mutates.
-///
-/// # Errors
-///
-/// [`ClaireError::Internal`] if the payload fails to serialize — the
-/// schema contains only integers, booleans, and enums, so this cannot
-/// occur for any reachable engine state.
-pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, ClaireError> {
-    // Canonical structural ids: sort interned structures by content
-    // encoding, then renumber. `old_to_new[old_sid] = snapshot_sid`.
-    let (structures, old_to_new) = {
+/// body). Pure read: takes every tier lock briefly, never mutates.
+pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER_LEN];
+
+    // Structures come first: their sorted order fixes the structural
+    // ids every later section refers to. `old_to_new[old] = new`.
+    let old_to_new = {
         let models = read_lock(&engine.models);
-        let mut entries: Vec<(String, &[LayerKind], u32)> = models
+        let structures: Vec<(&[LayerKind], u32)> = models
             .by_content
             .iter()
-            .map(|(kinds, &sid)| (kinds_sort_key(kinds), kinds.as_ref(), sid))
+            .map(|(kinds, &sid)| (kinds.as_ref(), sid))
             .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let order = put_section(&mut out, &structures, |out, &(kinds, _)| {
+            put_len(out, kinds.len());
+            for kind in kinds {
+                put_kind(out, kind);
+            }
+        });
         let mut old_to_new = vec![u32::MAX; models.batches.len()];
-        let structures: Vec<Vec<LayerKind>> = entries
-            .iter()
-            .enumerate()
-            .map(|(new, (_, kinds, old))| {
-                old_to_new[*old as usize] = new as u32;
-                kinds.to_vec()
-            })
-            .collect();
-        (structures, old_to_new)
+        for (new, i) in order.into_iter().enumerate() {
+            old_to_new[structures[i].1 as usize] = new as u32;
+        }
+        old_to_new
     };
     let renum = |old: u32| old_to_new[old as usize];
 
-    let mut layer_costs: Vec<CostEntry> = engine
-        .shards
-        .iter()
-        .flat_map(|shard| {
-            read_lock(shard)
-                .iter()
-                .map(|(k, c)| CostEntry {
-                    kind: k.key.0,
-                    hw: k.key.1,
-                    cycles: c.cycles,
-                    energy_pj: c.energy_pj.to_bits(),
-                    executions: c.executions,
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    layer_costs.sort_by(|a, b| {
-        kinds_sort_key(std::slice::from_ref(&a.kind))
-            .cmp(&kinds_sort_key(std::slice::from_ref(&b.kind)))
-            .then(a.hw.cmp(&b.hw))
-    });
+    let shards: Vec<_> = engine.shards.iter().map(read_lock).collect();
+    put_section(
+        &mut out,
+        shards.iter().flat_map(|shard| shard.iter()),
+        |out, (key, cost)| {
+            let (kind, hw) = &key.key;
+            let LayerCost {
+                cycles,
+                energy_pj,
+                executions,
+            } = *cost;
+            put_kind(out, kind);
+            put_hw(out, hw);
+            put_u64(out, cycles);
+            put_f64(out, energy_pj);
+            put_u64(out, executions);
+        },
+    );
+    drop(shards);
 
-    let mut areas: Vec<AreaEntry> = read_lock(&engine.areas)
-        .iter()
-        .map(|(hw, table)| AreaEntry {
-            hw: *hw,
-            areas_mm2: table.iter().map(|a| a.to_bits()).collect(),
-        })
-        .collect();
-    areas.sort_by_key(|e| e.hw);
-
-    let mut sums: Vec<SumEntry> = read_lock(&engine.sums)
-        .iter()
-        .map(|(&(sid, hw), s)| SumEntry {
-            sid: renum(sid),
-            hw,
-            cycles: s.cycles,
-            energy_pj: s.energy_pj.to_bits(),
-        })
-        .collect();
-    sums.sort_by_key(|e| (e.sid, e.hw));
-
-    let mut lbs: Vec<LbEntry> = read_lock(&engine.lbs)
-        .iter()
-        .map(|(&(sid, hw), &cycles)| LbEntry {
-            sid: renum(sid),
-            hw,
-            cycles,
-        })
-        .collect();
-    lbs.sort_by_key(|e| (e.sid, e.hw));
-
-    let mut routes: Vec<TopoRecord> = read_lock(&engine.routes)
-        .keys()
-        .map(TopoRecord::of)
-        .collect();
-    routes.sort();
-
-    let mut comms: Vec<CommEntry> = read_lock(&engine.comms)
-        .iter()
-        .map(|((sid, topo), costs)| CommEntry {
-            sid: renum(*sid),
-            topo: TopoRecord::of(topo),
-            costs: costs
-                .iter()
-                .map(|t| {
-                    (
-                        t.ser_cycles,
-                        t.fixed_cycles,
-                        t.crosses_chiplet,
-                        t.noc_mpj,
-                        t.nop_mpj,
-                    )
-                })
-                .collect(),
-        })
-        .collect();
-    comms.sort_by(|a, b| (a.sid, &a.topo).cmp(&(b.sid, &b.topo)));
-
-    let mut louvains: Vec<LouvainEntry> = read_lock(&engine.louvains)
-        .iter()
-        .map(|(key, p)| LouvainEntry {
-            key: key.to_vec(),
-            communities: encode_partition(p),
-        })
-        .collect();
-    louvains.sort_by(|a, b| a.key.cmp(&b.key));
-
-    let mut louvain_warm: Vec<WarmGroup> = read_lock(&engine.louvain_warm)
-        .iter()
-        .map(|(key, entries)| {
-            let mut recs: Vec<WarmRecord> = entries
-                .iter()
-                .map(|e| WarmRecord {
-                    lo: e.lo.to_bits(),
-                    hi: e.hi.to_bits(),
-                    communities: encode_partition(&e.partition),
-                })
-                .collect();
-            recs.sort_by_key(|r| (r.lo, r.hi));
-            WarmGroup {
-                key: key.to_vec(),
-                entries: recs,
+    put_section(
+        &mut out,
+        read_lock(&engine.areas).iter(),
+        |out, (hw, table)| {
+            put_hw(out, hw);
+            put_len(out, table.len());
+            for &area in table.iter() {
+                put_f64(out, area);
             }
-        })
-        .collect();
-    louvain_warm.sort_by(|a, b| a.key.cmp(&b.key));
+        },
+    );
 
-    let mut graphs: Vec<GraphEntry> = read_lock(&engine.graphs)
-        .iter()
-        .map(|((sids, hw), ug)| GraphEntry {
-            // Graph-tier keys hold structural ids widened to u64; map
-            // them through the same renumbering as every other tier.
-            sids: sids.iter().map(|&s| renum(s as u32)).collect(),
-            hw: *hw,
-            nodes: ug.graph.nodes().map(|(n, w)| (*n, w.to_bits())).collect(),
-            edges: ug
-                .graph
-                .edges()
-                .map(|(a, b, w)| (*a, *b, w.to_bits()))
-                .collect(),
-        })
-        .collect();
-    graphs.sort_by(|a, b| (&a.sids, a.hw).cmp(&(&b.sids, b.hw)));
+    put_section(
+        &mut out,
+        read_lock(&engine.sums).iter(),
+        |out, (&(sid, hw), sum)| {
+            put_u32(out, renum(sid));
+            put_hw(out, &hw);
+            put_u64(out, sum.cycles);
+            put_f64(out, sum.energy_pj);
+        },
+    );
 
-    let payload = Payload {
-        structures,
-        layer_costs,
-        areas,
-        sums,
-        lbs,
-        routes,
-        comms,
-        louvains,
-        louvain_warm,
-        graphs,
-    };
-    let json = serde_json::to_string(&payload).map_err(|e| ClaireError::Internal {
-        detail: format!("snapshot payload failed to serialize: {e}"),
-    })?;
-    let body = json.into_bytes();
+    put_section(
+        &mut out,
+        read_lock(&engine.lbs).iter(),
+        |out, (&(sid, hw), &cycles)| {
+            put_u32(out, renum(sid));
+            put_hw(out, &hw);
+            put_u64(out, cycles);
+        },
+    );
 
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&BOM.to_le_bytes());
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    put_section(
+        &mut out,
+        read_lock(&engine.comms).iter(),
+        |out, ((sid, topo), costs)| {
+            put_u32(out, renum(*sid));
+            put_topo(out, topo);
+            put_len(out, costs.len());
+            for t in costs.iter() {
+                put_transfer(out, t);
+            }
+        },
+    );
+
+    put_section(
+        &mut out,
+        read_lock(&engine.louvains).iter(),
+        |out, (key, partition)| {
+            put_words(out, key);
+            put_partition(out, partition);
+        },
+    );
+
+    put_section(
+        &mut out,
+        read_lock(&engine.louvain_warm).iter(),
+        |out, (key, entries)| {
+            put_words(out, key);
+            put_section(out, entries, |out, e| {
+                put_f64(out, e.lo);
+                put_f64(out, e.hi);
+                put_partition(out, &e.partition);
+            });
+        },
+    );
+
+    put_section(
+        &mut out,
+        read_lock(&engine.graphs).iter(),
+        |out, ((sids, hw), ug)| {
+            // Graph-tier keys hold structural ids widened to u64; map them
+            // through the same renumbering as every other tier.
+            put_len(out, sids.len());
+            for &s in sids.iter() {
+                put_u32(out, renum(s as u32));
+            }
+            put_hw(out, hw);
+            put_len(out, ug.graph.node_count());
+            for (&n, w) in ug.graph.nodes() {
+                put_class(out, n);
+                put_f64(out, w);
+            }
+            put_len(out, ug.graph.edge_count());
+            for (&a, &b, w) in ug.graph.edges() {
+                put_class(out, a);
+                put_class(out, b);
+                put_f64(out, w);
+            }
+        },
+    );
+
+    let (header, body) = out.split_at_mut(HEADER_LEN);
+    header.copy_from_slice(&header_for(body));
+    out
+}
+
+/// The header of a snapshot whose body is `body`.
+fn header_for(body: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..8].copy_from_slice(&MAGIC);
+    h[8..10].copy_from_slice(&BOM.to_le_bytes());
+    h[10..14].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    h[14..22].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    h[22..].copy_from_slice(&fnv1a(body).to_le_bytes());
+    h
 }
 
 // --- decoding -------------------------------------------------------------
@@ -470,25 +519,232 @@ struct Staged {
     areas: Vec<(HwParams, Arc<[f64; OpClass::COUNT]>)>,
     sums: Vec<(u32, HwParams, ComputeSum)>,
     lbs: Vec<(u32, HwParams, u64)>,
-    routes: Vec<TopologyKey>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
     louvain_warm: Vec<(Box<[u64]>, Vec<WarmEntry>)>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
 }
 
-/// Parses and validates snapshot bytes into staged tier contents.
-fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
-    if bytes.len() < HEADER_LEN {
+/// A bounds-checked little-endian cursor over a snapshot body.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ClaireError> {
+        let Some((head, rest)) = self.rest.split_first_chunk::<N>() else {
+            return Err(invalid("body ends inside a record"));
+        };
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, ClaireError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, ClaireError> {
+        Ok(u16::from_le_bytes(self.take()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, ClaireError> {
+        Ok(u32::from_le_bytes(self.take()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, ClaireError> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    fn f64(&mut self) -> Result<f64, ClaireError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    fn finite(&mut self, what: &str) -> Result<f64, ClaireError> {
+        let v = self.f64()?;
+        if !v.is_finite() {
+            return Err(invalid(format!("non-finite {what} in snapshot")));
+        }
+        Ok(v)
+    }
+
+    fn bool(&mut self) -> Result<bool, ClaireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(invalid(format!("bool byte {b} (expected 0 or 1)"))),
+        }
+    }
+
+    fn u32s<const N: usize>(&mut self) -> Result<[u32; N], ClaireError> {
+        let mut out = [0u32; N];
+        for v in &mut out {
+            *v = self.u32()?;
+        }
+        Ok(out)
+    }
+
+    /// A list of records of at least `min_len` bytes each. The count
+    /// is checked against the bytes left before anything is allocated.
+    fn list<T>(
+        &mut self,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, ClaireError>,
+    ) -> Result<Vec<T>, ClaireError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_len) > self.rest.len() {
+            return Err(invalid(format!(
+                "count {n} overruns the {} bytes left",
+                self.rest.len()
+            )));
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn class(&mut self) -> Result<OpClass, ClaireError> {
+        let i = self.u8()?;
+        OpClass::from_index(usize::from(i))
+            .ok_or_else(|| invalid(format!("op class {i} out of range (< {})", OpClass::COUNT)))
+    }
+
+    fn hw(&mut self) -> Result<HwParams, ClaireError> {
+        let [sa_size, n_sa, n_act, n_pool] = self.u32s()?;
+        HwParams::try_new(sa_size, n_sa, n_act, n_pool)
+            .map_err(|e| invalid(format!("hardware point: {e}")))
+    }
+
+    fn kind(&mut self) -> Result<LayerKind, ClaireError> {
+        Ok(match self.u8()? {
+            0 => {
+                let [in_channels, out_channels, kx, ky, sx, sy, px, py, ix, iy, groups] =
+                    self.u32s()?;
+                LayerKind::Conv2d(Conv2d {
+                    in_channels,
+                    out_channels,
+                    kernel: (kx, ky),
+                    stride: (sx, sy),
+                    padding: (px, py),
+                    ifm: (ix, iy),
+                    groups,
+                })
+            }
+            1 => {
+                let [in_channels, out_channels, kernel, stride, padding, length] = self.u32s()?;
+                LayerKind::Conv1d(Conv1d {
+                    in_channels,
+                    out_channels,
+                    kernel,
+                    stride,
+                    padding,
+                    length,
+                })
+            }
+            2 => {
+                let [in_features, out_features, tokens] = self.u32s()?;
+                LayerKind::Linear(Linear {
+                    in_features,
+                    out_features,
+                    tokens,
+                })
+            }
+            3 => {
+                let k = self.u8()?;
+                let kind = *ActivationKind::ALL
+                    .get(usize::from(k))
+                    .ok_or_else(|| invalid(format!("activation kind {k} out of range")))?;
+                LayerKind::Activation(Activation {
+                    kind,
+                    elements: self.u64()?,
+                })
+            }
+            4 => {
+                let k = self.u8()?;
+                let kind = *PoolingKind::ALL
+                    .get(usize::from(k))
+                    .ok_or_else(|| invalid(format!("pooling kind {k} out of range")))?;
+                LayerKind::Pooling(Pooling {
+                    kind,
+                    input_elements: self.u64()?,
+                    output_elements: self.u64()?,
+                })
+            }
+            5 => LayerKind::Flatten(Flatten {
+                elements: self.u64()?,
+            }),
+            6 => LayerKind::Permute(Permute {
+                elements: self.u64()?,
+            }),
+            tag => return Err(invalid(format!("unknown layer tag {tag}"))),
+        })
+    }
+
+    fn topo(&mut self) -> Result<TopologyKey, ClaireError> {
+        let classes = self.u16()?;
+        let mut chiplets = [0u16; OpClass::COUNT];
+        for mask in &mut chiplets {
+            *mask = self.u16()?;
+        }
+        let mut slots = [(0u8, 0u8); OpClass::COUNT];
+        for slot in &mut slots {
+            *slot = (self.u8()?, self.u8()?);
+        }
+        Ok(TopologyKey {
+            classes,
+            chiplets,
+            slots,
+            n_chiplets: self.u8()?,
+        })
+    }
+
+    fn transfer(&mut self) -> Result<TransferCost, ClaireError> {
+        Ok(TransferCost {
+            ser_cycles: self.u64()?,
+            fixed_cycles: self.u64()?,
+            crosses_chiplet: self.bool()?,
+            noc_mpj: self.u64()?,
+            nop_mpj: self.u64()?,
+        })
+    }
+
+    fn words(&mut self) -> Result<Box<[u64]>, ClaireError> {
+        Ok(self.list(8, Self::u64)?.into_boxed_slice())
+    }
+
+    /// Validates and rebuilds a partition. [`Partition::from_communities`]
+    /// panics on malformed input, so a corrupt snapshot must be caught
+    /// here — before any engine state is touched.
+    fn partition(&mut self) -> Result<Partition<OpClass>, ClaireError> {
+        let communities = self.list(4, |r| r.list(1, Self::class))?;
+        let mut seen = [false; OpClass::COUNT];
+        for c in &communities {
+            if c.is_empty() {
+                return Err(invalid("partition with an empty community"));
+            }
+            for n in c {
+                if std::mem::replace(&mut seen[n.index()], true) {
+                    return Err(invalid("partition with a node in two communities"));
+                }
+            }
+        }
+        Ok(Partition::from_communities(communities))
+    }
+}
+
+/// Checks the header and returns the body.
+fn body_of(bytes: &[u8]) -> Result<&[u8], ClaireError> {
+    let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(invalid(format!(
             "file too short for header ({} < {HEADER_LEN} bytes)",
             bytes.len()
         )));
-    }
-    if bytes[..8] != MAGIC {
+    };
+    if header[..8] != MAGIC {
         return Err(invalid("bad magic (not a CLAIRE snapshot)"));
     }
-    let bom = u16::from_le_bytes([bytes[8], bytes[9]]);
+    let bom = u16::from_le_bytes([header[8], header[9]]);
     if bom != BOM {
         return Err(if bom == BOM.swap_bytes() {
             invalid("foreign-endianness header (byte-swapped BOM)")
@@ -496,7 +752,7 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
             invalid(format!("corrupt byte-order mark 0x{bom:04X}"))
         });
     }
-    let version = u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
+    let version = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
     if version != SNAPSHOT_VERSION {
         return Err(invalid(format!(
             "version {version} (this build reads {SNAPSHOT_VERSION})"
@@ -504,26 +760,34 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     }
     let le_u64 = |at: usize| {
         let mut w = [0u8; 8];
-        w.copy_from_slice(&bytes[at..at + 8]);
+        w.copy_from_slice(&header[at..at + 8]);
         u64::from_le_bytes(w)
     };
     let len = le_u64(14);
-    let body = &bytes[HEADER_LEN..];
     if len != body.len() as u64 {
         return Err(invalid(format!(
-            "truncated payload ({} of {len} bytes)",
+            "truncated body ({} of {len} bytes)",
             body.len()
         )));
     }
-    let checksum = le_u64(22);
-    if fnv1a(body) != checksum {
-        return Err(invalid("payload checksum mismatch"));
+    if fnv1a(body) != le_u64(22) {
+        return Err(invalid("body checksum mismatch"));
     }
-    let payload: Payload =
-        serde_json::from_slice(body).map_err(|e| invalid(format!("payload parse failed: {e}")))?;
+    Ok(body)
+}
 
-    let n = payload.structures.len() as u32;
-    let check_sid = |sid: u32| {
+/// Parses and validates snapshot bytes into staged tier contents.
+fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
+    let mut r = Reader {
+        rest: body_of(bytes)?,
+    };
+
+    let structures = r.list(4, |r| {
+        Ok(r.list(KIND_MIN, Reader::kind)?.into_boxed_slice())
+    })?;
+    let n = structures.len() as u32;
+    let sid = |r: &mut Reader| -> Result<u32, ClaireError> {
+        let sid = r.u32()?;
         if sid < n {
             Ok(sid)
         } else {
@@ -531,154 +795,91 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         }
     };
 
-    let structures: Vec<Box<[LayerKind]>> = payload
-        .structures
-        .into_iter()
-        .map(|kinds| kinds.into_boxed_slice())
-        .collect();
+    let layer_costs = r.list(KIND_MIN + HW_LEN + 24, |r| {
+        Ok((
+            r.kind()?,
+            r.hw()?,
+            LayerCost {
+                cycles: r.u64()?,
+                energy_pj: r.finite("layer-cost energy")?,
+                executions: r.u64()?,
+            },
+        ))
+    })?;
 
-    let layer_costs = payload
-        .layer_costs
-        .into_iter()
-        .map(|e| {
-            Ok((
-                e.kind,
-                e.hw,
-                LayerCost {
-                    cycles: e.cycles,
-                    energy_pj: decode_finite(e.energy_pj, "layer-cost energy")?,
-                    executions: e.executions,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let areas = r.list(HW_LEN + 4 + 8 * OpClass::COUNT, |r| {
+        let hw = r.hw()?;
+        let len = r.u32()? as usize;
+        if len != OpClass::COUNT {
+            return Err(invalid(format!(
+                "area table with {len} classes (expected {})",
+                OpClass::COUNT
+            )));
+        }
+        let mut table = [0.0f64; OpClass::COUNT];
+        for slot in &mut table {
+            *slot = r.finite("unit area")?;
+        }
+        Ok((hw, Arc::new(table)))
+    })?;
 
-    let areas = payload
-        .areas
-        .into_iter()
-        .map(|e| {
-            if e.areas_mm2.len() != OpClass::COUNT {
-                return Err(invalid(format!(
-                    "area table with {} classes (expected {})",
-                    e.areas_mm2.len(),
-                    OpClass::COUNT
-                )));
-            }
-            let mut table = [0.0f64; OpClass::COUNT];
-            for (slot, bits) in table.iter_mut().zip(e.areas_mm2) {
-                *slot = decode_finite(bits, "unit area")?;
-            }
-            Ok((e.hw, Arc::new(table)))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let sums = r.list(4 + HW_LEN + 16, |r| {
+        Ok((
+            sid(r)?,
+            r.hw()?,
+            ComputeSum {
+                cycles: r.u64()?,
+                energy_pj: r.finite("compute-sum energy")?,
+            },
+        ))
+    })?;
 
-    let sums = payload
-        .sums
-        .into_iter()
-        .map(|e| {
-            Ok((
-                check_sid(e.sid)?,
-                e.hw,
-                ComputeSum {
-                    cycles: e.cycles,
-                    energy_pj: decode_finite(e.energy_pj, "compute-sum energy")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let lbs = r.list(4 + HW_LEN + 8, |r| Ok((sid(r)?, r.hw()?, r.u64()?)))?;
 
-    let lbs = payload
-        .lbs
-        .into_iter()
-        .map(|e| Ok((check_sid(e.sid)?, e.hw, e.cycles)))
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let comms = r.list(4 + TOPO_LEN + 4, |r| {
+        Ok((
+            sid(r)?,
+            r.topo()?,
+            Arc::from(r.list(TRANSFER_LEN, Reader::transfer)?),
+        ))
+    })?;
 
-    let routes = payload
-        .routes
-        .into_iter()
-        .map(TopoRecord::into_key)
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let louvains = r.list(4 + 4, |r| Ok((r.words()?, Arc::new(r.partition()?))))?;
 
-    let comms = payload
-        .comms
-        .into_iter()
-        .map(|e| {
-            let costs: Arc<[TransferCost]> = e
-                .costs
-                .into_iter()
-                .map(
-                    |(ser_cycles, fixed_cycles, crosses_chiplet, noc_mpj, nop_mpj)| TransferCost {
-                        ser_cycles,
-                        fixed_cycles,
-                        crosses_chiplet,
-                        noc_mpj,
-                        nop_mpj,
-                    },
-                )
-                .collect();
-            Ok((check_sid(e.sid)?, e.topo.into_key()?, costs))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let louvain_warm = r.list(4 + 4, |r| {
+        let key = r.words()?;
+        let entries = r.list(16 + 4, |r| {
+            Ok(WarmEntry {
+                lo: r.f64()?,
+                hi: r.f64()?,
+                partition: Arc::new(r.partition()?),
+            })
+        })?;
+        Ok((key, entries))
+    })?;
 
-    let louvains = payload
-        .louvains
-        .into_iter()
-        .map(|e| {
-            Ok((
-                e.key.into_boxed_slice(),
-                Arc::new(decode_partition(e.communities)?),
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let graphs = r.list(4 + HW_LEN + 4 + 4, |r| {
+        let sids = r.list(4, sid)?;
+        let hw = r.hw()?;
+        let nodes = r.list(1 + 8, |r| Ok((r.class()?, r.f64()?)))?;
+        let edges = r.list(2 + 8, |r| Ok((r.class()?, r.class()?, r.f64()?)))?;
+        let graph = WeightedGraph::from_parts(nodes, edges);
+        let csr = CsrGraph::from_weighted(&graph);
+        Ok((sids, hw, Arc::new(UniversalCsr { graph, csr })))
+    })?;
 
-    let louvain_warm = payload
-        .louvain_warm
-        .into_iter()
-        .map(|g| {
-            let entries = g
-                .entries
-                .into_iter()
-                .map(|r| {
-                    Ok(WarmEntry {
-                        lo: f64::from_bits(r.lo),
-                        hi: f64::from_bits(r.hi),
-                        partition: Arc::new(decode_partition(r.communities)?),
-                    })
-                })
-                .collect::<Result<Vec<_>, ClaireError>>()?;
-            Ok((g.key.into_boxed_slice(), entries))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let graphs = payload
-        .graphs
-        .into_iter()
-        .map(|e| {
-            let sids = e
-                .sids
-                .iter()
-                .map(|&s| check_sid(s))
-                .collect::<Result<Vec<_>, ClaireError>>()?;
-            let graph = WeightedGraph::from_parts(
-                e.nodes
-                    .into_iter()
-                    .map(|(n, bits)| (n, f64::from_bits(bits))),
-                e.edges
-                    .into_iter()
-                    .map(|(a, b, bits)| (a, b, f64::from_bits(bits))),
-            );
-            let csr = CsrGraph::from_weighted(&graph);
-            Ok((sids, e.hw, Arc::new(UniversalCsr { graph, csr })))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
+    if !r.rest.is_empty() {
+        return Err(invalid(format!(
+            "{} trailing bytes after the last section",
+            r.rest.len()
+        )));
+    }
     Ok(Staged {
         structures,
         layer_costs,
         areas,
         sums,
         lbs,
-        routes,
         comms,
         louvains,
         louvain_warm,
@@ -727,16 +928,6 @@ fn apply(engine: &Engine, staged: Staged) {
         }
     }
     {
-        // Fresh fault-free tables: route cells refill deterministically
-        // on first use, and snapshots never load into faulted engines.
-        let mut routes = write_lock(&engine.routes);
-        for key in staged.routes {
-            routes
-                .entry(key)
-                .or_insert_with(|| Arc::new(RouteTable::new()));
-        }
-    }
-    {
         let mut comms = write_lock(&engine.comms);
         for (sid, topo, costs) in staged.comms {
             comms.entry((live(sid), topo)).or_insert(costs);
@@ -774,10 +965,13 @@ fn apply(engine: &Engine, staged: Staged) {
 impl Engine {
     /// Writes the engine's memo tiers to `path` as a versioned
     /// snapshot, atomically (write to a sibling temp file, then
-    /// rename). Returns `false` — without writing — when the engine
-    /// cannot produce a reusable snapshot: cache disabled (nothing to
-    /// save) or a fault plan armed (faulted routes and evaluations
-    /// must not leak into healthy runs).
+    /// rename). Always writes when eligible; see
+    /// [`Claire::save_warm_state`](crate::Claire::save_warm_state) for
+    /// the save that skips an unchanged file. Returns `false` —
+    /// without writing — when the engine cannot produce a reusable
+    /// snapshot: cache disabled (nothing to save) or a fault plan
+    /// armed (faulted routes and evaluations must not leak into
+    /// healthy runs).
     ///
     /// # Errors
     ///
@@ -788,7 +982,11 @@ impl Engine {
             return Ok(false);
         }
         let _span = self.telemetry().span("snapshot.save", "persist");
-        let bytes = encode(self)?;
+        // Taken before encoding: an entry memoized while the body is
+        // written then reads as growth, so the next save rewrites
+        // rather than trusting a file that may lack it.
+        let signature = self.tier_signature();
+        let bytes = encode(self);
         // The temp name is unique per (process, write): two writers
         // sharing one cache dir each rename a *complete* file into
         // place, so the loser can at worst overwrite the winner with
@@ -801,6 +999,7 @@ impl Engine {
             let _ = std::fs::remove_file(&tmp);
         }
         result.map_err(|e| invalid(format!("write failed: {e}")))?;
+        self.record_persisted(path, signature, &bytes);
         Ok(true)
     }
 
@@ -814,7 +1013,7 @@ impl Engine {
     ///
     /// [`ClaireError::SnapshotInvalid`] on any unreadable or invalid
     /// snapshot — short/truncated file, bad magic, foreign byte
-    /// order, unknown version, checksum mismatch, malformed payload.
+    /// order, unknown version, checksum mismatch, malformed body.
     /// The engine is untouched in every error case: validation
     /// completes before any tier is written, so the caller simply
     /// continues cold.
@@ -829,7 +1028,11 @@ impl Engine {
         };
         let _span = self.telemetry().span("snapshot.load", "persist");
         let staged = decode(&bytes)?;
+        let was_empty = self.persisted_counts().iter().all(|&c| c == 0);
         apply(self, staged);
+        if was_empty {
+            self.record_persisted(path, self.tier_signature(), &bytes);
+        }
         Ok(true)
     }
 
@@ -838,10 +1041,38 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::Internal`] — see [`save_snapshot`](Engine::save_snapshot);
-    /// unreachable for any engine state this crate constructs.
+    /// None: the binary encoding cannot fail. The `Result` keeps the
+    /// signature stable for callers.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, ClaireError> {
-        encode(self)
+        Ok(encode(self))
+    }
+
+    /// Records that the tiers (at `signature`) match the snapshot
+    /// `bytes` at `path`.
+    fn record_persisted(&self, path: &Path, signature: u64, bytes: &[u8]) {
+        if let Some(header) = bytes.first_chunk::<HEADER_LEN>() {
+            *write_lock(&self.persisted) = Some(Persisted {
+                path: path.to_path_buf(),
+                signature,
+                header: *header,
+            });
+        }
+    }
+
+    /// Whether the file at `path` still holds exactly these tiers: the
+    /// engine last saved it, or loaded it into empty tiers; nothing
+    /// was memoized since; and the file still starts with the header
+    /// seen then. Costs a signature and one 30-byte read.
+    pub(crate) fn snapshot_is_current(&self, path: &Path) -> bool {
+        let expected = match read_lock(&self.persisted).as_ref() {
+            Some(p) if p.path == path && p.signature == self.tier_signature() => p.header,
+            _ => return false,
+        };
+        let mut header = [0u8; HEADER_LEN];
+        std::fs::File::open(path)
+            .and_then(|mut f| f.read_exact(&mut header))
+            .is_ok()
+            && header == expected
     }
 }
 
@@ -860,18 +1091,18 @@ mod tests {
     #[test]
     fn empty_engine_round_trips() {
         let engine = Engine::new(1);
-        let bytes = encode(&engine).expect("encode");
+        let bytes = encode(&engine);
         let staged = decode(&bytes).expect("fresh snapshot decodes");
         assert!(staged.structures.is_empty());
         let again = Engine::new(1);
         apply(&again, staged);
-        assert_eq!(encode(&again).expect("encode"), bytes);
+        assert_eq!(encode(&again), bytes);
     }
 
     #[test]
     fn header_corruptions_are_typed() {
         let engine = Engine::new(1);
-        let bytes = encode(&engine).expect("encode");
+        let bytes = encode(&engine);
 
         // Truncated below the header.
         let err = decode(&bytes[..10]).unwrap_err();
@@ -894,11 +1125,157 @@ mod tests {
         let err = decode(&vers).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
-        // Payload corruption trips the checksum.
+        // Body corruption trips the checksum.
         let mut flip = bytes.clone();
         let last = flip.len() - 1;
         flip[last] ^= 0x01;
         let err = decode(&flip).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// A framed snapshot whose body is the nine sections, empty except
+    /// for the given `(section index, count, records)`.
+    fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        for i in 0..9 {
+            match sections.iter().find(|(s, _, _)| *s == i) {
+                Some((_, count, records)) => {
+                    put_u32(&mut body, *count);
+                    body.extend_from_slice(records);
+                }
+                None => put_u32(&mut body, 0),
+            }
+        }
+        let mut out = header_for(&body).to_vec();
+        out.extend_from_slice(&body);
+        out
+    }
+
+    fn rejection(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(ClaireError::SnapshotInvalid { detail }) => detail,
+            other => panic!("expected SnapshotInvalid, got {other:?}"),
+        }
+    }
+
+    fn hw_bytes(hw: [u32; 4]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in hw {
+            put_u32(&mut out, v);
+        }
+        out
+    }
+
+    #[test]
+    fn body_errors_are_typed() {
+        const HW: [u32; 4] = [16, 64, 16, 8];
+        // A lone empty structure, so structural id 0 is in range.
+        let one_structure = (0, 1, vec![0; 4]);
+
+        // An inflated count is refused before anything is allocated.
+        let detail = rejection(&with_sections(&[(0, u32::MAX, Vec::new())]));
+        assert!(detail.contains("overruns"), "{detail}");
+
+        // Trailing bytes after the last section.
+        let mut trailing = encode(&Engine::new(1));
+        trailing.push(0);
+        let body = trailing[HEADER_LEN..].to_vec();
+        trailing[..HEADER_LEN].copy_from_slice(&header_for(&body));
+        assert!(rejection(&trailing).contains("trailing"));
+
+        // An unknown layer tag.
+        let mut cost = vec![7];
+        cost.extend(hw_bytes(HW));
+        cost.extend([0; 32]);
+        assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("layer tag"));
+
+        // A zero hardware parameter.
+        let mut lb = vec![0; 4];
+        lb.extend(hw_bytes([16, 0, 16, 8]));
+        lb.extend([0; 8]);
+        let detail = rejection(&with_sections(&[one_structure.clone(), (4, 1, lb)]));
+        assert!(detail.contains("n_sa"), "{detail}");
+
+        // A structural id out of range.
+        let mut lb = vec![1, 0, 0, 0];
+        lb.extend(hw_bytes(HW));
+        lb.extend([0; 8]);
+        let detail = rejection(&with_sections(&[one_structure.clone(), (4, 1, lb)]));
+        assert!(detail.contains("structural id"), "{detail}");
+
+        // A bool byte other than 0 or 1.
+        let mut comm = vec![0; 4 + TOPO_LEN];
+        put_u32(&mut comm, 1);
+        comm.extend([0; 16]);
+        comm.push(2);
+        comm.extend([0; 16]);
+        let detail = rejection(&with_sections(&[one_structure, (5, 1, comm)]));
+        assert!(detail.contains("bool"), "{detail}");
+
+        // An op class out of range inside a partition.
+        let mut louvain = Vec::new();
+        put_u32(&mut louvain, 0); // no key words
+        put_u32(&mut louvain, 1); // one community
+        put_u32(&mut louvain, 1); // of one node
+        louvain.push(OpClass::COUNT as u8);
+        let detail = rejection(&with_sections(&[(6, 1, louvain)]));
+        assert!(detail.contains("op class"), "{detail}");
+
+        // An area table of the wrong length.
+        let mut area = hw_bytes(HW);
+        put_u32(&mut area, 14);
+        area.extend([0; 8 * 14]);
+        assert!(rejection(&with_sections(&[(2, 1, area)])).contains("area table"));
+
+        // A non-finite energy.
+        let mut cost = vec![5];
+        cost.extend([0; 8]);
+        cost.extend(hw_bytes(HW));
+        put_u64(&mut cost, 1);
+        put_f64(&mut cost, f64::NAN);
+        put_u64(&mut cost, 1);
+        assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("non-finite"));
+
+        // A node in two communities.
+        let mut louvain = Vec::new();
+        put_u32(&mut louvain, 0);
+        put_u32(&mut louvain, 2);
+        for _ in 0..2 {
+            put_u32(&mut louvain, 1);
+            louvain.push(0);
+        }
+        let detail = rejection(&with_sections(&[(6, 1, louvain)]));
+        assert!(detail.contains("two communities"), "{detail}");
+    }
+
+    #[test]
+    fn every_layer_kind_round_trips() {
+        use claire_model::zoo;
+        let engine = Engine::new(1);
+        for model in [
+            zoo::alexnet(),
+            zoo::gpt2(),
+            zoo::swin_t(),
+            zoo::mobilenet_v2(),
+        ] {
+            let kinds = model.layers().iter().map(|l| l.kind).collect();
+            write_lock(&engine.models).intern_content(kinds);
+        }
+        let bytes = encode(&engine);
+        let restored = Engine::new(1);
+        apply(&restored, decode(&bytes).expect("decodes"));
+        assert_eq!(encode(&restored), bytes);
+        let staged = decode(&bytes).expect("decodes");
+        let tags: std::collections::BTreeSet<u8> = staged
+            .structures
+            .iter()
+            .flat_map(|s| s.iter())
+            .map(|k| {
+                let mut out = Vec::new();
+                put_kind(&mut out, k);
+                out[0]
+            })
+            .collect();
+        assert_eq!(tags.len(), 7, "zoo models cover every layer kind: {tags:?}");
     }
 }

@@ -368,6 +368,21 @@ impl OpClass {
         }
     }
 
+    /// The class with dense index `i` — the inverse of
+    /// [`OpClass::index`] — or `None` when `i >= Self::COUNT`.
+    pub fn from_index(i: usize) -> Option<OpClass> {
+        Some(match i {
+            0 => OpClass::Conv2d,
+            1 => OpClass::Conv1d,
+            2 => OpClass::Linear,
+            3..=7 => OpClass::Activation(ActivationKind::ALL[i - 3]),
+            8..=12 => OpClass::Pooling(PoolingKind::ALL[i - 8]),
+            13 => OpClass::Flatten,
+            14 => OpClass::Permute,
+            _ => return None,
+        })
+    }
+
     /// Upper-case label used in graphs and tables (paper Fig. 2 style).
     pub fn label(self) -> String {
         match self {
@@ -558,6 +573,14 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn op_class_from_index_inverts_index() {
+        for c in OpClass::all() {
+            assert_eq!(OpClass::from_index(c.index()), Some(c));
+        }
+        assert_eq!(OpClass::from_index(OpClass::COUNT), None);
     }
 
     #[test]

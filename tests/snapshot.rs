@@ -191,6 +191,116 @@ fn concurrent_writers_never_tear_the_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Options persisting warm state to `dir`.
+fn cached(dir: &std::path::Path) -> Claire {
+    Claire::new(ClaireOptions {
+        cache_dir: Some(dir.to_path_buf()),
+        ..ClaireOptions::default()
+    })
+}
+
+/// An engine warmed by one custom run per model.
+fn warmed(claire: &Claire, models: &[claire::model::Model]) -> Engine {
+    let engine = Engine::new(2);
+    for model in models {
+        claire
+            .custom_for_with_engine(model, &engine)
+            .expect("custom");
+    }
+    engine
+}
+
+#[test]
+fn warm_state_is_not_rewritten_when_nothing_grew() {
+    let dir = scratch("skip");
+    let claire = cached(&dir);
+    let cold = warmed(&claire, &[zoo::alexnet()]);
+    assert!(claire.save_warm_state(&cold).expect("first save"));
+    assert!(
+        !claire.save_warm_state(&cold).expect("repeat save"),
+        "a save right after a save rewrote the snapshot"
+    );
+    let path = claire.snapshot_path().expect("cache dir set");
+    let saved = std::fs::read(&path).expect("snapshot bytes");
+
+    // Load into empty tiers, rerun the same work: nothing grew.
+    let warm = Engine::new(2);
+    assert!(claire.load_warm_state(&warm).expect("load"));
+    claire
+        .custom_for_with_engine(&zoo::alexnet(), &warm)
+        .expect("warm custom");
+    assert!(
+        !claire.save_warm_state(&warm).expect("warm save"),
+        "a warm run that memoized nothing rewrote the snapshot"
+    );
+    assert_eq!(std::fs::read(&path).expect("snapshot bytes"), saved);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warm_state_is_rewritten_after_new_work_or_a_replaced_or_deleted_file() {
+    let dir = scratch("rewrite");
+    let claire = cached(&dir);
+    let path = claire.snapshot_path().expect("cache dir set");
+    let seed = warmed(&claire, &[zoo::alexnet()]);
+    assert!(claire.save_warm_state(&seed).expect("seed save"));
+
+    let warm = Engine::new(2);
+    assert!(claire.load_warm_state(&warm).expect("load"));
+
+    // New work memoized since the load.
+    claire
+        .custom_for_with_engine(&zoo::resnet18(), &warm)
+        .expect("new work");
+    assert!(claire.save_warm_state(&warm).expect("grown save"));
+    let grown = std::fs::read(&path).expect("snapshot bytes");
+    assert_eq!(grown, warm.snapshot_bytes().expect("encode"));
+    assert!(!claire.save_warm_state(&warm).expect("clean save"));
+
+    // Another writer replaced the file.
+    let other = warmed(&claire, &[zoo::vgg16()]);
+    assert!(other.save_snapshot(&path).expect("other writer"));
+    assert!(
+        claire
+            .save_warm_state(&warm)
+            .expect("save over a foreign file"),
+        "a file replaced by another writer was left in place"
+    );
+    assert_eq!(std::fs::read(&path).expect("snapshot bytes"), grown);
+
+    // The file was deleted.
+    std::fs::remove_file(&path).expect("delete snapshot");
+    assert!(
+        claire.save_warm_state(&warm).expect("save after delete"),
+        "a deleted snapshot was not rewritten"
+    );
+    assert_eq!(std::fs::read(&path).expect("snapshot bytes"), grown);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warm_state_is_rewritten_after_loading_into_non_empty_tiers() {
+    let dir = scratch("busy");
+    let claire = cached(&dir);
+    let seed = warmed(&claire, &[zoo::alexnet()]);
+    assert!(claire.save_warm_state(&seed).expect("seed save"));
+
+    // The tiers held work of their own before the load, so they no
+    // longer equal the file's contents.
+    let busy = warmed(&claire, &[zoo::resnet18()]);
+    assert!(claire.load_warm_state(&busy).expect("load"));
+    assert!(
+        claire.save_warm_state(&busy).expect("merged save"),
+        "a load into non-empty tiers was taken as matching the file"
+    );
+    let path = claire.snapshot_path().expect("cache dir set");
+    assert_eq!(
+        std::fs::read(&path).expect("snapshot bytes"),
+        busy.snapshot_bytes().expect("encode")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn missing_snapshot_is_a_quiet_cold_start() {
     let dir = scratch("missing");
@@ -247,5 +357,128 @@ proptest! {
         let b = warm(&reversed, 4usize.saturating_sub(threads).max(1));
         prop_assert_eq!(&b.snapshot_bytes().expect("encode b"), &bytes_a);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One mutation of a snapshot body. Offsets are fractions of the body
+/// length, so every case lands somewhere inside it.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// XOR one byte with a non-zero mask.
+    Flip { at: f64, mask: u8 },
+    /// Cut the body short.
+    Truncate { at: f64 },
+    /// Add `by` to the first small non-zero `u32` at or after the
+    /// offset — most often a record count.
+    Inflate { at: f64, by: u32 },
+}
+
+impl Mutation {
+    fn apply(&self, body: &mut Vec<u8>) {
+        let offset = |at: f64, len: usize| ((at * len as f64) as usize).min(len.saturating_sub(1));
+        match *self {
+            Mutation::Flip { at, mask } => {
+                let i = offset(at, body.len());
+                body[i] ^= mask;
+            }
+            Mutation::Truncate { at } => body.truncate(offset(at, body.len())),
+            Mutation::Inflate { at, by } => {
+                let start = offset(at, body.len());
+                let word =
+                    |i: usize| u32::from_le_bytes([body[i], body[i + 1], body[i + 2], body[i + 3]]);
+                let hit =
+                    (start..body.len().saturating_sub(3)).find(|&i| (1..=4096).contains(&word(i)));
+                if let Some(i) = hit {
+                    let inflated = word(i).wrapping_add(by);
+                    body[i..i + 4].copy_from_slice(&inflated.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a 64, the snapshot body checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The header length: magic, byte-order mark, version, length, checksum.
+const HEADER_LEN: usize = 30;
+
+/// A cold Alexnet custom run: the model instance (instance ids show
+/// in the rendering), the run's snapshot, and its debug rendering.
+struct Reference {
+    model: claire::model::Model,
+    snapshot: Vec<u8>,
+    rendered: String,
+}
+
+fn alexnet_reference() -> &'static Reference {
+    static REFERENCE: std::sync::OnceLock<Reference> = std::sync::OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let model = zoo::alexnet();
+        let engine = Engine::new(2);
+        let result = Claire::new(ClaireOptions::default())
+            .custom_for_with_engine(&model, &engine)
+            .expect("cold custom");
+        Reference {
+            snapshot: engine.snapshot_bytes().expect("encode"),
+            rendered: format!("{result:?}"),
+            model,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Body corruption that the checksum cannot see (length and FNV
+    /// re-stamped) is still caught by the decoder: a load returns `Ok`
+    /// or a typed `SnapshotInvalid`, never panics, and after a
+    /// rejection the engine runs cold exactly as if never touched.
+    #[test]
+    fn restamped_body_mutations_never_panic_or_leak_into_the_engine(
+        mutation in prop_oneof![
+            (0.0f64..1.0, 1u8..255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+            (0.0f64..1.0).prop_map(|at| Mutation::Truncate { at }),
+            (0.0f64..1.0, 1u32..u32::MAX).prop_map(|(at, by)| Mutation::Inflate { at, by }),
+        ],
+    ) {
+        let reference = alexnet_reference();
+        let valid = &reference.snapshot;
+        let mut body = valid[HEADER_LEN..].to_vec();
+        mutation.apply(&mut body);
+        let mut bytes = valid[..HEADER_LEN].to_vec();
+        bytes[14..22].copy_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes[22..30].copy_from_slice(&fnv1a(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+
+        let dir = scratch("mutate");
+        let path = dir.join("claire.snapshot");
+        std::fs::write(&path, &bytes).expect("write mutated");
+        let engine = Engine::new(2);
+        let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.load_snapshot(&path)
+        }));
+        std::fs::remove_dir_all(&dir).ok();
+        match loaded {
+            Err(_) => prop_assert!(false, "{mutation:?}: load panicked"),
+            Ok(Ok(_)) => {}
+            Ok(Err(ClaireError::SnapshotInvalid { .. })) => {
+                let claire = Claire::new(ClaireOptions::default());
+                let recovered = claire
+                    .custom_for_with_engine(&reference.model, &engine)
+                    .expect("cold run after a rejected load");
+                prop_assert_eq!(
+                    &format!("{recovered:?}"),
+                    &reference.rendered,
+                    "{:?}",
+                    mutation
+                );
+            }
+            Ok(Err(other)) => prop_assert!(false, "{mutation:?}: untyped error {other:?}"),
+        }
     }
 }
