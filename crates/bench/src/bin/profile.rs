@@ -793,7 +793,7 @@ fn main() {
     }
 
     // Flat-execution-plan profile (cold flow): the up-front item set,
-    // the three plan-level coarse memo tiers, and the load balance the
+    // the two plan-level coarse memo tiers, and the load balance the
     // single flat par_map buys. The graph tier's cold hit rate is the
     // merged-member-build payoff — before the plan it was 0 % (every
     // multi-member graph rebuilt its members from scratch).
@@ -814,13 +814,6 @@ fn main() {
         flow_stats.comm_misses,
         100.0 * flow_stats.comm_hit_rate(),
         flow_stats.comm_entries
-    );
-    println!(
-        "louvain warm tier: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-        flow_stats.louvain_warm_hits,
-        flow_stats.louvain_warm_misses,
-        100.0 * flow_stats.louvain_warm_hit_rate(),
-        flow_stats.louvain_warm_entries
     );
     println!(
         "merged graph builds: {}; graph tier cold hit rate {:.1} %",
@@ -918,14 +911,6 @@ fn main() {
                         flow_stats.comm_hits,
                         flow_stats.comm_misses,
                         flow_stats.comm_entries,
-                    ),
-                ),
-                (
-                    "louvain_warm_tier",
-                    tier(
-                        flow_stats.louvain_warm_hits,
-                        flow_stats.louvain_warm_misses,
-                        flow_stats.louvain_warm_entries,
                     ),
                 ),
                 (
@@ -1241,14 +1226,6 @@ fn tiers(s: &EngineStats) -> Value {
         ("graph", tier(s.graph_hits, s.graph_misses, s.graph_entries)),
         ("area", tier(s.area_hits, s.area_misses, s.area_entries)),
         ("comm", tier(s.comm_hits, s.comm_misses, s.comm_entries)),
-        (
-            "louvain_warm",
-            tier(
-                s.louvain_warm_hits,
-                s.louvain_warm_misses,
-                s.louvain_warm_entries,
-            ),
-        ),
         ("lb", tier(s.lb_hits, s.lb_misses, s.lb_entries)),
     ])
 }

@@ -4,35 +4,11 @@
 use crate::config::{Chiplet, Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::parallel::Engine;
-use claire_graph::{louvain_csr, spectral_cluster, CsrGraph, Partition, WeightedGraph};
+use claire_graph::{louvain_csr, CsrGraph, Partition, WeightedGraph};
 use claire_model::{Model, OpClass};
 use claire_ppa::unit_area_mm2;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Which community-detection algorithm partitions module groups into
-/// chiplets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClusteringStrategy {
-    /// The paper's choice: Louvain modularity maximisation at the
-    /// given resolution.
-    Louvain {
-        /// Modularity resolution γ (1.0 = classic).
-        resolution: f64,
-    },
-    /// Recursive spectral bisection into at most `k` parts (ablation
-    /// alternative).
-    Spectral {
-        /// Maximum number of chiplets.
-        k: usize,
-    },
-}
-
-impl Default for ClusteringStrategy {
-    fn default() -> Self {
-        ClusteringStrategy::Louvain { resolution: 1.0 }
-    }
-}
 
 /// Partitions `config`'s module groups into chiplets by running
 /// Louvain on the universal communication graph of `workloads` under
@@ -59,23 +35,20 @@ pub fn cluster_into_chiplets(
     constraints: &Constraints,
     resolution: f64,
 ) -> Result<(), ClaireError> {
-    cluster_with_strategy(
-        config,
-        workloads,
-        constraints,
-        ClusteringStrategy::Louvain { resolution },
-    )
+    precheck_group_areas(config, constraints)?;
+    let ug = crate::graphs::universal_graph(workloads, &config.hw);
+    let csr = CsrGraph::from_weighted(&ug);
+    cluster_attempts(config, constraints, &ug, resolution, |gamma| {
+        Arc::new(louvain_csr(&csr, gamma))
+    })
 }
 
 /// [`cluster_into_chiplets`] with the universal graph built through
 /// the engine's memoized layer costs and each Louvain partition served
-/// from the engine's canonical-graph memo tiers. The CSR kernel graph
-/// is interned **once**; the resolution-escalation loop re-clusters
-/// flat arrays instead of rebuilding maps, and each escalation step
-/// (`γ, 1.5γ, …`) first consults the engine's certified warm-start
-/// tier ([`Engine::louvain_partition_escalating`]) so a prior
-/// clustering whose γ-interval covers the escalated resolution is
-/// served without re-running the kernel. Bit-identical to
+/// from the engine's `(graph, γ)` memo tier
+/// ([`Engine::louvain_partition`]). The CSR kernel graph is interned
+/// **once**; the resolution-escalation loop re-clusters flat arrays
+/// instead of rebuilding maps. Bit-identical to
 /// [`cluster_into_chiplets`].
 ///
 /// # Errors
@@ -90,46 +63,9 @@ pub fn cluster_into_chiplets_with_engine(
 ) -> Result<(), ClaireError> {
     precheck_group_areas(config, constraints)?;
     let ug = engine.universal_csr(workloads, &config.hw);
-    let mut gamma = resolution;
-    cluster_attempts(config, constraints, &ug.graph, || {
-        let p = engine.louvain_partition_escalating(&ug.csr, gamma);
-        gamma *= 1.5;
-        p
+    cluster_attempts(config, constraints, &ug.graph, resolution, |gamma| {
+        engine.louvain_partition(&ug.csr, gamma)
     })
-}
-
-/// [`cluster_into_chiplets`] under an explicit partitioning strategy.
-///
-/// # Errors
-///
-/// Same as [`cluster_into_chiplets`].
-pub fn cluster_with_strategy(
-    config: &mut DesignConfig,
-    workloads: &[Model],
-    constraints: &Constraints,
-    strategy: ClusteringStrategy,
-) -> Result<(), ClaireError> {
-    precheck_group_areas(config, constraints)?;
-    let ug = crate::graphs::universal_graph(workloads, &config.hw);
-    match strategy {
-        ClusteringStrategy::Louvain { resolution } => {
-            let csr = CsrGraph::from_weighted(&ug);
-            let mut gamma = resolution;
-            cluster_attempts(config, constraints, &ug, || {
-                let p = Arc::new(louvain_csr(&csr, gamma));
-                gamma *= 1.5;
-                p
-            })
-        }
-        ClusteringStrategy::Spectral { k } => {
-            let mut spectral_k = k.max(1);
-            cluster_attempts(config, constraints, &ug, || {
-                let p = Arc::new(spectral_cluster(&ug, spectral_k, 200));
-                spectral_k += 1;
-                p
-            })
-        }
-    }
 }
 
 /// A lone module group bigger than the limit can never fit.
@@ -150,17 +86,20 @@ fn precheck_group_areas(
     Ok(())
 }
 
-/// The shared escalation loop: ask `next_partition` for successively
-/// finer partitions (it advances its own granularity each call) until
-/// every materialised chiplet fits the area limit, then place.
+/// The shared escalation loop: ask `partition_at` for the Louvain
+/// partition at `γ, 1.5γ, 2.25γ, …` (successively finer) until every
+/// materialised chiplet fits the area limit, then place.
 fn cluster_attempts(
     config: &mut DesignConfig,
     constraints: &Constraints,
     ug: &WeightedGraph<OpClass>,
-    mut next_partition: impl FnMut() -> Arc<Partition<OpClass>>,
+    resolution: f64,
+    partition_at: impl Fn(f64) -> Arc<Partition<OpClass>>,
 ) -> Result<(), ClaireError> {
+    let mut gamma = resolution;
     for _attempt in 0..12 {
-        let partition = next_partition();
+        let partition = partition_at(gamma);
+        gamma *= 1.5;
         let mut groups: Vec<BTreeSet<OpClass>> = partition
             .communities()
             .iter()
@@ -215,8 +154,7 @@ fn cluster_attempts(
             };
             return Ok(());
         }
-        // Area limit violated: the next `next_partition` call escalates
-        // the granularity (higher γ / larger k).
+        // Area limit violated: retry at a higher γ.
     }
 
     // Resolution escalation failed; report the largest offender.
@@ -324,21 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_strategy_also_partitions() {
-        let models = [zoo::resnet18()];
-        let mut cfg = config_for(&models, "C_Resnet18");
-        cluster_with_strategy(
-            &mut cfg,
-            &models,
-            &Constraints::default(),
-            ClusteringStrategy::Spectral { k: 2 },
-        )
-        .unwrap();
-        assert_eq!(cfg.chiplet_count(), 2);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn engine_clustering_is_bit_identical_and_memoized() {
         let models = [zoo::resnet18(), zoo::alexnet()];
         let cons = Constraints::default();
@@ -350,17 +273,13 @@ mod tests {
         cluster_into_chiplets_with_engine(&mut memo, &models, &cons, 1.0, &engine).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{memo:?}"));
 
-        // Re-clustering the same workload graph hits a Louvain memo
-        // tier — the exact tier's hash probe is consulted first, the
-        // warm (certificate) tier backs it up for distinct γ.
+        // Re-clustering the same workload graph hits the Louvain memo
+        // tier.
         let mut again = config_for(&models, "C");
         cluster_into_chiplets_with_engine(&mut again, &models, &cons, 1.0, &engine).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{again:?}"));
         let stats = engine.stats();
-        assert!(
-            stats.louvain_hits + stats.louvain_warm_hits >= 1,
-            "{stats:?}"
-        );
+        assert!(stats.louvain_hits >= 1, "{stats:?}");
         assert!(stats.louvain_entries >= 1);
     }
 

@@ -61,7 +61,6 @@ mod snapshot;
 pub mod telemetry;
 
 pub use assign::WeightScale;
-pub use chiplet::ClusteringStrategy;
 pub use claire::{
     paper_table3_subsets, AlgoPpa, Claire, ClaireOptions, CustomResult, LibraryConfig,
     SubsetStrategy, TestOutput, TestReport, TrainOutput,

@@ -26,7 +26,7 @@ use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
 use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
-use claire_graph::{louvain_csr_certified, louvain_csr_counted, CsrGraph, Partition};
+use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, OpClass};
 use claire_ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams, LayerBatch, LayerCost};
 use std::collections::{BTreeSet, HashMap};
@@ -190,11 +190,8 @@ pub struct EngineStats {
     pub comm_misses: u64,
     /// Distinct (model structure, topology) edge-cost sequences cached.
     pub comm_entries: usize,
-    /// Louvain partitions served from a certified warm-start interval.
-    pub louvain_warm_hits: u64,
-    /// Warm-tier consultations that had to cluster fresh.
-    pub louvain_warm_misses: u64,
-    /// Distinct graphs with certified warm-start entries cached.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub louvain_warm_entries: usize,
     /// Multi-member universal graphs assembled from cached members.
     pub merged_graph_builds: u64,
@@ -223,8 +220,9 @@ impl EngineStats {
     }
 
     /// Hit rate across every memo tier (layer costs, route tables,
-    /// compute sums, Louvain partitions, universal graphs and area
-    /// tables) in `[0, 1]`; 0 when nothing was looked up.
+    /// compute sums, Louvain partitions, universal graphs, area
+    /// tables, comm sequences and latency lower bounds) in `[0, 1]`;
+    /// 0 when nothing was looked up.
     pub fn overall_hit_rate(&self) -> f64 {
         ratio(
             self.cache_hits
@@ -232,13 +230,17 @@ impl EngineStats {
                 + self.sum_hits
                 + self.louvain_hits
                 + self.graph_hits
-                + self.area_hits,
+                + self.area_hits
+                + self.comm_hits
+                + self.lb_hits,
             self.cache_misses
                 + self.route_misses
                 + self.sum_misses
                 + self.louvain_misses
                 + self.graph_misses
-                + self.area_misses,
+                + self.area_misses
+                + self.comm_misses
+                + self.lb_misses,
         )
     }
 
@@ -255,11 +257,6 @@ impl EngineStats {
     /// Communication edge-cost tier hit rate in `[0, 1]`.
     pub fn comm_hit_rate(&self) -> f64 {
         ratio(self.comm_hits, self.comm_misses)
-    }
-
-    /// Louvain warm-start tier hit rate in `[0, 1]`.
-    pub fn louvain_warm_hit_rate(&self) -> f64 {
-        ratio(self.louvain_warm_hits, self.louvain_warm_misses)
     }
 
     /// Fraction of DSE points the staged sweep pruned before full
@@ -348,11 +345,13 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  graph cache: {} hits / {} misses ({:.1} % hit rate, {} entries)",
+            "  graph cache: {} hits / {} misses ({:.1} % hit rate, {} entries); \
+             {} merged graph builds",
             self.graph_hits,
             self.graph_misses,
             100.0 * ratio(self.graph_hits, self.graph_misses),
-            self.graph_entries
+            self.graph_entries,
+            self.merged_graph_builds
         )?;
         writeln!(
             f,
@@ -369,14 +368,6 @@ impl std::fmt::Display for EngineStats {
             self.comm_misses,
             100.0 * self.comm_hit_rate(),
             self.comm_entries
-        )?;
-        writeln!(
-            f,
-            "  louvain warm-start: {} hits / {} misses ({} entries); {} merged graph builds",
-            self.louvain_warm_hits,
-            self.louvain_warm_misses,
-            self.louvain_warm_entries,
-            self.merged_graph_builds
         )?;
         writeln!(
             f,
@@ -437,9 +428,6 @@ pub struct Engine {
     pub(crate) routes: MemoMap<TopologyKey, Arc<RouteTable>>,
     pub(crate) sums: MemoMap<(u32, HwParams), ComputeSum>,
     pub(crate) louvains: MemoMap<Box<[u64]>, Arc<Partition<OpClass>>>,
-    /// Warm-start tier: per canonical graph (resolution-free key), the
-    /// certified γ-intervals of prior runs with their partitions.
-    pub(crate) louvain_warm: MemoMap<Box<[u64]>, Vec<WarmEntry>>,
     /// Universal-graph tier, keyed by the member models' structural
     /// ids (in member order) plus the hardware point.
     pub(crate) graphs: MemoMap<(Box<[u64]>, HwParams), Arc<UniversalCsr>>,
@@ -495,18 +483,6 @@ impl ModelInterner {
     }
 }
 
-/// One warm-start record: a certified open γ-interval and the
-/// partition every resolution strictly inside it provably reproduces
-/// (see [`claire_graph::GammaInterval`]). Entries for one graph may
-/// overlap; any entry containing a resolution serves the identical
-/// partition, so lookup order never affects results.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmEntry {
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
-    pub(crate) partition: Arc<Partition<OpClass>>,
-}
-
 /// A universal graph paired with its interned CSR form, as built and
 /// memoized by [`Engine::universal_csr`].
 #[derive(Debug, Clone)]
@@ -538,7 +514,6 @@ impl Engine {
             routes: RwLock::new(HashMap::default()),
             sums: RwLock::new(HashMap::default()),
             louvains: RwLock::new(HashMap::default()),
-            louvain_warm: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
             areas: RwLock::new(HashMap::default()),
@@ -658,10 +633,6 @@ impl Engine {
         t.set_gauge(Gauge::GraphEntries, read_lock(&self.graphs).len() as u64);
         t.set_gauge(Gauge::AreaEntries, read_lock(&self.areas).len() as u64);
         t.set_gauge(Gauge::CommEntries, read_lock(&self.comms).len() as u64);
-        t.set_gauge(
-            Gauge::LouvainWarmEntries,
-            read_lock(&self.louvain_warm).len() as u64,
-        );
         t.set_gauge(Gauge::LbEntries, read_lock(&self.lbs).len() as u64);
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
@@ -669,9 +640,8 @@ impl Engine {
     }
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
-    /// order (the warm tier counts certified intervals, not graphs).
-    /// Route tables are not persisted, so they are not counted.
-    pub(crate) fn persisted_counts(&self) -> [usize; 9] {
+    /// order. Route tables are not persisted, so they are not counted.
+    pub(crate) fn persisted_counts(&self) -> [usize; 8] {
         [
             self.shards
                 .iter()
@@ -682,7 +652,6 @@ impl Engine {
             read_lock(&self.graphs).len(),
             read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            read_lock(&self.louvain_warm).values().map(Vec::len).sum(),
             read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
         ]
@@ -763,9 +732,7 @@ impl Engine {
             comm_hits: t.counter(Metric::CommHit),
             comm_misses: t.counter(Metric::CommMiss),
             comm_entries: read_lock(&self.comms).len(),
-            louvain_warm_hits: t.counter(Metric::LouvainWarmHit),
-            louvain_warm_misses: t.counter(Metric::LouvainWarmMiss),
-            louvain_warm_entries: read_lock(&self.louvain_warm).len(),
+            louvain_warm_entries: 0,
             merged_graph_builds: t.counter(Metric::MergedGraphBuilds),
             plan_items: t.counter(Metric::PlanItems),
             lb_hits: t.counter(Metric::LbHit),
@@ -919,85 +886,6 @@ impl Engine {
         Arc::clone(write_lock(&self.louvains).entry(key).or_insert(partition))
     }
 
-    /// [`Engine::louvain_partition`] for resolution-escalation loops:
-    /// consults the **exact tier** first (an O(1) hash probe — repeat
-    /// requests at an already-resolved γ, including replays across
-    /// processes from a warm-state snapshot, never re-scan
-    /// certificates), then the **warm-start tier** — certified
-    /// γ-intervals recorded by prior runs on the same canonical graph
-    /// (see [`claire_graph::louvain_csr_certified`]). A warm hit
-    /// returns a partition *provably* bit-identical to what a fresh
-    /// clustering at `resolution` would produce (any γ strictly inside
-    /// a certified interval reproduces the certified run's partition,
-    /// including the γ the certificate was recorded at), so results
-    /// never depend on cache state — and it is **published back into
-    /// the exact tier** under the exact `(graph, γ)` key, so repeat-γ
-    /// requests stop consulting the interval scan entirely. A miss on
-    /// both tiers clusters with certification and records the new
-    /// interval.
-    ///
-    /// The chiplet-count escalation loop re-clusters the same graph at
-    /// `γ, 1.5γ, 2.25γ, …`; on strongly clustered communication graphs
-    /// the certified interval typically spans several escalation
-    /// steps, so the re-runs collapse into lookups.
-    pub fn louvain_partition_escalating(
-        &self,
-        csr: &CsrGraph<OpClass>,
-        resolution: f64,
-    ) -> Arc<Partition<OpClass>> {
-        if !self.cache_enabled {
-            return Arc::new(self.cluster_csr(csr, resolution));
-        }
-        let exact_key = louvain_key(csr, resolution);
-        if let Some(p) = read_lock(&self.louvains).get(&exact_key) {
-            self.telemetry.count(Metric::LouvainHit);
-            return Arc::clone(p);
-        }
-        let graph_key = louvain_graph_key(csr);
-        if let Some(entries) = read_lock(&self.louvain_warm).get(&graph_key) {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| resolution > e.lo && resolution < e.hi)
-            {
-                self.telemetry.count(Metric::LouvainWarmHit);
-                let p = Arc::clone(&e.partition);
-                // Publish into the exact tier so repeat-γ requests (and
-                // the non-escalating entry point) hit the hash probe.
-                write_lock(&self.louvains)
-                    .entry(exact_key)
-                    .or_insert_with(|| Arc::clone(&p));
-                return p;
-            }
-        }
-        self.telemetry.count(Metric::LouvainWarmMiss);
-        self.telemetry.count(Metric::LouvainMiss);
-        let (partition, cert) = self.cluster_csr_certified(csr, resolution);
-        let partition = Arc::new(partition);
-        if !cert.is_empty() {
-            let (lo, hi) = (cert.lo(), cert.hi());
-            let mut warm = write_lock(&self.louvain_warm);
-            let entries = warm.entry(graph_key).or_default();
-            // Racing derivations of the same γ produce identical
-            // certificates; keep one so the entry list (and hence a
-            // snapshot of it) never depends on scheduling.
-            if !entries
-                .iter()
-                .any(|e| e.lo.to_bits() == lo.to_bits() && e.hi.to_bits() == hi.to_bits())
-            {
-                entries.push(WarmEntry {
-                    lo,
-                    hi,
-                    partition: Arc::clone(&partition),
-                });
-            }
-        }
-        Arc::clone(
-            write_lock(&self.louvains)
-                .entry(exact_key)
-                .or_insert(partition),
-        )
-    }
-
     /// Runs the Louvain clustering kernel under a trace span, counting
     /// the local-move + aggregation rounds it took.
     fn cluster_csr(&self, csr: &CsrGraph<OpClass>, resolution: f64) -> Partition<OpClass> {
@@ -1008,23 +896,6 @@ impl Engine {
             .count_by(Metric::LouvainPasses, passes as u64);
         span.arg("passes", ArgValue::Int(passes as u64));
         partition
-    }
-
-    /// [`Engine::cluster_csr`] through the certified kernel: the
-    /// partition is bit-identical ([`louvain_csr_certified`]'s
-    /// contract); the certificate feeds the warm-start tier.
-    fn cluster_csr_certified(
-        &self,
-        csr: &CsrGraph<OpClass>,
-        resolution: f64,
-    ) -> (Partition<OpClass>, claire_graph::GammaInterval) {
-        let mut span = self.telemetry.span("louvain.cluster", "memo");
-        span.arg("nodes", ArgValue::Int(csr.node_count() as u64));
-        let (partition, passes, cert) = louvain_csr_certified(csr, resolution);
-        self.telemetry
-            .count_by(Metric::LouvainPasses, passes as u64);
-        span.arg("passes", ArgValue::Int(passes as u64));
-        (partition, cert)
     }
 
     /// Memoized universal-graph construction (Step #TR1) with CSR
@@ -1633,19 +1504,6 @@ impl TopologyKey {
 /// resolution. Degrees and `2m` are derived from these arrays and need
 /// no words of their own.
 fn louvain_key(csr: &CsrGraph<OpClass>, resolution: f64) -> Box<[u64]> {
-    let mut key = louvain_graph_key_vec(csr);
-    key.push(resolution.to_bits());
-    key.into_boxed_slice()
-}
-
-/// The resolution-free prefix of [`louvain_key`]: the canonical graph
-/// encoding alone, keying the warm-start tier (whose entries each carry
-/// their own certified resolution interval).
-fn louvain_graph_key(csr: &CsrGraph<OpClass>) -> Box<[u64]> {
-    louvain_graph_key_vec(csr).into_boxed_slice()
-}
-
-fn louvain_graph_key_vec(csr: &CsrGraph<OpClass>) -> Vec<u64> {
     let n = csr.node_count();
     let e = csr.targets().len();
     let mut key = Vec::with_capacity(2 + n * 3 + e * 2 + 2);
@@ -1655,7 +1513,8 @@ fn louvain_graph_key_vec(csr: &CsrGraph<OpClass>) -> Vec<u64> {
     key.extend(csr.targets().iter().map(|&t| u64::from(t)));
     key.extend(csr.weights().iter().map(|w| w.to_bits()));
     key.extend(csr.self_loops().iter().map(|w| w.to_bits()));
-    key
+    key.push(resolution.to_bits());
+    key.into_boxed_slice()
 }
 
 thread_local! {
@@ -1806,52 +1665,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_certificate_serves_distinct_gamma_and_publishes_exact() {
-        let engine = Engine::new(1);
-        let mut g = claire_graph::WeightedGraph::new();
-        // Two dense pairs bridged weakly — enough structure for a
-        // non-trivial γ-certificate around the query resolution.
-        g.add_edge(OpClass::Conv2d, OpClass::Linear, 8.0);
-        g.add_edge(OpClass::Conv1d, OpClass::Flatten, 8.0);
-        g.add_edge(OpClass::Linear, OpClass::Conv1d, 1.0);
-        let csr = CsrGraph::from_weighted(&g);
-
-        let base = engine.louvain_partition_escalating(&csr, 1.0);
-        let s = engine.stats();
-        assert_eq!((s.louvain_warm_hits, s.louvain_hits), (0, 0), "{s:?}");
-
-        // Read back the recorded certificate and pick a *distinct*
-        // resolution strictly inside it.
-        let (lo, hi) = {
-            let warm = read_lock(&engine.louvain_warm);
-            let entries = warm
-                .get(&louvain_graph_key(&csr))
-                .expect("derivation recorded a certificate");
-            (entries[0].lo, entries[0].hi)
-        };
-        let gamma = if hi.is_finite() {
-            (1.0 + hi) / 2.0
-        } else if lo.is_finite() {
-            1.0 + (1.0 - lo).abs() + 1.0
-        } else {
-            2.0
-        };
-        assert!(gamma > lo && gamma < hi && gamma != 1.0);
-
-        let served = engine.louvain_partition_escalating(&csr, gamma);
-        assert!(Arc::ptr_eq(&base, &served));
-        assert_eq!(engine.stats().louvain_warm_hits, 1);
-
-        // The warm hit published the resolved partition into the
-        // exact tier: the repeat-γ request is now a hash probe, not a
-        // certificate scan.
-        let again = engine.louvain_partition_escalating(&csr, gamma);
-        assert!(Arc::ptr_eq(&base, &again));
-        let s = engine.stats();
-        assert_eq!((s.louvain_warm_hits, s.louvain_hits), (1, 1), "{s:?}");
-    }
-
-    #[test]
     fn par_map_handles_empty_and_single() {
         let engine = Engine::new(8);
         assert_eq!(engine.par_map(&[] as &[u8], |_, &x| x), Vec::<u8>::new());
@@ -1972,6 +1785,31 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overall_hit_rate_counts_comm_and_lb_tiers() {
+        let idle = Engine::new(1).stats();
+        let comm_only = EngineStats {
+            comm_hits: 3,
+            comm_misses: 1,
+            ..idle.clone()
+        };
+        assert!((comm_only.overall_hit_rate() - 0.75).abs() < 1e-12);
+        let lb_only = EngineStats {
+            lb_hits: 1,
+            lb_misses: 3,
+            ..idle.clone()
+        };
+        assert!((lb_only.overall_hit_rate() - 0.25).abs() < 1e-12);
+        let both = EngineStats {
+            comm_hits: 3,
+            comm_misses: 1,
+            lb_hits: 1,
+            lb_misses: 3,
+            ..idle
+        };
+        assert!((both.overall_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

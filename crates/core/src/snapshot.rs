@@ -18,13 +18,13 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 2)
+//!     10     4  format version (u32 LE, currently 3)
 //!     14     8  body length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the body (u64 LE)
 //!     30     …  body
 //! ```
 //!
-//! The body is nine sections in this fixed order. Each section is a
+//! The body is eight sections in this fixed order. Each section is a
 //! `u32` record count followed by its records. Every integer is
 //! little-endian and every float is stored as its IEEE-754 bit pattern
 //! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
@@ -38,7 +38,6 @@
 //! lbs           sid:u32, hw, cycles:u64
 //! comms         sid:u32, topo, n:u32, n × transfer
 //! louvains      n:u32, n × key word:u64, partition
-//! louvain_warm  n:u32, n × key word:u64, m:u32, m × (lo:f64, hi:f64, partition)
 //! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
 //!               m:u32, m × (class, class, weight:f64)
 //!
@@ -90,9 +89,7 @@
 
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, TransferCost};
-use crate::parallel::{
-    read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr, WarmEntry,
-};
+use crate::parallel::{read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
 use claire_model::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
@@ -113,7 +110,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -451,19 +448,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
 
     put_section(
         &mut out,
-        read_lock(&engine.louvain_warm).iter(),
-        |out, (key, entries)| {
-            put_words(out, key);
-            put_section(out, entries, |out, e| {
-                put_f64(out, e.lo);
-                put_f64(out, e.hi);
-                put_partition(out, &e.partition);
-            });
-        },
-    );
-
-    put_section(
-        &mut out,
         read_lock(&engine.graphs).iter(),
         |out, ((sids, hw), ug)| {
             // Graph-tier keys hold structural ids widened to u64; map them
@@ -505,8 +489,8 @@ fn header_for(body: &[u8]) -> [u8; HEADER_LEN] {
 
 // --- decoding -------------------------------------------------------------
 
-/// A staged exact-tier Louvain entry: the γ-free canonical CSR key
-/// and the memoized partition.
+/// A staged Louvain entry: the canonical `(graph, γ)` key and the
+/// memoized partition.
 type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 
 /// Everything a snapshot contributes, fully parsed and validated but
@@ -521,7 +505,6 @@ struct Staged {
     lbs: Vec<(u32, HwParams, u64)>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
-    louvain_warm: Vec<(Box<[u64]>, Vec<WarmEntry>)>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
 }
 
@@ -846,18 +829,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
 
     let louvains = r.list(4 + 4, |r| Ok((r.words()?, Arc::new(r.partition()?))))?;
 
-    let louvain_warm = r.list(4 + 4, |r| {
-        let key = r.words()?;
-        let entries = r.list(16 + 4, |r| {
-            Ok(WarmEntry {
-                lo: r.f64()?,
-                hi: r.f64()?,
-                partition: Arc::new(r.partition()?),
-            })
-        })?;
-        Ok((key, entries))
-    })?;
-
     let graphs = r.list(4 + HW_LEN + 4 + 4, |r| {
         let sids = r.list(4, sid)?;
         let hw = r.hw()?;
@@ -882,7 +853,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         lbs,
         comms,
         louvains,
-        louvain_warm,
         graphs,
     })
 }
@@ -937,20 +907,6 @@ fn apply(engine: &Engine, staged: Staged) {
         let mut louvains = write_lock(&engine.louvains);
         for (key, partition) in staged.louvains {
             louvains.entry(key).or_insert(partition);
-        }
-    }
-    {
-        let mut warm = write_lock(&engine.louvain_warm);
-        for (key, entries) in staged.louvain_warm {
-            let slot = warm.entry(key).or_default();
-            for e in entries {
-                let dup = slot
-                    .iter()
-                    .any(|s| s.lo.to_bits() == e.lo.to_bits() && s.hi.to_bits() == e.hi.to_bits());
-                if !dup {
-                    slot.push(e);
-                }
-            }
         }
     }
     {
@@ -1133,11 +1089,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// A framed snapshot whose body is the nine sections, empty except
+    /// A framed snapshot whose body is the eight sections, empty except
     /// for the given `(section index, count, records)`.
     fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
         let mut body = Vec::new();
-        for i in 0..9 {
+        for i in 0..8 {
             match sections.iter().find(|(s, _, _)| *s == i) {
                 Some((_, count, records)) => {
                     put_u32(&mut body, *count);

@@ -124,11 +124,11 @@ pub enum Metric {
     CommHit,
     /// Edge-cost sequences built fresh (bucketed pricing).
     CommMiss,
-    /// Louvain partitions served from a prior resolution's certified
-    /// γ-interval (warm-start reuse).
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LouvainWarmHit,
-    /// Louvain runs whose certificate was consulted but did not cover
-    /// the requested resolution.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LouvainWarmMiss,
     /// Multi-member universal graphs assembled by merging cached
     /// member graphs instead of rebuilding from scratch.
@@ -329,15 +329,13 @@ pub enum Gauge {
     StructInstances,
     /// Entries in the communication edge-cost sequence cache.
     CommEntries,
-    /// Graphs carrying certified Louvain warm-start intervals.
-    LouvainWarmEntries,
     /// Entries in the latency lower-bound cache.
     LbEntries,
 }
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -351,7 +349,6 @@ impl Gauge {
         Gauge::StructEntries,
         Gauge::StructInstances,
         Gauge::CommEntries,
-        Gauge::LouvainWarmEntries,
         Gauge::LbEntries,
     ];
 
@@ -368,7 +365,6 @@ impl Gauge {
             Gauge::StructEntries => "engine.struct_entries",
             Gauge::StructInstances => "engine.struct_instances",
             Gauge::CommEntries => "memo.comm.entries",
-            Gauge::LouvainWarmEntries => "memo.louvain_warm.entries",
             Gauge::LbEntries => "memo.lb.entries",
         }
     }

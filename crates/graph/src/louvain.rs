@@ -16,224 +16,6 @@
 use crate::csr::{csr_from_pairs, degrees, CsrGraph};
 use crate::graph::WeightedGraph;
 
-/// An open interval `(lo, hi)` of resolutions γ over which a Louvain
-/// run is **certified** to take the exact same sequence of comparison
-/// outcomes — and therefore produce the bit-identical partition and
-/// pass sequence — as the run that was observed.
-///
-/// Produced by [`louvain_csr_certified`]. The certificate is the
-/// warm-start contract of the chiplet-count escalation loop: when the
-/// escalated resolution `γ'` satisfies [`GammaInterval::contains`],
-/// the prior partition can be reused without re-running Louvain.
-///
-/// Soundness: every γ-dependent branch in Louvain is one of the two
-/// gain comparisons in the local-moving phase, and each comparison
-/// `gain > best_gain ± 1e-12` is affine in γ once the γ-independent
-/// operands (`w_to`, `comm_degree`, degrees, `2m`) are fixed by the
-/// execution path so far. Each observed comparison therefore pins a
-/// half-line of resolutions that provably reproduce its outcome, with
-/// the float-evaluation error of both sides over-approximated by a
-/// conservative `O(ε)` margin; the interval is the intersection. Any
-/// comparison too close to its threshold for the margin to decide
-/// collapses the interval to empty (never an unsound reuse).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GammaInterval {
-    lo: f64,
-    hi: f64,
-}
-
-/// Conservative multiple of machine epsilon bounding the relative
-/// float-evaluation error of one gain comparison (true accumulated
-/// error is ~10 ulp; 64 leaves headroom for the bound arithmetic
-/// itself).
-const CERT_EPS: f64 = 64.0 * f64::EPSILON;
-
-impl GammaInterval {
-    /// The no-constraint interval `(0, ∞)` — e.g. for edgeless graphs,
-    /// whose partition is γ-independent.
-    fn unbounded() -> Self {
-        GammaInterval {
-            lo: 0.0,
-            hi: f64::INFINITY,
-        }
-    }
-
-    /// Exclusive lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Exclusive upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// True when no resolution is certified (a comparison sat too
-    /// close to its tie window to decide robustly).
-    // `!(lo < hi)` rather than `lo >= hi`: a NaN bound must read as
-    // empty, never as certified.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn is_empty(&self) -> bool {
-        !(self.lo < self.hi)
-    }
-
-    /// True when `gamma` is strictly inside the certified interval:
-    /// running Louvain at `gamma` is guaranteed bit-identical to the
-    /// observed run.
-    pub fn contains(&self, gamma: f64) -> bool {
-        gamma.is_finite() && gamma > self.lo && gamma < self.hi
-    }
-
-    fn collapse(&mut self) {
-        self.lo = f64::INFINITY;
-        self.hi = 0.0;
-    }
-
-    /// Tightens the upper bound to (just under) `bound`; the relative
-    /// shave absorbs the rounding of the bound computation itself.
-    fn restrict_hi(&mut self, bound: f64) {
-        if bound.is_nan() {
-            self.collapse();
-            return;
-        }
-        let shaved = if bound.is_finite() {
-            bound - bound.abs() * 1e-9
-        } else {
-            bound
-        };
-        if shaved < self.hi {
-            self.hi = shaved;
-        }
-    }
-
-    /// Tightens the lower bound to (just over) `bound`.
-    fn restrict_lo(&mut self, bound: f64) {
-        if bound.is_nan() {
-            self.collapse();
-            return;
-        }
-        let grown = if bound.is_finite() {
-            bound + bound.abs() * 1e-9
-        } else {
-            bound
-        };
-        if grown > self.lo {
-            self.lo = grown;
-        }
-    }
-}
-
-/// Observer of the γ-dependent gain comparisons inside
-/// [`local_move`]. The no-op impl ([`NoCert`]) monomorphises the hot
-/// path back to the original code; [`GammaInterval`] accumulates the
-/// certified resolution interval.
-trait CertSink {
-    /// One comparison `gain(c) > best_gain + t` with operands
-    /// `gain(x) = w_x − γ·d·cd_x/m2`; `outcome` is the observed float
-    /// result.
-    #[allow(clippy::too_many_arguments)]
-    fn observe(
-        &mut self,
-        gamma: f64,
-        d: f64,
-        m2: f64,
-        w_c: f64,
-        cd_c: f64,
-        w_b: f64,
-        cd_b: f64,
-        t: f64,
-        outcome: bool,
-    );
-}
-
-/// Zero-cost sink for the uncertified path.
-struct NoCert;
-
-impl CertSink for NoCert {
-    #[inline(always)]
-    fn observe(
-        &mut self,
-        _gamma: f64,
-        _d: f64,
-        _m2: f64,
-        _w_c: f64,
-        _cd_c: f64,
-        _w_b: f64,
-        _cd_b: f64,
-        _t: f64,
-        _outcome: bool,
-    ) {
-    }
-}
-
-impl CertSink for GammaInterval {
-    fn observe(
-        &mut self,
-        _gamma: f64,
-        d: f64,
-        m2: f64,
-        w_c: f64,
-        cd_c: f64,
-        w_b: f64,
-        cd_b: f64,
-        t: f64,
-        outcome: bool,
-    ) {
-        if self.is_empty() {
-            return;
-        }
-        if w_c == w_b && cd_c == cd_b {
-            // Bit-equal operands: gain(c) ≡ best_gain at *every* γ.
-            // For the promote window (t > 0), `g > fl(g + t)` is false
-            // for all γ (round-to-nearest never rounds `g + t` below
-            // `g` for t > 0), so the outcome is γ-independent. The tie
-            // window (t < 0) turns on the rounding of `g` itself,
-            // which varies with γ — uncertifiable.
-            if t <= 0.0 {
-                self.collapse();
-            }
-            return;
-        }
-        // Algebraic form of the comparison: A > γ·B with
-        //   A = (w_c − w_b) − t,   B = d·(cd_c − cd_b)/m2,
-        // and a float-evaluation error of both sides bounded by
-        // e0 + γ·e1 (γ-independent and γ-proportional parts).
-        let x_c = d * cd_c / m2;
-        let x_b = d * cd_b / m2;
-        let a = (w_c - w_b) - t;
-        let b = x_c - x_b;
-        let e0 = CERT_EPS * (w_c.abs() + w_b.abs() + t.abs());
-        let e1 = CERT_EPS * (x_c.abs() + x_b.abs());
-        if !(a.is_finite() && b.is_finite() && e0.is_finite() && e1.is_finite()) {
-            self.collapse();
-            return;
-        }
-        if outcome {
-            // Certified true at γ' iff A − γ'B > e0 + γ'e1, i.e.
-            // A − e0 > γ'(B + e1).
-            let p = b + e1;
-            if p > 0.0 {
-                self.restrict_hi((a - e0) / p);
-            } else if p < 0.0 {
-                self.restrict_lo((a - e0) / p);
-            } else if a <= e0 {
-                self.collapse();
-            }
-        } else {
-            // Certified false at γ' iff γ'B − A > e0 + γ'e1, i.e.
-            // γ'(B − e1) > A + e0.
-            let q = b - e1;
-            if q > 0.0 {
-                self.restrict_lo((a + e0) / q);
-            } else if q < 0.0 {
-                self.restrict_hi((a + e0) / q);
-            } else if a >= -e0 {
-                self.collapse();
-            }
-        }
-    }
-}
-
 /// A disjoint partition of a graph's nodes into communities
 /// ("chiplets" in the CLAIRE flow).
 ///
@@ -375,17 +157,7 @@ struct Scratch {
 /// (= key) order, each row's neighbour weights accumulate in ascending
 /// neighbour order, and ties break toward the smaller community index
 /// within the same 1e-12 window.
-///
-/// With [`NoCert`] this monomorphises to exactly the original phase
-/// (same float expressions, same evaluation order), keeping the
-/// uncertified path bit-identical and overhead-free; `cert` receives
-/// every γ-dependent comparison.
-fn local_move_observed<C: CertSink>(
-    view: &LevelView<'_>,
-    resolution: f64,
-    s: &mut Scratch,
-    cert: &mut C,
-) -> bool {
+fn local_move(view: &LevelView<'_>, resolution: f64, s: &mut Scratch) -> bool {
     let n = view.node_count();
     s.community.clear();
     s.community.extend(0..n);
@@ -420,41 +192,7 @@ fn local_move_observed<C: CertSink>(
                 s.w_to[old] - resolution * view.degree[i] * s.comm_degree[old] / view.m2;
             for &c in &s.touched {
                 let gain = s.w_to[c] - resolution * view.degree[i] * s.comm_degree[c] / view.m2;
-                let promote = gain > best_gain + 1e-12;
-                cert.observe(
-                    resolution,
-                    view.degree[i],
-                    view.m2,
-                    s.w_to[c],
-                    s.comm_degree[c],
-                    s.w_to[best],
-                    s.comm_degree[best],
-                    1e-12,
-                    promote,
-                );
-                let take = if promote {
-                    true
-                } else {
-                    let within = gain > best_gain - 1e-12;
-                    // The tie outcome only steers execution when
-                    // `c < best`; otherwise the branch is not taken
-                    // either way, so no certificate constraint arises.
-                    if c < best {
-                        cert.observe(
-                            resolution,
-                            view.degree[i],
-                            view.m2,
-                            s.w_to[c],
-                            s.comm_degree[c],
-                            s.w_to[best],
-                            s.comm_degree[best],
-                            -1e-12,
-                            within,
-                        );
-                    }
-                    within && c < best
-                };
-                if take {
+                if gain > best_gain + 1e-12 || (gain > best_gain - 1e-12 && c < best) {
                     best = c;
                     best_gain = gain;
                 }
@@ -605,51 +343,6 @@ pub fn louvain_csr_counted<N: Ord + Clone>(
 ///
 /// Panics if `resolution` is not finite and positive.
 pub fn louvain_csr_passes<N: Ord + Clone>(csr: &CsrGraph<N>, resolution: f64) -> Vec<Partition<N>> {
-    louvain_csr_passes_observed(csr, resolution, &mut NoCert)
-}
-
-/// [`louvain_csr_passes`] that also returns the certified
-/// γ-interval: every resolution strictly inside the interval is
-/// guaranteed to reproduce the exact pass sequence (and therefore the
-/// final partition) bit-for-bit. The pass sequence itself is
-/// bit-identical to [`louvain_csr_passes`]'s.
-///
-/// # Panics
-///
-/// Panics if `resolution` is not finite and positive.
-pub fn louvain_csr_passes_certified<N: Ord + Clone>(
-    csr: &CsrGraph<N>,
-    resolution: f64,
-) -> (Vec<Partition<N>>, GammaInterval) {
-    let mut cert = GammaInterval::unbounded();
-    let passes = louvain_csr_passes_observed(csr, resolution, &mut cert);
-    (passes, cert)
-}
-
-/// [`louvain_csr_counted`] plus the certified γ-interval — the
-/// warm-start entry point for resolution-escalation loops. Partition
-/// and pass count are bit-identical to [`louvain_csr_counted`]'s.
-///
-/// # Panics
-///
-/// Panics if `resolution` is not finite and positive.
-pub fn louvain_csr_certified<N: Ord + Clone>(
-    csr: &CsrGraph<N>,
-    resolution: f64,
-) -> (Partition<N>, usize, GammaInterval) {
-    let (mut passes, cert) = louvain_csr_passes_certified(csr, resolution);
-    let count = passes.len().saturating_sub(1);
-    let partition = passes
-        .pop()
-        .unwrap_or_else(|| Partition::from_communities(Vec::new()));
-    (partition, count, cert)
-}
-
-fn louvain_csr_passes_observed<N: Ord + Clone, C: CertSink>(
-    csr: &CsrGraph<N>,
-    resolution: f64,
-    cert: &mut C,
-) -> Vec<Partition<N>> {
     assert!(
         resolution.is_finite() && resolution > 0.0,
         "resolution must be positive"
@@ -686,7 +379,7 @@ fn louvain_csr_passes_observed<N: Ord + Clone, C: CertSink>(
             degree: first.degree,
             m2: first.m2,
         });
-        let moved = local_move_observed(&view, resolution, &mut scratch, cert);
+        let moved = local_move(&view, resolution, &mut scratch);
         if !moved {
             break;
         }
@@ -1118,73 +811,6 @@ mod tests {
         weird.add_edge("y", "x", 0.5);
         weird.add_node("lonely", 3.0);
         assert_eq!(louvain(&weird, 1.0), louvain_reference(&weird, 1.0));
-    }
-
-    #[test]
-    fn certified_run_is_bit_identical_to_plain() {
-        let g = two_triangles();
-        let csr = CsrGraph::from_weighted(&g);
-        for gamma in [0.5, 1.0, 1.5, 3.0] {
-            let (p, n, _) = louvain_csr_certified(&csr, gamma);
-            let (p2, n2) = louvain_csr_counted(&csr, gamma);
-            assert_eq!(p, p2, "partition diverged at γ = {gamma}");
-            assert_eq!(n, n2, "pass count diverged at γ = {gamma}");
-            let (passes, _) = louvain_csr_passes_certified(&csr, gamma);
-            assert_eq!(passes, louvain_csr_passes(&csr, gamma));
-        }
-    }
-
-    #[test]
-    fn certificate_is_sound_across_probes() {
-        // Every probe resolution inside the certified interval must
-        // reproduce the observed partition bit-for-bit.
-        let g = two_triangles();
-        let csr = CsrGraph::from_weighted(&g);
-        for gamma in [0.5, 1.0, 1.5, 3.0] {
-            let (p, _, cert) = louvain_csr_certified(&csr, gamma);
-            for probe in [
-                gamma * 0.8,
-                gamma * 0.99,
-                gamma * 1.01,
-                gamma * 1.5,
-                gamma * 2.0,
-            ] {
-                if cert.contains(probe) {
-                    assert_eq!(
-                        louvain_csr(&csr, probe),
-                        p,
-                        "certificate {cert:?} from γ = {gamma} lied at {probe}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn certificate_covers_escalation_on_clustered_graph() {
-        // Two well-separated triangles: the gain comparisons have wide
-        // margins, so the certified interval must cover the observed
-        // resolution and the 1.5x escalation step the chiplet loop
-        // takes.
-        let g = two_triangles();
-        let csr = CsrGraph::from_weighted(&g);
-        let (p, _, cert) = louvain_csr_certified(&csr, 1.0);
-        assert!(cert.contains(1.0), "interval {cert:?} excludes its own γ");
-        assert!(
-            cert.contains(1.5),
-            "interval {cert:?} too narrow for a 1.5x escalation"
-        );
-        assert_eq!(louvain_csr(&csr, 1.5), p);
-    }
-
-    #[test]
-    fn edgeless_certificate_is_unbounded() {
-        let mut g = WeightedGraph::new();
-        g.add_node("a", 1.0);
-        g.add_node("b", 1.0);
-        let csr = CsrGraph::from_weighted(&g);
-        let (_, _, cert) = louvain_csr_certified(&csr, 1.0);
-        assert!(cert.contains(1e-300) && cert.contains(1e300));
     }
 
     #[test]

@@ -122,59 +122,6 @@ pub fn spectral_bisect_csr<N: Ord + Clone>(csr: &CsrGraph<N>, iterations: usize)
     Partition::from_communities(vec![left, right])
 }
 
-/// Recursive spectral clustering into (at most) `k` parts: repeatedly
-/// bisect the currently largest community along its Fiedler vector.
-///
-/// Stops early when every community is a single node or a bisection
-/// fails to split (disconnected or degenerate parts), so the result
-/// may have fewer than `k` communities.
-///
-/// # Panics
-///
-/// Panics if `k` is zero or `iterations` is zero.
-pub fn spectral_cluster<N: Ord + Clone>(
-    g: &WeightedGraph<N>,
-    k: usize,
-    iterations: usize,
-) -> Partition<N> {
-    assert!(k > 0, "k must be positive");
-    let mut communities: Vec<Vec<N>> = spectral_bisect(g, iterations).communities().to_vec();
-    while communities.len() < k {
-        // Split the largest splittable community.
-        communities.sort_by_key(|c| std::cmp::Reverse(c.len()));
-        let mut split_done = false;
-        for idx in 0..communities.len() {
-            if communities[idx].len() < 2 {
-                continue;
-            }
-            let members: std::collections::BTreeSet<&N> = communities[idx].iter().collect();
-            let mut sub = WeightedGraph::new();
-            for (n, w) in g.nodes() {
-                if members.contains(n) {
-                    sub.add_node(n.clone(), w);
-                }
-            }
-            for (a, b, w) in g.edges() {
-                if members.contains(a) && members.contains(b) {
-                    sub.add_edge(a.clone(), b.clone(), w);
-                }
-            }
-            let parts = spectral_bisect(&sub, iterations);
-            if parts.len() == 2 {
-                let mut new_parts = parts.communities().to_vec();
-                communities.swap_remove(idx);
-                communities.append(&mut new_parts);
-                split_done = true;
-                break;
-            }
-        }
-        if !split_done {
-            break;
-        }
-    }
-    Partition::from_communities(communities)
-}
-
 /// Removes the all-ones component and normalises to unit length.
 fn deflate_and_normalise(v: &mut [f64]) {
     let n = v.len() as f64;
@@ -266,39 +213,6 @@ mod tests {
         let sizes: Vec<usize> = p.communities().iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 6);
         assert!(sizes.iter().all(|&s| s >= 2), "{sizes:?}");
-    }
-
-    #[test]
-    fn kway_splits_three_triangles() {
-        let mut g = WeightedGraph::new();
-        for base in [0u32, 3, 6] {
-            g.add_edge(base, base + 1, 10.0);
-            g.add_edge(base + 1, base + 2, 10.0);
-            g.add_edge(base, base + 2, 10.0);
-        }
-        g.add_edge(2, 3, 0.1);
-        g.add_edge(5, 6, 0.1);
-        let p = spectral_cluster(&g, 3, 200);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.communities()[0], vec![0, 1, 2]);
-        assert_eq!(p.communities()[1], vec![3, 4, 5]);
-        assert_eq!(p.communities()[2], vec![6, 7, 8]);
-    }
-
-    #[test]
-    fn kway_k1_matches_bisection_union() {
-        let g = two_triangles();
-        // k = 2 is exactly one bisection.
-        assert_eq!(spectral_cluster(&g, 2, 200), spectral_bisect(&g, 200));
-    }
-
-    #[test]
-    fn kway_caps_at_node_count() {
-        let g = two_triangles();
-        let p = spectral_cluster(&g, 100, 100);
-        assert!(p.len() <= 6);
-        let total: usize = p.communities().iter().map(Vec::len).sum();
-        assert_eq!(total, 6);
     }
 
     #[test]

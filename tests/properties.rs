@@ -9,9 +9,8 @@ use claire::core::{
 };
 use claire::cost::{NreModel, RecurringModel};
 use claire::graph::{
-    louvain, louvain_csr_certified, louvain_csr_passes, louvain_csr_passes_certified,
-    louvain_passes, louvain_passes_reference, louvain_reference, modularity, weighted_jaccard,
-    weighted_jaccard_matrix, CsrGraph, Partition, WeightedGraph,
+    louvain, louvain_passes, louvain_passes_reference, louvain_reference, modularity,
+    weighted_jaccard, weighted_jaccard_matrix, CsrGraph, Partition, WeightedGraph,
 };
 use claire::model::parse::{parse_model, to_torch_print, InputShape, ParseOptions};
 use claire::model::{
@@ -597,58 +596,6 @@ proptest! {
                 prop_assert_eq!(t.fixed_cycles, rev.fixed_cycles);
             }
         }
-    }
-}
-
-// ---------- certified Louvain warm-start ----------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The γ-interval certificate is sound: any resolution strictly
-    /// inside the certified interval reproduces the certified run's
-    /// pass sequence — and therefore its final partition —
-    /// bit-for-bit. This is the invariant the engine's Louvain
-    /// warm-start tier rests on when a chiplet-count escalation
-    /// serves `1.5γ` from the partition certified at `γ`.
-    #[test]
-    fn gamma_certificate_reproduces_passes(
-        g in small_graph(),
-        res in 0.25f64..4.0,
-        frac in 0.05f64..0.95,
-    ) {
-        let csr = CsrGraph::from_weighted(&g);
-        let (passes, cert) = louvain_csr_passes_certified(&csr, res);
-        // Certification is observational: the certified run itself is
-        // bit-identical to the plain kernel, pass by pass.
-        prop_assert_eq!(&passes, &louvain_csr_passes(&csr, res));
-        let (partition, _, cert2) = louvain_csr_certified(&csr, res);
-        prop_assert_eq!(&partition, passes.last().unwrap());
-        prop_assert_eq!((cert2.lo(), cert2.hi()), (cert.lo(), cert.hi()));
-        // A non-collapsed certificate always covers the resolution it
-        // was recorded at.
-        if !cert.is_empty() {
-            prop_assert!(
-                cert.contains(res),
-                "certificate ({}, {}) excludes its own resolution {res}",
-                cert.lo(), cert.hi()
-            );
-        }
-        // Probe a different resolution strictly inside the interval:
-        // the warm-start tier would serve the stored partition there,
-        // so the cold run at the probe must match pass-for-pass.
-        let probe = if cert.hi().is_finite() {
-            cert.lo() + (cert.hi() - cert.lo()) * frac
-        } else {
-            res * (1.0 + frac)
-        };
-        prop_assume!(cert.contains(probe) && probe > 0.0);
-        prop_assert_eq!(
-            &louvain_csr_passes(&csr, probe),
-            &passes,
-            "probe {} inside certificate ({}, {}) diverged from the run at {}",
-            probe, cert.lo(), cert.hi(), res
-        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! rejected with a typed error that degrades to a cold start —
 //! never a panic, never a poisoned engine.
 
-use claire::core::{Claire, ClaireError, ClaireOptions, Engine};
+use claire::core::{Claire, ClaireError, ClaireOptions, Engine, SNAPSHOT_VERSION};
 use claire::model::zoo;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -104,6 +104,9 @@ fn corruption_is_typed_and_degrades_to_cold_start() {
     foreign_endian.swap(8, 9); // byte-swapped BOM
     let mut bad_version = valid.clone();
     bad_version[10] = bad_version[10].wrapping_add(1);
+    // A file from the previous format version, otherwise intact.
+    let mut previous_version = valid.clone();
+    previous_version[10..14].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
     let mut bad_checksum = valid.clone();
     *bad_checksum.last_mut().expect("non-empty") ^= 0x01;
     let cases = [
@@ -111,6 +114,7 @@ fn corruption_is_typed_and_degrades_to_cold_start() {
         ("magic", bad_magic, "magic"),
         ("endianness", foreign_endian, "endian"),
         ("version", bad_version, "version"),
+        ("previous version", previous_version, "version"),
         ("checksum", bad_checksum, "checksum"),
     ];
 
