@@ -52,7 +52,7 @@ pub use csr::CsrGraph;
 pub use graph::WeightedGraph;
 pub use jaccard::{weighted_jaccard, weighted_jaccard_matrix};
 pub use louvain::{
-    louvain, louvain_csr, louvain_csr_counted, louvain_csr_passes, louvain_passes,
-    louvain_passes_reference, louvain_reference, modularity, modularity_csr, Partition,
+    louvain, louvain_csr, louvain_csr_counted, louvain_csr_passes, louvain_passes, modularity,
+    modularity_csr, Partition,
 };
 pub use spectral::{spectral_bisect, spectral_bisect_csr};

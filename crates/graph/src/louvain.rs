@@ -7,11 +7,11 @@
 //! NoP communication energy overhead" — i.e. classic modularity
 //! maximisation over the communication-volume graph.
 //!
-//! The hot path runs over the flat [`CsrGraph`] kernel representation
-//! with per-pass scratch buffers reused across levels; the original
-//! `BTreeMap`-backed implementation is preserved as
-//! [`louvain_reference`] so the property tests can pin bit-identical
-//! partitions and the benches can measure against the map baseline.
+//! Every entry point runs over the flat [`CsrGraph`] kernel
+//! representation with per-pass scratch buffers reused across levels.
+//! The original `BTreeMap`-backed implementation lives on only as a
+//! test oracle: the integration property tests pin that these kernels
+//! reproduce its partitions bit for bit, pass by pass.
 
 use crate::csr::{csr_from_pairs, degrees, CsrGraph};
 use crate::graph::WeightedGraph;
@@ -457,216 +457,6 @@ pub fn modularity_csr<N: Ord + Clone>(
     q / m2
 }
 
-// ---------------------------------------------------------------------
-// Map-based reference implementation (pre-CSR), preserved verbatim.
-// ---------------------------------------------------------------------
-
-/// Dense internal graph used by the reference implementation.
-struct Dense {
-    /// adj[i] = (neighbor, weight) with i != neighbor.
-    adj: Vec<Vec<(usize, f64)>>,
-    /// A_ii / 2 (raw self-loop weight).
-    self_loop: Vec<f64>,
-    /// k_i = Σ_j≠i A_ij + 2·self_loop_i.
-    degree: Vec<f64>,
-    /// 2m = Σ_i k_i.
-    m2: f64,
-}
-
-impl Dense {
-    fn from_graph<N: Ord + Clone>(g: &WeightedGraph<N>, index: &[N]) -> Self {
-        let n = index.len();
-        // Every node is in the sorted index by construction; the
-        // fallback keeps the lookup total.
-        let pos = |k: &N| index.binary_search(k).unwrap_or(0);
-        let mut adj = vec![Vec::new(); n];
-        let mut self_loop = vec![0.0; n];
-        for ((a, b), w) in g.undirected_edges() {
-            let (i, j) = (pos(&a), pos(&b));
-            if i == j {
-                self_loop[i] += w;
-            } else {
-                adj[i].push((j, w));
-                adj[j].push((i, w));
-            }
-        }
-        let mut degree = vec![0.0; n];
-        let mut m2 = 0.0;
-        for i in 0..n {
-            let k: f64 = adj[i].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self_loop[i];
-            degree[i] = k;
-            m2 += k;
-        }
-        Dense {
-            adj,
-            self_loop,
-            degree,
-            m2,
-        }
-    }
-
-    /// One local-moving phase; returns the node→community assignment
-    /// and whether anything moved.
-    fn local_move(&self, resolution: f64) -> (Vec<usize>, bool) {
-        let n = self.adj.len();
-        let mut community: Vec<usize> = (0..n).collect();
-        let mut comm_degree = self.degree.clone();
-        let mut any_moved = false;
-        // weight from node i to each community, sparse scratch.
-        let mut w_to: Vec<f64> = vec![0.0; n];
-        let mut touched: Vec<usize> = Vec::new();
-
-        loop {
-            let mut moved = false;
-            for i in 0..n {
-                let old = community[i];
-                for &(j, w) in &self.adj[i] {
-                    let c = community[j];
-                    if w_to[c] == 0.0 {
-                        touched.push(c);
-                    }
-                    w_to[c] += w;
-                }
-                comm_degree[old] -= self.degree[i];
-
-                let mut best = old;
-                let mut best_gain =
-                    w_to[old] - resolution * self.degree[i] * comm_degree[old] / self.m2;
-                for &c in &touched {
-                    let gain = w_to[c] - resolution * self.degree[i] * comm_degree[c] / self.m2;
-                    if gain > best_gain + 1e-12 || (gain > best_gain - 1e-12 && c < best) {
-                        best = c;
-                        best_gain = gain;
-                    }
-                }
-
-                comm_degree[best] += self.degree[i];
-                if best != old {
-                    community[i] = best;
-                    moved = true;
-                    any_moved = true;
-                }
-                for &c in &touched {
-                    w_to[c] = 0.0;
-                }
-                touched.clear();
-            }
-            if !moved {
-                break;
-            }
-        }
-        (community, any_moved)
-    }
-
-    /// Aggregates communities into super-nodes.
-    fn aggregate(&self, community: &[usize]) -> (Dense, Vec<usize>) {
-        let mut renum = vec![usize::MAX; community.len()];
-        let mut next = 0;
-        for &c in community {
-            if renum[c] == usize::MAX {
-                renum[c] = next;
-                next += 1;
-            }
-        }
-        let mapping: Vec<usize> = community.iter().map(|&c| renum[c]).collect();
-
-        let mut self_loop = vec![0.0; next];
-        let mut pair_w: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        for (i, &ci) in mapping.iter().enumerate() {
-            self_loop[ci] += self.self_loop[i];
-            for &(j, w) in &self.adj[i] {
-                if j < i {
-                    continue; // each undirected pair once
-                }
-                let cj = mapping[j];
-                if ci == cj {
-                    self_loop[ci] += w;
-                } else {
-                    let key = (ci.min(cj), ci.max(cj));
-                    *pair_w.entry(key).or_insert(0.0) += w;
-                }
-            }
-        }
-        let mut adj = vec![Vec::new(); next];
-        for (&(a, b), &w) in &pair_w {
-            adj[a].push((b, w));
-            adj[b].push((a, w));
-        }
-        let mut degree = vec![0.0; next];
-        let mut m2 = 0.0;
-        for i in 0..next {
-            let k: f64 = adj[i].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self_loop[i];
-            degree[i] = k;
-            m2 += k;
-        }
-        (
-            Dense {
-                adj,
-                self_loop,
-                degree,
-                m2,
-            },
-            mapping,
-        )
-    }
-}
-
-/// The pre-CSR, `BTreeMap`-backed [`louvain`] implementation,
-/// preserved as the bit-exactness reference: the property tests assert
-/// `louvain == louvain_reference` on random graphs, and the `profile`
-/// bench uses it as the baseline for the CSR kernel speedup.
-pub fn louvain_reference<N: Ord + Clone>(g: &WeightedGraph<N>, resolution: f64) -> Partition<N> {
-    louvain_passes_reference(g, resolution)
-        .pop()
-        .unwrap_or_else(|| Partition::from_communities(Vec::new()))
-}
-
-/// The pre-CSR [`louvain_passes`]; see [`louvain_reference`].
-///
-/// # Panics
-///
-/// Panics if `resolution` is not finite and positive.
-pub fn louvain_passes_reference<N: Ord + Clone>(
-    g: &WeightedGraph<N>,
-    resolution: f64,
-) -> Vec<Partition<N>> {
-    assert!(
-        resolution.is_finite() && resolution > 0.0,
-        "resolution must be positive"
-    );
-    let index: Vec<N> = g.nodes().map(|(n, _)| n.clone()).collect();
-    if index.is_empty() {
-        return vec![Partition {
-            communities: Vec::new(),
-        }];
-    }
-    let mut assignment: Vec<usize> = (0..index.len()).collect();
-    let mut passes = vec![Partition::from_assignment(&index, &assignment)];
-    let dense = Dense::from_graph(g, &index);
-    if dense.m2 == 0.0 {
-        return passes;
-    }
-
-    let mut level = dense;
-    loop {
-        let (community, moved) = level.local_move(resolution);
-        if !moved {
-            break;
-        }
-        let (aggregated, mapping) = level.aggregate(&community);
-        for a in &mut assignment {
-            *a = mapping[*a];
-        }
-        passes.push(Partition::from_assignment(&index, &assignment));
-        if aggregated.adj.len() == level.adj.len() {
-            break;
-        }
-        level = aggregated;
-    }
-    passes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,24 +583,6 @@ mod tests {
         let a = louvain(&g, 1.0);
         let b = louvain(&g, 1.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn csr_matches_reference_on_fixed_graphs() {
-        for gamma in [0.5, 1.0, 1.5, 3.0] {
-            let g = two_triangles();
-            assert_eq!(louvain(&g, gamma), louvain_reference(&g, gamma));
-            assert_eq!(
-                louvain_passes(&g, gamma),
-                louvain_passes_reference(&g, gamma)
-            );
-        }
-        let mut weird = WeightedGraph::new();
-        weird.add_edge("x", "x", 9.0);
-        weird.add_edge("x", "y", 0.25);
-        weird.add_edge("y", "x", 0.5);
-        weird.add_node("lonely", 3.0);
-        assert_eq!(louvain(&weird, 1.0), louvain_reference(&weird, 1.0));
     }
 
     #[test]

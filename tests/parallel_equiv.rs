@@ -312,6 +312,9 @@ fn staged_selection_is_bit_identical_to_exhaustive() {
             )
             .unwrap()
         );
+        // The screens' counters are what the dense-space CI gate
+        // reads, so they must not depend on the thread count either.
+        let mut screen_counts = Vec::new();
         for threads in THREAD_COUNTS {
             let engine = Engine::new(threads);
             let got = format!(
@@ -322,7 +325,14 @@ fn staged_selection_is_bit_identical_to_exhaustive() {
                 got, reference,
                 "staged {objective:?} selection diverged at {threads} thread(s)"
             );
+            let s = engine.stats();
+            screen_counts.push((s.dse_pruned, s.dse_lb_pruned, s.dse_evaluated));
         }
+        assert!(
+            screen_counts.windows(2).all(|w| w[0] == w[1]),
+            "staged {objective:?} screen counts (area-pruned, lb-pruned, evaluated) \
+             diverged across {THREAD_COUNTS:?} threads: {screen_counts:?}"
+        );
     }
 }
 

@@ -9,8 +9,8 @@ use claire::core::{
 };
 use claire::cost::{NreModel, RecurringModel};
 use claire::graph::{
-    louvain, louvain_passes, louvain_passes_reference, louvain_reference, modularity,
-    weighted_jaccard, weighted_jaccard_matrix, CsrGraph, Partition, WeightedGraph,
+    louvain, louvain_passes, modularity, weighted_jaccard, weighted_jaccard_matrix, CsrGraph,
+    Partition, WeightedGraph,
 };
 use claire::model::parse::{parse_model, to_torch_print, InputShape, ParseOptions};
 use claire::model::{
@@ -19,8 +19,11 @@ use claire::model::{
 };
 use claire::noc::{Network, Torus2d};
 use claire::ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams};
+use louvain_oracle::{louvain_passes_reference, louvain_reference};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+mod louvain_oracle;
 
 // ---------- strategies ----------
 
@@ -278,6 +281,31 @@ proptest! {
                 < 1e-6
         );
     }
+}
+
+/// `csr_louvain_matches_map_reference` on fixed graphs: two triangles
+/// joined by a weak bridge across four resolutions, and a graph with a
+/// self-loop, reciprocal edges and an isolated node.
+#[test]
+fn csr_matches_reference_on_fixed_graphs() {
+    let mut g = WeightedGraph::new();
+    for &(a, b) in &[(0_u32, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+        g.add_edge(a, b, 10.0);
+    }
+    g.add_edge(2, 3, 0.5);
+    for gamma in [0.5, 1.0, 1.5, 3.0] {
+        assert_eq!(louvain(&g, gamma), louvain_reference(&g, gamma));
+        assert_eq!(
+            louvain_passes(&g, gamma),
+            louvain_passes_reference(&g, gamma)
+        );
+    }
+    let mut weird = WeightedGraph::new();
+    weird.add_edge("x", "x", 9.0);
+    weird.add_edge("x", "y", 0.25);
+    weird.add_edge("y", "x", 0.5);
+    weird.add_node("lonely", 3.0);
+    assert_eq!(louvain(&weird, 1.0), louvain_reference(&weird, 1.0));
 }
 
 // ---------- random models: parser, PPA, DSE, metrics ----------
