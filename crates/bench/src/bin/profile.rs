@@ -230,9 +230,7 @@ fn main() {
         + warm.sum_misses
         + warm.louvain_misses
         + warm.graph_misses
-        + warm.area_misses
-        + warm.comm_misses
-        + warm.lb_misses;
+        + warm.comm_misses;
 
     let persist_identical = warm_rendered == cold_rendered;
     assert!(
@@ -376,10 +374,6 @@ fn main() {
         100.0 * lb_pruned_fraction,
         screened
     );
-    println!(
-        "lower-bound memo tier: {} hits / {} misses ({} entries)",
-        search_stats.lb_hits, search_stats.lb_misses, search_stats.lb_entries
-    );
     println!("successive halving, budget >= |space|: exhaustive-identical on all 19 models");
     println!(
         "successive halving, budget 16 over {} points: {} survivors, \
@@ -392,10 +386,10 @@ fn main() {
     );
 
     // The generative stress run: 2^20 grid points streamed — never
-    // collected into a Vec — through the direct (memo-free) area
-    // screen and the thread-local lower-bound kernel; exact pricing
-    // only at the surviving rung. The screens must do the work:
-    // exact pricing stays within the budget.
+    // collected into a Vec — through the closed-form area screen and
+    // the lower-bound kernel; exact pricing only at the surviving
+    // rung. The screens must do the work: exact pricing stays within
+    // the budget.
     let grid = GridSpace::huge();
     let huge_engine = Engine::for_space(&paper_options().space);
     const HUGE_BUDGET: usize = 64;
@@ -818,14 +812,6 @@ fn main() {
                     "evaluated",
                     Value::Number(Number::PosInt(dse_stats.dse_evaluated)),
                 ),
-                (
-                    "area_tier",
-                    tier(
-                        dse_stats.area_hits,
-                        dse_stats.area_misses,
-                        dse_stats.area_entries,
-                    ),
-                ),
                 ("selections_identical", Value::Bool(selections_identical)),
             ]),
         ),
@@ -842,14 +828,6 @@ fn main() {
                         ("fraction", num(lb_pruned_fraction)),
                         ("screened", Value::Number(Number::PosInt(screened))),
                     ]),
-                ),
-                (
-                    "lb_tier",
-                    tier(
-                        search_stats.lb_hits,
-                        search_stats.lb_misses,
-                        search_stats.lb_entries,
-                    ),
                 ),
                 ("selections_identical", Value::Bool(selections_identical)),
                 (
@@ -1062,8 +1040,6 @@ fn tiers(s: &EngineStats) -> Value {
             tier(s.louvain_hits, s.louvain_misses, s.louvain_entries),
         ),
         ("graph", tier(s.graph_hits, s.graph_misses, s.graph_entries)),
-        ("area", tier(s.area_hits, s.area_misses, s.area_entries)),
         ("comm", tier(s.comm_hits, s.comm_misses, s.comm_entries)),
-        ("lb", tier(s.lb_hits, s.lb_misses, s.lb_entries)),
     ])
 }

@@ -97,11 +97,10 @@ impl Chiplet {
 /// Silicon area of a monolithic (unclustered) configuration holding
 /// `classes` under `hw`: the module-group areas summed in class order
 /// plus one NoC router per group. This is **the** monolithic area
-/// formula — [`DesignConfig::area_mm2`] and the engine's memoized
-/// per-op-class area tables both evaluate it with the identical
-/// floating-point operation order, which is what lets the staged DSE
-/// sweep prune on area without ever disagreeing with a full
-/// evaluation by even one bit.
+/// formula — [`DesignConfig::area_mm2`] and the staged DSE sweep's
+/// area screens all call it, which is what lets the screens prune on
+/// area without ever disagreeing with a full evaluation by even one
+/// bit.
 pub fn monolithic_area_mm2(classes: &BTreeSet<OpClass>, hw: &HwParams) -> f64 {
     let units: f64 = classes.iter().map(|&c| unit_area_mm2(c, hw)).sum();
     units + classes.len() as f64 * Network::noc().router.area_mm2

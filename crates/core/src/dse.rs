@@ -5,7 +5,7 @@
 //! design setups": sweep every configuration in scope, evaluate PPA,
 //! apply the constraints, and keep the lowest-area survivor.
 
-use crate::config::{Constraints, DesignConfig};
+use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::Engine;
@@ -275,8 +275,8 @@ pub fn sweep(model: &Model, space: &DseSpace, constraints: &Constraints) -> Vec<
 /// identical selections to the serial exhaustive sweep at any thread
 /// count.
 ///
-/// **Stage A** prices every point's monolithic area from the engine's
-/// memoized per-op-class tables — no per-layer work — and (when
+/// **Stage A** prices every point's monolithic area in closed form
+/// ([`monolithic_area_mm2`]) — no per-layer work — and (when
 /// [`Engine::pruning_enabled`]) drops points already over
 /// `chiplet_area_limit_mm2`; this screen is bit-exact against the
 /// evaluated `area_mm2`, so it only removes points the feasibility
@@ -510,9 +510,10 @@ pub fn set_config_with_engine(
 /// surviving `(space index, point)` pairs of `space` in iteration
 /// order.
 ///
-/// **Stage A** keeps a point only if every member's model-light
-/// monolithic area fits the chiplet cap — the same early `None` the
-/// member fold takes, decided from the memoized area tables alone.
+/// **Stage A** keeps a point only if every member's monolithic area
+/// fits the chiplet cap — the same early `None` the member fold takes,
+/// decided by the evaluator's own [`monolithic_area_mm2`] without
+/// pricing anything.
 /// **Stage A′**: members with a custom latency reference admit an
 /// *absolute* latency bound known before any pricing,
 /// `l_m × (1 + slack)`, so a point whose compute-only cycle lower
@@ -534,7 +535,7 @@ pub(crate) fn screen_set_points(
             .inspect(|_| seen += 1)
             .filter(|(_, hw)| {
                 members.iter().all(|(_, shell)| {
-                    engine.monolithic_area(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
+                    monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
                 })
             })
             .collect();

@@ -346,14 +346,6 @@ pub trait CostProvider: Sync {
         Arc::new(RouteTable::new())
     }
 
-    /// Silicon area of `config`. The default computes it directly;
-    /// the engine serves monolithic configurations from its memoized
-    /// per-op-class area tables. Implementations must return a value
-    /// bit-identical to [`DesignConfig::area_mm2`].
-    fn config_area(&self, config: &DesignConfig) -> f64 {
-        config.area_mm2()
-    }
-
     /// The execution-order per-edge transfer-cost sequence for
     /// `(model, config)`, if the provider has one. `Some(seq)` makes
     /// the evaluator replay `seq` instead of walking `model.edges()`
@@ -545,7 +537,7 @@ pub fn evaluate_with_costs(
         }
     }
 
-    let area = costs.config_area(config);
+    let area = config.area_mm2();
     let leakage_j = if opts.include_leakage {
         let leaking_area = if opts.power_gating {
             // Only module groups the algorithm exercises leak, plus

@@ -21,15 +21,16 @@
 //! the `CLAIRE_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-use crate::config::{monolithic_area_mm2, DesignConfig};
+use crate::config::DesignConfig;
 use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
 use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, OpClass};
-use claire_ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams, LayerBatch, LayerCost};
-use std::collections::{BTreeSet, HashMap};
+use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,13 +167,8 @@ pub struct EngineStats {
     pub graph_misses: u64,
     /// Distinct (model set, hardware) universal graphs cached.
     pub graph_entries: usize,
-    /// Monolithic-area computations served from the per-op-class area
-    /// tables.
-    pub area_hits: u64,
-    /// Monolithic-area computations that built a new per-hardware
-    /// area table.
-    pub area_misses: u64,
-    /// Distinct hardware points with cached area tables.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub area_entries: usize,
     /// Distinct layer structures interned (structural memo keys).
     pub struct_entries: usize,
@@ -197,11 +193,8 @@ pub struct EngineStats {
     pub merged_graph_builds: u64,
     /// Evaluation items enumerated by the flat execution plan.
     pub plan_items: u64,
-    /// Latency lower bounds served from the memo tier.
-    pub lb_hits: u64,
-    /// Latency lower bounds computed fresh (cycles-only kernel).
-    pub lb_misses: u64,
-    /// Distinct (model, hardware) lower bounds currently cached.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub lb_entries: usize,
     /// DSE points skipped by the latency lower-bound screen.
     pub dse_lb_pruned: u64,
@@ -220,9 +213,8 @@ impl EngineStats {
     }
 
     /// Hit rate across every memo tier (layer costs, route tables,
-    /// compute sums, Louvain partitions, universal graphs, area
-    /// tables, comm sequences and latency lower bounds) in `[0, 1]`;
-    /// 0 when nothing was looked up.
+    /// compute sums, Louvain partitions, universal graphs and comm
+    /// sequences) in `[0, 1]`; 0 when nothing was looked up.
     pub fn overall_hit_rate(&self) -> f64 {
         ratio(
             self.cache_hits
@@ -230,17 +222,13 @@ impl EngineStats {
                 + self.sum_hits
                 + self.louvain_hits
                 + self.graph_hits
-                + self.area_hits
-                + self.comm_hits
-                + self.lb_hits,
+                + self.comm_hits,
             self.cache_misses
                 + self.route_misses
                 + self.sum_misses
                 + self.louvain_misses
                 + self.graph_misses
-                + self.area_misses
-                + self.comm_misses
-                + self.lb_misses,
+                + self.comm_misses,
         )
     }
 
@@ -249,42 +237,25 @@ impl EngineStats {
         ratio(self.sum_hits, self.sum_misses)
     }
 
-    /// Area-table tier hit rate in `[0, 1]`.
-    pub fn area_hit_rate(&self) -> f64 {
-        ratio(self.area_hits, self.area_misses)
-    }
-
     /// Communication edge-cost tier hit rate in `[0, 1]`.
     pub fn comm_hit_rate(&self) -> f64 {
         ratio(self.comm_hits, self.comm_misses)
     }
 
-    /// Fraction of DSE points the staged sweep pruned before full
-    /// evaluation, in `[0, 1]`; 0 when no sweep ran.
+    /// Fraction of the screened DSE points the area screen pruned, in
+    /// `[0, 1]`; 0 when no sweep ran. Every screened point leaves
+    /// through exactly one of the area screen, the latency lower-bound
+    /// screen or exact pricing, so the three counts sum to the points
+    /// screened.
     pub fn pruned_fraction(&self) -> f64 {
-        let total = self.dse_pruned + self.dse_evaluated;
-        if total == 0 {
-            0.0
-        } else {
-            self.dse_pruned as f64 / total as f64
-        }
-    }
-
-    /// Latency lower-bound tier hit rate in `[0, 1]`.
-    pub fn lb_hit_rate(&self) -> f64 {
-        ratio(self.lb_hits, self.lb_misses)
+        ratio(self.dse_pruned, self.dse_lb_pruned + self.dse_evaluated)
     }
 
     /// Fraction of area-screen survivors the latency lower-bound
     /// screen pruned before exact pricing, in `[0, 1]`; 0 when no
     /// screen ran.
     pub fn lb_pruned_fraction(&self) -> f64 {
-        let total = self.dse_lb_pruned + self.dse_evaluated;
-        if total == 0 {
-            0.0
-        } else {
-            self.dse_lb_pruned as f64 / total as f64
-        }
+        ratio(self.dse_lb_pruned, self.dse_evaluated)
     }
 
     /// Total wall time recorded across stages.
@@ -293,13 +264,14 @@ impl EngineStats {
     }
 }
 
-/// `hits / (hits + misses)`, or 0 with no lookups.
-fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
+/// `part / (part + rest)` — a hit rate, or a screen's share of the
+/// points it saw — or 0 when both are 0.
+fn ratio(part: u64, rest: u64) -> f64 {
+    let total = part + rest;
     if total == 0 {
         0.0
     } else {
-        hits as f64 / total as f64
+        part as f64 / total as f64
     }
 }
 
@@ -355,27 +327,11 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  area tables: {} hits / {} misses ({:.1} % hit rate, {} hw points)",
-            self.area_hits,
-            self.area_misses,
-            100.0 * self.area_hit_rate(),
-            self.area_entries
-        )?;
-        writeln!(
-            f,
             "  comm sequences: {} hits / {} misses ({:.1} % hit rate, {} entries)",
             self.comm_hits,
             self.comm_misses,
             100.0 * self.comm_hit_rate(),
             self.comm_entries
-        )?;
-        writeln!(
-            f,
-            "  latency lower bounds: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-            self.lb_hits,
-            self.lb_misses,
-            100.0 * self.lb_hit_rate(),
-            self.lb_entries
         )?;
         writeln!(
             f,
@@ -434,10 +390,6 @@ pub struct Engine {
     /// Communication tier: execution-order per-edge transfer costs,
     /// keyed by (model structural id, configuration topology).
     pub(crate) comms: MemoMap<(u32, TopologyKey), Arc<[TransferCost]>>,
-    pub(crate) areas: MemoMap<HwParams, Arc<[f64; OpClass::COUNT]>>,
-    /// Lower-bound tier: whole-model compute cycles (latency at
-    /// infinite bandwidth), keyed like the compute-sum tier.
-    pub(crate) lbs: MemoMap<(u32, HwParams), u64>,
     pub(crate) models: RwLock<ModelInterner>,
     /// The snapshot file the tiers last matched: set by a save, or by
     /// a load into empty tiers (see [`crate::snapshot`]).
@@ -516,8 +468,6 @@ impl Engine {
             louvains: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
-            areas: RwLock::new(HashMap::default()),
-            lbs: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
             persisted: RwLock::new(None),
             telemetry: Arc::new(Telemetry::new()),
@@ -631,9 +581,7 @@ impl Engine {
             read_lock(&self.louvains).len() as u64,
         );
         t.set_gauge(Gauge::GraphEntries, read_lock(&self.graphs).len() as u64);
-        t.set_gauge(Gauge::AreaEntries, read_lock(&self.areas).len() as u64);
         t.set_gauge(Gauge::CommEntries, read_lock(&self.comms).len() as u64);
-        t.set_gauge(Gauge::LbEntries, read_lock(&self.lbs).len() as u64);
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
@@ -641,7 +589,7 @@ impl Engine {
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
     /// order. Route tables are not persisted, so they are not counted.
-    pub(crate) fn persisted_counts(&self) -> [usize; 8] {
+    pub(crate) fn persisted_counts(&self) -> [usize; 6] {
         [
             self.shards
                 .iter()
@@ -650,9 +598,7 @@ impl Engine {
             read_lock(&self.sums).len(),
             read_lock(&self.louvains).len(),
             read_lock(&self.graphs).len(),
-            read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
         ]
     }
@@ -722,9 +668,7 @@ impl Engine {
             graph_hits: t.counter(Metric::GraphHit),
             graph_misses: t.counter(Metric::GraphMiss),
             graph_entries: read_lock(&self.graphs).len(),
-            area_hits: t.counter(Metric::AreaHit),
-            area_misses: t.counter(Metric::AreaMiss),
-            area_entries: read_lock(&self.areas).len(),
+            area_entries: 0,
             struct_entries,
             struct_instances,
             dse_pruned: t.counter(Metric::DsePruned),
@@ -735,9 +679,7 @@ impl Engine {
             louvain_warm_entries: 0,
             merged_graph_builds: t.counter(Metric::MergedGraphBuilds),
             plan_items: t.counter(Metric::PlanItems),
-            lb_hits: t.counter(Metric::LbHit),
-            lb_misses: t.counter(Metric::LbMiss),
-            lb_entries: read_lock(&self.lbs).len(),
+            lb_entries: 0,
             dse_lb_pruned: t.counter(Metric::DseLbPruned),
             search_rungs: t.counter(Metric::SearchRungs),
             stages: t.stage_aggregates(),
@@ -975,41 +917,6 @@ impl Engine {
         UniversalCsr { graph, csr }
     }
 
-    /// Model-light monolithic area of `classes` under `hw` — the sixth
-    /// memo tier, shared by every model the staged DSE sweep screens.
-    /// The per-hardware-point table stores `unit_area_mm2` for all
-    /// [`OpClass::COUNT`] classes; the sum walks `classes` in the same
-    /// `BTreeSet` order and adds the same per-group router term as
-    /// [`monolithic_area_mm2`], so the memoized value is bit-identical
-    /// to what [`DesignConfig::area_mm2`] computes for an unclustered
-    /// configuration.
-    pub fn monolithic_area(&self, classes: &BTreeSet<OpClass>, hw: &HwParams) -> f64 {
-        if !self.cache_enabled {
-            return monolithic_area_mm2(classes, hw);
-        }
-        let table = self.area_table(hw);
-        let units: f64 = classes.iter().map(|&c| table[c.index()]).sum();
-        units + classes.len() as f64 * claire_noc::Network::noc().router.area_mm2
-    }
-
-    /// The memoized per-op-class area table for `hw`.
-    fn area_table(&self, hw: &HwParams) -> Arc<[f64; OpClass::COUNT]> {
-        if let Some(t) = read_lock(&self.areas).get(hw) {
-            self.telemetry.count(Metric::AreaHit);
-            return Arc::clone(t);
-        }
-        self.telemetry.count(Metric::AreaMiss);
-        let mut table = [0.0; OpClass::COUNT];
-        for c in OpClass::all() {
-            table[c.index()] = unit_area_mm2(c, hw);
-        }
-        Arc::clone(
-            write_lock(&self.areas)
-                .entry(*hw)
-                .or_insert_with(|| Arc::new(table)),
-        )
-    }
-
     /// The structural id and preprocessed [`LayerBatch`] for `model`
     /// (see [`ModelInterner`]).
     fn structural(&self, model: &claire_model::Model) -> (u32, Arc<LayerBatch>) {
@@ -1034,13 +941,6 @@ impl Engine {
         };
         interner.by_instance.insert(iid, sid);
         (sid, Arc::clone(&interner.batches[sid as usize]))
-    }
-
-    /// The interned preprocessed [`LayerBatch`] for `model` — lets the
-    /// search run direct (non-memoized) batch kernels over huge spaces
-    /// without re-preprocessing the model per point.
-    pub(crate) fn model_batch(&self, model: &claire_model::Model) -> Arc<LayerBatch> {
-        self.structural(model).1
     }
 
     /// Records `n` DSE points skipped by the staged sweep's area
@@ -1070,13 +970,15 @@ impl Engine {
         self.telemetry.count(Metric::SearchRungs);
     }
 
-    /// Memoized whole-model **compute-cycle lower bound**: the total
-    /// compute cycles of `model` under `hw` from the cycles-only
-    /// [`LayerBatch::compute_cycles_with`] kernel, keyed like the
-    /// compute-sum tier (structural id + hardware point). The cycle
-    /// count is bit-equal to [`CostProvider::compute_sum`]'s `cycles`
-    /// but skips all of its floating-point energy work — the cheap
-    /// low-fidelity pass the search's screens and rungs rank with.
+    /// Whole-model **compute-cycle lower bound**: the total compute
+    /// cycles of `model` under `hw` from the cycles-only
+    /// [`LayerBatch::compute_cycles_with`] kernel over the model's
+    /// interned batch, on a per-thread scratch buffer. The cycle count
+    /// is bit-equal to [`CostProvider::compute_sum`]'s `cycles` but
+    /// skips all of its floating-point energy work — the cheap
+    /// low-fidelity pass the search's screens and rungs rank with. It
+    /// is computed afresh on every call: one pass over the model's
+    /// deduplicated layer families costs less than memoizing it.
     pub fn compute_cycles_lb(&self, model: &claire_model::Model, hw: &HwParams) -> u64 {
         if !self.cache_enabled {
             // `u64` addition is associative, so the per-layer walk
@@ -1087,16 +989,8 @@ impl Engine {
                 .map(|l| claire_ppa::layer_cycles(&l.kind, hw))
                 .sum();
         }
-        let (sid, batch) = self.structural(model);
-        let key = (sid, *hw);
-        if let Some(&c) = read_lock(&self.lbs).get(&key) {
-            self.telemetry.count(Metric::LbHit);
-            return c;
-        }
-        self.telemetry.count(Metric::LbMiss);
-        let mut scratch = Vec::new();
-        let cycles = batch.compute_cycles_with(hw, &mut scratch);
-        *write_lock(&self.lbs).entry(key).or_insert(cycles)
+        let (_, batch) = self.structural(model);
+        LB_SCRATCH.with(|s| batch.compute_cycles_with(hw, &mut s.borrow_mut()))
     }
 
     /// [`Engine::compute_cycles_lb`] in seconds: `cycles / CLOCK_HZ` —
@@ -1413,18 +1307,6 @@ impl CostProvider for Engine {
             write_lock(&self.comms).entry(key).or_insert(seq),
         ))
     }
-
-    /// Monolithic configurations price their area through the memoized
-    /// per-op-class tables (bit-identical to
-    /// [`DesignConfig::area_mm2`]); clustered configurations fall back
-    /// to the direct sum over chiplet areas.
-    fn config_area(&self, config: &DesignConfig) -> f64 {
-        if config.chiplets.is_empty() {
-            self.monolithic_area(&config.classes, &config.hw)
-        } else {
-            config.area_mm2()
-        }
-    }
 }
 
 /// The reference per-layer summation, identical in value and order to
@@ -1522,6 +1404,11 @@ thread_local! {
     /// maps serial. Worker threads are scope-local, so the flag never
     /// leaks to reused threads.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+
+    /// Per-thread scratch for [`Engine::compute_cycles_lb`]'s batch
+    /// kernel, reused across points, rungs and models so the screen
+    /// loops never reallocate.
+    static LB_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A cache key bundled with its hash, computed once per lookup.
@@ -1788,7 +1675,7 @@ mod tests {
     }
 
     #[test]
-    fn overall_hit_rate_counts_comm_and_lb_tiers() {
+    fn overall_hit_rate_counts_comm_tier() {
         let idle = Engine::new(1).stats();
         let comm_only = EngineStats {
             comm_hits: 3,
@@ -1796,20 +1683,28 @@ mod tests {
             ..idle.clone()
         };
         assert!((comm_only.overall_hit_rate() - 0.75).abs() < 1e-12);
-        let lb_only = EngineStats {
-            lb_hits: 1,
-            lb_misses: 3,
-            ..idle.clone()
-        };
-        assert!((lb_only.overall_hit_rate() - 0.25).abs() < 1e-12);
-        let both = EngineStats {
+        let with_sums = EngineStats {
             comm_hits: 3,
             comm_misses: 1,
-            lb_hits: 1,
-            lb_misses: 3,
+            sum_hits: 1,
+            sum_misses: 3,
             ..idle
         };
-        assert!((both.overall_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((with_sums.overall_hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pruned_fraction_counts_every_screened_point() {
+        // The dense staged sweep's counts: 200,000 points screened, of
+        // which the area screen pruned 141,500.
+        let dense = EngineStats {
+            dse_pruned: 141_500,
+            dse_lb_pruned: 33_568,
+            dse_evaluated: 24_932,
+            ..Engine::new(1).stats()
+        };
+        assert!((dense.pruned_fraction() - 0.7075).abs() < 1e-12);
+        assert!((dense.lb_pruned_fraction() - 33_568.0 / 58_500.0).abs() < 1e-12);
     }
 
     #[test]

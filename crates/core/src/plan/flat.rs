@@ -22,7 +22,7 @@
 //! planned selection equals the single-subject search's bit for bit,
 //! at any thread count.
 
-use crate::config::{Constraints, DesignConfig};
+use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
 use crate::dse::{
     member_total, monolithic_for, screen_set_points, select_custom_config, select_set_hw,
     DseObjective, DsePoint, SHELL_HW,
@@ -108,13 +108,13 @@ pub struct EvalTable {
 }
 
 /// Builds the evaluation table for `models` under `policy`. Each
-/// model's points pass the search's stage A (the area screen, from the
-/// engine's memoized area tables) and stage A′ (the latency
-/// lower-bound screen), with identical constraints and counters; a
-/// sampled policy then runs its halving rungs on each row's
-/// survivors. The union of all remaining `(model, hw-point)` items is
-/// evaluated through one [`Engine::par_map`], and the item count lands
-/// on the `plan.items` counter.
+/// model's points pass the search's stage A (the closed-form area
+/// screen) and stage A′ (the latency lower-bound screen), with
+/// identical constraints and counters; a sampled policy then runs its
+/// halving rungs on each row's survivors. The union of all remaining
+/// `(model, hw-point)` items is evaluated through one
+/// [`Engine::par_map`], and the item count lands on the `plan.items`
+/// counter.
 ///
 /// `cancels` is parallel to `models` (an empty slice disables
 /// cancellation). Each evaluation item checks its model's flag when a
@@ -138,8 +138,8 @@ pub fn build_eval_table(
     let space_points: Vec<(u32, HwParams)> = space_points(space).collect();
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
 
-    // Stage A per model: the search's sound area screen, decided from
-    // the memoized area tables alone. The survivor scratch is hoisted
+    // Stage A per model: the search's sound area screen, decided by
+    // the evaluator's own closed form. The survivor scratch is hoisted
     // out of the per-model loop — each screen filters into the same
     // full-capacity buffer and copies once into an exact-sized row,
     // instead of growth-reallocating a fresh `Vec` per model.
@@ -150,7 +150,7 @@ pub fn build_eval_table(
             let mut span = engine.telemetry().span("dse.screen", "dse");
             scratch.clear();
             scratch.extend(space_points.iter().copied().filter(|(_, hw)| {
-                engine.monolithic_area(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
+                monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
             }));
             engine.note_dse_pruned((space_points.len() - scratch.len()) as u64);
             span.arg(
@@ -172,8 +172,8 @@ pub fn build_eval_table(
 
     // Stage A′ per model: the search's latency lower-bound screen (see
     // [`crate::search`]). All models' lower bounds run through one
-    // flat `par_map` (they hit the memoized `lb` tier and the
-    // structural interner, never the full evaluator), each model's
+    // flat `par_map` (the cycles-only batch kernel over the structural
+    // interner's batches, never the full evaluator), each model's
     // pivot — its first minimal-bound point in space order — is
     // priced, and every point whose bound exceeds the pivot's slack-
     // widened latency is marked unpriced: provably never selectable,

@@ -7,11 +7,11 @@
 //! 10⁶+ points without materializing the cross-product:
 //!
 //! * **Stage A — area screen.** Streams the space (never collecting
-//!   `HwParams` for pruned slots) and keeps points whose model-light
-//!   monolithic area fits the chiplet cap. Bit-identical to a full
-//!   evaluation's `area_mm2` (see
-//!   [`crate::config::monolithic_area_mm2`]), so only provably
-//!   infeasible points are dropped.
+//!   `HwParams` for pruned slots) and keeps points whose monolithic
+//!   area fits the chiplet cap. The screen calls the evaluator's own
+//!   [`crate::config::monolithic_area_mm2`], so it agrees with a full
+//!   evaluation's `area_mm2` bit for bit and only provably infeasible
+//!   points are dropped.
 //! * **Stage A′ — latency lower-bound screen.** Computes each
 //!   survivor's compute-only cycle count
 //!   ([`Engine::latency_lower_bound`]: latency at infinite
@@ -49,7 +49,6 @@ use crate::parallel::Engine;
 use crate::telemetry::ArgValue;
 use claire_model::Model;
 use claire_ppa::{space_points, DesignSpace, HwParams};
-use std::cell::RefCell;
 
 /// How the search walks the design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -196,19 +195,6 @@ pub struct SearchOutcome {
     pub sampled: bool,
 }
 
-/// Above this raw space size the search stops feeding the engine's
-/// per-point memo tiers (area tables, lower bounds) and computes both
-/// directly — the values are bit-identical, but 10⁶ cache entries
-/// would cost far more memory than they could ever save.
-const MEMO_POINT_LIMIT: usize = 1 << 17;
-
-thread_local! {
-    /// Per-worker scratch for direct (non-memoized) lower-bound
-    /// kernels — reused across points, rungs and models so the hot
-    /// loop never reallocates.
-    static LB_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
 /// SplitMix64 — the same finalizer the fault plan uses for per-site
 /// decisions; here it decorrelates equal-lower-bound ranks between
 /// rungs so the seed genuinely shapes the trajectory.
@@ -291,7 +277,6 @@ pub fn search_with_engine(
     engine: &Engine,
 ) -> SearchOutcome {
     let shell = monolithic_for(model, SHELL_HW);
-    let direct = space.size() > MEMO_POINT_LIMIT;
 
     // Stage A: stream the space through the area screen; only
     // survivors (index, point) are ever collected.
@@ -301,12 +286,7 @@ pub fn search_with_engine(
         let kept: Vec<(u32, HwParams)> = space_points(space)
             .inspect(|_| seen += 1)
             .filter(|(_, hw)| {
-                let area = if direct {
-                    monolithic_area_mm2(&shell.classes, hw)
-                } else {
-                    engine.monolithic_area(&shell.classes, hw)
-                };
-                area <= constraints.chiplet_area_limit_mm2
+                monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
             })
             .collect();
         engine.note_dse_pruned(seen - kept.len() as u64);
@@ -317,17 +297,7 @@ pub fn search_with_engine(
         space_points(space).collect()
     };
 
-    // The direct lower-bound kernel shares one preprocessed batch and
-    // a per-worker scratch buffer across every point and rung. Fetched
-    // lazily so small-space searches don't intern the model on
-    // cache-off engines.
-    let batch = direct.then(|| engine.model_batch(model));
-    let lb_cycles = |hw: &HwParams| -> u64 {
-        match &batch {
-            Some(b) => LB_SCRATCH.with(|s| b.compute_cycles_with(hw, &mut s.borrow_mut())),
-            None => engine.compute_cycles_lb(model, hw),
-        }
-    };
+    let lb_cycles = |hw: &HwParams| engine.compute_cycles_lb(model, hw);
     let evaluate = |hw: HwParams| -> Option<DsePoint> {
         let mut cfg = shell.clone();
         cfg.hw = hw;

@@ -18,13 +18,13 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 3)
+//!     10     4  format version (u32 LE, currently 4)
 //!     14     8  body length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the body (u64 LE)
 //!     30     …  body
 //! ```
 //!
-//! The body is eight sections in this fixed order. Each section is a
+//! The body is six sections in this fixed order. Each section is a
 //! `u32` record count followed by its records. Every integer is
 //! little-endian and every float is stored as its IEEE-754 bit pattern
 //! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
@@ -33,9 +33,7 @@
 //! section       record
 //! structures    n:u32, n × kind            (position = structural id)
 //! layer_costs   kind, hw, cycles:u64, energy_pj:f64, executions:u64
-//! areas         hw, n:u32 (= 15), n × unit area mm²:f64, by OpClass::index
 //! sums          sid:u32, hw, cycles:u64, energy_pj:f64
-//! lbs           sid:u32, hw, cycles:u64
 //! comms         sid:u32, topo, n:u32, n × transfer
 //! louvains      n:u32, n × key word:u64, partition
 //! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
@@ -110,7 +108,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -393,34 +391,12 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
 
     put_section(
         &mut out,
-        read_lock(&engine.areas).iter(),
-        |out, (hw, table)| {
-            put_hw(out, hw);
-            put_len(out, table.len());
-            for &area in table.iter() {
-                put_f64(out, area);
-            }
-        },
-    );
-
-    put_section(
-        &mut out,
         read_lock(&engine.sums).iter(),
         |out, (&(sid, hw), sum)| {
             put_u32(out, renum(sid));
             put_hw(out, &hw);
             put_u64(out, sum.cycles);
             put_f64(out, sum.energy_pj);
-        },
-    );
-
-    put_section(
-        &mut out,
-        read_lock(&engine.lbs).iter(),
-        |out, (&(sid, hw), &cycles)| {
-            put_u32(out, renum(sid));
-            put_hw(out, &hw);
-            put_u64(out, cycles);
         },
     );
 
@@ -500,9 +476,7 @@ type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 struct Staged {
     structures: Vec<Box<[LayerKind]>>,
     layer_costs: Vec<(LayerKind, HwParams, LayerCost)>,
-    areas: Vec<(HwParams, Arc<[f64; OpClass::COUNT]>)>,
     sums: Vec<(u32, HwParams, ComputeSum)>,
-    lbs: Vec<(u32, HwParams, u64)>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
@@ -790,22 +764,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         ))
     })?;
 
-    let areas = r.list(HW_LEN + 4 + 8 * OpClass::COUNT, |r| {
-        let hw = r.hw()?;
-        let len = r.u32()? as usize;
-        if len != OpClass::COUNT {
-            return Err(invalid(format!(
-                "area table with {len} classes (expected {})",
-                OpClass::COUNT
-            )));
-        }
-        let mut table = [0.0f64; OpClass::COUNT];
-        for slot in &mut table {
-            *slot = r.finite("unit area")?;
-        }
-        Ok((hw, Arc::new(table)))
-    })?;
-
     let sums = r.list(4 + HW_LEN + 16, |r| {
         Ok((
             sid(r)?,
@@ -816,8 +774,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
             },
         ))
     })?;
-
-    let lbs = r.list(4 + HW_LEN + 8, |r| Ok((sid(r)?, r.hw()?, r.u64()?)))?;
 
     let comms = r.list(4 + TOPO_LEN + 4, |r| {
         Ok((
@@ -848,9 +804,7 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     Ok(Staged {
         structures,
         layer_costs,
-        areas,
         sums,
-        lbs,
         comms,
         louvains,
         graphs,
@@ -880,21 +834,9 @@ fn apply(engine: &Engine, staged: Staged) {
         shard.entry(key).or_insert(cost);
     }
     {
-        let mut areas = write_lock(&engine.areas);
-        for (hw, table) in staged.areas {
-            areas.entry(hw).or_insert(table);
-        }
-    }
-    {
         let mut sums = write_lock(&engine.sums);
         for (sid, hw, sum) in staged.sums {
             sums.entry((live(sid), hw)).or_insert(sum);
-        }
-    }
-    {
-        let mut lbs = write_lock(&engine.lbs);
-        for (sid, hw, cycles) in staged.lbs {
-            lbs.entry((live(sid), hw)).or_insert(cycles);
         }
     }
     {
@@ -1089,11 +1031,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// A framed snapshot whose body is the eight sections, empty except
+    /// A framed snapshot whose body is the six sections, empty except
     /// for the given `(section index, count, records)`.
     fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
         let mut body = Vec::new();
-        for i in 0..8 {
+        for i in 0..6 {
             match sections.iter().find(|(s, _, _)| *s == i) {
                 Some((_, count, records)) => {
                     put_u32(&mut body, *count);
@@ -1146,17 +1088,17 @@ mod tests {
         assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("layer tag"));
 
         // A zero hardware parameter.
-        let mut lb = vec![0; 4];
-        lb.extend(hw_bytes([16, 0, 16, 8]));
-        lb.extend([0; 8]);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (4, 1, lb)]));
+        let mut sum = vec![0; 4];
+        sum.extend(hw_bytes([16, 0, 16, 8]));
+        sum.extend([0; 16]);
+        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, sum)]));
         assert!(detail.contains("n_sa"), "{detail}");
 
         // A structural id out of range.
-        let mut lb = vec![1, 0, 0, 0];
-        lb.extend(hw_bytes(HW));
-        lb.extend([0; 8]);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (4, 1, lb)]));
+        let mut sum = vec![1, 0, 0, 0];
+        sum.extend(hw_bytes(HW));
+        sum.extend([0; 16]);
+        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, sum)]));
         assert!(detail.contains("structural id"), "{detail}");
 
         // A bool byte other than 0 or 1.
@@ -1165,7 +1107,7 @@ mod tests {
         comm.extend([0; 16]);
         comm.push(2);
         comm.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure, (5, 1, comm)]));
+        let detail = rejection(&with_sections(&[one_structure, (3, 1, comm)]));
         assert!(detail.contains("bool"), "{detail}");
 
         // An op class out of range inside a partition.
@@ -1174,14 +1116,8 @@ mod tests {
         put_u32(&mut louvain, 1); // one community
         put_u32(&mut louvain, 1); // of one node
         louvain.push(OpClass::COUNT as u8);
-        let detail = rejection(&with_sections(&[(6, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(4, 1, louvain)]));
         assert!(detail.contains("op class"), "{detail}");
-
-        // An area table of the wrong length.
-        let mut area = hw_bytes(HW);
-        put_u32(&mut area, 14);
-        area.extend([0; 8 * 14]);
-        assert!(rejection(&with_sections(&[(2, 1, area)])).contains("area table"));
 
         // A non-finite energy.
         let mut cost = vec![5];
@@ -1200,7 +1136,7 @@ mod tests {
             put_u32(&mut louvain, 1);
             louvain.push(0);
         }
-        let detail = rejection(&with_sections(&[(6, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(4, 1, louvain)]));
         assert!(detail.contains("two communities"), "{detail}");
     }
 

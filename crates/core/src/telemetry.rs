@@ -80,9 +80,11 @@ pub enum Metric {
     GraphHit,
     /// Universal graph builds constructed fresh.
     GraphMiss,
-    /// Monolithic-area computations served from the area tables.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     AreaHit,
-    /// Monolithic-area computations that built a new table.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     AreaMiss,
     /// DSE points skipped by the staged sweep's area screen.
     DsePruned,
@@ -135,9 +137,11 @@ pub enum Metric {
     MergedGraphBuilds,
     /// Evaluation items enumerated by the flat execution plan.
     PlanItems,
-    /// Latency lower bounds served from the memo tier.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LbHit,
-    /// Latency lower bounds computed fresh (cycles-only kernel).
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LbMiss,
     /// DSE points screened out by the latency lower-bound stage.
     DseLbPruned,
@@ -321,21 +325,17 @@ pub enum Gauge {
     LouvainEntries,
     /// Entries in the universal-graph cache.
     GraphEntries,
-    /// Hardware points with cached area tables.
-    AreaEntries,
     /// Distinct layer structures interned.
     StructEntries,
     /// Model instances mapped onto interned structures.
     StructInstances,
     /// Entries in the communication edge-cost sequence cache.
     CommEntries,
-    /// Entries in the latency lower-bound cache.
-    LbEntries,
 }
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -345,11 +345,9 @@ impl Gauge {
         Gauge::SumEntries,
         Gauge::LouvainEntries,
         Gauge::GraphEntries,
-        Gauge::AreaEntries,
         Gauge::StructEntries,
         Gauge::StructInstances,
         Gauge::CommEntries,
-        Gauge::LbEntries,
     ];
 
     /// The gauge's dotted instrument name.
@@ -361,11 +359,9 @@ impl Gauge {
             Gauge::SumEntries => "memo.sum.entries",
             Gauge::LouvainEntries => "memo.louvain.entries",
             Gauge::GraphEntries => "memo.graph.entries",
-            Gauge::AreaEntries => "memo.area.entries",
             Gauge::StructEntries => "engine.struct_entries",
             Gauge::StructInstances => "engine.struct_instances",
             Gauge::CommEntries => "memo.comm.entries",
-            Gauge::LbEntries => "memo.lb.entries",
         }
     }
 }

@@ -418,8 +418,13 @@ proptest! {
         let model = materialize(&s);
         let staged_engine = Engine::serial();
         let exhaustive_engine = Engine::serial().with_pruning(false);
+        // Cache off, the lower bound walks `layer_cycles` per layer
+        // instead of running the interned batch kernel.
+        let uncached_engine = Engine::serial().with_cache(false);
         let staged = sweep_with_engine(&model, &space, &cons, &staged_engine);
         let exhaustive = sweep_with_engine(&model, &space, &cons, &exhaustive_engine);
+        let uncached = sweep_with_engine(&model, &space, &cons, &uncached_engine);
+        prop_assert_eq!(format!("{uncached:?}"), format!("{staged:?}"));
         // Order-preserving subset…
         let exhaustive_dbg: Vec<String> =
             exhaustive.iter().map(|p| format!("{p:?}")).collect();
@@ -462,6 +467,13 @@ proptest! {
                 "objective {:?} diverged",
                 objective
             );
+            let c = custom_config_with_engine(&model, &space, &cons, objective, &uncached_engine);
+            prop_assert_eq!(
+                format!("{c:?}"),
+                format!("{a:?}"),
+                "objective {:?} diverged with the cache off",
+                objective
+            );
         }
         // The screens accounted for every point of every staged sweep
         // (1 sweep + 3 selections), and never touched the exhaustive
@@ -473,6 +485,11 @@ proptest! {
         );
         prop_assert_eq!(exhaustive_engine.stats().dse_pruned, 0);
         prop_assert_eq!(exhaustive_engine.stats().dse_lb_pruned, 0);
+        let u = uncached_engine.stats();
+        prop_assert_eq!(
+            (u.dse_pruned, u.dse_lb_pruned, u.dse_evaluated),
+            (stats.dse_pruned, stats.dse_lb_pruned, stats.dse_evaluated)
+        );
     }
 
     /// The three-objective Pareto front of a feasible sweep contains

@@ -5,8 +5,12 @@
 //! rejected with a typed error that degrades to a cold start —
 //! never a panic, never a poisoned engine.
 
-use claire::core::{Claire, ClaireError, ClaireOptions, Engine, SNAPSHOT_VERSION};
+use claire::core::{
+    search_with_engine, Claire, ClaireError, ClaireOptions, Constraints, Engine, SearchPolicy,
+    SNAPSHOT_VERSION,
+};
 use claire::model::zoo;
+use claire::ppa::DseSpace;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -61,9 +65,7 @@ fn flow_from_snapshot_is_bit_identical_to_cold() {
     assert_eq!(stats.sum_misses, 0, "{stats:?}");
     assert_eq!(stats.louvain_misses, 0, "{stats:?}");
     assert_eq!(stats.graph_misses, 0, "{stats:?}");
-    assert_eq!(stats.area_misses, 0, "{stats:?}");
     assert_eq!(stats.comm_misses, 0, "{stats:?}");
-    assert_eq!(stats.lb_misses, 0, "{stats:?}");
     assert_eq!(stats.route_misses, 0, "{stats:?}");
     assert_eq!(warm.tier_signature(), loaded_signature, "{stats:?}");
     std::fs::remove_dir_all(&dir).ok();
@@ -86,6 +88,43 @@ fn snapshot_bytes_are_identical_across_thread_counts() {
             "snapshot bytes diverged at {threads} threads"
         );
     }
+}
+
+#[test]
+fn area_screening_leaves_no_warm_state() {
+    // A cap below every point's area: the area screen drops all 4,096
+    // points, so nothing is priced, bounded or interned.
+    let space = DseSpace::dense(8);
+    assert_eq!(space.len(), 4096);
+    let cons = Constraints {
+        chiplet_area_limit_mm2: 0.0,
+        ..Constraints::default()
+    };
+    let engine = Engine::new(2);
+    let signature = engine.tier_signature();
+    let out = search_with_engine(
+        &zoo::alexnet(),
+        &space,
+        &cons,
+        SearchPolicy::Exhaustive,
+        &engine,
+    );
+    assert!(out.points.is_empty());
+    assert_eq!(
+        engine.stats().dse_pruned,
+        4096,
+        "every point is over the cap"
+    );
+    assert_eq!(
+        engine.tier_signature(),
+        signature,
+        "the screen memoized state"
+    );
+    assert_eq!(
+        engine.snapshot_bytes().expect("encode"),
+        Engine::new(2).snapshot_bytes().expect("encode fresh"),
+        "area screening left warm state behind"
+    );
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn engine_stats_reconcile_exactly_with_counters() {
         paper_flow(&engine);
         let stats = engine.stats();
         let tel = engine.telemetry();
-        let pairs: [(&str, u64, Metric); 12] = [
+        let pairs: [(&str, u64, Metric); 10] = [
             ("cache_hits", stats.cache_hits, Metric::LayerHit),
             ("cache_misses", stats.cache_misses, Metric::LayerMiss),
             ("route_hits", stats.route_hits, Metric::RouteHit),
@@ -82,8 +82,6 @@ fn engine_stats_reconcile_exactly_with_counters() {
             ("louvain_misses", stats.louvain_misses, Metric::LouvainMiss),
             ("graph_hits", stats.graph_hits, Metric::GraphHit),
             ("graph_misses", stats.graph_misses, Metric::GraphMiss),
-            ("area_hits", stats.area_hits, Metric::AreaHit),
-            ("area_misses", stats.area_misses, Metric::AreaMiss),
         ];
         for (field, legacy, metric) in pairs {
             assert_eq!(
