@@ -194,18 +194,21 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             0
         }
         Command::Models { extended } => {
-            println!("training set (Table I):");
-            for m in zoo::training_set() {
-                describe(&m);
-            }
-            println!("test set:");
-            for m in zoo::test_set() {
-                describe(&m);
-            }
+            let mut sections = vec![
+                ("training set (Table I):", zoo::TRAINING),
+                ("test set:", zoo::TEST),
+            ];
             if extended {
-                println!("extended test set:");
-                for m in zoo::extended_test_set() {
-                    describe(&m);
+                sections.push(("extended test set:", zoo::EXTENDED_TEST));
+                sections.push((
+                    "more extended models:",
+                    zoo::EXTENDED_TEST.end..zoo::TABLE.len(),
+                ));
+            }
+            for (heading, slice) in sections {
+                println!("{heading}");
+                for (_, make) in &zoo::TABLE[slice] {
+                    describe(&make());
                 }
             }
             0

@@ -45,7 +45,7 @@
 //! down. See [`crate::args::USAGE`].
 
 use crate::summary::CustomSummary;
-use claire_core::telemetry::{Gauge, Metric};
+use claire_core::telemetry::Metric;
 use claire_core::{
     ClaireError, ClaireOptions, Constraints, CustomRequest, FaultClass, FaultPlan, LifecycleEvent,
     LifecycleStage, ResidentEngine, RobustnessPolicy,
@@ -263,7 +263,7 @@ impl ServerState {
         let Some(path) = &self.resident.options().telemetry.metrics_out else {
             return;
         };
-        let rendered = serde_json::to_string_pretty(&self.telemetry().metrics_value())
+        let rendered = serde_json::to_string_pretty(&self.resident.engine().metrics_value())
             .unwrap_or_else(|_| "null".into());
         if let Err(e) = write_atomic(path, rendered.as_bytes()) {
             eprintln!("warning: failed to write metrics {}: {e}", path.display());
@@ -821,24 +821,7 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
     let telemetry = state.telemetry();
     let observer = state.resident.observer();
     let now_us = state.now_us();
-    let counters: Vec<(String, Value)> = Metric::ALL
-        .iter()
-        .map(|&m| {
-            (
-                m.name().to_owned(),
-                Value::Number(Number::PosInt(telemetry.counter(m))),
-            )
-        })
-        .collect();
-    let gauges: Vec<(String, Value)> = Gauge::ALL
-        .iter()
-        .map(|&g| {
-            (
-                g.name().to_owned(),
-                Value::Number(Number::PosInt(telemetry.gauge(g))),
-            )
-        })
-        .collect();
+    let metrics = state.resident.engine().metrics_value();
     let (requests, sheds, expiries) = observer.rates(now_us);
     let (_, flight_total, flight_evicted) = observer.flight_events();
     let stats = serde_json::json!({
@@ -847,8 +830,8 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
         "queue_depth": lock(&state.queue).len() as u64,
         "in_flight": state.inflight.load(Ordering::Relaxed),
         "snapshot_generation": state.resident.checkpoint_generation(),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
+        "counters": metrics["counters"].clone(),
+        "gauges": metrics["gauges"].clone(),
         "quantiles": serde_json::json!({
             "queue_wait_us": observer.queue_wait_summary().to_value(),
             "latency_us": observer.latency_summary().to_value(),
@@ -1372,8 +1355,9 @@ fn request_model(value: &Value) -> Result<Model, String> {
         (Some(_), Some(_)) => Err("`model` and `printout` are mutually exclusive".into()),
         (Some(name), None) => {
             let name = name.as_str().ok_or("model must be a string")?;
-            zoo::by_name(name)
-                .ok_or_else(|| format!("unknown model `{name}` (see `claire-cli models`)"))
+            zoo::by_name(name).ok_or_else(|| {
+                format!("unknown model `{name}` (see `claire-cli models --extended`)")
+            })
         }
         (None, Some(text)) => {
             let text = text.as_str().ok_or("printout must be a string")?;

@@ -534,6 +534,45 @@ fn stats_is_answered_mid_serve_and_counters_stay_monotone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn stats_and_metrics_export_report_live_engine_gauges() {
+    let dir = scratch("gauges");
+    let socket = dir.join("claire.sock");
+    let metrics = dir.join("metrics.json");
+    let mut server = spawn_listening(
+        &socket,
+        &[
+            "--threads",
+            "2",
+            "--metrics-json",
+            metrics.to_str().expect("utf8"),
+        ],
+    );
+    let answer = round_trip(
+        &socket,
+        "{\"id\":1,\"op\":\"custom\",\"model\":\"Alexnet\"}",
+    )
+    .expect("answered");
+    assert_eq!(answer["ok"].as_bool(), Some(true), "{answer}");
+
+    // The in-band probe and the shutdown export both read the engine's
+    // gauges as they stand, not as they stood at start-up.
+    let probe = round_trip(&socket, "{\"op\":\"stats\"}").expect("stats answered");
+    let status = terminate(&mut server);
+    assert_eq!(status.code(), Some(0));
+    let exported: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
+            .expect("metrics are JSON");
+    for gauges in [&probe["stats"]["gauges"], &exported["gauges"]] {
+        assert_eq!(gauges["engine.threads"].as_u64(), Some(2), "{gauges}");
+        assert!(
+            gauges["memo.layer.entries"].as_u64().expect("gauge") >= 1,
+            "{gauges}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `serve` over stdin with `extra` args, feeds it `input`, and
 /// returns its stdout lines sorted (batch composition — and therefore
 /// delivery order — may differ run to run; the per-request bytes must

@@ -561,10 +561,11 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Copies the current cache sizes and thread count into the
-    /// telemetry gauges (called before a metrics export so the
-    /// snapshot carries them).
-    fn sync_gauges(&self) {
+    /// The metrics snapshot (counters, gauges, histograms, stage
+    /// aggregates, per-worker utilization) as JSON, after copying the
+    /// current cache sizes and thread count into the gauges. Every
+    /// metrics export reads it, so no export shows stale gauges.
+    pub fn metrics_value(&self) -> serde::Value {
         let t = &self.telemetry;
         t.set_gauge(Gauge::Threads, self.threads as u64);
         t.set_gauge(
@@ -585,6 +586,8 @@ impl Engine {
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
+        drop(interner);
+        t.metrics_value()
     }
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
@@ -636,8 +639,7 @@ impl Engine {
     ///
     /// Propagates filesystem errors.
     pub fn write_metrics(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.sync_gauges();
-        let json = serde_json::to_string_pretty(&self.telemetry.metrics_value())
+        let json = serde_json::to_string_pretty(&self.metrics_value())
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         std::fs::write(path, format!("{json}\n"))
     }

@@ -419,18 +419,6 @@ pub fn efficientnet_b0() -> Model {
     b.build()
 }
 
-/// The five extended test algorithms, ordered to target C_4, C_5,
-/// C_2, C_1 and the CNN/LLM boundary respectively.
-pub fn extended_test_set() -> Vec<Model> {
-    vec![
-        wav2vec2_base(),
-        distilgpt2(),
-        mask_rcnn_r50(),
-        convnext_tiny(),
-        efficientnet_b0(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,15 +489,5 @@ mod tests {
         assert!(c.contains_key(&OpClass::Activation(crate::ActivationKind::Silu)));
         assert!(!c.contains_key(&OpClass::Activation(crate::ActivationKind::Relu)));
         assert!(c[&OpClass::Pooling(PoolingKind::AdaptiveAvgPool)] >= 16);
-    }
-
-    #[test]
-    fn extended_set_has_five_models_with_unique_names() {
-        let set = extended_test_set();
-        assert_eq!(set.len(), 5);
-        let mut names: Vec<_> = set.iter().map(|m| m.name().to_owned()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 5);
     }
 }

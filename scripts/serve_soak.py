@@ -221,8 +221,20 @@ def stats_probe(path, transcript, stats, probe_no):
 
 def mixed_lines(round_no):
     """One connection's worth of mixed well-formed traffic, with a
-    zero-deadline request and the pinned bit-identity probe woven in."""
-    lines = []
+    zero-deadline request and the pinned bit-identity probe woven in.
+    The zero-deadline request goes first: the pipelined lines behind it
+    overflow the small admission queue, and a shed request never
+    reaches the deadline triage."""
+    lines = [
+        json.dumps(
+            {
+                "id": round_no * 1000 + 900,
+                "op": "custom",
+                "model": "Alexnet",
+                "deadline_ms": 0,
+            }
+        )
+    ]
     for i, model in enumerate(MODELS):
         rid = round_no * 1000 + i * 10
         lines.append(json.dumps({"id": rid, "op": "custom", "model": model}))
@@ -237,16 +249,6 @@ def mixed_lines(round_no):
                 }
             )
         )
-    lines.append(
-        json.dumps(
-            {
-                "id": round_no * 1000 + 900,
-                "op": "custom",
-                "model": "Alexnet",
-                "deadline_ms": 0,
-            }
-        )
-    )
     lines.append(json.dumps(dict(PINNED, id=round_no * 1000 + 901)))
     return lines
 

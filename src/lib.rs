@@ -8,7 +8,7 @@
 //!
 //! This meta-crate re-exports the workspace:
 //!
-//! * [`model`] — the 24-algorithm zoo, `print(model)` parser,
+//! * [`model`] — the 27-model zoo, `print(model)` parser,
 //!   synthetic workload generator
 //! * [`graph`] — weighted graphs, weighted Jaccard, Louvain, spectral
 //!   clustering
