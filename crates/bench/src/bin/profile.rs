@@ -99,10 +99,10 @@ fn main() {
 
     // Warm reflow: `run_flow_with_engine` reconstructs the zoo from
     // scratch, so every model arrives with a fresh instance id but an
-    // unchanged layer structure. Under the old instance-id memo keys a
-    // rerun re-missed every compute sum; the structural keys serve
-    // them all from cache, which is exactly what this section pins.
-    // Its wall time is the serve-observability model's denominator.
+    // unchanged layer structure. The structural interner maps each
+    // fresh instance onto its existing structure, which is exactly
+    // what this section pins. Its wall time is the
+    // serve-observability model's denominator.
     let flow_stats = parallel.stats();
     // Hook counts of the cold flow alone, snapshotted before the warm
     // reflow doubles them — the telemetry overhead model below divides
@@ -147,27 +147,8 @@ fn main() {
     println!();
     println!("== Warm reflow (fresh model instances, same engine) ==");
     println!(
-        "compute-sum hit rate: cold flow {:.1} %, cumulative after the warm flow {:.1} %",
-        100.0 * flow_stats.sum_hit_rate(),
-        100.0 * reflow_stats.sum_hit_rate()
-    );
-    println!(
         "structural keys: {} structures over {} instances",
         reflow_stats.struct_entries, reflow_stats.struct_instances
-    );
-    assert!(
-        reflow_stats.sum_hit_rate() > flow_stats.sum_hit_rate(),
-        "reflow did not raise the compute-sum hit rate: {:.3} -> {:.3}",
-        flow_stats.sum_hit_rate(),
-        reflow_stats.sum_hit_rate()
-    );
-    // PR 2 recorded 38.7 % under instance-id keys; structural keys
-    // must beat it.
-    assert!(
-        reflow_stats.sum_hit_rate() > 0.387,
-        "cumulative compute-sum hit rate {:.3} does not beat the 38.7 % \
-         instance-id-keyed baseline",
-        reflow_stats.sum_hit_rate()
     );
     assert!(
         reflow_stats.struct_instances > reflow_stats.struct_entries,
@@ -225,12 +206,8 @@ fn main() {
     let warm_rendered = persist_flow(&persist_warm);
     let snapshot_unchanged = persist_warm.tier_signature() == loaded_signature;
     let warm = persist_warm.stats();
-    let warm_misses = warm.cache_misses
-        + warm.route_misses
-        + warm.sum_misses
-        + warm.louvain_misses
-        + warm.graph_misses
-        + warm.comm_misses;
+    let warm_misses =
+        warm.cache_misses + warm.louvain_misses + warm.graph_misses + warm.comm_misses;
 
     let persist_identical = warm_rendered == cold_rendered;
     assert!(
@@ -435,8 +412,8 @@ fn main() {
     // The per-layer memo tier serves the paths that price layers one
     // at a time — here, a weight-streaming sweep, where each layer's
     // compute/stream overlap is resolved individually (the
-    // compute-only flow above memoizes whole-model sums and route
-    // tables instead).
+    // compute-only flow above prices whole-model sums through the
+    // batch kernel instead).
     let streaming = Engine::for_space(&paper_options().space);
     let space = paper_options().space;
     for m in &models {
@@ -764,8 +741,6 @@ fn main() {
         (
             "reflow",
             obj(vec![
-                ("cold_sum_hit_rate", num(flow_stats.sum_hit_rate())),
-                ("cumulative_sum_hit_rate", num(reflow_stats.sum_hit_rate())),
                 (
                     "struct_entries",
                     Value::Number(Number::PosInt(reflow_stats.struct_entries as u64)),
@@ -1030,11 +1005,6 @@ fn tiers(s: &EngineStats) -> Value {
             "layer_cost",
             tier(s.cache_hits, s.cache_misses, s.cache_entries),
         ),
-        (
-            "route",
-            tier(s.route_hits, s.route_misses, s.route_topologies),
-        ),
-        ("compute_sum", tier(s.sum_hits, s.sum_misses, s.sum_entries)),
         (
             "louvain",
             tier(s.louvain_hits, s.louvain_misses, s.louvain_entries),

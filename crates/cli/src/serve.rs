@@ -823,7 +823,7 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
     let now_us = state.now_us();
     let metrics = state.resident.engine().metrics_value();
     let (requests, sheds, expiries) = observer.rates(now_us);
-    let (_, flight_total, flight_evicted) = observer.flight_events();
+    let (flight_total, flight_evicted) = observer.flight_counts();
     let stats = serde_json::json!({
         "pid": u64::from(std::process::id()),
         "uptime_us": now_us,

@@ -108,8 +108,9 @@ impl TransferCost {
 /// (NoC torus hops on a shared die, AIB channel hops across dies).
 /// Determined entirely by the configuration's topology — classes,
 /// chiplet partition, and interposer placement — never by the payload
-/// or the hardware parameters, which is what makes routes memoizable
-/// across every evaluation of a topology (see [`RouteTable`]).
+/// or the hardware parameters, which is what lets the comm tier reuse
+/// one priced edge sequence across every hardware point of a topology
+/// (see [`edge_cost_sequence`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeRoute {
     /// Whether the transfer pays the NoP (crosses a chiplet boundary).
@@ -245,12 +246,11 @@ pub fn edge_transfer(
 }
 
 /// A lazily filled per-class-pair route matrix for one configuration
-/// topology. Cells are [`OnceLock`]s, so a table shared across threads
-/// (from the engine's topology cache) fills each pair at most once and
-/// every later edge pays a single atomic load. A table may carry a
-/// fault plan with failed torus links; its routes then detour around
-/// the dead links (degraded hop counts) and a severed class pair
-/// memoizes as unroutable.
+/// topology. Cells are [`OnceLock`]s, so each pair is routed at most
+/// once per table and every later edge pays a single atomic load. A
+/// table may carry a fault plan with failed torus links; its routes
+/// then detour around the dead links (degraded hop counts) and a
+/// severed class pair memoizes as unroutable.
 #[derive(Debug, Default)]
 pub struct RouteTable {
     cells: [[OnceLock<Option<EdgeRoute>>; OpClass::COUNT]; OpClass::COUNT],
@@ -298,10 +298,7 @@ impl RouteTable {
 /// A model's summed compute cost under one hardware point with the
 /// paper-default (compute-only) accounting — a pure function of the
 /// model's layer sequence and `hw`, independent of the configuration's
-/// classes, chiplet partition, or placement. That independence is what
-/// lets the engine reuse one sum across the custom sweep, the generic
-/// `set_config`, and the library `set_config`s, which all evaluate the
-/// same `(model, hw)` pairs on different configurations.
+/// classes, chiplet partition, or placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeSum {
     /// Total compute cycles across all layers.
@@ -339,11 +336,11 @@ pub trait CostProvider: Sync {
 
     /// The route table to consult for `config`'s edges. The default
     /// returns a fresh table per call (per-pair memoization within one
-    /// evaluation only); the engine shares tables across evaluations
-    /// of the same topology.
-    fn routes(&self, config: &DesignConfig) -> Arc<RouteTable> {
+    /// evaluation only); the engine's tables also carry its fault
+    /// plan's failed links.
+    fn routes(&self, config: &DesignConfig) -> RouteTable {
         let _ = config;
-        Arc::new(RouteTable::new())
+        RouteTable::new()
     }
 
     /// The execution-order per-edge transfer-cost sequence for

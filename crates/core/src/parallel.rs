@@ -143,17 +143,11 @@ pub struct EngineStats {
     pub cache_misses: u64,
     /// Distinct (layer, hardware) keys currently cached.
     pub cache_entries: usize,
-    /// Route-table lookups served from the topology cache.
-    pub route_hits: u64,
-    /// Route-table lookups that created a new (topology → table) entry.
-    pub route_misses: u64,
-    /// Distinct configuration topologies with cached route tables.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub route_topologies: usize,
-    /// Whole-model compute sums served from the cache.
-    pub sum_hits: u64,
-    /// Whole-model compute sums computed (and then stored).
-    pub sum_misses: u64,
-    /// Distinct (model, hardware) compute sums currently cached.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub sum_entries: usize,
     /// Louvain partitions served from the canonical-graph cache.
     pub louvain_hits: u64,
@@ -212,29 +206,14 @@ impl EngineStats {
         ratio(self.cache_hits, self.cache_misses)
     }
 
-    /// Hit rate across every memo tier (layer costs, route tables,
-    /// compute sums, Louvain partitions, universal graphs and comm
-    /// sequences) in `[0, 1]`; 0 when nothing was looked up.
+    /// Hit rate across every memo tier (layer costs, Louvain
+    /// partitions, universal graphs and comm sequences) in `[0, 1]`;
+    /// 0 when nothing was looked up.
     pub fn overall_hit_rate(&self) -> f64 {
         ratio(
-            self.cache_hits
-                + self.route_hits
-                + self.sum_hits
-                + self.louvain_hits
-                + self.graph_hits
-                + self.comm_hits,
-            self.cache_misses
-                + self.route_misses
-                + self.sum_misses
-                + self.louvain_misses
-                + self.graph_misses
-                + self.comm_misses,
+            self.cache_hits + self.louvain_hits + self.graph_hits + self.comm_hits,
+            self.cache_misses + self.louvain_misses + self.graph_misses + self.comm_misses,
         )
-    }
-
-    /// Compute-sum tier hit rate in `[0, 1]`.
-    pub fn sum_hit_rate(&self) -> f64 {
-        ratio(self.sum_hits, self.sum_misses)
     }
 
     /// Communication edge-cost tier hit rate in `[0, 1]`.
@@ -290,22 +269,6 @@ impl std::fmt::Display for EngineStats {
             self.cache_misses,
             100.0 * self.hit_rate(),
             self.cache_entries
-        )?;
-        writeln!(
-            f,
-            "  route cache: {} hits / {} misses ({:.1} % hit rate, {} topologies)",
-            self.route_hits,
-            self.route_misses,
-            100.0 * ratio(self.route_hits, self.route_misses),
-            self.route_topologies
-        )?;
-        writeln!(
-            f,
-            "  compute-sum cache: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-            self.sum_hits,
-            self.sum_misses,
-            100.0 * ratio(self.sum_hits, self.sum_misses),
-            self.sum_entries
         )?;
         writeln!(
             f,
@@ -368,10 +331,11 @@ impl std::fmt::Display for EngineStats {
 /// One memo tier: an FxHash map behind a single reader–writer lock.
 pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>>;
 
-/// The evaluation engine: a thread-count policy, a sharded layer-cost
-/// memo cache, and stage/wall-time counters. Cheap to share by
-/// reference across the whole pipeline; all interior state is
-/// thread-safe.
+/// The evaluation engine: a thread-count policy, four memo tiers
+/// (layer cost, Louvain partition, universal graph, comm sequence)
+/// plus the structural interner, and stage/wall-time counters. Cheap
+/// to share by reference across the whole pipeline; all interior
+/// state is thread-safe.
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
@@ -381,8 +345,6 @@ pub struct Engine {
     // Tier fields are `pub(crate)` so [`crate::snapshot`] can
     // serialize and restore them without widening the public API.
     pub(crate) shards: Vec<RwLock<Shard>>,
-    pub(crate) routes: MemoMap<TopologyKey, Arc<RouteTable>>,
-    pub(crate) sums: MemoMap<(u32, HwParams), ComputeSum>,
     pub(crate) louvains: MemoMap<Box<[u64]>, Arc<Partition<OpClass>>>,
     /// Universal-graph tier, keyed by the member models' structural
     /// ids (in member order) plus the hardware point.
@@ -399,15 +361,17 @@ pub struct Engine {
     telemetry: Arc<Telemetry>,
 }
 
-/// The structural model interner behind the compute-sum tier's memo
-/// keys. Every model maps to a dense **structural id**: models whose
-/// layer sequences are element-wise identical share one id (and one
-/// preprocessed [`LayerBatch`]), however they were constructed. The
-/// content key is the complete `Box<[LayerKind]>` layer sequence — a
-/// total encoding, not a hash — so two models share an id only when a
-/// compute sum provably cannot distinguish them. A per-instance fast
-/// path (keyed by [`claire_model::Model::instance_id`], shared by
-/// clones) skips the content comparison after a model's first visit.
+/// The structural model interner behind the comm and universal-graph
+/// tiers' memo keys and the batched compute kernels. Every model maps
+/// to a dense **structural id**: models whose layer sequences are
+/// element-wise identical share one id (and one preprocessed
+/// [`LayerBatch`]), however they were constructed. The content key is
+/// the complete `Box<[LayerKind]>` layer sequence — a total encoding,
+/// not a hash — so two models share an id only when no cost the
+/// engine derives from their layers can distinguish them. A
+/// per-instance fast path (keyed by
+/// [`claire_model::Model::instance_id`], shared by clones) skips the
+/// content comparison after a model's first visit.
 #[derive(Debug, Default)]
 pub(crate) struct ModelInterner {
     pub(crate) by_instance: HashMap<u64, u32, std::hash::BuildHasherDefault<FxHasher>>,
@@ -463,8 +427,6 @@ impl Engine {
             shards: (0..CACHE_SHARDS)
                 .map(|_| RwLock::new(Shard::default()))
                 .collect(),
-            routes: RwLock::new(HashMap::default()),
-            sums: RwLock::new(HashMap::default()),
             louvains: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
@@ -575,8 +537,6 @@ impl Engine {
                 .map(|s| read_lock(s).len())
                 .sum::<usize>() as u64,
         );
-        t.set_gauge(Gauge::RouteEntries, read_lock(&self.routes).len() as u64);
-        t.set_gauge(Gauge::SumEntries, read_lock(&self.sums).len() as u64);
         t.set_gauge(
             Gauge::LouvainEntries,
             read_lock(&self.louvains).len() as u64,
@@ -591,14 +551,13 @@ impl Engine {
     }
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
-    /// order. Route tables are not persisted, so they are not counted.
-    pub(crate) fn persisted_counts(&self) -> [usize; 6] {
+    /// order.
+    pub(crate) fn persisted_counts(&self) -> [usize; 5] {
         [
             self.shards
                 .iter()
                 .map(|s| read_lock(s).len())
                 .sum::<usize>(),
-            read_lock(&self.sums).len(),
             read_lock(&self.louvains).len(),
             read_lock(&self.graphs).len(),
             read_lock(&self.comms).len(),
@@ -658,12 +617,8 @@ impl Engine {
             cache_hits: t.counter(Metric::LayerHit),
             cache_misses: t.counter(Metric::LayerMiss),
             cache_entries: self.shards.iter().map(|s| read_lock(s).len()).sum(),
-            route_hits: t.counter(Metric::RouteHit),
-            route_misses: t.counter(Metric::RouteMiss),
-            route_topologies: read_lock(&self.routes).len(),
-            sum_hits: t.counter(Metric::SumHit),
-            sum_misses: t.counter(Metric::SumMiss),
-            sum_entries: read_lock(&self.sums).len(),
+            route_topologies: 0,
+            sum_entries: 0,
             louvain_hits: t.counter(Metric::LouvainHit),
             louvain_misses: t.counter(Metric::LouvainMiss),
             louvain_entries: read_lock(&self.louvains).len(),
@@ -765,43 +720,8 @@ impl Engine {
         crate::evaluate::evaluate_with_costs(model, config, opts, self)
     }
 
-    /// The shared [`RouteTable`] for `config`'s topology: one table
-    /// per distinct (classes, chiplet partition, placement) across the
-    /// engine's lifetime, so every evaluation of a topology after the
-    /// first reuses its routes. Falls back to a fresh per-call table
-    /// when the cache is disabled or the topology cannot be encoded
-    /// exactly (see [`TopologyKey::of`]).
-    pub fn route_table(&self, config: &DesignConfig) -> Arc<RouteTable> {
-        // A plan with armed link faults is fixed for the engine's
-        // lifetime, so fault-aware tables are as cacheable as plain
-        // ones — the fresh table just has to carry the plan too.
-        let fresh = || match &self.faults {
-            Some(plan) if plan.has_link_faults() => RouteTable::with_link_faults(Arc::clone(plan)),
-            _ => RouteTable::new(),
-        };
-        let key = if self.cache_enabled {
-            TopologyKey::of(config)
-        } else {
-            None
-        };
-        let Some(key) = key else {
-            return Arc::new(fresh());
-        };
-        if let Some(table) = read_lock(&self.routes).get(&key) {
-            self.telemetry.count(Metric::RouteHit);
-            return Arc::clone(table);
-        }
-        self.telemetry.count(Metric::RouteMiss);
-        let built = {
-            let mut span = self.telemetry.span("route.build", "memo");
-            span.arg("chiplets", ArgValue::Int(config.chiplets.len() as u64));
-            Arc::new(fresh())
-        };
-        Arc::clone(write_lock(&self.routes).entry(key).or_insert(built))
-    }
-
     /// Memoized [`claire_graph::louvain_csr`] over a universal graph —
-    /// the fourth memo tier. Keyed by the **complete canonical
+    /// the Louvain tier. Keyed by the **complete canonical
     /// encoding** of the CSR graph (interned class sequence, adjacency
     /// arrays, bit-exact edge and self-loop weights) plus the
     /// resolution, so a hit provably returns the partition a fresh
@@ -843,10 +763,10 @@ impl Engine {
     }
 
     /// Memoized universal-graph construction (Step #TR1) with CSR
-    /// interning — the fifth memo tier. Keyed by the member models'
-    /// **structural ids** (see [`ModelInterner`]), in member order,
-    /// plus the hardware point. The key is sound for the same reason
-    /// the compute-sum and comm tiers' structural keys are: the graph's
+    /// interning — the universal-graph tier. Keyed by the member
+    /// models' **structural ids** (see the structural interner), in
+    /// member order, plus the hardware point. The key is sound for the
+    /// same reason the comm tier's structural key is: the graph's
     /// nodes aggregate per-class execution counts from the layer costs
     /// (pure functions of `(LayerKind, HwParams)`) and its edges come
     /// from `Model::edges`, a pure function of the layer-kind sequence
@@ -1216,76 +1136,61 @@ impl CostProvider for Engine {
         Engine::layer_cost(self, kind, hw)
     }
 
-    fn routes(&self, config: &DesignConfig) -> Arc<RouteTable> {
-        Engine::route_table(self, config)
+    /// A fresh [`RouteTable`] per call: a route is a pure function of
+    /// the topology and the fault plan, and each table fills only the
+    /// class pairs one walk asks for. With link faults armed the
+    /// table carries the plan, so its routes detour around the failed
+    /// links.
+    fn routes(&self, _config: &DesignConfig) -> RouteTable {
+        match &self.faults {
+            Some(plan) if plan.has_link_faults() => RouteTable::with_link_faults(Arc::clone(plan)),
+            _ => RouteTable::new(),
+        }
     }
 
-    /// Memoized whole-model compute totals, keyed by the model's
-    /// **structural id** (see [`ModelInterner`]) and the hardware
-    /// point. Sound because the structural id is derived from the
-    /// complete layer sequence — models sharing an id are element-wise
-    /// identical, so their sums are too; exact because a miss computes
-    /// through the interned [`LayerBatch`], whose accumulation replays
-    /// the per-layer reference walk's execution order bit-for-bit.
+    /// Whole-model compute totals. An engine with the cache on and no
+    /// PPA faults prices the model's interned [`LayerBatch`], whose
+    /// accumulation replays the per-layer walk's execution order
+    /// bit-for-bit. Cache-off engines and engines with PPA corruption
+    /// armed walk the layers through [`Engine::layer_cost`]: each
+    /// layer's injection site must be consulted, and without PPA
+    /// faults a cache-off `layer_cost` is the raw kernel.
     fn compute_sum(&self, model: &claire_model::Model, hw: &HwParams) -> ComputeSum {
-        // With PPA corruption armed, sums must route through
-        // `Engine::layer_cost` layer by layer so each layer's
-        // injection site is consulted; the batched kernel (which
-        // bypasses per-layer hooks) only serves unfaulted engines.
-        if let Some(plan) = &self.faults {
-            if plan.has_ppa_faults() {
-                let mut cycles: u64 = 0;
-                let mut energy_pj = 0.0;
-                for layer in model.layers() {
-                    let c = self.layer_cost(&layer.kind, hw);
-                    cycles += c.cycles;
-                    energy_pj += c.energy_pj;
-                }
-                return ComputeSum { cycles, energy_pj };
+        let ppa_faults = self.faults.as_ref().is_some_and(|p| p.has_ppa_faults());
+        if !self.cache_enabled || ppa_faults {
+            let mut cycles: u64 = 0;
+            let mut energy_pj = 0.0;
+            for layer in model.layers() {
+                let c = self.layer_cost(&layer.kind, hw);
+                cycles += c.cycles;
+                energy_pj += c.energy_pj;
             }
+            return ComputeSum { cycles, energy_pj };
         }
-        if !self.cache_enabled {
-            return raw_compute_sum(model, hw);
-        }
-        let (sid, batch) = self.structural(model);
-        let key = (sid, *hw);
-        if let Some(cached) = read_lock(&self.sums).get(&key) {
-            self.telemetry.count(Metric::SumHit);
-            return *cached;
-        }
-        self.telemetry.count(Metric::SumMiss);
-        let sum = {
-            let mut span = self.telemetry.span("sum.batch", "memo");
-            span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
-            span.arg("families", ArgValue::Int(batch.family_count() as u64));
-            self.telemetry.count(Metric::BatchSums);
-            batch.compute_sum(hw)
-        };
-        let computed = ComputeSum {
+        let (_, batch) = self.structural(model);
+        let mut span = self.telemetry.span("sum.batch", "memo");
+        span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
+        span.arg("families", ArgValue::Int(batch.family_count() as u64));
+        self.telemetry.count(Metric::BatchSums);
+        let sum = batch.compute_sum(hw);
+        ComputeSum {
             cycles: sum.cycles,
             energy_pj: sum.energy_pj,
-        };
-        // Finiteness guard at the sum-aggregation boundary: a
-        // non-finite aggregate is surfaced by the evaluation that
-        // produced it but never memoized.
-        if computed.energy_pj.is_finite() {
-            write_lock(&self.sums).insert(key, computed);
         }
-        computed
     }
 
     /// Memoized per-(model structure, topology) edge-cost sequences —
     /// the comm tier. Keyed by the model's structural id (sound:
     /// `Model::edges` is a pure function of the layer-kind sequence the
-    /// id interns) and the exact [`TopologyKey`] encoding. A miss
-    /// prices each distinct `(route, bytes)` bucket once and expands it
-    /// into the edge-order sequence ([`edge_cost_sequence`]'s
-    /// contract), so replay is bit-identical to the per-edge walk.
-    /// Returns `None` — routing the evaluator to the legacy walk —
-    /// when caching is off, faults are armed (injection sites must see
-    /// every pricing call), the topology has no compact encoding, or
-    /// the sequence build fails (the walk then surfaces the identical
-    /// typed error).
+    /// id interns) and the exact `TopologyKey` encoding. A miss prices
+    /// each distinct `(route, bytes)` bucket once and expands it into
+    /// the edge-order sequence
+    /// ([`crate::evaluate::edge_cost_sequence`]'s contract), so replay
+    /// is bit-identical to the per-edge walk. Returns `None` — routing
+    /// the evaluator to the per-edge walk — when caching is off,
+    /// faults are armed (injection sites must see every pricing call),
+    /// the topology has no compact encoding, or the sequence build
+    /// fails (the walk then surfaces the identical typed error).
     fn edge_costs(
         &self,
         model: &claire_model::Model,
@@ -1301,8 +1206,8 @@ impl CostProvider for Engine {
             self.telemetry.count(Metric::CommHit);
             return Some(Arc::clone(seq));
         }
-        let routes = self.route_table(config);
-        let seq = crate::evaluate::edge_cost_sequence(model, config, &routes).ok()?;
+        // No fault plan here, so a fresh table routes every pair.
+        let seq = crate::evaluate::edge_cost_sequence(model, config, &RouteTable::new()).ok()?;
         self.telemetry.count(Metric::CommMiss);
         let seq: Arc<[TransferCost]> = seq.into();
         Some(Arc::clone(
@@ -1311,30 +1216,12 @@ impl CostProvider for Engine {
     }
 }
 
-/// The reference per-layer summation, identical in value and order to
-/// the [`CostProvider`] default implementation. The compute-sum miss
-/// path calls the raw cost model directly: at ~10 ns per layer the
-/// analytical kernel is cheaper than any locked lookup, so per-layer
-/// memoization inside a whole-model miss can only lose time. The
-/// per-layer cache still serves paths that consult layers one at a
-/// time (weight-streaming evaluation and direct `layer_cost` calls).
-fn raw_compute_sum(model: &claire_model::Model, hw: &HwParams) -> ComputeSum {
-    let mut cycles: u64 = 0;
-    let mut energy_pj = 0.0;
-    for layer in model.layers() {
-        let c = layer_cost(&layer.kind, hw);
-        cycles += c.cycles;
-        energy_pj += c.energy_pj;
-    }
-    ComputeSum { cycles, energy_pj }
-}
-
 /// An exact, compact encoding of everything [`crate::evaluate::route_of`]
 /// reads from a configuration: the monolithic class set, the chiplet
 /// partition (as per-chiplet class bitmasks in order), and the
 /// interposer slots. Two configs with equal keys provably yield
 /// identical routes for every class pair — the key is a complete
-/// encoding, not a hash, so route-cache hits cannot collide.
+/// encoding, not a hash, so comm-tier hits cannot collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct TopologyKey {
     /// Bitmask over [`OpClass::index`] of the configuration's classes.
@@ -1685,14 +1572,14 @@ mod tests {
             ..idle.clone()
         };
         assert!((comm_only.overall_hit_rate() - 0.75).abs() < 1e-12);
-        let with_sums = EngineStats {
+        let with_louvain = EngineStats {
             comm_hits: 3,
             comm_misses: 1,
-            sum_hits: 1,
-            sum_misses: 3,
+            louvain_hits: 1,
+            louvain_misses: 3,
             ..idle
         };
-        assert!((with_sums.overall_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((with_louvain.overall_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //! ([`crate::search::search_with_engine`]) and, under a sampled
 //! [`SearchPolicy`], its successive-halving rungs
 //! (`search::halving_rungs`); replay calls the same selection
-//! code ([`crate::dse::select_custom_config`],
-//! `dse::screen_set_points`, [`crate::dse::select_set_hw`]) on
-//! the same point lists in the same space order. Every table entry is
-//! the [`Engine::evaluate`] call the search would make — deterministic
-//! and cache-state-independent by the engine's core invariant — so a
-//! planned selection equals the single-subject search's bit for bit,
-//! at any thread count.
+//! code (`dse::select_custom_config`, `dse::screen_set_points`,
+//! `dse::select_set_hw`) on the same point lists in the same space
+//! order. Every table entry is the [`Engine::evaluate`] call the
+//! search would make — deterministic and cache-state-independent by
+//! the engine's core invariant — so a planned selection equals the
+//! single-subject search's bit for bit, at any thread count.
 
 use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
 use crate::dse::{
@@ -67,7 +66,7 @@ impl ModelRow {
     /// space order — exactly the search's stage-B survivor list: area
     /// screen, lower-bound screen, halving rungs, then per-point
     /// feasibility. Every selection over it is bit-identical to the
-    /// search's (the shared [`crate::dse::select_custom_config`] tail,
+    /// search's (the shared `dse::select_custom_config` tail,
     /// see the [`crate::search`] soundness argument).
     pub fn feasible_points(&self, constraints: &Constraints) -> Vec<DsePoint> {
         self.points

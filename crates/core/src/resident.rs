@@ -179,8 +179,8 @@ impl Default for ServeObserver {
 }
 
 impl ServeObserver {
-    /// A fresh observer with an empty [`FLIGHT_RING_CAPACITY`]-event
-    /// ring.
+    /// A fresh observer with an empty flight ring of
+    /// `FLIGHT_RING_CAPACITY` (256) events.
     pub fn new() -> Self {
         ServeObserver {
             trace_seq: AtomicU64::new(0),
@@ -254,7 +254,8 @@ impl ServeObserver {
     ///
     /// Uses `try_lock` so a panic hook can call it on the very thread
     /// that panicked while pushing an event: instead of self-deadlock
-    /// the dump degrades to an empty event list.
+    /// the dump degrades to an empty event list and zero counts. Use
+    /// [`ServeObserver::flight_counts`] for counts alone.
     pub fn flight_events(&self) -> (Vec<Value>, u64, u64) {
         let ring = match self.ring.try_lock() {
             Ok(guard) => guard,
@@ -268,6 +269,16 @@ impl ServeObserver {
             ring.total(),
             ring.evicted(),
         )
+    }
+
+    /// The flight ring's lifetime total and evicted counts, for the
+    /// in-band `stats` probe. Waits for the ring lock, so a probe that
+    /// races a push on another thread still reads exact counts, and
+    /// recovers a poisoned lock. Never call it from the panic hook;
+    /// [`ServeObserver::flight_events`] is the dump path's read.
+    pub fn flight_counts(&self) -> (u64, u64) {
+        let ring = obs_lock(&self.ring);
+        (ring.total(), ring.evicted())
     }
 }
 
@@ -780,6 +791,54 @@ mod tests {
         assert_eq!(resident.checkpoint().expect("dirty checkpoint"), Some(2));
         assert_eq!(resident.checkpoint_generation(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_flight_counts_wait_out_a_held_ring_lock() {
+        let observer = ServeObserver::new();
+        let pushed = FLIGHT_RING_CAPACITY as u64 + 9;
+        for t in 0..pushed {
+            observer.observe(LifecycleEvent {
+                t_us: t,
+                stage: LifecycleStage::Received,
+                trace: t + 1,
+                id: Value::Null,
+                op: "custom",
+                batch: None,
+                queue_wait_us: None,
+                outcome: None,
+            });
+        }
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let observer = &observer;
+        // Everything is read while a second thread holds the ring
+        // lock, as a connection thread pushing a lifecycle event does,
+        // and asserted only once it has let go.
+        let (dumped, waited, counts) = std::thread::scope(|s| {
+            s.spawn(move || {
+                let _ring = observer.ring.lock().expect("ring lock");
+                held_tx.send(()).expect("signal held");
+                release_rx.recv().expect("await release");
+            });
+            held_rx.recv().expect("lock held");
+            let dumped = observer.flight_events();
+            let counts = s.spawn(|| observer.flight_counts());
+            // A read that waits for the lock cannot finish while it is
+            // held, whatever the schedule; the pause only gives a read
+            // that does not wait the time to finish early and be seen.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let waited = !counts.is_finished();
+            release_tx.send(()).expect("release");
+            (dumped, waited, counts.join().expect("counts thread"))
+        });
+        // The dump path's `try_lock` gives up under contention.
+        let (events, total, evicted) = dumped;
+        assert!(events.is_empty());
+        assert_eq!((total, evicted), (0, 0));
+        // The stats read waits for the lock and reads exact counts.
+        assert!(waited, "read counts through a held lock");
+        assert_eq!(counts, (pushed, pushed - FLIGHT_RING_CAPACITY as u64));
     }
 
     #[test]

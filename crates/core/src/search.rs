@@ -156,7 +156,7 @@ impl ParetoFront {
     /// Replays the custom-configuration selection for `objective`
     /// from the front alone: best-latency fold, latency-slack window,
     /// then the objective minimum with first-tie-wins — the identical
-    /// fold [`crate::dse::select_custom_config`] performs, and (by
+    /// fold `dse::select_custom_config` performs, and (by
     /// the dominance argument above) the identical winner, bit for
     /// bit, for **any** objective from one sweep.
     pub fn select(&self, constraints: &Constraints, objective: DseObjective) -> Option<&DsePoint> {

@@ -18,13 +18,13 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 4)
+//!     10     4  format version (u32 LE, currently 5)
 //!     14     8  body length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the body (u64 LE)
 //!     30     …  body
 //! ```
 //!
-//! The body is six sections in this fixed order. Each section is a
+//! The body is five sections in this fixed order. Each section is a
 //! `u32` record count followed by its records. Every integer is
 //! little-endian and every float is stored as its IEEE-754 bit pattern
 //! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
@@ -33,7 +33,6 @@
 //! section       record
 //! structures    n:u32, n × kind            (position = structural id)
 //! layer_costs   kind, hw, cycles:u64, energy_pj:f64, executions:u64
-//! sums          sid:u32, hw, cycles:u64, energy_pj:f64
 //! comms         sid:u32, topo, n:u32, n × transfer
 //! louvains      n:u32, n × key word:u64, partition
 //! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
@@ -62,8 +61,6 @@
 //! structures before any other section is written. Snapshots are
 //! therefore **byte-identical across thread counts** and across
 //! processes that computed the same entries in different orders.
-//! Route tables are not persisted: every cell refills lazily on first
-//! use, so their keys alone save no work.
 //!
 //! # Versioning and invalidation
 //!
@@ -86,7 +83,7 @@
 //! [`Engine::save_snapshot`] itself always writes.
 
 use crate::error::ClaireError;
-use crate::evaluate::{ComputeSum, TransferCost};
+use crate::evaluate::TransferCost;
 use crate::parallel::{read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
 use claire_model::{
@@ -108,7 +105,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -391,17 +388,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
 
     put_section(
         &mut out,
-        read_lock(&engine.sums).iter(),
-        |out, (&(sid, hw), sum)| {
-            put_u32(out, renum(sid));
-            put_hw(out, &hw);
-            put_u64(out, sum.cycles);
-            put_f64(out, sum.energy_pj);
-        },
-    );
-
-    put_section(
-        &mut out,
         read_lock(&engine.comms).iter(),
         |out, ((sid, topo), costs)| {
             put_u32(out, renum(*sid));
@@ -476,7 +462,6 @@ type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 struct Staged {
     structures: Vec<Box<[LayerKind]>>,
     layer_costs: Vec<(LayerKind, HwParams, LayerCost)>,
-    sums: Vec<(u32, HwParams, ComputeSum)>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
@@ -764,17 +749,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         ))
     })?;
 
-    let sums = r.list(4 + HW_LEN + 16, |r| {
-        Ok((
-            sid(r)?,
-            r.hw()?,
-            ComputeSum {
-                cycles: r.u64()?,
-                energy_pj: r.finite("compute-sum energy")?,
-            },
-        ))
-    })?;
-
     let comms = r.list(4 + TOPO_LEN + 4, |r| {
         Ok((
             sid(r)?,
@@ -804,7 +778,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     Ok(Staged {
         structures,
         layer_costs,
-        sums,
         comms,
         louvains,
         graphs,
@@ -832,12 +805,6 @@ fn apply(engine: &Engine, staged: Staged) {
         let key = Prehashed::new((kind, hw));
         let mut shard = write_lock(&engine.shards[key.shard()]);
         shard.entry(key).or_insert(cost);
-    }
-    {
-        let mut sums = write_lock(&engine.sums);
-        for (sid, hw, sum) in staged.sums {
-            sums.entry((live(sid), hw)).or_insert(sum);
-        }
     }
     {
         let mut comms = write_lock(&engine.comms);
@@ -868,7 +835,7 @@ impl Engine {
     /// the save that skips an unchanged file. Returns `false` —
     /// without writing — when the engine cannot produce a reusable
     /// snapshot: cache disabled (nothing to save) or a fault plan
-    /// armed (faulted routes and evaluations must not leak into
+    /// armed (faulted costs and evaluations must not leak into
     /// healthy runs).
     ///
     /// # Errors
@@ -1031,11 +998,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// A framed snapshot whose body is the six sections, empty except
+    /// A framed snapshot whose body is the five sections, empty except
     /// for the given `(section index, count, records)`.
     fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
         let mut body = Vec::new();
-        for i in 0..6 {
+        for i in 0..5 {
             match sections.iter().find(|(s, _, _)| *s == i) {
                 Some((_, count, records)) => {
                     put_u32(&mut body, *count);
@@ -1088,17 +1055,18 @@ mod tests {
         assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("layer tag"));
 
         // A zero hardware parameter.
-        let mut sum = vec![0; 4];
-        sum.extend(hw_bytes([16, 0, 16, 8]));
-        sum.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, sum)]));
+        let mut cost = vec![5];
+        cost.extend([0; 8]);
+        cost.extend(hw_bytes([16, 0, 16, 8]));
+        cost.extend([0; 24]);
+        let detail = rejection(&with_sections(&[(1, 1, cost)]));
         assert!(detail.contains("n_sa"), "{detail}");
 
         // A structural id out of range.
-        let mut sum = vec![1, 0, 0, 0];
-        sum.extend(hw_bytes(HW));
-        sum.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, sum)]));
+        let mut comm = vec![1, 0, 0, 0];
+        comm.extend([0; TOPO_LEN]);
+        put_u32(&mut comm, 0);
+        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, comm)]));
         assert!(detail.contains("structural id"), "{detail}");
 
         // A bool byte other than 0 or 1.
@@ -1107,7 +1075,7 @@ mod tests {
         comm.extend([0; 16]);
         comm.push(2);
         comm.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure, (3, 1, comm)]));
+        let detail = rejection(&with_sections(&[one_structure, (2, 1, comm)]));
         assert!(detail.contains("bool"), "{detail}");
 
         // An op class out of range inside a partition.
@@ -1116,7 +1084,7 @@ mod tests {
         put_u32(&mut louvain, 1); // one community
         put_u32(&mut louvain, 1); // of one node
         louvain.push(OpClass::COUNT as u8);
-        let detail = rejection(&with_sections(&[(4, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(3, 1, louvain)]));
         assert!(detail.contains("op class"), "{detail}");
 
         // A non-finite energy.
@@ -1136,7 +1104,7 @@ mod tests {
             put_u32(&mut louvain, 1);
             louvain.push(0);
         }
-        let detail = rejection(&with_sections(&[(4, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(3, 1, louvain)]));
         assert!(detail.contains("two communities"), "{detail}");
     }
 

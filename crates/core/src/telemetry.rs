@@ -64,13 +64,17 @@ pub enum Metric {
     LayerHit,
     /// Layer-cost memo lookups that computed (and stored).
     LayerMiss,
-    /// Route-table lookups served from the topology cache.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     RouteHit,
-    /// Route-table lookups that built a new table.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     RouteMiss,
-    /// Whole-model compute sums served from cache.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     SumHit,
-    /// Whole-model compute sums computed fresh.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     SumMiss,
     /// Louvain partitions served from the canonical-graph cache.
     LouvainHit,
@@ -96,7 +100,9 @@ pub enum Metric {
     ParPanics,
     /// Louvain local-move + aggregation rounds run on cache misses.
     LouvainPasses,
-    /// Whole-model sums priced through the batched `LayerBatch` kernel.
+    /// Whole-model compute sums priced through the batched
+    /// `LayerBatch` kernel: every sum a cache-on engine without PPA
+    /// faults prices.
     BatchSums,
     /// Torus routes that took the BFS route-around (`hops_avoiding`).
     NocReroutes,
@@ -317,10 +323,6 @@ pub enum Gauge {
     Threads,
     /// Entries in the layer-cost memo cache.
     LayerEntries,
-    /// Topologies with cached route tables.
-    RouteEntries,
-    /// Entries in the compute-sum cache.
-    SumEntries,
     /// Entries in the Louvain partition cache.
     LouvainEntries,
     /// Entries in the universal-graph cache.
@@ -335,14 +337,12 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::Threads,
         Gauge::LayerEntries,
-        Gauge::RouteEntries,
-        Gauge::SumEntries,
         Gauge::LouvainEntries,
         Gauge::GraphEntries,
         Gauge::StructEntries,
@@ -355,8 +355,6 @@ impl Gauge {
         match self {
             Gauge::Threads => "engine.threads",
             Gauge::LayerEntries => "memo.layer.entries",
-            Gauge::RouteEntries => "memo.route.entries",
-            Gauge::SumEntries => "memo.sum.entries",
             Gauge::LouvainEntries => "memo.louvain.entries",
             Gauge::GraphEntries => "memo.graph.entries",
             Gauge::StructEntries => "engine.struct_entries",
@@ -822,7 +820,7 @@ impl ArgValue {
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Event name (span taxonomy: `stage.<name>`, `<stage>.item`,
-    /// `route.build`, `louvain.cluster`, `graph.build`, `sum.batch`,
+    /// `louvain.cluster`, `graph.build`, `graph.merge`, `sum.batch`,
     /// `dse.screen`, `dse.eval`, `degrade.success`, `fault.injected`).
     pub name: String,
     /// Event category (`stage`, `item`, `memo`, `dse`, `fault`).
@@ -1831,11 +1829,11 @@ mod tests {
     fn trace_spans_record_only_when_enabled() {
         let t = Telemetry::new();
         {
-            let _off = t.span("route.build", "memo");
+            let _off = t.span("graph.build", "memo");
         }
         t.set_tracing(true);
         {
-            let mut on = t.span("route.build", "memo");
+            let mut on = t.span("graph.build", "memo");
             on.arg("n", ArgValue::Int(3));
         }
         let trace = t.chrome_trace();
@@ -1845,7 +1843,7 @@ mod tests {
             .filter(|e| e["ph"].as_str() == Some("X"))
             .collect();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0]["name"].as_str(), Some("route.build"));
+        assert_eq!(spans[0]["name"].as_str(), Some("graph.build"));
         assert_eq!(spans[0]["args"]["n"].as_u64(), Some(3));
     }
 
@@ -1915,10 +1913,10 @@ mod tests {
         {
             let _s = t.stage_span("demo");
         }
-        t.count(Metric::RouteMiss);
+        t.count(Metric::CommMiss);
         let text = t.text_summary();
         assert!(text.contains("demo"), "{text}");
-        assert!(text.contains("memo.route.miss"), "{text}");
+        assert!(text.contains("memo.comm.miss"), "{text}");
         assert!(text.contains("track main"), "{text}");
     }
 }

@@ -17,7 +17,7 @@ use std::fmt::Display;
 ///
 /// Serialisation uses node/edge *lists* (JSON maps require string
 /// keys, and node keys are typically enums), via hand-written impls
-/// that mirror [`GraphRepr`].
+/// that mirror the private `GraphRepr` list form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedGraph<N: Ord + Clone> {
     nodes: BTreeMap<N, f64>,

@@ -9,6 +9,7 @@
 use claire::core::dse::{
     custom_config, custom_config_with_engine, sweep, sweep_with_engine, DseObjective,
 };
+use claire::core::telemetry::Metric;
 use claire::core::{Claire, ClaireOptions, Constraints, Engine, SubsetStrategy, WeightScale};
 use claire::model::zoo;
 use claire::ppa::DseSpace;
@@ -360,13 +361,13 @@ fn area_tier_and_structural_keys_see_traffic() {
             "both instances mapped onto the shared structure"
         );
         assert_eq!(
-            warm.sum_misses, cold.sum_misses,
-            "structural keys must serve the second instance's sums from cache \
-             ({threads} thread(s))"
+            warm.comm_misses, cold.comm_misses,
+            "structural keys must serve the second instance's edge costs from \
+             cache ({threads} thread(s))"
         );
         assert!(
-            warm.sum_hits > cold.sum_hits,
-            "second sweep produced no compute-sum hits: {warm:?}"
+            warm.comm_hits > cold.comm_hits,
+            "second sweep produced no comm hits: {warm:?}"
         );
     }
 }
@@ -398,12 +399,12 @@ fn engine_counters_see_traffic_during_a_sweep() {
     );
     let stats = engine.stats();
     assert!(
-        stats.sum_misses > 0,
-        "compute-sum cache untouched by a sweep: {stats:?}"
+        stats.comm_hits + stats.comm_misses > 0,
+        "comm tier untouched by a sweep: {stats:?}"
     );
     assert!(
-        stats.route_hits + stats.route_misses > 0,
-        "route cache untouched by a sweep: {stats:?}"
+        engine.telemetry().counter(Metric::BatchSums) > 0,
+        "no compute sum priced through the batch kernel: {stats:?}"
     );
     assert!(stats.overall_hit_rate() > 0.0, "no memo hits: {stats:?}");
 }

@@ -57,16 +57,13 @@ fn flow_from_snapshot_is_bit_identical_to_cold() {
     );
 
     // The warm flow re-derives nothing the snapshot carried: every
-    // memo lookup is a hit (route tables are not persisted, but the
-    // restored comm sequences leave nothing to route), and no tier
-    // grows, so the snapshot would not be rewritten.
+    // memo lookup is a hit, and no tier grows, so the snapshot would
+    // not be rewritten.
     let stats = warm.stats();
     assert_eq!(stats.cache_misses, 0, "{stats:?}");
-    assert_eq!(stats.sum_misses, 0, "{stats:?}");
     assert_eq!(stats.louvain_misses, 0, "{stats:?}");
     assert_eq!(stats.graph_misses, 0, "{stats:?}");
     assert_eq!(stats.comm_misses, 0, "{stats:?}");
-    assert_eq!(stats.route_misses, 0, "{stats:?}");
     assert_eq!(warm.tier_signature(), loaded_signature, "{stats:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -125,6 +122,46 @@ fn area_screening_leaves_no_warm_state() {
         Engine::new(2).snapshot_bytes().expect("encode fresh"),
         "area screening left warm state behind"
     );
+}
+
+#[test]
+fn search_state_is_independent_of_points_priced() {
+    // No tier is keyed by a hardware point the search prices alone:
+    // sweeping 81, 256 or 4,096 points leaves the same warm state.
+    let spaces = [DseSpace::default(), DseSpace::dense(4), DseSpace::dense(8)];
+    assert_eq!(
+        spaces.iter().map(DseSpace::len).collect::<Vec<_>>(),
+        [81, 256, 4096]
+    );
+    for model in [zoo::alexnet(), zoo::resnet18()] {
+        let states: Vec<_> = spaces
+            .iter()
+            .map(|space| {
+                let engine = Engine::new(2);
+                search_with_engine(
+                    &model,
+                    space,
+                    &Constraints::default(),
+                    SearchPolicy::Exhaustive,
+                    &engine,
+                );
+                (
+                    engine.snapshot_bytes().expect("encode"),
+                    engine.tier_signature(),
+                )
+            })
+            .collect();
+        for (space, (bytes, signature)) in spaces.iter().zip(&states).skip(1) {
+            assert_eq!(
+                (bytes.len(), signature),
+                (states[0].0.len(), &states[0].1),
+                "{}: {} points left a different warm state than 81",
+                model.name(),
+                space.len()
+            );
+            assert_eq!(bytes, &states[0].0, "{}", model.name());
+        }
+    }
 }
 
 #[test]

@@ -71,13 +71,9 @@ fn engine_stats_reconcile_exactly_with_counters() {
         paper_flow(&engine);
         let stats = engine.stats();
         let tel = engine.telemetry();
-        let pairs: [(&str, u64, Metric); 10] = [
+        let pairs: [(&str, u64, Metric); 6] = [
             ("cache_hits", stats.cache_hits, Metric::LayerHit),
             ("cache_misses", stats.cache_misses, Metric::LayerMiss),
-            ("route_hits", stats.route_hits, Metric::RouteHit),
-            ("route_misses", stats.route_misses, Metric::RouteMiss),
-            ("sum_hits", stats.sum_hits, Metric::SumHit),
-            ("sum_misses", stats.sum_misses, Metric::SumMiss),
             ("louvain_hits", stats.louvain_hits, Metric::LouvainHit),
             ("louvain_misses", stats.louvain_misses, Metric::LouvainMiss),
             ("graph_hits", stats.graph_hits, Metric::GraphHit),
