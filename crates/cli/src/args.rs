@@ -169,7 +169,7 @@ fn parse_dims3(s: &str) -> Result<(u32, u32, u32), ParseArgsError> {
 /// # Errors
 ///
 /// Returns [`ParseArgsError`] when the value is missing, not a
-/// number, or zero.
+/// number, zero, or above [`claire_ppa::MAX_THREADS`].
 pub fn extract_threads(args: &[String]) -> Result<(Option<usize>, Vec<String>), ParseArgsError> {
     let mut threads = None;
     let mut rest = Vec::with_capacity(args.len());
@@ -182,6 +182,12 @@ pub fn extract_threads(args: &[String]) -> Result<(Option<usize>, Vec<String>), 
                 .map_err(|_| err(format!("bad thread count `{v}`")))?;
             if n == 0 {
                 return Err(err("--threads must be at least 1"));
+            }
+            if n > claire_ppa::MAX_THREADS {
+                return Err(err(format!(
+                    "--threads {n} is above the limit of {}",
+                    claire_ppa::MAX_THREADS
+                )));
             }
             threads = Some(n);
         } else {
@@ -661,10 +667,11 @@ USAGE:
       Show this text.
 
 Any command also accepts --threads <n> to set the evaluation
-engine's worker count (else CLAIRE_THREADS, else all cores), and
---degrade to relax constraints (latency slack, then power density,
-then chiplet area) instead of failing when the DSE finds no feasible
-configuration; degraded results are flagged on stderr.
+engine's worker count, at most 256 (else CLAIRE_THREADS, else all
+cores), and --degrade to relax constraints (latency slack, then
+power density, then chiplet area) instead of failing when the DSE
+finds no feasible configuration; degraded results are flagged on
+stderr.
 
 Search policy (also valid with any command):
   --search exhaustive           Visit every screened DSE point
@@ -912,6 +919,15 @@ mod tests {
         assert!(extract_threads(&v(&["flow", "--threads", "0"])).is_err());
         assert!(extract_threads(&v(&["flow", "--threads", "many"])).is_err());
         assert!(extract_threads(&v(&["flow", "--threads"])).is_err());
+    }
+
+    #[test]
+    fn threads_rejects_counts_above_the_bound() {
+        let e = extract_threads(&v(&["flow", "--threads", "100000"])).unwrap_err();
+        assert!(e.to_string().contains("256"), "{e}");
+        let max = claire_ppa::MAX_THREADS.to_string();
+        let (t, _) = extract_threads(&v(&["flow", "--threads", &max])).unwrap();
+        assert_eq!(t, Some(claire_ppa::MAX_THREADS));
     }
 
     #[test]

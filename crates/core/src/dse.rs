@@ -8,8 +8,8 @@
 use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
-use crate::parallel::Engine;
-use crate::search::{search_with_engine, ParetoFront, SearchPolicy};
+use crate::parallel::{Engine, ShellPricer};
+use crate::search::{search_with_engine, SearchPolicy};
 use crate::telemetry::{ArgValue, Metric, Telemetry};
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams};
@@ -355,11 +355,12 @@ pub fn custom_config_with_engine(
 }
 
 /// [`custom_config_with_engine`] over any [`DesignSpace`] and
-/// [`SearchPolicy`]: one search builds the Pareto front, selection
-/// replays from the front. Under [`SearchPolicy::Exhaustive`] the
-/// result is bit-identical to the classic sweep-then-select path;
-/// sampled policies trade that oracle guarantee for a reproducible
-/// (seeded) trajectory over spaces exhaustive pricing can't touch.
+/// [`SearchPolicy`]: one search prices the survivor list, and
+/// selection folds it directly (`select_custom_config`) — no Pareto
+/// front is built. Under [`SearchPolicy::Exhaustive`] the result is
+/// bit-identical to the classic sweep-then-select path; sampled
+/// policies trade that oracle guarantee for a reproducible (seeded)
+/// trajectory over spaces exhaustive pricing can't touch.
 ///
 /// # Errors
 ///
@@ -373,17 +374,15 @@ pub fn custom_config_searched(
     engine: &Engine,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
     let outcome = search_with_engine(model, space, constraints, policy, engine);
-    select_from_front(model, &outcome.front, constraints, objective)
+    select_custom_config(model, outcome.points, constraints, objective)
 }
 
-/// The selection tail of [`custom_config_with_engine`]: folds the
-/// feasible points into a [`ParetoFront`] (space order) and selects
-/// from it. Shared with the flat-plan replay
-/// ([`crate::plan::flat`]), which feeds it the feasible point list
-/// from the pre-computed evaluation table — the fold order and
-/// comparisons are this one code path (and front-based selection is
-/// provably bit-identical to the historical full-list fold, see
-/// [`ParetoFront::select`]), so both flows select the same point bit
+/// The selection tail of [`custom_config_with_engine`]: runs
+/// [`select_point`] over the feasible points (space order) and names
+/// the winner's monolithic configuration. Shared with the flat-plan
+/// replay ([`crate::plan::flat`]), which feeds it the feasible point
+/// list from the pre-computed evaluation table — one fold, one order,
+/// one set of comparisons, so both flows select the same point bit
 /// for bit.
 ///
 /// # Errors
@@ -395,27 +394,7 @@ pub(crate) fn select_custom_config(
     constraints: &Constraints,
     objective: DseObjective,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    let front = ParetoFront::from_points(&points);
-    select_from_front(model, &front, constraints, objective)
-}
-
-/// Selection from an already-built [`ParetoFront`]: best-latency
-/// fold, latency-slack window (an infinite slack — degradation
-/// ladder — admits every point, which `best * inf = inf` does), then
-/// the objective minimum under `total_cmp` (which orders exactly like
-/// `partial_cmp` here because every surviving report passed the
-/// evaluator's finiteness gate), first tie wins.
-///
-/// # Errors
-///
-/// Same as [`custom_config`].
-pub(crate) fn select_from_front(
-    model: &Model,
-    front: &ParetoFront,
-    constraints: &Constraints,
-    objective: DseObjective,
-) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    let chosen = front.select(constraints, objective).ok_or_else(|| {
+    let chosen = select_point(&points, constraints, objective).ok_or_else(|| {
         ClaireError::NoFeasibleConfiguration {
             subject: model.name().to_owned(),
         }
@@ -423,6 +402,37 @@ pub(crate) fn select_from_front(
     let mut cfg = monolithic_for(model, chosen.hw);
     cfg.name = format!("C_{}", model.name());
     Ok((cfg, chosen.report))
+}
+
+/// The custom-configuration selection fold over `points` (space
+/// order): best-latency fold, latency-slack window (an infinite slack
+/// — degradation ladder — admits every point, which `best * inf = inf`
+/// does), then the objective minimum under `total_cmp` (which orders
+/// exactly like `partial_cmp` here because every surviving report
+/// passed the evaluator's finiteness gate), first tie wins. `None`
+/// when `points` is empty. [`crate::search::ParetoFront::select`] runs
+/// the same fold over the front's entries.
+pub(crate) fn select_point<'p>(
+    points: &'p [DsePoint],
+    constraints: &Constraints,
+    objective: DseObjective,
+) -> Option<&'p DsePoint> {
+    let best_latency = points
+        .iter()
+        .map(|p| p.report.latency_s)
+        .fold(f64::INFINITY, f64::min);
+    if !best_latency.is_finite() {
+        return None;
+    }
+    let limit = best_latency * (1.0 + constraints.latency_slack);
+    points
+        .iter()
+        .filter(|p| p.report.latency_s <= limit)
+        .min_by(|a, b| {
+            objective
+                .score(&a.report)
+                .total_cmp(&objective.score(&b.report))
+        })
 }
 
 /// Algorithm 1, lines 9–13 (and 15–17 with a subset): the shared
@@ -456,10 +466,13 @@ pub fn set_config(
     )
 }
 
-/// [`set_config`] on an explicit [`Engine`]. Candidate points are
-/// scored in parallel; the minimum-total-area selection folds over
-/// space iteration order (first strict improvement wins), so ties
-/// resolve exactly as in the serial loop.
+/// [`set_config`] on an explicit [`Engine`]. Each member prices
+/// through one [`ShellPricer`], built before the screens and resolved
+/// on first use, so a member the fold never reaches touches no memo
+/// tier. Candidate points are scored in parallel; the
+/// minimum-total-area selection folds over space iteration order
+/// (first strict improvement wins), so ties resolve exactly as in the
+/// serial loop.
 ///
 /// # Errors
 ///
@@ -476,10 +489,14 @@ pub fn set_config_with_engine(
         return Err(ClaireError::EmptyAlgorithmSet);
     }
 
-    // Per-member monolithic shells, built once for the whole sweep and
-    // cloned-with-hw per point.
+    // Per-member monolithic shells and their pricers, built once for
+    // the whole sweep.
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
-    let members: Vec<(&Model, &DesignConfig)> = models.iter().copied().zip(&shells).collect();
+    let members: Vec<ShellPricer<'_>> = models
+        .iter()
+        .zip(&shells)
+        .map(|(m, shell)| engine.shell_pricer(m, shell))
+        .collect();
     let points = screen_set_points(
         space_points(space),
         &members,
@@ -491,22 +508,22 @@ pub fn set_config_with_engine(
     eval_span.arg("points", ArgValue::Int(points.len() as u64));
     let totals: Vec<Option<f64>> = engine.par_map(&points, |_, &(_, hw)| {
         member_total(&members, constraints, custom_latency_s, |k| {
-            let (m, shell) = members[k];
-            let mut cfg = shell.clone();
-            cfg.hw = hw;
-            engine.evaluate(m, &cfg).ok()
+            members[k].price(hw).ok()
         })
     });
     drop(eval_span);
 
     let hw = select_set_hw(name, &points, &totals)?;
-    let classes: BTreeSet<OpClass> = shells.into_iter().flat_map(|s| s.classes).collect();
+    let classes: BTreeSet<OpClass> = shells
+        .iter()
+        .flat_map(|s| s.classes.iter().copied())
+        .collect();
     Ok(DesignConfig::monolithic(name, hw, classes))
 }
 
-/// The pre-pricing screens of a set sweep, shared by
-/// [`set_config_with_engine`] and the flat-plan replay
-/// ([`crate::plan::flat::set_config_from_table`]). Returns the
+/// The pre-pricing screens of a set sweep over the members' shell
+/// pricers, shared by [`set_config_with_engine`] and the flat-plan
+/// replay ([`crate::plan::flat::set_config_from_table`]). Returns the
 /// surviving `(space index, point)` pairs of `space` in iteration
 /// order.
 ///
@@ -523,7 +540,7 @@ pub fn set_config_with_engine(
 /// input unchanged.
 pub(crate) fn screen_set_points(
     space: impl Iterator<Item = (u32, HwParams)>,
-    members: &[(&Model, &DesignConfig)],
+    members: &[ShellPricer<'_>],
     constraints: &Constraints,
     custom_latency_s: &BTreeMap<String, f64>,
     engine: &Engine,
@@ -534,8 +551,9 @@ pub(crate) fn screen_set_points(
         let kept: Vec<(u32, HwParams)> = space
             .inspect(|_| seen += 1)
             .filter(|(_, hw)| {
-                members.iter().all(|(_, shell)| {
-                    monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
+                members.iter().all(|m| {
+                    monolithic_area_mm2(&m.shell().classes, hw)
+                        <= constraints.chiplet_area_limit_mm2
                 })
             })
             .collect();
@@ -547,11 +565,11 @@ pub(crate) fn screen_set_points(
         space.collect()
     };
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() && !points.is_empty() {
-        let bounds: Vec<(&Model, f64)> = members
+        let bounds: Vec<(&ShellPricer<'_>, f64)> = members
             .iter()
-            .filter_map(|&(m, _)| {
+            .filter_map(|m| {
                 custom_latency_s
-                    .get(m.name())
+                    .get(m.model().name())
                     .map(|&l| (m, l * (1.0 + constraints.latency_slack)))
             })
             .filter(|(_, b)| b.is_finite())
@@ -562,7 +580,7 @@ pub(crate) fn screen_set_points(
             let keep: Vec<bool> = engine.par_map(&points, |_, (_, hw)| {
                 bounds
                     .iter()
-                    .all(|&(m, bound)| engine.compute_cycles_lb(m, hw) as f64 / clock <= bound)
+                    .all(|&(m, bound)| m.lb_cycles(hw) as f64 / clock <= bound)
             });
             let before = points.len();
             let mut keep = keep.into_iter();
@@ -585,16 +603,16 @@ pub(crate) fn screen_set_points(
 /// latency-slack constraint. Members fold in order and stop at the
 /// first failure, so later members are never priced.
 pub(crate) fn member_total(
-    members: &[(&Model, &DesignConfig)],
+    members: &[ShellPricer<'_>],
     constraints: &Constraints,
     custom_latency_s: &BTreeMap<String, f64>,
     mut report_of: impl FnMut(usize) -> Option<PpaReport>,
 ) -> Option<f64> {
     let mut total_area = 0.0;
-    for (k, (m, _)) in members.iter().enumerate() {
+    for (k, m) in members.iter().enumerate() {
         let report = report_of(k)?;
         let latency_ok = custom_latency_s
-            .get(m.name())
+            .get(m.model().name())
             .map(|&l| report.latency_s <= l * (1.0 + constraints.latency_slack))
             .unwrap_or(true);
         if report.area_mm2 > constraints.chiplet_area_limit_mm2

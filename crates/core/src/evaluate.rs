@@ -559,36 +559,82 @@ pub fn evaluate_with_costs(
         0.0
     };
 
-    let report = PpaReport {
+    EvalTerms {
         latency_s,
-        energy_j: (energy_pj + noc_pj + nop_pj) * 1e-12 + leakage_j,
+        compute_pj: energy_pj,
+        noc_pj,
+        nop_pj,
         area_mm2: area,
-        nop_energy_j: nop_pj * 1e-12,
-        noc_energy_j: noc_pj * 1e-12,
         leakage_j,
-    };
-    // Finiteness gate: corrupt unit-PPA data or a degenerate
-    // configuration must surface as a typed error here, never as a
-    // NaN/Inf that silently poisons downstream sums and comparisons.
-    // Derived metrics are included so a zero latency or area (which
-    // would make power or density non-finite) is caught too.
-    let checks: [(&'static str, f64); 5] = [
-        ("latency", report.latency_s),
-        ("energy", report.energy_j),
-        ("area", report.area_mm2),
-        ("power", report.power_w()),
-        ("power_density", report.power_density_w_per_mm2()),
-    ];
-    for (metric, value) in checks {
-        if !value.is_finite() {
-            return Err(ClaireError::NonFiniteMetric {
-                algorithm: model.name().to_owned(),
-                config: config.name.clone(),
-                metric,
-            });
-        }
     }
-    Ok(report)
+    .into_report(model, &config.name)
+}
+
+/// The summed terms of one evaluation, before the report tail. The
+/// evaluator and the engine's prepared shell pricer
+/// ([`crate::parallel::ShellPricer`]) both finish through
+/// [`EvalTerms::into_report`], so their reports share one assembly and
+/// one finiteness gate.
+#[derive(Debug)]
+pub(crate) struct EvalTerms {
+    /// Compute seconds plus every transfer's latency, in edge order.
+    pub(crate) latency_s: f64,
+    /// Compute energy, pJ.
+    pub(crate) compute_pj: f64,
+    /// NoC transfer energy, pJ, folded from `0.0` in edge order.
+    pub(crate) noc_pj: f64,
+    /// NoP transfer energy, pJ, folded from `0.0` in edge order.
+    pub(crate) nop_pj: f64,
+    /// Configuration silicon area, mm².
+    pub(crate) area_mm2: f64,
+    /// Static energy, J (0 under the paper's dynamic-only accounting).
+    pub(crate) leakage_j: f64,
+}
+
+impl EvalTerms {
+    /// Assembles the [`PpaReport`] and applies the finiteness gate.
+    ///
+    /// # Errors
+    ///
+    /// [`ClaireError::NonFiniteMetric`] naming the first non-finite
+    /// metric, reported against `model` and `config_name`.
+    pub(crate) fn into_report(
+        self,
+        model: &Model,
+        config_name: &str,
+    ) -> Result<PpaReport, ClaireError> {
+        let report = PpaReport {
+            latency_s: self.latency_s,
+            energy_j: (self.compute_pj + self.noc_pj + self.nop_pj) * 1e-12 + self.leakage_j,
+            area_mm2: self.area_mm2,
+            nop_energy_j: self.nop_pj * 1e-12,
+            noc_energy_j: self.noc_pj * 1e-12,
+            leakage_j: self.leakage_j,
+        };
+        // Finiteness gate: corrupt unit-PPA data or a degenerate
+        // configuration must surface as a typed error here, never as a
+        // NaN/Inf that silently poisons downstream sums and
+        // comparisons. Derived metrics are included so a zero latency
+        // or area (which would make power or density non-finite) is
+        // caught too.
+        let checks: [(&'static str, f64); 5] = [
+            ("latency", report.latency_s),
+            ("energy", report.energy_j),
+            ("area", report.area_mm2),
+            ("power", report.power_w()),
+            ("power_density", report.power_density_w_per_mm2()),
+        ];
+        for (metric, value) in checks {
+            if !value.is_finite() {
+                return Err(ClaireError::NonFiniteMetric {
+                    algorithm: model.name().to_owned(),
+                    config: config_name.to_owned(),
+                    metric,
+                });
+            }
+        }
+        Ok(report)
+    }
 }
 
 #[cfg(test)]

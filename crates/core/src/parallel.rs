@@ -21,20 +21,21 @@
 //! the `CLAIRE_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-use crate::config::DesignConfig;
-use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
+use crate::config::{monolithic_area_mm2, DesignConfig};
+use crate::error::ClaireError;
+use crate::evaluate::{ComputeSum, CostProvider, EvalTerms, PpaReport, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
 use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
-use claire_model::{LayerKind, OpClass};
-use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost};
+use claire_model::{LayerKind, Model, OpClass};
+use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, MAX_THREADS};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -115,12 +116,15 @@ pub const THREADS_ENV: &str = "CLAIRE_THREADS";
 
 /// Resolves the effective worker count: the explicit `knob` if given,
 /// else `CLAIRE_THREADS`, else the machine's available parallelism.
-/// Always at least 1.
+/// Always at least 1. A `CLAIRE_THREADS` value that does not parse or
+/// exceeds [`MAX_THREADS`] is ignored; [`Engine::new`] clamps the
+/// knob.
 pub fn resolve_threads(knob: Option<usize>) -> usize {
     knob.or_else(|| {
         std::env::var(THREADS_ENV)
             .ok()
             .and_then(|v| v.trim().parse().ok())
+            .filter(|&n: &usize| n <= MAX_THREADS)
     })
     .unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -416,11 +420,11 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with an explicit worker count (clamped to ≥ 1) and
-    /// the memo cache enabled.
+    /// An engine with an explicit worker count (clamped to
+    /// `1..=`[`MAX_THREADS`]) and the memo cache enabled.
     pub fn new(threads: usize) -> Self {
         Engine {
-            threads: threads.max(1),
+            threads: threads.clamp(1, MAX_THREADS),
             cache_enabled: true,
             pruning_enabled: true,
             faults: None,
@@ -934,6 +938,40 @@ impl Engine {
         self.pruning_enabled && self.faults.is_none()
     }
 
+    /// A [`ShellPricer`] for `model` over the hardware points of the
+    /// monolithic DSE `shell` (the shell's own `hw` is ignored). The
+    /// pricer resolves nothing until its first call, so building one
+    /// for a model no point reaches leaves every memo tier untouched.
+    pub fn shell_pricer<'a>(
+        &'a self,
+        model: &'a Model,
+        shell: &'a DesignConfig,
+    ) -> ShellPricer<'a> {
+        ShellPricer {
+            engine: self,
+            model,
+            shell,
+            prepared: self.cache_enabled && self.faults.is_none() && shell.chiplets.is_empty(),
+            batch: OnceLock::new(),
+            comm: OnceLock::new(),
+        }
+    }
+
+    /// Whole-model compute totals over an interned batch, on a
+    /// per-thread scratch buffer: one `ppa.batch_sums` count and one
+    /// `sum.batch` span per call.
+    fn batch_sum(&self, batch: &LayerBatch, hw: &HwParams) -> ComputeSum {
+        let mut span = self.telemetry.span("sum.batch", "memo");
+        span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
+        span.arg("families", ArgValue::Int(batch.family_count() as u64));
+        self.telemetry.count(Metric::BatchSums);
+        let sum = SUM_SCRATCH.with(|s| batch.compute_sum_with(hw, &mut s.borrow_mut()));
+        ComputeSum {
+            cycles: sum.cycles,
+            energy_pj: sum.energy_pj,
+        }
+    }
+
     /// Runs `f` under a telemetry stage span (accumulated into the
     /// named stage aggregate, and emitted into the trace when tracing
     /// is enabled) and returns its result.
@@ -1168,15 +1206,7 @@ impl CostProvider for Engine {
             return ComputeSum { cycles, energy_pj };
         }
         let (_, batch) = self.structural(model);
-        let mut span = self.telemetry.span("sum.batch", "memo");
-        span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
-        span.arg("families", ArgValue::Int(batch.family_count() as u64));
-        self.telemetry.count(Metric::BatchSums);
-        let sum = batch.compute_sum(hw);
-        ComputeSum {
-            cycles: sum.cycles,
-            energy_pj: sum.energy_pj,
-        }
+        self.batch_sum(&batch, hw)
     }
 
     /// Memoized per-(model structure, topology) edge-cost sequences —
@@ -1213,6 +1243,135 @@ impl CostProvider for Engine {
         Some(Arc::clone(
             write_lock(&self.comms).entry(key).or_insert(seq),
         ))
+    }
+}
+
+/// One model priced over the hardware points of one monolithic DSE
+/// shell, built by [`Engine::shell_pricer`]. Every hardware point of a
+/// DSE sweep shares the shell's name, class set and topology, so the
+/// facts [`Engine::evaluate`] re-derives per point are resolved once
+/// here:
+///
+/// * the model's interned [`LayerBatch`], on the first
+///   [`ShellPricer::lb_cycles`] or [`ShellPricer::price`] call;
+/// * the coverage check and the comm tier's edge-cost sequence, with
+///   its NoC and NoP energy folded from `0.0` in edge order, on the
+///   first `price` call (one comm lookup per pricer).
+///
+/// A point then costs the batch kernel, the in-order latency fold over
+/// the sequence, the closed-form monolithic area and the evaluator's
+/// own report tail ([`crate::evaluate`]'s `EvalTerms`), so `price(hw)`
+/// is bit-identical to [`Engine::evaluate`] on the shell at `hw`.
+/// Resolution goes through [`OnceLock`]s, so concurrent first calls
+/// resolve once and a pricer no point reaches adds nothing to any
+/// memo tier.
+///
+/// Cache-off engines (the equivalence oracle), engines with a fault
+/// plan (whose injection sites must see every pricing call), clustered
+/// shells, and shells that miss a class of the model or have no comm
+/// sequence price each point through [`Engine::evaluate`] and
+/// [`Engine::compute_cycles_lb`] instead.
+#[derive(Debug)]
+pub struct ShellPricer<'a> {
+    engine: &'a Engine,
+    model: &'a Model,
+    shell: &'a DesignConfig,
+    /// Cache on, no fault plan, monolithic shell.
+    prepared: bool,
+    batch: OnceLock<Arc<LayerBatch>>,
+    /// `None` when the shell falls back to per-point evaluation.
+    comm: OnceLock<Option<PreparedComm>>,
+}
+
+/// A shell's edge-cost sequence with its point-independent energy
+/// sums.
+#[derive(Debug)]
+struct PreparedComm {
+    seq: Arc<[TransferCost]>,
+    noc_pj: f64,
+    nop_pj: f64,
+}
+
+impl<'a> ShellPricer<'a> {
+    /// The priced model.
+    pub(crate) fn model(&self) -> &'a Model {
+        self.model
+    }
+
+    /// The monolithic shell the model is priced on.
+    pub(crate) fn shell(&self) -> &'a DesignConfig {
+        self.shell
+    }
+
+    /// The model's interned batch, interned on first use.
+    fn batch(&self) -> &LayerBatch {
+        self.batch
+            .get_or_init(|| self.engine.structural(self.model).1)
+    }
+
+    /// The compute-cycle lower bound at `hw`: exactly
+    /// [`Engine::compute_cycles_lb`] for the model.
+    pub fn lb_cycles(&self, hw: &HwParams) -> u64 {
+        if !self.prepared {
+            return self.engine.compute_cycles_lb(self.model, hw);
+        }
+        let batch = self.batch();
+        LB_SCRATCH.with(|s| batch.compute_cycles_with(hw, &mut s.borrow_mut()))
+    }
+
+    /// The model's PPA on the shell at `hw`: bit-identical to
+    /// [`Engine::evaluate`] on the shell with its `hw` set to `hw`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Engine::evaluate`]'s errors.
+    pub fn price(&self, hw: HwParams) -> Result<PpaReport, ClaireError> {
+        let comm = if self.prepared {
+            self.comm.get_or_init(|| self.resolve_comm()).as_ref()
+        } else {
+            None
+        };
+        let Some(comm) = comm else {
+            let mut config = self.shell.clone();
+            config.hw = hw;
+            return self.engine.evaluate(self.model, &config);
+        };
+        let sum = self.engine.batch_sum(self.batch(), &hw);
+        // The evaluator's latency fold: compute seconds first, then
+        // each transfer in edge order.
+        let mut latency_s = sum.cycles as f64 / claire_ppa::tech28::CLOCK_HZ;
+        for t in comm.seq.iter() {
+            latency_s += t.latency_s();
+        }
+        EvalTerms {
+            latency_s,
+            compute_pj: sum.energy_pj,
+            noc_pj: comm.noc_pj,
+            nop_pj: comm.nop_pj,
+            area_mm2: monolithic_area_mm2(&self.shell.classes, &hw),
+            leakage_j: 0.0,
+        }
+        .into_report(self.model, &self.shell.name)
+    }
+
+    /// The first-`price` resolution: `None` (per-point evaluation,
+    /// which surfaces the typed error) when the shell misses a class
+    /// of the model or the comm tier has no sequence for it.
+    fn resolve_comm(&self) -> Option<PreparedComm> {
+        if self.shell.first_missing(self.model).is_some() {
+            return None;
+        }
+        let seq = self.engine.edge_costs(self.model, self.shell)?;
+        let (mut noc_pj, mut nop_pj) = (0.0, 0.0);
+        for t in seq.iter() {
+            noc_pj += t.noc_pj();
+            nop_pj += t.nop_pj();
+        }
+        Some(PreparedComm {
+            seq,
+            noc_pj,
+            nop_pj,
+        })
     }
 }
 
@@ -1298,6 +1457,10 @@ thread_local! {
     /// kernel, reused across points, rungs and models so the screen
     /// loops never reallocate.
     static LB_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+
+    /// Per-thread scratch for the batch kernel's per-slot costs in
+    /// every whole-model compute sum.
+    static SUM_SCRATCH: RefCell<Vec<LayerCost>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A cache key bundled with its hash, computed once per lookup.
@@ -1630,5 +1793,12 @@ mod tests {
         assert_eq!(resolve_threads(Some(3)), 3);
         assert_eq!(resolve_threads(Some(0)), 1, "clamped to >= 1");
         assert!(resolve_threads(None) >= 1);
+    }
+
+    #[test]
+    fn engine_clamps_thread_count_to_the_bound() {
+        // Construction spawns nothing: threads start only inside a map.
+        assert_eq!(Engine::new(MAX_THREADS + 1).threads(), MAX_THREADS);
+        assert_eq!(Engine::new(MAX_THREADS).threads(), MAX_THREADS);
     }
 }

@@ -16,10 +16,14 @@
 //! (`search::halving_rungs`); replay calls the same selection
 //! code (`dse::select_custom_config`, `dse::screen_set_points`,
 //! `dse::select_set_hw`) on the same point lists in the same space
-//! order. Every table entry is the [`Engine::evaluate`] call the
-//! search would make — deterministic and cache-state-independent by
-//! the engine's core invariant — so a planned selection equals the
-//! single-subject search's bit for bit, at any thread count.
+//! order. Each model prices through one [`ShellPricer`] for its shell,
+//! built before the maps and resolved on first use, so a row the area
+//! screen empties touches no memo tier. Every table entry is the
+//! pricer call the search would make — bit-identical to
+//! [`Engine::evaluate`] on the shell, deterministic and
+//! cache-state-independent by the engine's core invariant — so a
+//! planned selection equals the single-subject search's bit for bit,
+//! at any thread count.
 
 use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
 use crate::dse::{
@@ -28,7 +32,7 @@ use crate::dse::{
 };
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
-use crate::parallel::Engine;
+use crate::parallel::{Engine, ShellPricer};
 use crate::search::{halving_rungs, SearchPolicy};
 use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
@@ -56,8 +60,8 @@ pub struct ModelRow {
     /// halving rung dropped the point, so the plan never priced it. A
     /// subset replay that still needs such a point (its member-set
     /// bound can be looser than this row's pivot bound, and set sweeps
-    /// never sample) prices it lazily through the engine's memo tiers —
-    /// see [`set_config_from_table`].
+    /// never sample) prices it lazily through the member's shell
+    /// pricer — see [`set_config_from_table`].
     unpriced: Vec<bool>,
 }
 
@@ -113,7 +117,9 @@ pub struct EvalTable {
 /// halving rungs on each row's survivors. The union of all remaining
 /// `(model, hw-point)` items is evaluated through one
 /// [`Engine::par_map`], and the item count lands on the `plan.items`
-/// counter.
+/// counter. Every bound and evaluation goes through the model's one
+/// [`ShellPricer`], shared by the lower-bound map, the pivots, the
+/// rungs and the big map.
 ///
 /// `cancels` is parallel to `models` (an empty slice disables
 /// cancellation). Each evaluation item checks its model's flag when a
@@ -136,6 +142,11 @@ pub fn build_eval_table(
     let cancelled = |mi: usize| cancels.get(mi).is_some_and(|c| c.load(Ordering::Relaxed));
     let space_points: Vec<(u32, HwParams)> = space_points(space).collect();
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
+    let pricers: Vec<ShellPricer<'_>> = models
+        .iter()
+        .zip(&shells)
+        .map(|(m, shell)| engine.shell_pricer(m, shell))
+        .collect();
 
     // Stage A per model: the search's sound area screen, decided by
     // the evaluator's own closed form. The survivor scratch is hoisted
@@ -185,7 +196,7 @@ pub fn build_eval_table(
             .flat_map(|(mi, row)| (0..row.points.len()).map(move |pi| (mi, pi)))
             .collect();
         let lbs: Vec<u64> = engine.par_map(&lb_items, |_, &(mi, pi)| {
-            engine.compute_cycles_lb(&models[mi], &rows[mi].points[pi].1)
+            pricers[mi].lb_cycles(&rows[mi].points[pi].1)
         });
         // Per-model lb slices (rows are contiguous in the flat list).
         let mut offsets = Vec::with_capacity(rows.len());
@@ -224,9 +235,7 @@ pub fn build_eval_table(
                 // skips them anyway.
                 return f64::INFINITY;
             }
-            let mut cfg = shells[mi].clone();
-            cfg.hw = rows[mi].points[pi].1;
-            match engine.evaluate(&models[mi], &cfg) {
+            match pricers[mi].price(rows[mi].points[pi].1) {
                 Ok(r)
                     if r.area_mm2 <= constraints.chiplet_area_limit_mm2
                         && r.power_density_w_per_mm2()
@@ -271,8 +280,7 @@ pub fn build_eval_table(
                 .map(|(&p, _)| p)
                 .collect();
             if !cancelled(mi) {
-                let lb_cycles = |hw: &HwParams| engine.compute_cycles_lb(&models[mi], hw);
-                halving_rungs(&mut candidates, policy, engine, &lb_cycles);
+                halving_rungs(&mut candidates, policy, engine, &pricers[mi]);
             }
             candidates
         });
@@ -313,11 +321,11 @@ pub fn build_eval_table(
         if cancelled(mi) {
             return None;
         }
-        let mut cfg = shells[mi].clone();
-        cfg.hw = rows[mi].points[pi].1;
-        engine.evaluate(&models[mi], &cfg).ok()
+        pricers[mi].price(rows[mi].points[pi].1).ok()
     });
     drop(span);
+    // The pricers borrow `shells`, which move into the table below.
+    drop(pricers);
 
     // Scatter the results back into per-model rows; unpriced slots
     // stay `None`.
@@ -368,8 +376,10 @@ pub fn custom_from_row(
 /// A surviving point may be unpriced in a *member's* row (the
 /// member's pivot bound can be tighter than its custom-latency bound,
 /// and set sweeps never sample); such points are priced lazily here
-/// through the engine's memo tiers — the identical [`Engine::evaluate`]
-/// call the set sweep makes, so the fold's inputs are unchanged.
+/// through the member's [`ShellPricer`] — the identical call the set
+/// sweep makes, so the fold's inputs are unchanged. The pricers are
+/// built once per replay and resolve on first use, so a member whose
+/// points all come from the table adds no comm lookup.
 ///
 /// # Errors
 ///
@@ -386,13 +396,13 @@ pub fn set_config_from_table(
     if members.is_empty() {
         return Err(ClaireError::EmptyAlgorithmSet);
     }
-    let member_shells: Vec<(&Model, &DesignConfig)> = members
+    let pricers: Vec<ShellPricer<'_>> = members
         .iter()
-        .map(|&mi| (&models[mi], &table.shells[mi]))
+        .map(|&mi| engine.shell_pricer(&models[mi], &table.shells[mi]))
         .collect();
     let points = screen_set_points(
         table.space_points.iter().copied(),
-        &member_shells,
+        &pricers,
         constraints,
         custom_latency_s,
         engine,
@@ -400,18 +410,15 @@ pub fn set_config_from_table(
     let totals: Vec<Option<f64>> = points
         .iter()
         .map(|&(index, hw)| {
-            member_total(&member_shells, constraints, custom_latency_s, |k| {
-                let mi = members[k];
-                let row = &table.rows[mi];
+            member_total(&pricers, constraints, custom_latency_s, |k| {
+                let row = &table.rows[members[k]];
                 let pi = row.position(index)?;
                 if !row.unpriced[pi] {
                     return row.reports[pi];
                 }
                 // Never priced by the plan: price it now, memo-warm —
                 // bit-identical to the set sweep.
-                let mut cfg = table.shells[mi].clone();
-                cfg.hw = hw;
-                engine.evaluate(&models[mi], &cfg).ok()
+                pricers[k].price(hw).ok()
             })
         })
         .collect();

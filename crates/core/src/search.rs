@@ -1,5 +1,6 @@
-//! Scalable DSE search: lower-bound screening, Pareto-front
-//! maintenance and seeded successive halving over generative spaces.
+//! Scalable DSE search: lower-bound screening, exact pricing through
+//! one prepared shell pricer, and seeded successive halving over
+//! generative spaces.
 //!
 //! [`search_with_engine`] generalises the staged sweep
 //! ([`crate::dse::sweep_with_engine`]) from "screen on area, price the
@@ -28,11 +29,19 @@
 //!   are priced exactly, so selections stay bit-identical to the
 //!   exhaustive oracle. An infinite slack (relaxation-ladder rungs)
 //!   or an infeasible pivot widens the bound to ∞ — no pruning.
-//! * **Stage B — exact pricing + Pareto front.** Evaluates the
-//!   remaining candidates through [`Engine::par_map`] and folds the
-//!   feasible points into a [`ParetoFront`] in space order, so one
-//!   sweep answers the selection query of *every* [`DseObjective`]
-//!   without re-pricing.
+//! * **Stage B — exact pricing.** Prices the remaining candidates
+//!   through [`Engine::par_map`] and keeps the feasible points in space
+//!   order, so one sweep answers the selection query of *every*
+//!   [`DseObjective`] without re-pricing. Selection folds that survivor
+//!   list directly; the three-objective [`ParetoFront`] is a view
+//!   built on demand ([`SearchOutcome::front`]), never on the
+//!   selection path.
+//!
+//! Every stage prices through one [`ShellPricer`] for the model's
+//! monolithic shell: the lower bounds of stage A′ and of the halving
+//! rungs read [`ShellPricer::lb_cycles`], and the pivot and stage B
+//! read [`ShellPricer::price`], which is bit-identical to
+//! [`Engine::evaluate`] on the shell at that point.
 //!
 //! Under [`SearchPolicy::SuccessiveHalving`] stage B is *sampled*:
 //! rungs of lower-bound ranking (each through `par_map`) shrink the
@@ -44,8 +53,8 @@
 //! exhaustive policy remains the oracle.
 
 use crate::config::{monolithic_area_mm2, Constraints};
-use crate::dse::{monolithic_for, DseObjective, DsePoint, SHELL_HW};
-use crate::parallel::Engine;
+use crate::dse::{monolithic_for, select_point, DseObjective, DsePoint, SHELL_HW};
+use crate::parallel::{Engine, ShellPricer};
 use crate::telemetry::ArgValue;
 use claire_model::Model;
 use claire_ppa::{space_points, DesignSpace, HwParams};
@@ -84,7 +93,10 @@ impl SearchPolicy {
 }
 
 /// The three-objective Pareto front of a feasible point set, in space
-/// iteration order.
+/// iteration order — a reporting view over a search's survivor list
+/// ([`SearchOutcome::front`]). Selection never needs it: it folds the
+/// survivor list directly, in O(points) rather than the front's
+/// O(points × front).
 ///
 /// **Dominance** is *strong*: a point is discarded only when another
 /// point scores strictly better in **every** [`DseObjective`] (area,
@@ -154,29 +166,12 @@ impl ParetoFront {
     }
 
     /// Replays the custom-configuration selection for `objective`
-    /// from the front alone: best-latency fold, latency-slack window,
-    /// then the objective minimum with first-tie-wins — the identical
-    /// fold `dse::select_custom_config` performs, and (by
-    /// the dominance argument above) the identical winner, bit for
-    /// bit, for **any** objective from one sweep.
+    /// from the front alone: the selection fold
+    /// `dse::select_point` runs over the full survivor list, run over
+    /// the entries instead — and (by the dominance argument above) the
+    /// identical winner, bit for bit, for **any** objective.
     pub fn select(&self, constraints: &Constraints, objective: DseObjective) -> Option<&DsePoint> {
-        let best_latency = self
-            .entries
-            .iter()
-            .map(|p| p.report.latency_s)
-            .fold(f64::INFINITY, f64::min);
-        if !best_latency.is_finite() {
-            return None;
-        }
-        let limit = best_latency * (1.0 + constraints.latency_slack);
-        self.entries
-            .iter()
-            .filter(|p| p.report.latency_s <= limit)
-            .min_by(|a, b| {
-                objective
-                    .score(&a.report)
-                    .total_cmp(&objective.score(&b.report))
-            })
+        select_point(&self.entries, constraints, objective)
     }
 }
 
@@ -187,12 +182,18 @@ pub struct SearchOutcome {
     /// Under the exhaustive policy this is the staged sweep's survivor
     /// list; under a sampled policy it covers only the final rung.
     pub points: Vec<DsePoint>,
-    /// The three-objective Pareto front of `points`, maintained
-    /// incrementally during stage B.
-    pub front: ParetoFront,
     /// True when a sampled trajectory skipped exact pricing of some
     /// screened candidates (selections heuristic, not oracle).
     pub sampled: bool,
+}
+
+impl SearchOutcome {
+    /// The three-objective Pareto front of [`SearchOutcome::points`],
+    /// built on demand for callers that report it; selection folds
+    /// `points` directly and never builds it.
+    pub fn front(&self) -> ParetoFront {
+        ParetoFront::from_points(&self.points)
+    }
 }
 
 /// SplitMix64 — the same finalizer the fault plan uses for per-site
@@ -215,8 +216,9 @@ fn rung_tie_break(seed: u64, rung: u64, index: u32) -> u64 {
 /// The successive-halving rungs of a sampled stage B, shared by
 /// [`search_with_engine`] and the flat plan
 /// ([`crate::plan::flat::build_eval_table`]): each rung ranks the
-/// space-ordered `(space index, point)` candidates on `lb_cycles`
-/// (ties broken by [`rung_tie_break`]) and keeps the best
+/// space-ordered `(space index, point)` candidates on the pricer's
+/// [`ShellPricer::lb_cycles`] (ties broken by [`rung_tie_break`]) and
+/// keeps the best
 /// `max(budget, ⌈len / eta⌉)` in space order, until at most `budget`
 /// remain. Returns whether any rung ran — i.e. whether the trajectory
 /// sampled. A no-op under [`SearchPolicy::Exhaustive`].
@@ -224,7 +226,7 @@ pub(crate) fn halving_rungs(
     candidates: &mut Vec<(u32, HwParams)>,
     policy: SearchPolicy,
     engine: &Engine,
-    lb_cycles: &(dyn Fn(&HwParams) -> u64 + Sync),
+    pricer: &ShellPricer<'_>,
 ) -> bool {
     let SearchPolicy::SuccessiveHalving { seed, eta, budget } = policy else {
         return false;
@@ -238,7 +240,8 @@ pub(crate) fn halving_rungs(
         let mut span = engine.telemetry().span("dse.rung", "dse");
         span.arg("rung", ArgValue::Int(rung));
         span.arg("candidates", ArgValue::Int(candidates.len() as u64));
-        let lbs: Vec<u64> = engine.par_map(candidates.as_slice(), |_, (_, hw)| lb_cycles(hw));
+        let lbs: Vec<u64> =
+            engine.par_map(candidates.as_slice(), |_, (_, hw)| pricer.lb_cycles(hw));
         let keep = budget.max(candidates.len().div_ceil(eta as usize));
         let mut ranked: Vec<(u64, u64, u32)> = candidates
             .iter()
@@ -264,10 +267,10 @@ pub(crate) fn halving_rungs(
     rung > 0
 }
 
-/// The three-stage, Pareto-aware, optionally sampled design-space
-/// search (see the module docs for the stage and soundness
-/// arguments). Generalises [`crate::dse::sweep_with_engine`] to any
-/// [`DesignSpace`] and [`SearchPolicy`]; the classic sweep is exactly
+/// The three-stage, optionally sampled design-space search (see the
+/// module docs for the stage and soundness arguments). Generalises
+/// [`crate::dse::sweep_with_engine`] to any [`DesignSpace`] and
+/// [`SearchPolicy`]; the classic sweep is exactly
 /// `search_with_engine(…, SearchPolicy::Exhaustive, …).points`.
 pub fn search_with_engine(
     model: &Model,
@@ -277,6 +280,7 @@ pub fn search_with_engine(
     engine: &Engine,
 ) -> SearchOutcome {
     let shell = monolithic_for(model, SHELL_HW);
+    let pricer = engine.shell_pricer(model, &shell);
 
     // Stage A: stream the space through the area screen; only
     // survivors (index, point) are ever collected.
@@ -297,11 +301,8 @@ pub fn search_with_engine(
         space_points(space).collect()
     };
 
-    let lb_cycles = |hw: &HwParams| engine.compute_cycles_lb(model, hw);
     let evaluate = |hw: HwParams| -> Option<DsePoint> {
-        let mut cfg = shell.clone();
-        cfg.hw = hw;
-        let report = engine.evaluate(model, &cfg).ok()?;
+        let report = pricer.price(hw).ok()?;
         let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
             && report.power_density_w_per_mm2() <= constraints.power_density_limit_w_per_mm2;
         feasible.then_some(DsePoint { hw, report })
@@ -313,7 +314,7 @@ pub fn search_with_engine(
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() && !candidates.is_empty()
     {
         let mut span = engine.telemetry().span("dse.lb_screen", "dse");
-        let lbs: Vec<u64> = engine.par_map(&candidates, |_, (_, hw)| lb_cycles(hw));
+        let lbs: Vec<u64> = engine.par_map(&candidates, |_, (_, hw)| pricer.lb_cycles(hw));
         // Pivot: first candidate in space order with minimal bound
         // (u64 compare — exact, order-deterministic).
         let mut pivot = 0usize;
@@ -348,10 +349,10 @@ pub fn search_with_engine(
 
     // Sampled stage B: successive-halving rungs shrink the candidate
     // set on the lower-bound rank before any exact pricing.
-    let sampled = halving_rungs(&mut candidates, policy, engine, &lb_cycles);
+    let sampled = halving_rungs(&mut candidates, policy, engine, &pricer);
 
-    // Stage B: exact pricing of the final candidates, folded into the
-    // Pareto front in space order.
+    // Stage B: exact pricing of the final candidates; the feasible
+    // ones stay in space order.
     if engine.pruning_enabled() {
         engine.note_dse_evaluated(candidates.len() as u64);
     }
@@ -363,12 +364,7 @@ pub fn search_with_engine(
         .flatten()
         .collect();
     drop(span);
-    let front = ParetoFront::from_points(&points);
-    SearchOutcome {
-        points,
-        front,
-        sampled,
-    }
+    SearchOutcome { points, sampled }
 }
 
 #[cfg(test)]
@@ -503,8 +499,8 @@ mod tests {
         assert_eq!(engine.stats().search_rungs, 0);
         assert_eq!(format!("{:?}", ex.points), format!("{:?}", sh.points));
         assert_eq!(
-            format!("{:?}", ex.front.entries()),
-            format!("{:?}", sh.front.entries())
+            format!("{:?}", ex.front().entries()),
+            format!("{:?}", sh.front().entries())
         );
     }
 
@@ -566,7 +562,7 @@ mod tests {
             },
             &engine,
         );
-        assert!(!out.front.is_empty(), "grid must admit feasible points");
+        assert!(!out.front().is_empty(), "grid must admit feasible points");
         assert!(out.points.len() <= 32);
         let stats = engine.stats();
         assert!(stats.dse_pruned > 0, "grid corners exceed the area cap");

@@ -105,6 +105,15 @@ impl fmt::Display for HwParamsError {
 
 impl std::error::Error for HwParamsError {}
 
+/// The largest worker count any thread knob may ask for:
+/// [`DseSpace::threads`], the CLI's `--threads` and the
+/// `CLAIRE_THREADS` environment variable. Each parallel map spawns up
+/// to this many scoped threads, and a spawn the operating system
+/// refuses panics instead of surfacing as a typed error, so the count
+/// is bounded where it enters the program. 256 is 32× the 8 workers
+/// the determinism suites exercise.
+pub const MAX_THREADS: usize = 256;
+
 /// The design-space-exploration sweep: the cartesian product of the
 /// parameter axes. The default is 3 values per axis = 3⁴ = **81
 /// configurations**, matching "The DSE run encompassed 81
@@ -119,10 +128,11 @@ pub struct DseSpace {
     pub n_acts: Vec<u32>,
     /// Candidate pooling-unit counts.
     pub n_pools: Vec<u32>,
-    /// Worker threads for sweeping this space. `None` (the default,
-    /// and what older run-config files deserialize to) defers to the
-    /// `CLAIRE_THREADS` environment variable and then to the machine's
-    /// available parallelism.
+    /// Worker threads for sweeping this space, at most
+    /// [`MAX_THREADS`]. `None` (the default, and what older run-config
+    /// files deserialize to) defers to the `CLAIRE_THREADS`
+    /// environment variable and then to the machine's available
+    /// parallelism.
     pub threads: Option<usize>,
 }
 
@@ -190,8 +200,9 @@ impl DseSpace {
         })
     }
 
-    /// Checks the space describes at least one valid design point:
-    /// every axis non-empty, every value non-zero.
+    /// Checks the space describes at least one valid design point —
+    /// every axis non-empty, every value non-zero — and that its
+    /// thread knob, when set, is at most [`MAX_THREADS`].
     ///
     /// # Errors
     ///
@@ -210,7 +221,12 @@ impl DseSpace {
                 return Err(DseSpaceError::ZeroValue { axis });
             }
         }
-        Ok(())
+        match self.threads {
+            Some(threads) if threads > MAX_THREADS => {
+                Err(DseSpaceError::TooManyThreads { threads })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -227,6 +243,11 @@ pub enum DseSpaceError {
         /// Which axis.
         axis: &'static str,
     },
+    /// The thread knob asks for more than [`MAX_THREADS`] workers.
+    TooManyThreads {
+        /// The requested worker count.
+        threads: usize,
+    },
 }
 
 impl fmt::Display for DseSpaceError {
@@ -237,6 +258,12 @@ impl fmt::Display for DseSpaceError {
             }
             DseSpaceError::ZeroValue { axis } => {
                 write!(f, "DSE axis `{axis}` contains a zero value")
+            }
+            DseSpaceError::TooManyThreads { threads } => {
+                write!(
+                    f,
+                    "{threads} threads requested; at most {MAX_THREADS} allowed"
+                )
             }
         }
     }
@@ -318,6 +345,23 @@ mod tests {
             ..DseSpace::default()
         };
         assert_eq!(zeroed.iter().count(), valid_only.iter().count());
+    }
+
+    #[test]
+    fn thread_knob_is_bounded() {
+        let at = |threads| DseSpace {
+            threads: Some(threads),
+            ..DseSpace::default()
+        };
+        assert!(at(MAX_THREADS).validate().is_ok());
+        let err = at(MAX_THREADS + 1).validate().unwrap_err();
+        assert_eq!(
+            err,
+            DseSpaceError::TooManyThreads {
+                threads: MAX_THREADS + 1
+            }
+        );
+        assert!(err.to_string().contains(&MAX_THREADS.to_string()));
     }
 
     #[test]

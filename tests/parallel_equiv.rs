@@ -51,6 +51,24 @@ fn dse_sweep_cache_on_equals_cache_off() {
         sweep_with_engine(&model, &space, &cons, &Engine::new(4).with_cache(true))
     );
     assert_eq!(on, off, "memo cache changed sweep results");
+    // Unscreened, every point is priced: through the prepared shell
+    // pricer on the cache-on engine, through `Engine::evaluate` on the
+    // cache-off one.
+    for space in [DseSpace::default(), DseSpace::dense(6)] {
+        for (name, make) in &zoo::TABLE {
+            let model = make();
+            let sweep = |cache: bool| {
+                let engine = Engine::new(4).with_cache(cache).with_pruning(false);
+                format!("{:?}", sweep_with_engine(&model, &space, &cons, &engine))
+            };
+            assert_eq!(
+                sweep(true),
+                sweep(false),
+                "memo cache changed the unscreened {name} sweep over {} points",
+                space.len()
+            );
+        }
+    }
 }
 
 #[test]
@@ -389,22 +407,35 @@ fn cache_off_engine_interns_nothing() {
 
 #[test]
 fn engine_counters_see_traffic_during_a_sweep() {
+    // A sweep prices through one prepared shell pricer: one comm
+    // lookup per sweep at any thread count, one batch sum per point.
     let engine = Engine::new(2);
     let model = zoo::resnet18();
-    sweep_with_engine(
-        &model,
-        &DseSpace::default(),
-        &Constraints::default(),
-        &engine,
-    );
+    let sweep = || {
+        sweep_with_engine(
+            &model,
+            &DseSpace::default(),
+            &Constraints::default(),
+            &engine,
+        )
+    };
+    sweep();
     let stats = engine.stats();
-    assert!(
-        stats.comm_hits + stats.comm_misses > 0,
-        "comm tier untouched by a sweep: {stats:?}"
+    assert_eq!(
+        (stats.comm_hits, stats.comm_misses),
+        (0, 1),
+        "a fresh engine's sweep makes exactly one comm lookup: {stats:?}"
     );
     assert!(
         engine.telemetry().counter(Metric::BatchSums) > 0,
         "no compute sum priced through the batch kernel: {stats:?}"
+    );
+    sweep();
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.comm_hits, stats.comm_misses),
+        (1, 1),
+        "a second sweep's one lookup hits the stored sequence: {stats:?}"
     );
     assert!(stats.overall_hit_rate() > 0.0, "no memo hits: {stats:?}");
 }

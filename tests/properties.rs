@@ -568,8 +568,8 @@ proptest! {
         prop_assert!(!sh.sampled);
         prop_assert_eq!(format!("{:?}", sh.points), format!("{:?}", ex.points));
         prop_assert_eq!(
-            format!("{:?}", sh.front.entries()),
-            format!("{:?}", ex.front.entries())
+            format!("{:?}", sh.front().entries()),
+            format!("{:?}", ex.front().entries())
         );
         for objective in [
             DseObjective::MinArea,
@@ -577,8 +577,8 @@ proptest! {
             DseObjective::MinEnergyDelayProduct,
         ] {
             prop_assert_eq!(
-                format!("{:?}", sh.front.select(&cons, objective)),
-                format!("{:?}", ex.front.select(&cons, objective))
+                format!("{:?}", sh.front().select(&cons, objective)),
+                format!("{:?}", ex.front().select(&cons, objective))
             );
         }
     }

@@ -162,6 +162,27 @@ fn search_state_is_independent_of_points_priced() {
             assert_eq!(bytes, &states[0].0, "{}", model.name());
         }
     }
+    // A search whose area screen empties the space prices nothing, so
+    // its shell pricer resolves nothing: no interned structure, no
+    // comm lookup.
+    let engine = Engine::new(2);
+    let nothing_fits = Constraints {
+        chiplet_area_limit_mm2: 0.5,
+        ..Constraints::default()
+    };
+    let out = search_with_engine(
+        &zoo::resnet18(),
+        &DseSpace::default(),
+        &nothing_fits,
+        SearchPolicy::Exhaustive,
+        &engine,
+    );
+    assert!(out.points.is_empty());
+    assert_eq!(
+        engine.tier_signature(),
+        Engine::new(2).tier_signature(),
+        "an emptied search left warm state behind"
+    );
 }
 
 #[test]
