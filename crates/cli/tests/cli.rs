@@ -222,6 +222,46 @@ fn infeasible_constraints_exit_with_distinct_code() {
 }
 
 #[test]
+fn config_with_zero_threads_exits_2_like_the_flag() {
+    // `space.threads: 0` is rejected when the config loads, before any
+    // engine (or thread) exists, with the exit code `--threads 0` gets.
+    let path = std::env::temp_dir().join(format!(
+        "claire-cli-zero-threads-{}.json",
+        std::process::id()
+    ));
+    let out = cli()
+        .args(["init-config", path.to_str().expect("utf8")])
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&path).expect("config written");
+    assert!(text.contains("\"threads\": null"), "{text}");
+    std::fs::write(
+        &path,
+        text.replacen("\"threads\": null", "\"threads\": 0", 1),
+    )
+    .expect("rewrite");
+    let out = cli()
+        .args([
+            "custom",
+            "Alexnet",
+            "--config",
+            path.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("run");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`threads`"), "{err}");
+    let flag = cli()
+        .args(["custom", "Alexnet", "--threads", "0"])
+        .output()
+        .expect("run");
+    assert_eq!(flag.status.code(), Some(2));
+}
+
+#[test]
 fn usage_documents_exit_codes_and_degrade() {
     let out = cli().arg("help").output().expect("run");
     assert!(out.status.success());

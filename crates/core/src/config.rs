@@ -2,7 +2,7 @@
 
 use claire_model::{ActivationKind, Model, OpClass};
 use claire_noc::Network;
-use claire_ppa::{unit_area_mm2, HwParams};
+use claire_ppa::{unit_area_mm2, HwParams, SpaceAxes};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -104,6 +104,104 @@ impl Chiplet {
 pub fn monolithic_area_mm2(classes: &BTreeSet<OpClass>, hw: &HwParams) -> f64 {
     let units: f64 = classes.iter().map(|&c| unit_area_mm2(c, hw)).sum();
     units + classes.len() as f64 * Network::noc().router.area_mm2
+}
+
+/// [`monolithic_area_mm2`] over a grid of design points: one
+/// unit-area table per class, in class order, along the one axis that
+/// class's area reads — `(sa_size, n_sa)` for the systolic classes,
+/// `n_act` for activations, `n_pool` for pooling, none for reshapes.
+/// [`AreaTables::area_mm2`] folds the tables with the same `.sum()`
+/// and adds the same router term, so it is bit-identical to
+/// [`monolithic_area_mm2`] at every point of the grid.
+///
+/// Each unit area is `f64::from(v)` times a positive constant, or a
+/// constant, so it is non-decreasing along its axis; `f64` addition is
+/// monotone, so the folded area is non-decreasing along every axis.
+#[derive(Debug)]
+pub(crate) struct AreaTables {
+    /// Per class, in class order: the axis it reads and its areas.
+    units: Box<[(UnitAxis, Box<[f64]>)]>,
+    /// `n_sas.len()`: the row stride of the systolic tables.
+    n_sas: usize,
+    /// One NoC router per module group.
+    routers_mm2: f64,
+}
+
+/// The axis a unit area reads.
+#[derive(Debug, Clone, Copy)]
+enum UnitAxis {
+    Systolic,
+    Activation,
+    Pooling,
+    Fixed,
+}
+
+impl AreaTables {
+    /// Tables for `classes` over `axes`, filled eagerly: a few
+    /// multiplications per axis value, and no layer work.
+    pub(crate) fn new(classes: &BTreeSet<OpClass>, axes: &SpaceAxes) -> Self {
+        // Axes a class does not read hold a placeholder 1.
+        let grid = |sa_size, n_sa, n_act, n_pool| HwParams {
+            sa_size,
+            n_sa,
+            n_act,
+            n_pool,
+        };
+        let units = classes
+            .iter()
+            .map(|&class| {
+                let area = |hw: HwParams| unit_area_mm2(class, &hw);
+                match class {
+                    OpClass::Conv2d | OpClass::Conv1d | OpClass::Linear => (
+                        UnitAxis::Systolic,
+                        axes.sa_sizes
+                            .iter()
+                            .flat_map(|&s| axes.n_sas.iter().map(move |&n| area(grid(s, n, 1, 1))))
+                            .collect(),
+                    ),
+                    OpClass::Activation(_) => (
+                        UnitAxis::Activation,
+                        axes.n_acts
+                            .iter()
+                            .map(|&a| area(grid(1, 1, a, 1)))
+                            .collect(),
+                    ),
+                    OpClass::Pooling(_) => (
+                        UnitAxis::Pooling,
+                        axes.n_pools
+                            .iter()
+                            .map(|&p| area(grid(1, 1, 1, p)))
+                            .collect(),
+                    ),
+                    OpClass::Flatten | OpClass::Permute => {
+                        (UnitAxis::Fixed, Box::from([area(grid(1, 1, 1, 1))]))
+                    }
+                }
+            })
+            .collect();
+        AreaTables {
+            units,
+            n_sas: axes.n_sas.len(),
+            routers_mm2: classes.len() as f64 * Network::noc().router.area_mm2,
+        }
+    }
+
+    /// The monolithic area at axis positions `[sa_size, n_sa, n_act,
+    /// n_pool]` (see [`SpaceAxes::decode`]).
+    pub(crate) fn area_mm2(&self, at: [usize; 4]) -> f64 {
+        let [si, ni, ai, pi] = at;
+        let units: f64 = self
+            .units
+            .iter()
+            .map(|(axis, areas)| match axis {
+                UnitAxis::Systolic => areas[si * self.n_sas + ni],
+                UnitAxis::Activation => areas[ai],
+                UnitAxis::Pooling => areas[pi],
+                UnitAxis::Fixed => areas[0],
+            })
+            .sum();
+        units + self.routers_mm2
+    }
 }
 
 /// A design configuration: the DSE-selected hardware parameters, the
@@ -422,6 +520,35 @@ mod tests {
         );
         let direct = monolithic_area_mm2(&cfg.classes, &cfg.hw);
         assert_eq!(direct.to_bits(), cfg.area_mm2().to_bits());
+    }
+
+    #[test]
+    fn area_tables_match_the_closed_form_at_every_grid_point() {
+        use claire_model::PoolingKind;
+        let classes = classes(&[
+            OpClass::Conv2d,
+            OpClass::Linear,
+            OpClass::Activation(ActivationKind::Gelu),
+            OpClass::Pooling(PoolingKind::MaxPool),
+            OpClass::Pooling(PoolingKind::AvgPool),
+            OpClass::Flatten,
+        ]);
+        let axes = SpaceAxes {
+            sa_sizes: vec![48, 12],
+            n_sas: vec![8, 8, 64],
+            n_acts: vec![4],
+            n_pools: vec![32, 4, 16],
+        };
+        let tables = AreaTables::new(&classes, &axes);
+        for index in 0..2 * 3 * 3 {
+            let at = axes.decode(index);
+            let hw = axes.point(at).unwrap();
+            assert_eq!(
+                tables.area_mm2(at).to_bits(),
+                monolithic_area_mm2(&classes, &hw).to_bits(),
+                "{hw}"
+            );
+        }
     }
 
     #[test]

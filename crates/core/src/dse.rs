@@ -5,7 +5,7 @@
 //! design setups": sweep every configuration in scope, evaluate PPA,
 //! apply the constraints, and keep the lowest-area survivor.
 
-use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
+use crate::config::{Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
@@ -275,8 +275,9 @@ pub fn sweep(model: &Model, space: &DseSpace, constraints: &Constraints) -> Vec<
 /// identical selections to the serial exhaustive sweep at any thread
 /// count.
 ///
-/// **Stage A** prices every point's monolithic area in closed form
-/// ([`monolithic_area_mm2`]) — no per-layer work — and (when
+/// **Stage A** screens the points' monolithic area in closed form
+/// ([`crate::config::monolithic_area_mm2`], read from the shell
+/// pricer's per-class tables) — no per-layer work — and (when
 /// [`Engine::pruning_enabled`]) drops points already over
 /// `chiplet_area_limit_mm2`; this screen is bit-exact against the
 /// evaluated `area_mm2`, so it only removes points the feasibility
@@ -492,10 +493,11 @@ pub fn set_config_with_engine(
     // Per-member monolithic shells and their pricers, built once for
     // the whole sweep.
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
+    let axes = space.axes();
     let members: Vec<ShellPricer<'_>> = models
         .iter()
         .zip(&shells)
-        .map(|(m, shell)| engine.shell_pricer(m, shell))
+        .map(|(m, shell)| engine.shell_pricer(m, shell, &axes))
         .collect();
     let points = screen_set_points(
         space_points(space),
@@ -506,9 +508,9 @@ pub fn set_config_with_engine(
     );
     let mut eval_span = engine.telemetry().span("dse.eval", "dse");
     eval_span.arg("points", ArgValue::Int(points.len() as u64));
-    let totals: Vec<Option<f64>> = engine.par_map(&points, |_, &(_, hw)| {
+    let totals: Vec<Option<f64>> = engine.par_map(&points, |_, &(idx, hw)| {
         member_total(&members, constraints, custom_latency_s, |k| {
-            members[k].price(hw).ok()
+            members[k].price(idx, hw).ok()
         })
     });
     drop(eval_span);
@@ -529,8 +531,8 @@ pub fn set_config_with_engine(
 ///
 /// **Stage A** keeps a point only if every member's monolithic area
 /// fits the chiplet cap — the same early `None` the member fold takes,
-/// decided by the evaluator's own [`monolithic_area_mm2`] without
-/// pricing anything.
+/// decided by each member's area tables ([`ShellPricer::area_mm2`],
+/// the evaluator's own closed form) without pricing anything.
 /// **Stage A′**: members with a custom latency reference admit an
 /// *absolute* latency bound known before any pricing,
 /// `l_m × (1 + slack)`, so a point whose compute-only cycle lower
@@ -550,11 +552,10 @@ pub(crate) fn screen_set_points(
         let mut seen: u64 = 0;
         let kept: Vec<(u32, HwParams)> = space
             .inspect(|_| seen += 1)
-            .filter(|(_, hw)| {
-                members.iter().all(|m| {
-                    monolithic_area_mm2(&m.shell().classes, hw)
-                        <= constraints.chiplet_area_limit_mm2
-                })
+            .filter(|(idx, hw)| {
+                members
+                    .iter()
+                    .all(|m| m.area_mm2(*idx, hw) <= constraints.chiplet_area_limit_mm2)
             })
             .collect();
         engine.note_dse_pruned(seen - kept.len() as u64);
@@ -577,14 +578,13 @@ pub(crate) fn screen_set_points(
         if !bounds.is_empty() {
             let mut span = engine.telemetry().span("dse.lb_screen", "dse");
             let clock = claire_ppa::tech28::CLOCK_HZ;
-            let keep: Vec<bool> = engine.par_map(&points, |_, (_, hw)| {
+            let before = points.len();
+            // A plain loop: a bound is a few table reads.
+            points.retain(|(idx, hw)| {
                 bounds
                     .iter()
-                    .all(|&(m, bound)| m.lb_cycles(hw) as f64 / clock <= bound)
+                    .all(|&(m, bound)| m.lb_cycles(*idx, hw) as f64 / clock <= bound)
             });
-            let before = points.len();
-            let mut keep = keep.into_iter();
-            points.retain(|_| keep.next().unwrap_or(false));
             engine.note_dse_lb_pruned((before - points.len()) as u64);
             span.arg("pruned", ArgValue::Int((before - points.len()) as u64));
             span.arg("kept", ArgValue::Int(points.len() as u64));

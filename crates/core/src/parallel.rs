@@ -21,7 +21,7 @@
 //! the `CLAIRE_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-use crate::config::{monolithic_area_mm2, DesignConfig};
+use crate::config::{AreaTables, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, CostProvider, EvalTerms, PpaReport, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
@@ -29,7 +29,7 @@ use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, Model, OpClass};
-use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, MAX_THREADS};
+use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, SpaceAxes, MAX_THREADS};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -116,15 +116,15 @@ pub const THREADS_ENV: &str = "CLAIRE_THREADS";
 
 /// Resolves the effective worker count: the explicit `knob` if given,
 /// else `CLAIRE_THREADS`, else the machine's available parallelism.
-/// Always at least 1. A `CLAIRE_THREADS` value that does not parse or
-/// exceeds [`MAX_THREADS`] is ignored; [`Engine::new`] clamps the
-/// knob.
+/// Always at least 1. A `CLAIRE_THREADS` value that does not parse,
+/// is 0 or exceeds [`MAX_THREADS`] is ignored; [`Engine::new`] clamps
+/// the knob.
 pub fn resolve_threads(knob: Option<usize>) -> usize {
     knob.or_else(|| {
         std::env::var(THREADS_ENV)
             .ok()
             .and_then(|v| v.trim().parse().ok())
-            .filter(|&n: &usize| n <= MAX_THREADS)
+            .filter(|n: &usize| (1..=MAX_THREADS).contains(n))
     })
     .unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -898,9 +898,9 @@ impl Engine {
 
     /// Whole-model **compute-cycle lower bound**: the total compute
     /// cycles of `model` under `hw` from the cycles-only
-    /// [`LayerBatch::compute_cycles_with`] kernel over the model's
-    /// interned batch, on a per-thread scratch buffer. The cycle count
-    /// is bit-equal to [`CostProvider::compute_sum`]'s `cycles` but
+    /// [`LayerBatch::compute_cycles`] kernel over the model's
+    /// interned batch. The cycle count is bit-equal to
+    /// [`CostProvider::compute_sum`]'s `cycles` but
     /// skips all of its floating-point energy work — the cheap
     /// low-fidelity pass the search's screens and rungs rank with. It
     /// is computed afresh on every call: one pass over the model's
@@ -915,8 +915,7 @@ impl Engine {
                 .map(|l| claire_ppa::layer_cycles(&l.kind, hw))
                 .sum();
         }
-        let (_, batch) = self.structural(model);
-        LB_SCRATCH.with(|s| batch.compute_cycles_with(hw, &mut s.borrow_mut()))
+        self.structural(model).1.compute_cycles(hw)
     }
 
     /// [`Engine::compute_cycles_lb`] in seconds: `cycles / CLOCK_HZ` —
@@ -939,33 +938,45 @@ impl Engine {
     }
 
     /// A [`ShellPricer`] for `model` over the hardware points of the
-    /// monolithic DSE `shell` (the shell's own `hw` is ignored). The
-    /// pricer resolves nothing until its first call, so building one
-    /// for a model no point reaches leaves every memo tier untouched.
+    /// monolithic DSE `shell` (the shell's own `hw` is ignored), which
+    /// come from a space whose axes are `axes`
+    /// ([`claire_ppa::DesignSpace::axes`]). The pricer resolves
+    /// nothing until its first call, so building one for a model no
+    /// point reaches leaves every memo tier untouched.
     pub fn shell_pricer<'a>(
         &'a self,
         model: &'a Model,
         shell: &'a DesignConfig,
+        axes: &'a SpaceAxes,
     ) -> ShellPricer<'a> {
         ShellPricer {
             engine: self,
             model,
             shell,
+            axes,
             prepared: self.cache_enabled && self.faults.is_none() && shell.chiplets.is_empty(),
-            batch: OnceLock::new(),
+            cycles: OnceLock::new(),
+            area: OnceLock::new(),
             comm: OnceLock::new(),
         }
     }
 
-    /// Whole-model compute totals over an interned batch, on a
-    /// per-thread scratch buffer: one `ppa.batch_sums` count and one
-    /// `sum.batch` span per call.
-    fn batch_sum(&self, batch: &LayerBatch, hw: &HwParams) -> ComputeSum {
+    /// Runs one batch-kernel pass `kernel` over `batch`: one
+    /// `ppa.batch_sums` count and one `sum.batch` span per call.
+    fn batch_kernel<R>(&self, batch: &LayerBatch, kernel: impl FnOnce() -> R) -> R {
         let mut span = self.telemetry.span("sum.batch", "memo");
         span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
         span.arg("families", ArgValue::Int(batch.family_count() as u64));
         self.telemetry.count(Metric::BatchSums);
-        let sum = SUM_SCRATCH.with(|s| batch.compute_sum_with(hw, &mut s.borrow_mut()));
+        kernel()
+    }
+
+    /// Whole-model compute totals over an interned batch, on a
+    /// per-thread scratch buffer.
+    fn batch_sum(&self, batch: &LayerBatch, hw: &HwParams) -> ComputeSum {
+        let sum = self.batch_kernel(batch, || {
+            SUM_SCRATCH.with(|s| batch.compute_sum_with(hw, &mut s.borrow_mut()))
+        });
         ComputeSum {
             cycles: sum.cycles,
             energy_pj: sum.energy_pj,
@@ -1247,49 +1258,84 @@ impl CostProvider for Engine {
 }
 
 /// One model priced over the hardware points of one monolithic DSE
-/// shell, built by [`Engine::shell_pricer`]. Every hardware point of a
-/// DSE sweep shares the shell's name, class set and topology, so the
-/// facts [`Engine::evaluate`] re-derives per point are resolved once
-/// here:
+/// shell, built by [`Engine::shell_pricer`] for the axes of the space
+/// those points come from. Every point of a DSE sweep shares the
+/// shell's name, class set and topology, and the model's cost splits
+/// along the space's axes, so the pricer holds per-axis tables instead
+/// of re-deriving per point what [`Engine::evaluate`] derives:
 ///
-/// * the model's interned [`LayerBatch`], on the first
-///   [`ShellPricer::lb_cycles`] or [`ShellPricer::price`] call;
-/// * the coverage check and the comm tier's edge-cost sequence, with
-///   its NoC and NoP energy folded from `0.0` in edge order, on the
-///   first `price` call (one comm lookup per pricer).
+/// * **cycles**: one entry per systolic `(sa_size, n_sa)` pair, per
+///   `n_act` value and per `n_pool` value, each filled on first use by
+///   one run of that family's batch kernel
+///   ([`LayerBatch::systolic_cycles`] and its siblings), plus the
+///   axis-free reshape part. A point's cycles are those four parts
+///   added with `wrapping_add`: the batch kernel's per-layer sum;
+/// * **energy**: no layer's energy reads the point, so the model's
+///   compute energy is folded once ([`LayerBatch::energy_pj`]), on the
+///   first [`ShellPricer::price`] call, with the coverage check and the
+///   comm tier's edge-cost sequence and its NoC and NoP energy folds;
+/// * **area**: one unit-area table per class of the shell, along the
+///   axis that class reads, folded in class order per point
+///   ([`crate::config::monolithic_area_mm2`], bit for bit).
 ///
-/// A point then costs the batch kernel, the in-order latency fold over
-/// the sequence, the closed-form monolithic area and the evaluator's
-/// own report tail ([`crate::evaluate`]'s `EvalTerms`), so `price(hw)`
-/// is bit-identical to [`Engine::evaluate`] on the shell at `hw`.
-/// Resolution goes through [`OnceLock`]s, so concurrent first calls
-/// resolve once and a pricer no point reaches adds nothing to any
-/// memo tier.
+/// A point then costs four cycle-table reads, the in-order latency
+/// fold over the sequence, the area fold and the evaluator's own
+/// report tail ([`crate::evaluate`]'s `EvalTerms`), so `price` is
+/// bit-identical to [`Engine::evaluate`] on the shell at that point.
+/// Points are addressed by their flat space index, decoded by
+/// [`SpaceAxes::decode`]; callers pass the point too, which the tables
+/// fill from and the fallback prices. Every table and table entry
+/// resolves through a [`OnceLock`], so concurrent first calls resolve
+/// once and a pricer no point reaches adds nothing to any memo tier.
 ///
 /// Cache-off engines (the equivalence oracle), engines with a fault
 /// plan (whose injection sites must see every pricing call), clustered
 /// shells, and shells that miss a class of the model or have no comm
 /// sequence price each point through [`Engine::evaluate`] and
-/// [`Engine::compute_cycles_lb`] instead.
+/// [`Engine::compute_cycles_lb`] instead. Area has no injection site
+/// and reads no memo tier, so [`ShellPricer::area_mm2`] reads the
+/// tables on every engine.
 #[derive(Debug)]
 pub struct ShellPricer<'a> {
     engine: &'a Engine,
     model: &'a Model,
     shell: &'a DesignConfig,
+    axes: &'a SpaceAxes,
     /// Cache on, no fault plan, monolithic shell.
     prepared: bool,
-    batch: OnceLock<Arc<LayerBatch>>,
+    cycles: OnceLock<CycleTables>,
+    area: OnceLock<AreaTables>,
     /// `None` when the shell falls back to per-point evaluation.
     comm: OnceLock<Option<PreparedComm>>,
 }
 
-/// A shell's edge-cost sequence with its point-independent energy
+/// A model's compute cycles over a space's axes, entry by entry.
+#[derive(Debug)]
+struct CycleTables {
+    batch: Arc<LayerBatch>,
+    /// Per `(sa_size, n_sa)` position, row-major over `n_sas`.
+    systolic: Box<[OnceLock<u64>]>,
+    /// Per `n_act` position.
+    activation: Box<[OnceLock<u64>]>,
+    /// Per `n_pool` position.
+    pooling: Box<[OnceLock<u64>]>,
+    /// Flatten and permute cycles, which read no axis.
+    reshape: u64,
+}
+
+/// `len` unfilled table entries.
+fn entries(len: usize) -> Box<[OnceLock<u64>]> {
+    std::iter::repeat_with(OnceLock::new).take(len).collect()
+}
+
+/// A shell's edge-cost sequence with the point-independent energy
 /// sums.
 #[derive(Debug)]
 struct PreparedComm {
     seq: Arc<[TransferCost]>,
     noc_pj: f64,
     nop_pj: f64,
+    compute_pj: f64,
 }
 
 impl<'a> ShellPricer<'a> {
@@ -1298,34 +1344,76 @@ impl<'a> ShellPricer<'a> {
         self.model
     }
 
-    /// The monolithic shell the model is priced on.
-    pub(crate) fn shell(&self) -> &'a DesignConfig {
-        self.shell
+    /// The axis positions of the point at space index `index`.
+    fn at(&self, index: u32, hw: &HwParams) -> [usize; 4] {
+        let at = self.axes.decode(index as usize);
+        debug_assert_eq!(self.axes.point(at), Some(*hw), "space index {index}");
+        at
     }
 
-    /// The model's interned batch, interned on first use.
-    fn batch(&self) -> &LayerBatch {
-        self.batch
-            .get_or_init(|| self.engine.structural(self.model).1)
+    /// The cycle tables, with the model's batch interned, on first
+    /// use.
+    fn cycle_tables(&self) -> &CycleTables {
+        self.cycles.get_or_init(|| {
+            let (_, batch) = self.engine.structural(self.model);
+            CycleTables {
+                systolic: entries(self.axes.sa_sizes.len() * self.axes.n_sas.len()),
+                activation: entries(self.axes.n_acts.len()),
+                pooling: entries(self.axes.n_pools.len()),
+                reshape: batch.reshape_cycles(),
+                batch,
+            }
+        })
     }
 
-    /// The compute-cycle lower bound at `hw`: exactly
-    /// [`Engine::compute_cycles_lb`] for the model.
-    pub fn lb_cycles(&self, hw: &HwParams) -> u64 {
+    /// The model's compute cycles at the point `hw` at positions `at`:
+    /// four table reads, each entry filled from `hw` on first use.
+    fn cycles_at(&self, at: [usize; 4], hw: &HwParams) -> u64 {
+        let t = self.cycle_tables();
+        let [si, ni, ai, pi] = at;
+        let fill = |entry: &OnceLock<u64>, kernel: fn(&LayerBatch, &HwParams) -> u64| {
+            *entry.get_or_init(|| self.engine.batch_kernel(&t.batch, || kernel(&t.batch, hw)))
+        };
+        fill(
+            &t.systolic[si * self.axes.n_sas.len() + ni],
+            LayerBatch::systolic_cycles,
+        )
+        .wrapping_add(fill(&t.activation[ai], LayerBatch::activation_cycles))
+        .wrapping_add(fill(&t.pooling[pi], LayerBatch::pooling_cycles))
+        .wrapping_add(t.reshape)
+    }
+
+    /// The shell's monolithic area at space index `index`: exactly
+    /// [`crate::config::monolithic_area_mm2`] at `hw`, read from the
+    /// per-class tables (built on first use) on any engine.
+    pub fn area_mm2(&self, index: u32, hw: &HwParams) -> f64 {
+        self.area_at(self.at(index, hw))
+    }
+
+    /// [`ShellPricer::area_mm2`] at axis positions `at`.
+    pub(crate) fn area_at(&self, at: [usize; 4]) -> f64 {
+        self.area
+            .get_or_init(|| AreaTables::new(&self.shell.classes, self.axes))
+            .area_mm2(at)
+    }
+
+    /// The compute-cycle lower bound at the point `hw` at space index
+    /// `index`: exactly [`Engine::compute_cycles_lb`] for the model.
+    pub fn lb_cycles(&self, index: u32, hw: &HwParams) -> u64 {
         if !self.prepared {
             return self.engine.compute_cycles_lb(self.model, hw);
         }
-        let batch = self.batch();
-        LB_SCRATCH.with(|s| batch.compute_cycles_with(hw, &mut s.borrow_mut()))
+        self.cycles_at(self.at(index, hw), hw)
     }
 
-    /// The model's PPA on the shell at `hw`: bit-identical to
-    /// [`Engine::evaluate`] on the shell with its `hw` set to `hw`.
+    /// The model's PPA on the shell at the point `hw` at space index
+    /// `index`: bit-identical to [`Engine::evaluate`] on the shell with
+    /// its `hw` set to `hw`.
     ///
     /// # Errors
     ///
     /// Exactly [`Engine::evaluate`]'s errors.
-    pub fn price(&self, hw: HwParams) -> Result<PpaReport, ClaireError> {
+    pub fn price(&self, index: u32, hw: HwParams) -> Result<PpaReport, ClaireError> {
         let comm = if self.prepared {
             self.comm.get_or_init(|| self.resolve_comm()).as_ref()
         } else {
@@ -1336,19 +1424,19 @@ impl<'a> ShellPricer<'a> {
             config.hw = hw;
             return self.engine.evaluate(self.model, &config);
         };
-        let sum = self.engine.batch_sum(self.batch(), &hw);
+        let at = self.at(index, &hw);
         // The evaluator's latency fold: compute seconds first, then
         // each transfer in edge order.
-        let mut latency_s = sum.cycles as f64 / claire_ppa::tech28::CLOCK_HZ;
+        let mut latency_s = self.cycles_at(at, &hw) as f64 / claire_ppa::tech28::CLOCK_HZ;
         for t in comm.seq.iter() {
             latency_s += t.latency_s();
         }
         EvalTerms {
             latency_s,
-            compute_pj: sum.energy_pj,
+            compute_pj: comm.compute_pj,
             noc_pj: comm.noc_pj,
             nop_pj: comm.nop_pj,
-            area_mm2: monolithic_area_mm2(&self.shell.classes, &hw),
+            area_mm2: self.area_at(at),
             leakage_j: 0.0,
         }
         .into_report(self.model, &self.shell.name)
@@ -1367,10 +1455,12 @@ impl<'a> ShellPricer<'a> {
             noc_pj += t.noc_pj();
             nop_pj += t.nop_pj();
         }
+        let batch = &self.cycle_tables().batch;
         Some(PreparedComm {
             seq,
             noc_pj,
             nop_pj,
+            compute_pj: self.engine.batch_kernel(batch, || batch.energy_pj()),
         })
     }
 }
@@ -1452,11 +1542,6 @@ thread_local! {
     /// maps serial. Worker threads are scope-local, so the flag never
     /// leaks to reused threads.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-
-    /// Per-thread scratch for [`Engine::compute_cycles_lb`]'s batch
-    /// kernel, reused across points, rungs and models so the screen
-    /// loops never reallocate.
-    static LB_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 
     /// Per-thread scratch for the batch kernel's per-slot costs in
     /// every whole-model compute sum.

@@ -25,7 +25,7 @@
 //! planned selection equals the single-subject search's bit for bit,
 //! at any thread count.
 
-use crate::config::{monolithic_area_mm2, Constraints, DesignConfig};
+use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
     member_total, monolithic_for, screen_set_points, select_custom_config, select_set_hw,
     DseObjective, DsePoint, SHELL_HW,
@@ -36,7 +36,7 @@ use crate::parallel::{Engine, ShellPricer};
 use crate::search::{halving_rungs, SearchPolicy};
 use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
-use claire_ppa::{space_points, DseSpace, HwParams};
+use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams, SpaceAxes};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,6 +103,9 @@ pub struct EvalTable {
     /// The full DSE space as `(space index, point)` pairs, in
     /// iteration order (the subset replays re-screen from it).
     pub space_points: Vec<(u32, HwParams)>,
+    /// The space's axes, which the subset replays' member pricers
+    /// key their tables on.
+    pub axes: SpaceAxes,
     /// Per-model monolithic DSE shells, parallel to the planned model
     /// list.
     pub shells: Vec<DesignConfig>,
@@ -118,7 +121,7 @@ pub struct EvalTable {
 /// `(model, hw-point)` items is evaluated through one
 /// [`Engine::par_map`], and the item count lands on the `plan.items`
 /// counter. Every bound and evaluation goes through the model's one
-/// [`ShellPricer`], shared by the lower-bound map, the pivots, the
+/// [`ShellPricer`], shared by the lower-bound loop, the pivots, the
 /// rungs and the big map.
 ///
 /// `cancels` is parallel to `models` (an empty slice disables
@@ -141,26 +144,27 @@ pub fn build_eval_table(
 ) -> EvalTable {
     let cancelled = |mi: usize| cancels.get(mi).is_some_and(|c| c.load(Ordering::Relaxed));
     let space_points: Vec<(u32, HwParams)> = space_points(space).collect();
+    let axes = space.axes();
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
     let pricers: Vec<ShellPricer<'_>> = models
         .iter()
         .zip(&shells)
-        .map(|(m, shell)| engine.shell_pricer(m, shell))
+        .map(|(m, shell)| engine.shell_pricer(m, shell, &axes))
         .collect();
 
-    // Stage A per model: the search's sound area screen, decided by
-    // the evaluator's own closed form. The survivor scratch is hoisted
-    // out of the per-model loop — each screen filters into the same
-    // full-capacity buffer and copies once into an exact-sized row,
-    // instead of growth-reallocating a fresh `Vec` per model.
+    // Stage A per model: the search's sound area screen, read from the
+    // pricer's area tables point by point. The survivor scratch is
+    // hoisted out of the per-model loop — each screen filters into the
+    // same full-capacity buffer and copies once into an exact-sized
+    // row, instead of growth-reallocating a fresh `Vec` per model.
     let mut rows: Vec<ModelRow> = Vec::with_capacity(models.len());
     let mut scratch: Vec<(u32, HwParams)> = Vec::with_capacity(space_points.len());
-    for shell in &shells {
+    for pricer in &pricers {
         let points: Vec<(u32, HwParams)> = if engine.pruning_enabled() {
             let mut span = engine.telemetry().span("dse.screen", "dse");
             scratch.clear();
-            scratch.extend(space_points.iter().copied().filter(|(_, hw)| {
-                monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
+            scratch.extend(space_points.iter().copied().filter(|(idx, hw)| {
+                pricer.area_mm2(*idx, hw) <= constraints.chiplet_area_limit_mm2
             }));
             engine.note_dse_pruned((space_points.len() - scratch.len()) as u64);
             span.arg(
@@ -181,23 +185,24 @@ pub fn build_eval_table(
     }
 
     // Stage A′ per model: the search's latency lower-bound screen (see
-    // [`crate::search`]). All models' lower bounds run through one
-    // flat `par_map` (the cycles-only batch kernel over the structural
-    // interner's batches, never the full evaluator), each model's
-    // pivot — its first minimal-bound point in space order — is
-    // priced, and every point whose bound exceeds the pivot's slack-
-    // widened latency is marked unpriced: provably never selectable,
-    // so the plan's big map need not price it.
+    // [`crate::search`]). All models' lower bounds run in one plain
+    // loop (a bound is a few reads of the pricer's cycle tables, less
+    // than a parallel map's per-item cost), each model's pivot — its
+    // first minimal-bound point in space order — is priced, and every
+    // point whose bound exceeds the pivot's slack-widened latency is
+    // marked unpriced: provably never selectable, so the plan's big
+    // map need not price it.
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() {
         let mut span = engine.telemetry().span("plan.lb_screen", "plan");
-        let lb_items: Vec<(usize, usize)> = rows
+        let lbs: Vec<u64> = rows
             .iter()
-            .enumerate()
-            .flat_map(|(mi, row)| (0..row.points.len()).map(move |pi| (mi, pi)))
+            .zip(&pricers)
+            .flat_map(|(row, pricer)| {
+                row.points
+                    .iter()
+                    .map(move |&(idx, hw)| pricer.lb_cycles(idx, &hw))
+            })
             .collect();
-        let lbs: Vec<u64> = engine.par_map(&lb_items, |_, &(mi, pi)| {
-            pricers[mi].lb_cycles(&rows[mi].points[pi].1)
-        });
         // Per-model lb slices (rows are contiguous in the flat list).
         let mut offsets = Vec::with_capacity(rows.len());
         let mut at = 0usize;
@@ -235,7 +240,8 @@ pub fn build_eval_table(
                 // skips them anyway.
                 return f64::INFINITY;
             }
-            match pricers[mi].price(rows[mi].points[pi].1) {
+            let (idx, hw) = rows[mi].points[pi];
+            match pricers[mi].price(idx, hw) {
                 Ok(r)
                     if r.area_mm2 <= constraints.chiplet_area_limit_mm2
                         && r.power_density_w_per_mm2()
@@ -321,10 +327,12 @@ pub fn build_eval_table(
         if cancelled(mi) {
             return None;
         }
-        pricers[mi].price(rows[mi].points[pi].1).ok()
+        let (idx, hw) = rows[mi].points[pi];
+        pricers[mi].price(idx, hw).ok()
     });
     drop(span);
-    // The pricers borrow `shells`, which move into the table below.
+    // The pricers borrow `axes` and `shells`, which move into the
+    // table below.
     drop(pricers);
 
     // Scatter the results back into per-model rows; unpriced slots
@@ -340,6 +348,7 @@ pub fn build_eval_table(
 
     EvalTable {
         space_points,
+        axes,
         shells,
         rows,
     }
@@ -398,7 +407,7 @@ pub fn set_config_from_table(
     }
     let pricers: Vec<ShellPricer<'_>> = members
         .iter()
-        .map(|&mi| engine.shell_pricer(&models[mi], &table.shells[mi]))
+        .map(|&mi| engine.shell_pricer(&models[mi], &table.shells[mi], &table.axes))
         .collect();
     let points = screen_set_points(
         table.space_points.iter().copied(),
@@ -418,7 +427,7 @@ pub fn set_config_from_table(
                 }
                 // Never priced by the plan: price it now, memo-warm —
                 // bit-identical to the set sweep.
-                pricers[k].price(hw).ok()
+                pricers[k].price(index, hw).ok()
             })
         })
         .collect();

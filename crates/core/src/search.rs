@@ -7,15 +7,21 @@
 //! rest" to a three-stage search that handles [`DesignSpace`]s of
 //! 10⁶+ points without materializing the cross-product:
 //!
-//! * **Stage A — area screen.** Streams the space (never collecting
-//!   `HwParams` for pruned slots) and keeps points whose monolithic
-//!   area fits the chiplet cap. The screen calls the evaluator's own
-//!   [`crate::config::monolithic_area_mm2`], so it agrees with a full
-//!   evaluation's `area_mm2` bit for bit and only provably infeasible
-//!   points are dropped.
+//! * **Stage A — area screen.** Walks the space row by row (never
+//!   collecting `HwParams` for pruned slots) and keeps points whose
+//!   monolithic area fits the chiplet cap. The area is
+//!   [`ShellPricer::area_mm2`]: the evaluator's own
+//!   [`crate::config::monolithic_area_mm2`], folded from per-class
+//!   tables, so it agrees with a full evaluation's `area_mm2` bit for
+//!   bit and only provably infeasible points are dropped. Area is
+//!   non-decreasing along an ascending `n_pool` axis (each unit area
+//!   is its axis value times a positive constant, or a constant, and
+//!   `f64` addition is monotone), so over such an axis each row stops
+//!   at its first point over the cap; otherwise every slot is read.
 //! * **Stage A′ — latency lower-bound screen.** Computes each
-//!   survivor's compute-only cycle count
-//!   ([`Engine::latency_lower_bound`]: latency at infinite
+//!   survivor's compute-only cycle count in a plain loop
+//!   ([`ShellPricer::lb_cycles`], four table reads; in seconds it is
+//!   [`Engine::latency_lower_bound`]: latency at infinite
 //!   interconnect bandwidth, an *exact* lower bound on the evaluated
 //!   `latency_s`), exactly prices one **pivot** — the first survivor
 //!   in space order with minimal bound — and, when the pivot is
@@ -38,13 +44,17 @@
 //!   selection path.
 //!
 //! Every stage prices through one [`ShellPricer`] for the model's
-//! monolithic shell: the lower bounds of stage A′ and of the halving
-//! rungs read [`ShellPricer::lb_cycles`], and the pivot and stage B
-//! read [`ShellPricer::price`], which is bit-identical to
-//! [`Engine::evaluate`] on the shell at that point.
+//! monolithic shell, built on the space's axes: the area screen reads
+//! its per-class area tables, the lower bounds of stage A′ and of the
+//! halving rungs read [`ShellPricer::lb_cycles`] from its per-axis
+//! cycle tables, and the pivot and stage B read
+//! [`ShellPricer::price`], which is bit-identical to
+//! [`Engine::evaluate`] on the shell at that point. A bound is a few
+//! table reads, so the bounds are read in plain loops; only stage B's
+//! pricing runs through [`Engine::par_map`].
 //!
 //! Under [`SearchPolicy::SuccessiveHalving`] stage B is *sampled*:
-//! rungs of lower-bound ranking (each through `par_map`) shrink the
+//! rungs of lower-bound ranking (each a plain loop) shrink the
 //! candidate set by `η` per rung down to `budget` points, which alone
 //! are priced exactly. The rung trajectory is a pure function of
 //! `(space, seed)` — reproducible across threads and cache states —
@@ -52,12 +62,12 @@
 //! exactly. Sampled selections are a documented heuristic; the
 //! exhaustive policy remains the oracle.
 
-use crate::config::{monolithic_area_mm2, Constraints};
+use crate::config::Constraints;
 use crate::dse::{monolithic_for, select_point, DseObjective, DsePoint, SHELL_HW};
 use crate::parallel::{Engine, ShellPricer};
 use crate::telemetry::ArgValue;
 use claire_model::Model;
-use claire_ppa::{space_points, DesignSpace, HwParams};
+use claire_ppa::{space_points, DesignSpace, HwParams, SpaceAxes};
 
 /// How the search walks the design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -240,13 +250,13 @@ pub(crate) fn halving_rungs(
         let mut span = engine.telemetry().span("dse.rung", "dse");
         span.arg("rung", ArgValue::Int(rung));
         span.arg("candidates", ArgValue::Int(candidates.len() as u64));
-        let lbs: Vec<u64> =
-            engine.par_map(candidates.as_slice(), |_, (_, hw)| pricer.lb_cycles(hw));
         let keep = budget.max(candidates.len().div_ceil(eta as usize));
         let mut ranked: Vec<(u64, u64, u32)> = candidates
             .iter()
-            .zip(&lbs)
-            .map(|(&(idx, _), &lb)| (lb, rung_tie_break(seed, rung, idx), idx))
+            .map(|&(idx, hw)| {
+                let lb = pricer.lb_cycles(idx, &hw);
+                (lb, rung_tie_break(seed, rung, idx), idx)
+            })
             .collect();
         ranked.sort_unstable();
         ranked.truncate(keep);
@@ -280,19 +290,14 @@ pub fn search_with_engine(
     engine: &Engine,
 ) -> SearchOutcome {
     let shell = monolithic_for(model, SHELL_HW);
-    let pricer = engine.shell_pricer(model, &shell);
+    let axes = space.axes();
+    let pricer = engine.shell_pricer(model, &shell, &axes);
 
-    // Stage A: stream the space through the area screen; only
-    // survivors (index, point) are ever collected.
+    // Stage A: walk the space row by row through the area screen;
+    // only survivors (index, point) are ever collected.
     let mut candidates: Vec<(u32, HwParams)> = if engine.pruning_enabled() {
         let mut span = engine.telemetry().span("dse.screen", "dse");
-        let mut seen: u64 = 0;
-        let kept: Vec<(u32, HwParams)> = space_points(space)
-            .inspect(|_| seen += 1)
-            .filter(|(_, hw)| {
-                monolithic_area_mm2(&shell.classes, hw) <= constraints.chiplet_area_limit_mm2
-            })
-            .collect();
+        let (kept, seen) = area_screen(&axes, &pricer, constraints.chiplet_area_limit_mm2);
         engine.note_dse_pruned(seen - kept.len() as u64);
         span.arg("pruned", ArgValue::Int(seen - kept.len() as u64));
         span.arg("kept", ArgValue::Int(kept.len() as u64));
@@ -301,8 +306,8 @@ pub fn search_with_engine(
         space_points(space).collect()
     };
 
-    let evaluate = |hw: HwParams| -> Option<DsePoint> {
-        let report = pricer.price(hw).ok()?;
+    let evaluate = |idx: u32, hw: HwParams| -> Option<DsePoint> {
+        let report = pricer.price(idx, hw).ok()?;
         let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
             && report.power_density_w_per_mm2() <= constraints.power_density_limit_w_per_mm2;
         feasible.then_some(DsePoint { hw, report })
@@ -314,7 +319,12 @@ pub fn search_with_engine(
     if engine.lb_screen_enabled() && constraints.latency_slack.is_finite() && !candidates.is_empty()
     {
         let mut span = engine.telemetry().span("dse.lb_screen", "dse");
-        let lbs: Vec<u64> = engine.par_map(&candidates, |_, (_, hw)| pricer.lb_cycles(hw));
+        // A plain loop: a bound is a few table reads, less than a
+        // parallel map's per-item cost.
+        let lbs: Vec<u64> = candidates
+            .iter()
+            .map(|&(idx, hw)| pricer.lb_cycles(idx, &hw))
+            .collect();
         // Pivot: first candidate in space order with minimal bound
         // (u64 compare — exact, order-deterministic).
         let mut pivot = 0usize;
@@ -323,12 +333,13 @@ pub fn search_with_engine(
                 pivot = i;
             }
         }
-        let bound_s = match evaluate(candidates[pivot].1) {
+        let (pivot_idx, pivot_hw) = candidates[pivot];
+        let bound_s = match evaluate(pivot_idx, pivot_hw) {
             Some(p) => p.report.latency_s * (1.0 + constraints.latency_slack),
             // Infeasible / failed pivot: no sound bound — keep all.
             None => f64::INFINITY,
         };
-        span.arg("pivot", ArgValue::Text(candidates[pivot].1.to_string()));
+        span.arg("pivot", ArgValue::Text(pivot_hw.to_string()));
         if bound_s.is_finite() {
             let clock = claire_ppa::tech28::CLOCK_HZ;
             let before = candidates.len();
@@ -359,12 +370,59 @@ pub fn search_with_engine(
     let mut span = engine.telemetry().span("dse.eval", "dse");
     span.arg("points", ArgValue::Int(candidates.len() as u64));
     let points: Vec<DsePoint> = engine
-        .par_map(&candidates, |_, &(_, hw)| evaluate(hw))
+        .par_map(&candidates, |_, &(idx, hw)| evaluate(idx, hw))
         .into_iter()
         .flatten()
         .collect();
     drop(span);
     SearchOutcome { points, sampled }
+}
+
+/// Stage A over the grid `axes`: the `(space index, point)` pairs
+/// whose monolithic area ([`ShellPricer::area_mm2`]) fits `cap`, in
+/// space order, and the number of valid slots screened (slots with a
+/// zero axis value are not points and are never read).
+///
+/// The walk goes row by row, a row being the `n_pool` axis at fixed
+/// `(sa_size, n_sa, n_act)`. Along a row only the pooling units' area
+/// changes, each `f64::from(n_pool)` times a positive constant, and
+/// `f64` addition is monotone; so when `n_pools` is non-decreasing the
+/// row's area is non-decreasing and its fitting points are a prefix.
+/// Such a row stops at its first point over the cap, and the rest of
+/// it counts as screened. Over any other `n_pools` order every slot is
+/// read.
+fn area_screen(
+    axes: &SpaceAxes,
+    pricer: &ShellPricer<'_>,
+    cap: f64,
+) -> (Vec<(u32, HwParams)>, u64) {
+    let nonzero = |values: &[u32]| values.iter().filter(|&&v| v != 0).count() as u64;
+    let seen = nonzero(&axes.sa_sizes)
+        * nonzero(&axes.n_sas)
+        * nonzero(&axes.n_acts)
+        * nonzero(&axes.n_pools);
+    let ascending = axes.n_pools.windows(2).all(|w| w[0] <= w[1]);
+    let (nn, na, np) = (axes.n_sas.len(), axes.n_acts.len(), axes.n_pools.len());
+    let mut kept = Vec::new();
+    for si in 0..axes.sa_sizes.len() {
+        for ni in 0..nn {
+            for ai in 0..na {
+                let row = ((si * nn + ni) * na + ai) * np;
+                for pi in 0..np {
+                    let at = [si, ni, ai, pi];
+                    let Some(hw) = axes.point(at) else {
+                        continue;
+                    };
+                    if pricer.area_at(at) <= cap {
+                        kept.push(((row + pi) as u32, hw));
+                    } else if ascending {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    (kept, seen)
 }
 
 #[cfg(test)]
@@ -580,6 +638,75 @@ mod tests {
             &Engine::serial(),
         );
         assert_eq!(format!("{:?}", out.points), format!("{:?}", again.points));
+    }
+
+    #[test]
+    fn zero_valued_slots_are_skipped_by_the_tables_and_the_row_walk() {
+        use claire_model::zoo;
+        use claire_ppa::DseSpace;
+        // `validate` rejects zeros, so the space goes in as a plain
+        // `DesignSpace`; its zero slots are not points and must be
+        // neither priced nor counted. The `n_pools` axis ascends (zero
+        // first) in one space and descends in the other.
+        let ascending = DseSpace {
+            sa_sizes: vec![16, 0, 32, 64],
+            n_sas: vec![16, 64],
+            n_acts: vec![0, 8, 32],
+            n_pools: vec![0, 8, 16, 64],
+            threads: None,
+        };
+        let descending = DseSpace {
+            n_pools: vec![64, 16, 0, 8],
+            ..ascending.clone()
+        };
+        let cons = Constraints::default();
+        for space in [ascending, descending] {
+            let space: &dyn DesignSpace = &space;
+            for m in [zoo::resnet18(), zoo::gpt2()] {
+                let tables = Engine::serial();
+                let oracle = Engine::serial().with_cache(false);
+                let a = search_with_engine(&m, space, &cons, SearchPolicy::Exhaustive, &tables);
+                let b = search_with_engine(&m, space, &cons, SearchPolicy::Exhaustive, &oracle);
+                assert_eq!(format!("{:?}", a.points), format!("{:?}", b.points));
+                let (sa, sb) = (tables.stats(), oracle.stats());
+                assert_eq!(
+                    (sa.dse_pruned, sa.dse_lb_pruned, sa.dse_evaluated),
+                    (sb.dse_pruned, sb.dse_lb_pruned, sb.dse_evaluated)
+                );
+                // Every valid point is screened exactly once: 3·2·2·3.
+                assert_eq!(sa.dse_pruned + sa.dse_lb_pruned + sa.dse_evaluated, 36);
+                assert!(sa.dse_pruned > 0, "the 64×64 arrays exceed the cap");
+            }
+        }
+    }
+
+    #[test]
+    fn descending_pool_axis_walks_the_whole_row() {
+        use crate::config::monolithic_area_mm2;
+        use claire_model::zoo;
+        use claire_ppa::DseSpace;
+        // One row, n_pool descending then ascending: the cap is the
+        // middle point's area, so the first point is over it and the
+        // fitting point comes after it.
+        let space = DseSpace {
+            sa_sizes: vec![32],
+            n_sas: vec![32],
+            n_acts: vec![16],
+            n_pools: vec![64, 8, 32],
+            threads: None,
+        };
+        let m = zoo::resnet18();
+        let shell = monolithic_for(&m, SHELL_HW);
+        let fits = HwParams::new(32, 32, 16, 8);
+        let cons = Constraints {
+            chiplet_area_limit_mm2: monolithic_area_mm2(&shell.classes, &fits),
+            ..Constraints::default()
+        };
+        let engine = Engine::serial();
+        let out = search_with_engine(&m, &space, &cons, SearchPolicy::Exhaustive, &engine);
+        assert_eq!(engine.stats().dse_pruned, 2);
+        let hws: Vec<HwParams> = out.points.iter().map(|p| p.hw).collect();
+        assert_eq!(hws, vec![fits]);
     }
 
     #[test]

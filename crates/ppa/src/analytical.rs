@@ -72,25 +72,46 @@ pub(crate) fn reshape_cycles(elements: u64) -> u64 {
     (elements as f64 / tech28::RESHAPE_ELEMENTS_PER_CYCLE).ceil() as u64
 }
 
+/// Dynamic energy of one activation layer, pJ: per element, whatever
+/// the unit count — the energy the costing and the batch kernel's
+/// once-per-batch energy fold share.
+pub(crate) fn activation_energy_pj(a: &Activation) -> f64 {
+    a.elements as f64 * activation_ppa(a.kind).1
+}
+
+/// Dynamic energy of one pooling layer, pJ (see
+/// [`activation_energy_pj`]).
+pub(crate) fn pooling_energy_pj(p: &Pooling) -> f64 {
+    p.input_elements as f64 * pooling_ppa(p.kind).1
+}
+
+/// Dynamic energy of a flatten layer, pJ.
+pub(crate) fn flatten_energy_pj(f: &Flatten) -> f64 {
+    f.elements as f64 * tech28::FLATTEN.1
+}
+
+/// Dynamic energy of a permute layer, pJ.
+pub(crate) fn permute_energy_pj(p: &Permute) -> f64 {
+    p.elements as f64 * tech28::PERMUTE.1
+}
+
 /// Cost of one activation layer: `elements` stream through the
 /// `n_act` units of its kind, one element per cycle per unit.
 pub(crate) fn activation_cost(a: &Activation, hw: &HwParams) -> LayerCost {
-    let (_, e) = activation_ppa(a.kind);
     let cycles = activation_cycles(a, hw);
     LayerCost {
         cycles,
-        energy_pj: a.elements as f64 * e,
+        energy_pj: activation_energy_pj(a),
         executions: cycles,
     }
 }
 
 /// Cost of one pooling layer across the `n_pool` units of its kind.
 pub(crate) fn pooling_cost(p: &Pooling, hw: &HwParams) -> LayerCost {
-    let (_, e) = pooling_ppa(p.kind);
     let cycles = pooling_cycles(p, hw);
     LayerCost {
         cycles,
-        energy_pj: p.input_elements as f64 * e,
+        energy_pj: pooling_energy_pj(p),
         executions: cycles,
     }
 }
@@ -100,7 +121,7 @@ pub(crate) fn flatten_cost(f: &Flatten) -> LayerCost {
     let cycles = reshape_cycles(f.elements);
     LayerCost {
         cycles,
-        energy_pj: f.elements as f64 * tech28::FLATTEN.1,
+        energy_pj: flatten_energy_pj(f),
         executions: cycles,
     }
 }
@@ -110,7 +131,7 @@ pub(crate) fn permute_cost(p: &Permute) -> LayerCost {
     let cycles = reshape_cycles(p.elements);
     LayerCost {
         cycles,
-        energy_pj: p.elements as f64 * tech28::PERMUTE.1,
+        energy_pj: permute_energy_pj(p),
         executions: cycles,
     }
 }
@@ -313,6 +334,26 @@ mod tests {
         for hwp in [HwParams::new(16, 4, 8, 8), HwParams::new(64, 8, 32, 4)] {
             for l in &layers {
                 assert_eq!(layer_cycles(l, &hwp), layer_cost(l, &hwp).cycles, "{l:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn unit_areas_grow_along_every_axis() {
+        // The DSE area screen stops a row at its first point over the
+        // cap; that is sound only while no unit area falls as an axis
+        // value grows.
+        let base = [16u32, 8, 4, 4];
+        for class in OpClass::all() {
+            for axis in 0..4 {
+                let mut last = 0.0;
+                for v in 1..=64 {
+                    let mut p = base;
+                    p[axis] = v;
+                    let area = unit_area_mm2(class, &HwParams::new(p[0], p[1], p[2], p[3]));
+                    assert!(area > 0.0 && area >= last, "{class:?} axis {axis} at {v}");
+                    last = area;
+                }
             }
         }
     }

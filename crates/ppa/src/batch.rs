@@ -21,13 +21,23 @@
 //! execution order — the identical sequence of `f64` additions the
 //! naive per-layer walk performs — so batched totals are bit-identical
 //! to the reference, not merely close.
+//!
+//! **Per-axis parts.** A batch's cost also splits along the hardware
+//! axes. No layer's energy reads the design point
+//! ([`LayerBatch::energy_pj`]), and each family's cycles read one
+//! axis: systolic layers `(sa_size, n_sa)`, activations `n_act`,
+//! pooling `n_pool`, reshapes nothing
+//! ([`LayerBatch::systolic_cycles`] and its siblings). A design grid
+//! can therefore be priced from one kernel run per axis value rather
+//! than one full pass per point.
 
 use crate::analytical::{
-    activation_cost, activation_cycles, flatten_cost, permute_cost, pooling_cost, pooling_cycles,
+    activation_cost, activation_cycles, activation_energy_pj, flatten_cost, flatten_energy_pj,
+    permute_cost, permute_energy_pj, pooling_cost, pooling_cycles, pooling_energy_pj,
     reshape_cycles, systolic_layer_cost, LayerCost,
 };
 use crate::params::HwParams;
-use crate::systolic::SystolicArrayModel;
+use crate::systolic::{conv1d_energy_pj, conv2d_energy_pj, linear_energy_pj, SystolicArrayModel};
 use claire_model::{Activation, Conv1d, Conv2d, Flatten, LayerKind, Linear, Permute, Pooling};
 use std::collections::HashMap;
 
@@ -61,6 +71,8 @@ pub struct LayerBatch {
     permute: Vec<Permute>,
     /// Global slot index per layer, in execution order.
     seq: Vec<u32>,
+    /// Per global slot: how many layers of `seq` execute it.
+    reps: Vec<u64>,
 }
 
 impl LayerBatch {
@@ -114,6 +126,10 @@ impl LayerBatch {
             .into_iter()
             .map(|(family, idx)| bases[family as usize] + idx)
             .collect();
+        batch.reps = vec![0; batch.slot_count()];
+        for &slot in &batch.seq {
+            batch.reps[slot as usize] += 1;
+        }
         batch
     }
 
@@ -234,46 +250,104 @@ impl LayerBatch {
         self.compute_sum_with(hw, &mut scratch)
     }
 
-    /// Evaluates every distinct shape's **cycles** under `hw` into
-    /// `out` (slot-ordered; cleared first) — [`LayerBatch::costs_into`]
-    /// with all floating-point energy work stripped. Systolic slots
-    /// run pure integer tile/wave arithmetic.
-    fn cycles_into(&self, hw: &HwParams, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(self.slot_count());
-        let sa = SystolicArrayModel::new(*hw);
-        out.extend(self.conv2d.iter().map(|c| sa.conv2d_cycles(c)));
-        out.extend(self.conv1d.iter().map(|c| sa.conv1d_cycles(c)));
-        out.extend(self.linear.iter().map(|l| sa.linear_cycles(l)));
-        out.extend(self.act.iter().map(|a| activation_cycles(a, hw)));
-        out.extend(self.pool.iter().map(|p| pooling_cycles(p, hw)));
-        out.extend(self.flatten.iter().map(|f| reshape_cycles(f.elements)));
-        out.extend(self.permute.iter().map(|p| reshape_cycles(p.elements)));
-    }
-
     /// Whole-batch compute **cycles** under `hw` — the cycles-only
-    /// lower-bound kernel.
+    /// lower-bound kernel: the four family parts
+    /// ([`LayerBatch::systolic_cycles`] and its siblings) added with
+    /// `wrapping_add`.
     ///
     /// The per-slot cycle formulas are the exact integer cores the
     /// full costing path uses, and `u64` addition is associative, so
-    /// `compute_cycles_with(hw, _) == compute_sum(hw).cycles` exactly.
-    /// Dividing by the clock gives a **latency lower bound**: total
-    /// latency is these compute seconds plus nonnegative transfer
-    /// terms. Materially cheaper than [`LayerBatch::compute_sum`] —
-    /// systolic cycles are tile/wave integer math with none of the
-    /// energy `f64` work.
-    pub fn compute_cycles_with(&self, hw: &HwParams, scratch: &mut Vec<u64>) -> u64 {
-        self.cycles_into(hw, scratch);
-        self.seq
-            .iter()
-            .map(|&slot| scratch[slot as usize])
-            .sum::<u64>()
+    /// `compute_cycles(hw) == compute_sum(hw).cycles` exactly (modulo
+    /// 2⁶⁴ should the sum overflow, as a build without overflow checks
+    /// computes it). Dividing by the clock gives a **latency lower
+    /// bound**: total latency is these compute seconds plus
+    /// nonnegative transfer terms. Materially cheaper than
+    /// [`LayerBatch::compute_sum`] — systolic cycles are tile/wave
+    /// integer math with none of the energy `f64` work, and each
+    /// distinct shape counts once, times its repetitions.
+    pub fn compute_cycles(&self, hw: &HwParams) -> u64 {
+        self.systolic_cycles(hw)
+            .wrapping_add(self.activation_cycles(hw))
+            .wrapping_add(self.pooling_cycles(hw))
+            .wrapping_add(self.reshape_cycles())
     }
 
-    /// [`LayerBatch::compute_cycles_with`] with a fresh scratch buffer.
-    pub fn compute_cycles(&self, hw: &HwParams) -> u64 {
-        let mut scratch = Vec::new();
-        self.compute_cycles_with(hw, &mut scratch)
+    /// Whole-batch dynamic compute energy, pJ: every layer's energy
+    /// added in execution order from `0.0`. No layer's energy reads
+    /// the hardware point (systolic layers price their MACs and I/O
+    /// bytes, the other families their element counts), so this is
+    /// [`LayerBatch::compute_sum`]'s `energy_pj`, bit for bit, at
+    /// every point.
+    pub fn energy_pj(&self) -> f64 {
+        let slots: Vec<f64> = self
+            .conv2d
+            .iter()
+            .map(conv2d_energy_pj)
+            .chain(self.conv1d.iter().map(conv1d_energy_pj))
+            .chain(self.linear.iter().map(linear_energy_pj))
+            .chain(self.act.iter().map(activation_energy_pj))
+            .chain(self.pool.iter().map(pooling_energy_pj))
+            .chain(self.flatten.iter().map(flatten_energy_pj))
+            .chain(self.permute.iter().map(permute_energy_pj))
+            .collect();
+        let mut energy_pj = 0.0;
+        for &slot in &self.seq {
+            energy_pj += slots[slot as usize];
+        }
+        energy_pj
+    }
+
+    /// Cycles of the batch's systolic layers (conv2d, conv1d, linear)
+    /// under `hw`, summed over every layer with `wrapping_add`. Reads
+    /// only `hw.sa_size` and `hw.n_sa`.
+    ///
+    /// The four family parts, added with `wrapping_add`, are
+    /// [`LayerBatch::compute_cycles`]: the per-layer cycle sum modulo
+    /// 2⁶⁴.
+    pub fn systolic_cycles(&self, hw: &HwParams) -> u64 {
+        let sa = SystolicArrayModel::new(*hw);
+        let cycles = self
+            .conv2d
+            .iter()
+            .map(|c| sa.conv2d_cycles(c))
+            .chain(self.conv1d.iter().map(|c| sa.conv1d_cycles(c)))
+            .chain(self.linear.iter().map(|l| sa.linear_cycles(l)));
+        self.repeated_sum(0, cycles)
+    }
+
+    /// Cycles of the batch's activation layers under `hw` (see
+    /// [`LayerBatch::systolic_cycles`]). Reads only `hw.n_act`.
+    pub fn activation_cycles(&self, hw: &HwParams) -> u64 {
+        let cycles = self.act.iter().map(|a| activation_cycles(a, hw));
+        self.repeated_sum(3, cycles)
+    }
+
+    /// Cycles of the batch's pooling layers under `hw` (see
+    /// [`LayerBatch::systolic_cycles`]). Reads only `hw.n_pool`.
+    pub fn pooling_cycles(&self, hw: &HwParams) -> u64 {
+        let cycles = self.pool.iter().map(|p| pooling_cycles(p, hw));
+        self.repeated_sum(4, cycles)
+    }
+
+    /// Cycles of the batch's flatten and permute layers, which read no
+    /// hardware axis (see [`LayerBatch::systolic_cycles`]).
+    pub fn reshape_cycles(&self) -> u64 {
+        let cycles = self
+            .flatten
+            .iter()
+            .map(|f| reshape_cycles(f.elements))
+            .chain(self.permute.iter().map(|p| reshape_cycles(p.elements)));
+        self.repeated_sum(5, cycles)
+    }
+
+    /// `Σ cycles × repetitions` over the slots from family `family`'s
+    /// base on, in wrapping arithmetic: each slot's cycles added once
+    /// per layer that executes it, modulo 2⁶⁴.
+    fn repeated_sum(&self, family: usize, cycles: impl Iterator<Item = u64>) -> u64 {
+        let base = self.family_bases()[family] as usize;
+        cycles
+            .zip(&self.reps[base..])
+            .fold(0u64, |acc, (c, &n)| acc.wrapping_add(c.wrapping_mul(n)))
     }
 }
 
@@ -365,18 +439,12 @@ mod tests {
     fn cycles_kernel_is_bit_identical_to_full_costing() {
         let k = kinds();
         let b = LayerBatch::from_kinds(k.iter());
-        let mut scratch = Vec::new();
         for hw in [
             HwParams::new(16, 16, 8, 8),
             HwParams::new(32, 32, 16, 16),
             HwParams::new(64, 8, 32, 4),
             HwParams::new(1, 1, 1, 1),
         ] {
-            assert_eq!(
-                b.compute_cycles_with(&hw, &mut scratch),
-                b.compute_sum(&hw).cycles,
-                "{hw}"
-            );
             assert_eq!(b.compute_cycles(&hw), b.compute_sum(&hw).cycles, "{hw}");
         }
     }
@@ -388,6 +456,91 @@ mod tests {
         let hw = HwParams::new(32, 32, 16, 16);
         let reference: u64 = k.iter().map(|kind| layer_cost(kind, &hw).cycles).sum();
         assert_eq!(b.compute_cycles(&hw), reference);
+    }
+
+    #[test]
+    fn energy_fold_is_the_batch_energy_at_every_point() {
+        let k = kinds();
+        let b = LayerBatch::from_kinds(k.iter());
+        for hw in [
+            HwParams::new(16, 16, 8, 8),
+            HwParams::new(64, 8, 32, 4),
+            HwParams::new(1, 1, 1, 1),
+        ] {
+            assert_eq!(
+                b.energy_pj().to_bits(),
+                b.compute_sum(&hw).energy_pj.to_bits(),
+                "{hw}"
+            );
+        }
+    }
+
+    /// The four family parts, added with `wrapping_add`, against a
+    /// wrapping fold of [`crate::layer_cycles`] over the layers.
+    fn assert_parts_match_wrapping_fold(k: &[LayerKind], hw: &HwParams) -> u64 {
+        let b = LayerBatch::from_kinds(k.iter());
+        let parts = b
+            .systolic_cycles(hw)
+            .wrapping_add(b.activation_cycles(hw))
+            .wrapping_add(b.pooling_cycles(hw))
+            .wrapping_add(b.reshape_cycles());
+        let reference = k.iter().fold(0u64, |acc, kind| {
+            acc.wrapping_add(crate::analytical::layer_cycles(kind, hw))
+        });
+        assert_eq!(parts, reference, "{hw}");
+        parts
+    }
+
+    #[test]
+    fn family_parts_sum_to_the_per_layer_cycles() {
+        let mut k = kinds();
+        k.push(LayerKind::Pooling(Pooling {
+            kind: claire_model::PoolingKind::MaxPool,
+            input_elements: 4096,
+            output_elements: 1024,
+        }));
+        k.push(LayerKind::Permute(Permute { elements: 777 }));
+        for hw in [
+            HwParams::new(16, 16, 8, 8),
+            HwParams::new(64, 8, 32, 4),
+            HwParams::new(1, 1, 1, 1),
+        ] {
+            let total = assert_parts_match_wrapping_fold(&k, &hw);
+            let b = LayerBatch::from_kinds(k.iter());
+            assert_eq!(total, b.compute_cycles(&hw), "{hw}");
+            assert_eq!(total, b.compute_sum(&hw).cycles, "{hw}");
+        }
+    }
+
+    #[test]
+    fn family_parts_wrap_past_u64_max() {
+        // Each layer's cycles fit a u64, but their sum does not: the
+        // parts must wrap exactly as the fold does.
+        let big = |kind| {
+            LayerKind::Activation(Activation {
+                kind,
+                elements: u64::MAX / 2 + 3,
+            })
+        };
+        let k = vec![
+            big(ActivationKind::Relu),
+            big(ActivationKind::Gelu),
+            big(ActivationKind::Relu),
+            LayerKind::Pooling(Pooling {
+                kind: claire_model::PoolingKind::AvgPool,
+                input_elements: u64::MAX - 5,
+                output_elements: 1,
+            }),
+            LayerKind::Flatten(Flatten { elements: 4096 }),
+        ];
+        let hw = HwParams::new(1, 1, 1, 1);
+        let total = assert_parts_match_wrapping_fold(&k, &hw);
+        let unwrapped: u128 = k
+            .iter()
+            .map(|kind| u128::from(crate::analytical::layer_cycles(kind, &hw)))
+            .sum();
+        assert!(unwrapped > u128::from(u64::MAX), "the sum must wrap");
+        assert_eq!(u128::from(total), unwrapped % (1u128 << 64));
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use batch::{BatchSum, LayerBatch};
 pub use memory::{layer_weight_bytes, MemoryModel};
 pub use params::{DseSpace, DseSpaceError, HwParams, HwParamsError, MAX_THREADS};
 pub use scaling::{NodeScaling, TechNode};
-pub use space::{space_points, DesignSpace, GridAxis, GridSpace};
+pub use space::{space_points, DesignSpace, GridAxis, GridSpace, SpaceAxes};
 pub use systolic::{Dataflow, SystolicArrayModel};
 pub use thermal::ThermalModel;

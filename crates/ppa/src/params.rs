@@ -128,7 +128,7 @@ pub struct DseSpace {
     pub n_acts: Vec<u32>,
     /// Candidate pooling-unit counts.
     pub n_pools: Vec<u32>,
-    /// Worker threads for sweeping this space, at most
+    /// Worker threads for sweeping this space, from 1 to
     /// [`MAX_THREADS`]. `None` (the default, and what older run-config
     /// files deserialize to) defers to the `CLAIRE_THREADS`
     /// environment variable and then to the machine's available
@@ -202,7 +202,7 @@ impl DseSpace {
 
     /// Checks the space describes at least one valid design point —
     /// every axis non-empty, every value non-zero — and that its
-    /// thread knob, when set, is at most [`MAX_THREADS`].
+    /// thread knob, when set, is from 1 to [`MAX_THREADS`].
     ///
     /// # Errors
     ///
@@ -222,6 +222,7 @@ impl DseSpace {
             }
         }
         match self.threads {
+            Some(0) => Err(DseSpaceError::ZeroThreads),
             Some(threads) if threads > MAX_THREADS => {
                 Err(DseSpaceError::TooManyThreads { threads })
             }
@@ -243,6 +244,8 @@ pub enum DseSpaceError {
         /// Which axis.
         axis: &'static str,
     },
+    /// The thread knob asks for zero workers.
+    ZeroThreads,
     /// The thread knob asks for more than [`MAX_THREADS`] workers.
     TooManyThreads {
         /// The requested worker count.
@@ -259,6 +262,7 @@ impl fmt::Display for DseSpaceError {
             DseSpaceError::ZeroValue { axis } => {
                 write!(f, "DSE axis `{axis}` contains a zero value")
             }
+            DseSpaceError::ZeroThreads => write!(f, "DSE field `threads` must be at least 1"),
             DseSpaceError::TooManyThreads { threads } => {
                 write!(
                     f,
@@ -362,6 +366,22 @@ mod tests {
             }
         );
         assert!(err.to_string().contains(&MAX_THREADS.to_string()));
+    }
+
+    #[test]
+    fn zero_thread_knob_is_rejected() {
+        let space = DseSpace {
+            threads: Some(0),
+            ..DseSpace::default()
+        };
+        let err = space.validate().unwrap_err();
+        assert_eq!(err, DseSpaceError::ZeroThreads);
+        assert!(err.to_string().contains("`threads`"), "{err}");
+        let one = DseSpace {
+            threads: Some(1),
+            ..DseSpace::default()
+        };
+        assert!(one.validate().is_ok());
     }
 
     #[test]

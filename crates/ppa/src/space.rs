@@ -36,6 +36,68 @@ pub trait DesignSpace {
     /// The design point at flat `index`, or `None` when the slot is
     /// out of range or decodes to a zero-valued parameter.
     fn point_at(&self, index: usize) -> Option<HwParams>;
+
+    /// The space's four axes. `size()` is the product of their
+    /// lengths, and `point_at(i)` is the point [`SpaceAxes::point`]
+    /// builds from [`SpaceAxes::decode`]`(i)`.
+    fn axes(&self) -> SpaceAxes;
+}
+
+/// The value lists of a design space's four axes, in index order — the
+/// space as a grid. Pricing reads per-axis tables keyed by the
+/// positions [`SpaceAxes::decode`] returns.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpaceAxes {
+    /// Systolic-array dimensions (slowest axis).
+    pub sa_sizes: Vec<u32>,
+    /// Array counts.
+    pub n_sas: Vec<u32>,
+    /// Activation-unit counts.
+    pub n_acts: Vec<u32>,
+    /// Pooling-unit counts (fastest axis).
+    pub n_pools: Vec<u32>,
+}
+
+/// Axis positions `[sa_size, n_sa, n_act, n_pool]` of flat `index`
+/// over axes of lengths `[_, n_sas, n_acts, n_pools]`: mixed radix,
+/// `n_pool` fastest. The one decode every space and pricer shares.
+fn decode(index: usize, n_sas: usize, n_acts: usize, n_pools: usize) -> [usize; 4] {
+    let np = n_pools.max(1);
+    let na = n_acts.max(1);
+    let nn = n_sas.max(1);
+    let pi = index % np;
+    let rest = index / np;
+    let ai = rest % na;
+    let rest = rest / na;
+    let ni = rest % nn;
+    [rest / nn, ni, ai, pi]
+}
+
+impl SpaceAxes {
+    /// Axis positions `[sa_size, n_sa, n_act, n_pool]` of flat
+    /// `index`, decoded exactly as [`DesignSpace::point_at`] decodes
+    /// it. The `sa_size` position is out of range when `index` is.
+    pub fn decode(&self, index: usize) -> [usize; 4] {
+        decode(
+            index,
+            self.n_sas.len(),
+            self.n_acts.len(),
+            self.n_pools.len(),
+        )
+    }
+
+    /// The design point at axis positions `at`, or `None` when a
+    /// position is out of range or its value is zero.
+    pub fn point(&self, at: [usize; 4]) -> Option<HwParams> {
+        let [si, ni, ai, pi] = at;
+        HwParams::try_new(
+            *self.sa_sizes.get(si)?,
+            *self.n_sas.get(ni)?,
+            *self.n_acts.get(ai)?,
+            *self.n_pools.get(pi)?,
+        )
+        .ok()
+    }
 }
 
 /// Iterates the valid points of `space` in index order, yielding
@@ -53,20 +115,26 @@ impl DesignSpace for DseSpace {
     }
 
     fn point_at(&self, index: usize) -> Option<HwParams> {
-        let np = self.n_pools.len().max(1);
-        let na = self.n_acts.len().max(1);
-        let nn = self.n_sas.len().max(1);
-        let pi = index % np;
-        let rest = index / np;
-        let ai = rest % na;
-        let rest = rest / na;
-        let ni = rest % nn;
-        let si = rest / nn;
+        let [si, ni, ai, pi] = decode(
+            index,
+            self.n_sas.len(),
+            self.n_acts.len(),
+            self.n_pools.len(),
+        );
         let s = *self.sa_sizes.get(si)?;
         let n = *self.n_sas.get(ni)?;
         let a = *self.n_acts.get(ai)?;
         let p = *self.n_pools.get(pi)?;
         HwParams::try_new(s, n, a, p).ok()
+    }
+
+    fn axes(&self) -> SpaceAxes {
+        SpaceAxes {
+            sa_sizes: self.sa_sizes.clone(),
+            n_sas: self.n_sas.clone(),
+            n_acts: self.n_acts.clone(),
+            n_pools: self.n_pools.clone(),
+        }
     }
 }
 
@@ -97,6 +165,11 @@ impl GridAxis {
     /// Number of values on the axis.
     pub fn len(&self) -> usize {
         self.count as usize
+    }
+
+    /// Every value of the axis, in order.
+    fn values(&self) -> Vec<u32> {
+        (0..self.count).map(|i| self.value(i)).collect()
     }
 
     /// True when the axis holds no values.
@@ -144,15 +217,7 @@ impl DesignSpace for GridSpace {
         if index >= self.size() {
             return None;
         }
-        let np = self.n_pool.len().max(1);
-        let na = self.n_act.len().max(1);
-        let nn = self.n_sa.len().max(1);
-        let pi = index % np;
-        let rest = index / np;
-        let ai = rest % na;
-        let rest = rest / na;
-        let ni = rest % nn;
-        let si = rest / nn;
+        let [si, ni, ai, pi] = decode(index, self.n_sa.len(), self.n_act.len(), self.n_pool.len());
         HwParams::try_new(
             self.sa_size.value(si as u32),
             self.n_sa.value(ni as u32),
@@ -160,6 +225,15 @@ impl DesignSpace for GridSpace {
             self.n_pool.value(pi as u32),
         )
         .ok()
+    }
+
+    fn axes(&self) -> SpaceAxes {
+        SpaceAxes {
+            sa_sizes: self.sa_size.values(),
+            n_sas: self.n_sa.values(),
+            n_acts: self.n_act.values(),
+            n_pools: self.n_pool.values(),
+        }
     }
 }
 
@@ -229,6 +303,35 @@ mod tests {
         // Spot-check index round-tripping against the mixed-radix
         // layout: slot 0 is every axis at start.
         assert_eq!(g.point_at(0), HwParams::try_new(8, 4, 2, 2).ok());
+    }
+
+    #[test]
+    fn axes_decode_every_slot_as_point_at_does() {
+        let grid = GridSpace {
+            sa_size: GridAxis::new(16, 16, 3),
+            n_sa: GridAxis::new(8, 8, 2),
+            n_act: GridAxis::new(4, 4, 2),
+            n_pool: GridAxis::new(4, 4, 2),
+        };
+        let zeroed = DseSpace {
+            sa_sizes: vec![16, 0, 32],
+            n_pools: vec![32, 8, 0],
+            ..DseSpace::default()
+        };
+        let spaces: [&dyn DesignSpace; 3] = [&grid, &zeroed, &DseSpace::dense(3)];
+        for space in spaces {
+            let axes = space.axes();
+            let lens = [
+                axes.sa_sizes.len(),
+                axes.n_sas.len(),
+                axes.n_acts.len(),
+                axes.n_pools.len(),
+            ];
+            assert_eq!(lens.iter().product::<usize>(), space.size());
+            for i in 0..=space.size() {
+                assert_eq!(axes.point(axes.decode(i)), space.point_at(i), "slot {i}");
+            }
+        }
     }
 
     #[test]

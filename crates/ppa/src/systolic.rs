@@ -104,18 +104,10 @@ impl SystolicArrayModel {
     }
 
     /// Generic matrix-shaped workload: `reduction` × `outputs` weight
-    /// matrix applied to `positions` input vectors.
-    fn matrix(
-        &self,
-        reduction: u64,
-        outputs: u64,
-        positions: u64,
-        macs: u64,
-        io_bytes: u64,
-    ) -> SystolicCost {
+    /// matrix applied to `positions` input vectors, with dynamic energy
+    /// `energy_pj`.
+    fn matrix(&self, reduction: u64, outputs: u64, positions: u64, energy_pj: f64) -> SystolicCost {
         let (cycles, tiles) = self.matrix_timing(reduction, outputs, positions);
-        let energy_pj =
-            macs as f64 * tech28::PE_ENERGY_PJ + io_bytes as f64 * tech28::SRAM_ENERGY_PJ_PER_BYTE;
         SystolicCost {
             cycles,
             tiles,
@@ -128,13 +120,10 @@ impl SystolicArrayModel {
     pub fn conv2d(&self, c: &Conv2d) -> SystolicCost {
         let (reduction, outputs, positions, groups) = conv2d_shape(c);
         let (cycles, tiles) = self.matrix_timing(reduction, outputs, positions);
-        let in_bytes = u64::from(c.ifm.0) * u64::from(c.ifm.1) * u64::from(c.in_channels);
-        let io_bytes = in_bytes + c.output_elements();
         SystolicCost {
             cycles: cycles * groups,
             tiles: tiles * groups,
-            energy_pj: c.macs() as f64 * tech28::PE_ENERGY_PJ
-                + io_bytes as f64 * tech28::SRAM_ENERGY_PJ_PER_BYTE,
+            energy_pj: conv2d_energy_pj(c),
         }
     }
 
@@ -148,8 +137,7 @@ impl SystolicArrayModel {
     /// Cost of a 1-D convolution.
     pub fn conv1d(&self, c: &Conv1d) -> SystolicCost {
         let (reduction, outputs, positions) = conv1d_shape(c);
-        let io_bytes = u64::from(c.length) * u64::from(c.in_channels) + c.output_elements();
-        self.matrix(reduction, outputs, positions, c.macs(), io_bytes)
+        self.matrix(reduction, outputs, positions, conv1d_energy_pj(c))
     }
 
     /// Execution cycles of a 1-D convolution.
@@ -160,13 +148,11 @@ impl SystolicArrayModel {
 
     /// Cost of a fully connected layer over `tokens` positions.
     pub fn linear(&self, l: &Linear) -> SystolicCost {
-        let io_bytes = u64::from(l.in_features) * u64::from(l.tokens) + l.output_elements();
         self.matrix(
             u64::from(l.in_features),
             u64::from(l.out_features),
             u64::from(l.tokens),
-            l.macs(),
-            io_bytes,
+            linear_energy_pj(l),
         )
     }
 
@@ -179,6 +165,31 @@ impl SystolicArrayModel {
         )
         .0
     }
+}
+
+/// Dynamic energy of a matrix-shaped workload, pJ: its MACs plus its
+/// SRAM traffic. It reads the layer's shape only — never the hardware
+/// point — so a layer's energy is the same at every design point.
+fn matrix_energy_pj(macs: u64, io_bytes: u64) -> f64 {
+    macs as f64 * tech28::PE_ENERGY_PJ + io_bytes as f64 * tech28::SRAM_ENERGY_PJ_PER_BYTE
+}
+
+/// Dynamic energy of a 2-D convolution, pJ (see [`matrix_energy_pj`]).
+pub(crate) fn conv2d_energy_pj(c: &Conv2d) -> f64 {
+    let in_bytes = u64::from(c.ifm.0) * u64::from(c.ifm.1) * u64::from(c.in_channels);
+    matrix_energy_pj(c.macs(), in_bytes + c.output_elements())
+}
+
+/// Dynamic energy of a 1-D convolution, pJ.
+pub(crate) fn conv1d_energy_pj(c: &Conv1d) -> f64 {
+    let io_bytes = u64::from(c.length) * u64::from(c.in_channels) + c.output_elements();
+    matrix_energy_pj(c.macs(), io_bytes)
+}
+
+/// Dynamic energy of a fully connected layer, pJ.
+pub(crate) fn linear_energy_pj(l: &Linear) -> f64 {
+    let io_bytes = u64::from(l.in_features) * u64::from(l.tokens) + l.output_elements();
+    matrix_energy_pj(l.macs(), io_bytes)
 }
 
 /// The im2col matrix shape of a 2-D convolution:

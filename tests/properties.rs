@@ -584,6 +584,127 @@ proptest! {
     }
 }
 
+// ---------- grid pricing tables vs the per-point evaluator ----------
+
+/// Every zoo model, built once for the whole test binary.
+fn zoo_models() -> &'static [Model] {
+    static MODELS: std::sync::OnceLock<Vec<Model>> = std::sync::OnceLock::new();
+    MODELS.get_or_init(|| {
+        claire::model::zoo::TABLE
+            .iter()
+            .map(|(_, make)| make())
+            .collect()
+    })
+}
+
+/// A random grid: 1–4 values per axis, drawn from a few multiples so
+/// axes repeat values and come unsorted — some `n_pools` axes descend
+/// and take the area screen's full-row walk.
+fn random_grid() -> impl Strategy<Value = DseSpace> {
+    let axis = |step: u32, top: u32| {
+        proptest::collection::vec(1..top, 1..5)
+            .prop_map(move |ks| ks.into_iter().map(|k| k * step).collect::<Vec<u32>>())
+    };
+    (axis(12, 7), axis(8, 9), axis(4, 9), axis(4, 9)).prop_map(
+        |(sa_sizes, n_sas, n_acts, n_pools)| DseSpace {
+            sa_sizes,
+            n_sas,
+            n_acts,
+            n_pools,
+            threads: Some(1),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The prepared pricer's per-axis tables are the evaluator, bit for
+    /// bit, for every zoo model at every point of random grids: lower
+    /// bounds, all six report fields (or the same error), and area.
+    /// The search over them — area row walk, lower-bound screen,
+    /// pricing — keeps the cache-off engine's points and counts, and
+    /// its area screen prunes exactly the points over the cap.
+    #[test]
+    fn grid_tables_price_every_zoo_model_like_the_evaluator(
+        space in random_grid(),
+        cons in random_constraints(),
+        pick in 0usize..256,
+    ) {
+        use claire::core::{monolithic_area_mm2, search_with_engine, Engine, SearchPolicy};
+        use claire::ppa::DesignSpace;
+        let axes = space.axes();
+        let points: Vec<(u32, HwParams)> = claire::ppa::space_points(&space).collect();
+        for (k, model) in zoo_models().iter().enumerate() {
+            let shell = DesignConfig::monolithic(
+                format!("dse:{}", model.name()),
+                HwParams::new(1, 1, 1, 1),
+                model.op_class_counts().keys().copied().collect(),
+            );
+            // Every other model caps area at one grid point's own area,
+            // so rows straddle the cap and some points sit exactly on it.
+            let cons = if k % 2 == 0 {
+                cons
+            } else {
+                let (_, hw) = points[pick % points.len()];
+                Constraints {
+                    chiplet_area_limit_mm2: monolithic_area_mm2(&shell.classes, &hw),
+                    ..cons
+                }
+            };
+            let engine = Engine::serial();
+            let oracle = Engine::serial().with_cache(false);
+            let pricer = engine.shell_pricer(model, &shell, &axes);
+            let mut over_cap = 0u64;
+            for &(index, hw) in &points {
+                let mut config = shell.clone();
+                config.hw = hw;
+                prop_assert_eq!(
+                    pricer.lb_cycles(index, &hw),
+                    oracle.compute_cycles_lb(model, &hw),
+                    "{} at {}", model.name(), hw
+                );
+                let area = monolithic_area_mm2(&shell.classes, &hw);
+                prop_assert_eq!(pricer.area_mm2(index, &hw).to_bits(), area.to_bits());
+                over_cap += u64::from(area > cons.chiplet_area_limit_mm2);
+                match (pricer.price(index, hw), oracle.evaluate(model, &config)) {
+                    (Ok(a), Ok(b)) => {
+                        let bits = |r: &claire::core::PpaReport| {
+                            [
+                                r.latency_s,
+                                r.energy_j,
+                                r.area_mm2,
+                                r.nop_energy_j,
+                                r.noc_energy_j,
+                                r.leakage_j,
+                            ]
+                            .map(f64::to_bits)
+                        };
+                        prop_assert_eq!(bits(&a), bits(&b), "{} at {}", model.name(), hw);
+                    }
+                    (a, b) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                }
+            }
+            let searched = Engine::serial();
+            let outcome =
+                search_with_engine(model, &space, &cons, SearchPolicy::Exhaustive, &searched);
+            let reference =
+                search_with_engine(model, &space, &cons, SearchPolicy::Exhaustive, &oracle);
+            prop_assert_eq!(
+                format!("{:?}", outcome.points),
+                format!("{:?}", reference.points),
+                "{}", model.name()
+            );
+            let (a, b) = (searched.stats(), oracle.stats());
+            prop_assert_eq!(
+                (a.dse_pruned, a.dse_lb_pruned, a.dse_evaluated),
+                (b.dse_pruned, b.dse_lb_pruned, b.dse_evaluated)
+            );
+            prop_assert_eq!(a.dse_pruned, over_cap, "{}", model.name());
+        }
+    }
+}
+
 // ---------- parser robustness ----------
 
 proptest! {
