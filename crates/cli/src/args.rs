@@ -354,57 +354,77 @@ fn extract_path_option(
     Ok((path, rest))
 }
 
+/// The options each command takes, as its usage line in [`USAGE`]
+/// lists them: `(command, flags, options that take a value)`. The
+/// global options are stripped before [`parse_args`] runs.
+const OPTIONS: &[(&str, &[&str], &[&str])] = &[
+    ("models", &["--extended"], &[]),
+    ("custom", &["--json"], &["--config"]),
+    (
+        "train",
+        &["--paper-subsets", "--json"],
+        &["--threshold", "--config"],
+    ),
+    ("init-config", &[], &[]),
+    ("flow", &["--paper-subsets", "--extended", "--json"], &[]),
+    ("parse", &["--json"], &["--image", "--seq", "--name"]),
+    ("simulate", &["--overlap"], &["--batch"]),
+    ("describe", &[], &[]),
+    ("export-library", &["--paper-subsets"], &["--threshold"]),
+    ("deploy", &["--json"], &["--library"]),
+    (
+        "serve",
+        &[],
+        &[
+            "--config",
+            "--listen",
+            "--queue",
+            "--io-timeout-ms",
+            "--checkpoint-ms",
+            "--serve-faults",
+            "--event-log",
+        ],
+    ),
+    ("help", &[], &[]),
+];
+
 /// Parses the command line (excluding argv\[0\]).
 ///
 /// # Errors
 ///
 /// Returns [`ParseArgsError`] with a usage-style message on unknown
-/// commands, unknown flags, or malformed values.
+/// commands, options the command does not take, options missing their
+/// value, or malformed values.
 pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
     let mut it = args.iter().map(String::as_str);
-    let cmd = it.next().unwrap_or("help");
+    let cmd = match it.next() {
+        None | Some("--help" | "-h") => "help",
+        Some(cmd) => cmd,
+    };
     let rest: Vec<&str> = it.collect();
+    let Some(&(_, flags, valued)) = OPTIONS.iter().find(|(name, ..)| *name == cmd) else {
+        return Err(err(format!(
+            "unknown command `{cmd}` (try `claire-cli help`)"
+        )));
+    };
 
+    let mut positional = Vec::new();
+    let mut args = rest.iter();
+    while let Some(&a) = args.next() {
+        if valued.contains(&a) {
+            args.next()
+                .ok_or_else(|| err(format!("{a} requires a value")))?;
+        } else if !a.starts_with("--") {
+            positional.push(a);
+        } else if !flags.contains(&a) {
+            return Err(err(format!("`{cmd}` does not take {a}")));
+        }
+    }
     let flag = |name: &str| rest.contains(&name);
     let value = |name: &str| -> Option<&str> {
         rest.iter()
             .position(|a| *a == name)
             .and_then(|i| rest.get(i + 1).copied())
-    };
-    let positional: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in rest.iter().enumerate() {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with("--") {
-                // Flags with values.
-                if matches!(
-                    *a,
-                    "--threshold"
-                        | "--image"
-                        | "--seq"
-                        | "--name"
-                        | "--config"
-                        | "--batch"
-                        | "--library"
-                        | "--listen"
-                        | "--queue"
-                        | "--io-timeout-ms"
-                        | "--checkpoint-ms"
-                        | "--serve-faults"
-                        | "--event-log"
-                ) && i + 1 < rest.len()
-                {
-                    skip = true;
-                }
-                continue;
-            }
-            out.push(*a);
-        }
-        out
     };
 
     match cmd {
@@ -555,10 +575,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseArgsError> {
                 event_log: value("--event-log").map(str::to_owned),
             })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(err(format!(
-            "unknown command `{other}` (try `claire-cli help`)"
-        ))),
+        "help" => Ok(Command::Help),
+        other => unreachable!("`{other}` is listed in OPTIONS but has no parser"),
     }
 }
 
@@ -1012,6 +1030,96 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(parse_args(&v(&["frobnicate"])).is_err());
+    }
+
+    /// Each command's usage line in [`USAGE`] (with its continuation
+    /// lines) split into the options it lists, each with whether a
+    /// value placeholder follows it.
+    fn usage_options() -> Vec<(String, Vec<(String, bool)>)> {
+        let mut out: Vec<(String, Vec<(String, bool)>)> = Vec::new();
+        let mut continues = false;
+        for line in USAGE.lines() {
+            let words: Vec<&str> = if let Some(rest) = line.strip_prefix("  claire-cli ") {
+                let mut words = rest.split_whitespace();
+                let cmd = words.next().expect("usage line names a command");
+                out.push((cmd.to_owned(), Vec::new()));
+                words.collect()
+            } else if continues && line.trim_start().starts_with('[') {
+                line.split_whitespace().collect()
+            } else {
+                continues = false;
+                continue;
+            };
+            continues = true;
+            let words: Vec<&str> = words.iter().map(|w| w.trim_matches(['[', ']'])).collect();
+            let opts = &mut out.last_mut().expect("a usage line came first").1;
+            for (i, w) in words.iter().enumerate() {
+                if w.starts_with("--") {
+                    let next = words.get(i + 1).copied().unwrap_or("--");
+                    opts.push(((*w).to_owned(), !next.starts_with("--") && next != "|"));
+                }
+            }
+        }
+        out
+    }
+
+    /// A command line each command parses without options.
+    fn base_args(cmd: &str) -> Vec<String> {
+        match cmd {
+            "custom" | "describe" | "simulate" => v(&[cmd, "Alexnet"]),
+            "deploy" => v(&[cmd, "Alexnet", "--library", "lib.json"]),
+            "init-config" | "parse" | "export-library" => v(&[cmd, "file.json"]),
+            _ => v(&[cmd]),
+        }
+    }
+
+    #[test]
+    fn every_usage_option_parses_and_strays_are_rejected() {
+        let commands = usage_options();
+        assert_eq!(commands.len(), OPTIONS.len(), "{commands:?}");
+        for ((cmd, opts), (name, flags, valued)) in commands.iter().zip(OPTIONS) {
+            assert_eq!(
+                cmd, name,
+                "USAGE and OPTIONS list the commands in one order"
+            );
+            let mut listed: Vec<(String, bool)> = flags
+                .iter()
+                .map(|f| ((*f).to_owned(), false))
+                .chain(valued.iter().map(|o| ((*o).to_owned(), true)))
+                .collect();
+            listed.sort();
+            let mut shown = opts.clone();
+            shown.sort();
+            assert_eq!(shown, listed, "`{cmd}`: USAGE and OPTIONS disagree");
+            assert!(parse_args(&base_args(cmd)).is_ok(), "{cmd}");
+            for (opt, takes_value) in opts {
+                let mut args = base_args(cmd);
+                args.push(opt.clone());
+                if *takes_value {
+                    let sample = match opt.as_str() {
+                        "--threshold" => "0.5",
+                        "--image" => "3x8x8",
+                        "--seq" => "4x8",
+                        "--batch" | "--queue" | "--io-timeout-ms" | "--checkpoint-ms" => "2",
+                        _ => "x",
+                    };
+                    args.push(sample.to_owned());
+                }
+                assert!(parse_args(&args).is_ok(), "{args:?} should parse");
+                if *takes_value {
+                    args.pop();
+                    let e = parse_args(&args).unwrap_err();
+                    assert!(e.to_string().contains(opt.as_str()), "{args:?}: {e}");
+                }
+            }
+            let mut stray = base_args(cmd);
+            stray.push("--frobnicate".to_owned());
+            let e = parse_args(&stray).unwrap_err();
+            assert!(e.to_string().contains("--frobnicate"), "{stray:?}: {e}");
+        }
+        // An option another command takes is stray here.
+        let e = parse_args(&v(&["flow", "--config", "tight.json"])).unwrap_err();
+        assert!(e.to_string().contains("--config"), "{e}");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use claire_core::{
 };
 use claire_model::parse::{parse_model, InputShape, ParseOptions};
 use claire_model::{zoo, Model, ModelClass};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use summary::{CustomSummary, FlowSummary, TrainSummary};
 
@@ -50,7 +51,20 @@ fn main() {
                     metrics_out: metrics.map(PathBuf::from),
                 },
             };
-            run(cmd, &globals)
+            // Stdout is line-buffered and every write ends a line, so a
+            // write error surfaces at the write that hit it. The handle
+            // stays unlocked and is never flushed here: in stdin mode,
+            // `serve` answers from a writer thread that holds the lock.
+            match run(cmd, &globals, &mut io::stdout()) {
+                Ok(code) => code,
+                // The reader closed stdout (`claire-cli models | head -1`):
+                // it has all the output it wanted.
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+                Err(e) => {
+                    eprintln!("error: cannot write to stdout: {e}");
+                    1
+                }
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -187,10 +201,10 @@ fn options(
     Ok(opts)
 }
 
-fn run(cmd: Command, g: &Globals) -> i32 {
-    match cmd {
+fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
+    Ok(match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            writeln!(out, "{USAGE}")?;
             0
         }
         Command::Models { extended } => {
@@ -206,9 +220,9 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 ));
             }
             for (heading, slice) in sections {
-                println!("{heading}");
+                writeln!(out, "{heading}")?;
                 for (_, make) in &zoo::TABLE[slice] {
-                    describe(&make());
+                    describe(&make(), out)?;
                 }
             }
             0
@@ -217,7 +231,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             let cfg = RunConfig::default();
             match cfg.save(&path) {
                 Ok(()) => {
-                    println!("wrote default configuration to {path}");
+                    writeln!(out, "wrote default configuration to {path}")?;
                     0
                 }
                 Err(e) => {
@@ -233,13 +247,13 @@ fn run(cmd: Command, g: &Globals) -> i32 {
         } => {
             let Some(m) = zoo::by_name(&model) else {
                 eprintln!("error: unknown model `{model}` (see `claire-cli models --extended`)");
-                return 2;
+                return Ok(2);
             };
             let opts = match options(false, None, config.as_deref(), g) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let claire = Claire::new(opts);
@@ -248,31 +262,37 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             match claire.custom_for_with_engine(&m, &engine) {
                 Ok(custom) => {
                     if let Err(e) = claire.export_telemetry(&engine) {
-                        return fail(&e);
+                        return Ok(fail(&e));
                     }
                     save_warm(&claire, &engine);
                     warn_degraded(custom.model.name(), custom.degradation.as_ref());
                     let s = CustomSummary::from(&custom);
                     if json {
-                        println!("{}", serde_json::to_string_pretty(&s).expect("serialise"));
+                        writeln!(
+                            out,
+                            "{}",
+                            serde_json::to_string_pretty(&s).expect("serialise")
+                        )?;
                     } else {
-                        println!("custom configuration for {}:", s.model);
-                        println!("  hardware: {}", s.hardware);
+                        writeln!(out, "custom configuration for {}:", s.model)?;
+                        writeln!(out, "  hardware: {}", s.hardware)?;
                         for ch in &s.chiplets {
-                            println!(
+                            writeln!(
+                                out,
                                 "  {} ({:.1} mm^2): {}",
                                 ch.name,
                                 ch.area_mm2,
                                 ch.classes.join(", ")
-                            );
+                            )?;
                         }
-                        println!(
+                        writeln!(
+                            out,
                             "  {:.3} ms | {:.3} mJ | {:.1} mm^2 | {:.3} W/mm^2",
                             s.ppa.latency_ms,
                             s.ppa.energy_mj,
                             s.ppa.area_mm2,
                             s.ppa.power_density_w_mm2
-                        );
+                        )?;
                     }
                     0
                 }
@@ -289,24 +309,28 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let claire = Claire::new(opts);
             let engine = engine_for(&claire);
             load_warm(&claire, &engine);
             match claire.train_with_engine(&zoo::training_set(), &engine) {
-                Ok(out) => {
+                Ok(train) => {
                     if let Err(e) = claire.export_telemetry(&engine) {
-                        return fail(&e);
+                        return Ok(fail(&e));
                     }
                     save_warm(&claire, &engine);
-                    warn_train(&out);
-                    let s = TrainSummary::from(&out);
+                    warn_train(&train);
+                    let s = TrainSummary::from(&train);
                     if json {
-                        println!("{}", serde_json::to_string_pretty(&s).expect("serialise"));
+                        writeln!(
+                            out,
+                            "{}",
+                            serde_json::to_string_pretty(&s).expect("serialise")
+                        )?;
                     } else {
-                        print_train(&s);
+                        print_train(&s, out)?;
                     }
                     0
                 }
@@ -322,7 +346,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let claire = Claire::new(opts);
@@ -336,7 +360,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                     warn_train(&t);
                     t
                 }
-                Err(e) => return fail(&e),
+                Err(e) => return Ok(fail(&e)),
             };
             let mut tests = zoo::test_set();
             if extended {
@@ -345,27 +369,29 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             match claire.evaluate_test_with_engine(&train, &tests, &engine) {
                 Ok(test) => {
                     if let Err(e) = claire.export_telemetry(&engine) {
-                        return fail(&e);
+                        return Ok(fail(&e));
                     }
                     save_warm(&claire, &engine);
                     let flow = FlowSummary::new(&train, &test);
                     if json {
-                        println!(
+                        writeln!(
+                            out,
                             "{}",
                             serde_json::to_string_pretty(&flow).expect("serialise")
-                        );
+                        )?;
                     } else {
-                        print_train(&flow.train);
-                        println!("test deployment:");
+                        print_train(&flow.train, out)?;
+                        writeln!(out, "test deployment:")?;
                         for t in &flow.tests {
-                            println!(
+                            writeln!(
+                                out,
                                 "  {:16} -> {:5}  coverage {:>4.0}%  U_k {:.3}  U_g {:.3}",
                                 t.model,
                                 t.assigned.as_deref().unwrap_or("-"),
                                 t.coverage * 100.0,
                                 t.utilization_library,
                                 t.utilization_generic
-                            );
+                            )?;
                         }
                     }
                     0
@@ -386,7 +412,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             serve::run(
@@ -404,26 +430,27 @@ fn run(cmd: Command, g: &Globals) -> i32 {
         Command::Describe { model } => {
             let Some(m) = zoo::by_name(&model) else {
                 eprintln!("error: unknown model `{model}`");
-                return 2;
+                return Ok(2);
             };
-            println!("{} ({})", m.name(), m.class());
-            println!(
+            writeln!(out, "{} ({})", m.name(), m.class())?;
+            writeln!(
+                out,
                 "  {} layers | {:.2} GMACs | {:.2} M params | {:.1} MB activations | {:.1} MACs/B",
                 m.layer_count(),
                 m.macs() as f64 / 1e9,
                 m.param_count() as f64 / 1e6,
                 m.activation_bytes() as f64 / 1e6,
                 m.arithmetic_intensity()
-            );
-            println!("  layer classes:");
+            )?;
+            writeln!(out, "  layer classes:")?;
             for (class, n) in m.op_class_counts() {
-                println!("    {:18} x{n}", class.label());
+                writeln!(out, "    {:18} x{n}", class.label())?;
             }
-            println!("  top edges:");
+            writeln!(out, "  top edges:")?;
             let mut combos: Vec<_> = m.edge_combination_counts().into_iter().collect();
             combos.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
             for ((a, b), n) in combos.into_iter().take(5) {
-                println!("    {a}-{b} x{n}");
+                writeln!(out, "    {a}-{b} x{n}")?;
             }
             0
         }
@@ -436,7 +463,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let nre = opts.nre;
@@ -446,15 +473,16 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                     warn_train(&t);
                     t
                 }
-                Err(e) => return fail(&e),
+                Err(e) => return Ok(fail(&e)),
             };
             let lib = ChipletLibrary::from_training("claire-library", &train, nre);
             match lib.save(&path) {
                 Ok(()) => {
-                    println!(
+                    writeln!(
+                        out,
                         "wrote library with {} configurations to {path}",
                         lib.entries.len()
-                    );
+                    )?;
                     0
                 }
                 Err(e) => {
@@ -470,13 +498,13 @@ fn run(cmd: Command, g: &Globals) -> i32 {
         } => {
             let Some(m) = zoo::by_name(&model) else {
                 eprintln!("error: unknown model `{model}`");
-                return 2;
+                return Ok(2);
             };
             let lib = match ChipletLibrary::load(&library) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             match lib.deploy(&m, WeightScale::Log) {
@@ -492,24 +520,26 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                             "energy_mj": d.ppa.energy_j * 1e3,
                             "custom_nre_avoided": d.custom_nre_avoided,
                         });
-                        println!("{}", serde_json::to_string_pretty(&v).expect("json"));
+                        writeln!(out, "{}", serde_json::to_string_pretty(&v).expect("json"))?;
                     } else {
-                        println!(
+                        writeln!(
+                            out,
                             "{} -> {} (similarity {:.3}): coverage {:.0}%, utilization {:.3}",
                             m.name(),
                             d.config_name,
                             d.similarity,
                             d.coverage * 100.0,
                             d.utilization
-                        );
-                        println!(
+                        )?;
+                        writeln!(
+                            out,
                             "  {:.3} ms | {:.3} mJ on hardened silicon; avoided custom NRE {}",
                             d.ppa.latency_s * 1e3,
                             d.ppa.energy_j * 1e3,
                             d.custom_nre_avoided
                                 .map(|v| format!("{v:.3} (normalised)"))
                                 .unwrap_or_else(|| "n/a".into())
-                        );
+                        )?;
                     }
                     0
                 }
@@ -523,7 +553,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
         } => {
             let Some(m) = zoo::by_name(&model) else {
                 eprintln!("error: unknown model `{model}`");
-                return 2;
+                return Ok(2);
             };
             let mut opts = ClaireOptions::default();
             if g.threads.is_some() {
@@ -540,7 +570,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                     warn_degraded(c.model.name(), c.degradation.as_ref());
                     c
                 }
-                Err(e) => return fail(&e),
+                Err(e) => return Ok(fail(&e)),
             };
             let mode = if overlap {
                 claire_sim::Mode::Overlapped
@@ -549,24 +579,26 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             };
             match claire_sim::simulate(&m, &custom.config, mode) {
                 Ok(report) => {
-                    println!(
+                    writeln!(
+                        out,
                         "{}: {:.4} ms simulated ({} tiles, {} transfers) vs {:.4} ms analytical",
                         m.name(),
                         report.latency_s() * 1e3,
                         report.tiles_executed,
                         report.transfers,
                         custom.report.latency_s * 1e3
-                    );
+                    )?;
                     if batch > 1 {
                         match claire_sim::simulate_batch(&m, &custom.config, batch) {
                             Ok(cycles) => {
                                 let tput = batch as f64 / (cycles as f64 / 1e9);
-                                println!(
+                                writeln!(
+                                    out,
                                     "batch {batch}: {:.4} ms total, {tput:.0} inferences/s",
                                     cycles as f64 / 1e6
-                                );
+                                )?;
                             }
-                            Err(e) => return fail(&e),
+                            Err(e) => return Ok(fail(&e)),
                         }
                     }
                     0
@@ -585,7 +617,7 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("error: cannot read {path}: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let (input, class) = match (image, seq) {
@@ -614,21 +646,22 @@ fn run(cmd: Command, g: &Globals) -> i32 {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 1;
+                    return Ok(1);
                 }
             };
-            println!(
+            writeln!(
+                out,
                 "parsed {}: {} layers, {:.1} MMACs, {} params",
                 model.name(),
                 model.layer_count(),
                 model.macs() as f64 / 1e6,
                 model.param_count()
-            );
+            )?;
             let opts = match options(false, None, None, g) {
                 Ok(o) => o,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             let claire = Claire::new(opts);
@@ -637,54 +670,62 @@ fn run(cmd: Command, g: &Globals) -> i32 {
             match claire.custom_for_with_engine(&model, &engine) {
                 Ok(custom) => {
                     if let Err(e) = claire.export_telemetry(&engine) {
-                        return fail(&e);
+                        return Ok(fail(&e));
                     }
                     save_warm(&claire, &engine);
                     warn_degraded(custom.model.name(), custom.degradation.as_ref());
                     let s = CustomSummary::from(&custom);
                     if json {
-                        println!("{}", serde_json::to_string_pretty(&s).expect("serialise"));
+                        writeln!(
+                            out,
+                            "{}",
+                            serde_json::to_string_pretty(&s).expect("serialise")
+                        )?;
                     } else {
-                        println!(
+                        writeln!(
+                            out,
                             "custom configuration: {} | {} chiplet(s) | {:.3} ms | {:.3} mJ | {:.1} mm^2",
                             s.hardware,
                             s.chiplets.len(),
                             s.ppa.latency_ms,
                             s.ppa.energy_mj,
                             s.ppa.area_mm2
-                        );
+                        )?;
                     }
                     0
                 }
                 Err(e) => fail(&e),
             }
         }
-    }
+    })
 }
 
-fn describe(m: &Model) {
+fn describe(m: &Model, out: &mut impl Write) -> io::Result<()> {
     let p = m.param_count() as f64;
     let params = if p >= 1e9 {
         format!("{:.2} B", p / 1e9)
     } else {
         format!("{:.2} M", p / 1e6)
     };
-    println!(
+    writeln!(
+        out,
         "  {:18} {:12} {:>10}  {} layers",
         m.name(),
         m.class().to_string(),
         params,
         m.layer_count()
-    );
+    )
 }
 
-fn print_train(s: &TrainSummary) {
-    println!(
+fn print_train(s: &TrainSummary, out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "generic C_g: {} chiplets, {:.1} mm^2",
         s.generic_chiplets, s.generic_area_mm2
-    );
+    )?;
     for l in &s.libraries {
-        println!(
+        writeln!(
+            out,
             "{} <- {:?} | {} | {} chiplet(s) | NRE {:.3} vs custom {:.3} ({:.2}x)",
             l.name,
             l.members,
@@ -693,6 +734,7 @@ fn print_train(s: &TrainSummary) {
             l.nre,
             l.cumulative_custom_nre,
             l.cumulative_custom_nre / l.nre
-        );
+        )?;
     }
+    Ok(())
 }

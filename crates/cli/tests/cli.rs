@@ -26,6 +26,39 @@ fn unknown_command_exits_2_with_usage() {
 }
 
 #[test]
+fn options_a_command_does_not_take_exit_2() {
+    for (args, stray) in [
+        (&["flow", "--config", "tight.json"][..], "--config"),
+        (&["custom", "Alexnet", "--frobnicate"], "--frobnicate"),
+    ] {
+        let out = cli().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(stray), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    for args in [
+        &["models"][..],
+        &["describe", "Resnet50"],
+        &["flow", "--json"],
+        &["custom", "Alexnet", "--json"],
+    ] {
+        // The reader is gone before the child starts, so its first
+        // write to stdout fails with EPIPE.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cli().args(args).stdout(writer).output().expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn models_lists_the_zoo() {
     let out = cli().args(["models", "--extended"]).output().expect("run");
     assert!(out.status.success());

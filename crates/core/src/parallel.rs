@@ -4,14 +4,14 @@
 //! (model × configuration) work items: the DSE sweep evaluates 81
 //! hardware points per algorithm, the training phase evaluates every
 //! algorithm on every candidate configuration, and the test phase
-//! repeats the DSE per test algorithm. [`Engine`] runs those maps on a
-//! scoped thread pool and memoizes the per-layer cost model behind a
-//! sharded lock, while guaranteeing **bit-identical results at any
-//! thread count**:
+//! repeats the DSE per test algorithm. [`Engine`] runs those maps on
+//! the calling thread plus scoped helper threads and memoizes the
+//! per-layer cost model behind a sharded lock, while guaranteeing
+//! **bit-identical results at any thread count**:
 //!
-//! * work items are claimed from an atomic cursor but results are
-//!   reassembled by item index, so output order never depends on
-//!   scheduling;
+//! * work items are claimed in contiguous chunks from an atomic cursor
+//!   but results are reassembled by item index, so output order never
+//!   depends on scheduling;
 //! * each item's computation is a pure function of its inputs (no
 //!   cross-item accumulation), so values cannot drift either;
 //! * the memo cache stores exact [`LayerCost`] values — a hit returns
@@ -993,9 +993,10 @@ impl Engine {
 
     /// Deterministic parallel map: applies `f` to every item and
     /// returns results in item order, regardless of thread count or
-    /// scheduling. Work is claimed from an atomic cursor (so long and
-    /// short items balance), and each worker's `(index, result)` pairs
-    /// are reassembled into input order afterwards.
+    /// scheduling. The calling thread works as worker 0 beside
+    /// `threads - 1` scoped helpers; workers claim contiguous chunks of
+    /// indices from an atomic cursor (so long and short items balance),
+    /// and the chunks are reassembled into input order afterwards.
     ///
     /// A panic in `f` is contained per item and re-raised for the
     /// **lowest-indexed** panicking item after every worker finishes —
@@ -1068,12 +1069,7 @@ impl Engine {
         let run_one = |i: usize| {
             let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
             if r.is_err() {
-                self.telemetry.count(Metric::ParPanics);
-                self.telemetry.instant(
-                    "par.panic",
-                    "item",
-                    vec![("index", ArgValue::Int(i as u64))],
-                );
+                self.note_item_panic(i);
             }
             r
         };
@@ -1081,102 +1077,143 @@ impl Engine {
         // stage) run serially on the worker that reached them: the outer
         // map already saturates the thread budget, and W x W transient
         // threads would only add scheduling overhead.
-        if workers <= 1 || IN_WORKER.with(|w| w.get()) {
+        let nested = IN_WORKER.with(|w| w.get());
+        if workers <= 1 || nested {
             // A *top-level* serial map still publishes a worker-0
             // sample (busy = wall: the only worker never waits), so
             // per-worker utilization and the stage imbalance ratio
             // stay defined on single-threaded runs. Nested maps don't:
             // their time already lands in the enclosing worker's
             // sample, and a second record would double-count it.
-            let nested = IN_WORKER.with(|w| w.get());
-            if nested || n == 0 {
-                return (0..n).map(run_one).collect();
-            }
-            let wall_start = Instant::now();
+            let wall_start = (!nested && n > 0).then(Instant::now);
             let out: Vec<_> = (0..n).map(run_one).collect();
-            let wall = wall_start.elapsed();
-            self.telemetry.record_worker(WorkerSample {
-                stage: self.telemetry.current_stage(),
-                worker: 0,
-                busy: wall,
-                wall,
-                items: n as u64,
-            });
+            if let Some(wall_start) = wall_start {
+                let wall = wall_start.elapsed();
+                self.telemetry.record_worker(WorkerSample {
+                    stage: self.telemetry.current_stage(),
+                    worker: 0,
+                    busy: wall,
+                    wall,
+                    items: n as u64,
+                });
+            }
             return out;
         }
 
         let tel = &self.telemetry;
         let stage = tel.current_stage();
+        // Read once per map: with tracing off no hook runs per item.
+        let tracing = tel.tracing_enabled();
         let cursor = AtomicUsize::new(0);
-        // Workers start claiming only once every worker thread is up:
-        // without the barrier the first-spawned worker drains a short
-        // item set before the later spawns even begin, and the busy
-        // imbalance the worker samples report measures thread-spawn
-        // latency instead of load balance.
-        let start = std::sync::Barrier::new(workers);
-        let buckets: Vec<Vec<(usize, _)>> = std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let run_one = &run_one;
-            let stage = &stage;
-            let start = &start;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        IN_WORKER.with(|x| x.set(true));
-                        telemetry::set_current_tid(w as u32 + 1);
-                        start.wait();
-                        let wall_start = Instant::now();
-                        let mut busy = Duration::ZERO;
-                        let mut items_done = 0u64;
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = {
-                                let _span = tel.item_span(i, stage.as_deref());
-                                run_one(i)
-                            };
-                            let took = t0.elapsed();
-                            busy += took;
-                            items_done += 1;
-                            tel.record_item_duration(took);
-                            local.push((i, r));
-                        }
-                        tel.record_worker(WorkerSample {
-                            stage: stage.clone(),
-                            worker: w,
-                            busy,
-                            wall: wall_start.elapsed(),
-                            items: items_done,
-                        });
-                        tel.flush_thread_events();
-                        local
+        // About eight claims per worker: enough for long and short
+        // items to balance, few enough that the shared cursor and the
+        // busy clock are touched once per chunk rather than per item.
+        let chunk = (n / (workers * 8)).max(1);
+        // One worker's share: claims contiguous chunks until the
+        // cursor passes `n`, and returns each chunk's outcomes keyed
+        // by its first index.
+        let work = |w: usize| {
+            let _mark = WorkerMark::enter(w);
+            let wall_start = Instant::now();
+            let mut busy = Duration::ZERO;
+            let mut items_done = 0u64;
+            let mut chunks = Vec::new();
+            loop {
+                let first = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if first >= n {
+                    break;
+                }
+                let end = (first + chunk).min(n);
+                let t0 = Instant::now();
+                let outcomes: Vec<_> = (first..end)
+                    .map(|i| {
+                        let _span = tracing.then(|| tel.item_span(i, stage.as_deref()));
+                        run_one(i)
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(local) => local,
+                    .collect();
+                busy += t0.elapsed();
+                items_done += (end - first) as u64;
+                chunks.push((first, outcomes));
+            }
+            tel.record_worker(WorkerSample {
+                stage: stage.clone(),
+                worker: w,
+                busy,
+                wall: wall_start.elapsed(),
+                items: items_done,
+            });
+            // The caller's events move too, so a trace exported from
+            // another thread still sees worker 0's spans.
+            tel.flush_thread_events();
+            chunks
+        };
+        // The caller works as worker 0 beside `workers - 1` helpers:
+        // no start barrier, so a short map may finish on the caller
+        // before a helper claims anything.
+        let mut chunks = std::thread::scope(|scope| {
+            let work = &work;
+            let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+            let mut chunks = work(0);
+            for h in helpers {
+                match h.join() {
+                    Ok(theirs) => chunks.extend(theirs),
                     // Unreachable — `run_one` contains every unwind —
-                    // but a worker dying some other way must still
+                    // but a helper dying some other way must still
                     // not hang the caller.
                     Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                }
+            }
+            chunks
         });
 
-        let mut slots: Vec<Option<_>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (i, r) in buckets.into_iter().flatten() {
-            debug_assert!(slots[i].is_none(), "index {i} computed twice");
-            slots[i] = Some(r);
+        chunks.sort_unstable_by_key(|&(first, _)| first);
+        let mut out = Vec::with_capacity(n);
+        for (first, outcomes) in chunks {
+            assert_eq!(first, out.len(), "every index claimed exactly once");
+            out.extend(outcomes);
         }
-        let out: Vec<_> = slots.into_iter().flatten().collect();
         assert_eq!(out.len(), n, "every index claimed exactly once");
         out
+    }
+
+    /// Counts a contained item panic and marks it on the trace. Out of
+    /// line, so the per-item closure stays small enough to inline into
+    /// the serial loop.
+    #[cold]
+    fn note_item_panic(&self, i: usize) {
+        self.telemetry.count(Metric::ParPanics);
+        self.telemetry.instant(
+            "par.panic",
+            "item",
+            vec![("index", ArgValue::Int(i as u64))],
+        );
+    }
+}
+
+/// Marks the current thread as worker `w` of a parallel map — nested
+/// maps run serially, trace events land on track `w + 1` — and
+/// restores the thread's previous marks when dropped, so the caller,
+/// which works as worker 0, is itself again once its map returns.
+struct WorkerMark {
+    in_worker: bool,
+    tid: u32,
+}
+
+impl WorkerMark {
+    fn enter(w: usize) -> Self {
+        let mark = WorkerMark {
+            in_worker: IN_WORKER.with(|x| x.replace(true)),
+            tid: telemetry::current_tid(),
+        };
+        telemetry::set_current_tid(w as u32 + 1);
+        mark
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|x| x.set(self.in_worker));
+        telemetry::set_current_tid(self.tid);
     }
 }
 
@@ -1538,9 +1575,9 @@ fn louvain_key(csr: &CsrGraph<OpClass>, resolution: f64) -> Box<[u64]> {
 }
 
 thread_local! {
-    /// True on threads spawned by [`Engine::par_map`]; forces nested
-    /// maps serial. Worker threads are scope-local, so the flag never
-    /// leaks to reused threads.
+    /// True while a thread works a share of [`Engine::par_map`]; forces
+    /// nested maps serial. The caller sets it for its own share and
+    /// restores it when the share ends (see `WorkerMark`).
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 
     /// Per-thread scratch for the batch kernel's per-slot costs in
@@ -1672,6 +1709,127 @@ mod tests {
             let got = engine.par_map(&items, |_, &x| x * x);
             assert_eq!(got, expected, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn chunked_claims_cover_every_index_once_in_item_order() {
+        for threads in [2, 8] {
+            let engine = Engine::new(threads);
+            for n in [0, 1, 2, 15, 16, 17, 63, 64, 65, 1000] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let items: Vec<usize> = (0..n).collect();
+                let got = engine.par_map(&items, |i, &x| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    x * 3
+                });
+                let want: Vec<usize> = items.iter().map(|x| x * 3).collect();
+                assert_eq!(got, want, "threads {threads}, n {n}");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "threads {threads}, n {n}: an index ran other than once"
+                );
+            }
+        }
+    }
+
+    /// Runs `f` as a 2-worker `try_par_map` over 64 items (chunks of 4)
+    /// in which the first two chunks are forced onto different workers:
+    /// the worker holding chunk 0 waits at item 0 until the other
+    /// reaches item 4. So items 2 and 6 run on different threads, one
+    /// of them the caller, which the helper asserts. A map that runs
+    /// serially fails the wait after 10 s instead of hanging.
+    fn split_first_chunks<R: Send>(
+        engine: &Engine,
+        f: impl Fn(usize) -> Result<R, String> + Sync,
+    ) -> Result<Vec<R>, String> {
+        assert_eq!(engine.threads(), 2);
+        let items: Vec<usize> = (0..64).collect();
+        let (arrived, met) = (std::sync::Mutex::new(0), std::sync::Condvar::new());
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        let out = engine.try_par_map(&items, |i, _| {
+            if i == 0 || i == 4 {
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                met.notify_all();
+                let wait = Duration::from_secs(10);
+                let (_n, waited) = met.wait_timeout_while(n, wait, |n| *n < 2).unwrap();
+                assert!(!waited.timed_out(), "chunks 0 and 1 never ran at once");
+            }
+            if i == 2 || i == 6 {
+                ran_on.lock().unwrap().push(std::thread::current().id());
+            }
+            f(i)
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on.len(), 2);
+        assert_ne!(ran_on[0], ran_on[1], "chunks 0 and 1 ran on one worker");
+        assert!(
+            ran_on.contains(&std::thread::current().id()),
+            "the caller ran neither chunk"
+        );
+        out
+    }
+
+    #[test]
+    fn lowest_index_failure_wins_across_chunks_and_the_callers_share() {
+        let engine = Engine::new(2);
+        let err = split_first_chunks(&engine, |i| match i {
+            2 | 6 => Err(format!("e{i}")),
+            _ => Ok(i),
+        });
+        assert_eq!(err.unwrap_err(), "e2");
+        let err = split_first_chunks(&engine, |i| match i {
+            2 | 6 => panic!("p{i}"),
+            _ => Ok(i),
+        })
+        .unwrap_err();
+        assert!(err.contains("item 2") && err.contains("p2"), "{err}");
+    }
+
+    #[test]
+    fn nested_map_in_the_callers_share_is_serial_and_the_next_map_is_not() {
+        let engine = Engine::new(2);
+        let caller = std::thread::current().id();
+        let inner: Vec<u32> = (0..16).collect();
+        let on_caller = split_first_chunks(&engine, |i| {
+            let outer = std::thread::current().id();
+            let threads = engine.par_map(&inner, |_, _| std::thread::current().id());
+            assert!(threads.iter().all(|&t| t == outer), "item {i}");
+            Ok(outer == caller)
+        })
+        .unwrap();
+        assert!(on_caller.contains(&true), "the caller ran nested maps");
+        // The forced map's two samples; its nested maps record none.
+        assert_eq!(engine.telemetry().worker_samples().len(), 2);
+        let items: Vec<u32> = (0..64).collect();
+        engine.par_map(&items, |_, &x| x);
+        let workers: Vec<usize> = engine.telemetry().worker_samples()[2..]
+            .iter()
+            .map(|s| s.worker)
+            .collect();
+        assert_eq!(workers.len(), 2, "{workers:?}");
+        assert!(workers.contains(&0) && workers.contains(&1), "{workers:?}");
+    }
+
+    #[test]
+    fn spans_after_a_traced_map_land_on_the_callers_track() {
+        let engine = Engine::new(2).with_tracing(true);
+        let items: Vec<u32> = (0..64).collect();
+        engine.par_map(&items, |_, &x| x + 1);
+        drop(engine.telemetry().span("after.map", "test"));
+        let trace = engine.telemetry().chrome_trace();
+        let events = trace["traceEvents"].as_array().expect("traceEvents");
+        let tid_of = |name: &str| -> Vec<u64> {
+            events
+                .iter()
+                .filter(|e| e["name"].as_str() == Some(name))
+                .filter_map(|e| e["tid"].as_u64())
+                .collect()
+        };
+        assert_eq!(tid_of("after.map"), vec![0]);
+        let item_tids = tid_of("par.item");
+        assert_eq!(item_tids.len(), 64);
+        assert!(item_tids.iter().all(|&t| t == 1 || t == 2), "{item_tids:?}");
     }
 
     #[test]

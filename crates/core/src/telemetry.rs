@@ -16,7 +16,7 @@
 //!   counts, thread count), set by the engine when a snapshot or an
 //!   export is taken.
 //! * **Histograms** — fixed-bucket distributions: degradation rungs
-//!   and parallel work-item durations.
+//!   and the serve queue-wait and in-flight counts.
 //!
 //! **Spans** come in two kinds. *Stage spans* ([`Telemetry::stage_span`])
 //! are always recorded: their wall-time aggregates feed
@@ -848,17 +848,17 @@ pub struct StageAgg {
 }
 
 /// One parallel-map worker's accounting for one map: busy time (inside
-/// item closures), wall time (claim loop start to retire) and items
-/// completed.
+/// its claimed chunks), wall time (claim loop start to retire) and
+/// items completed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSample {
     /// The enclosing stage, when the map ran inside one.
     pub stage: Option<String>,
     /// Worker index within the map (0-based).
     pub worker: usize,
-    /// Time spent inside item closures.
+    /// Time spent running claimed chunks, read once per chunk.
     pub busy: Duration,
-    /// Wall time from spawn to retire.
+    /// Wall time from the first claim to retire.
     pub wall: Duration,
     /// Items this worker completed.
     pub items: u64,
@@ -914,7 +914,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Logical track id of the current thread: 0 on the main thread,
-    /// `worker + 1` inside a parallel map.
+    /// `worker + 1` while it works a parallel map's share.
     static CURRENT_TID: Cell<u32> = const { Cell::new(0) };
     /// This thread's pending trace events, tagged with the telemetry
     /// instance they belong to.
@@ -927,9 +927,9 @@ struct LocalBuf {
     events: Vec<TraceEvent>,
 }
 
-/// Sets the current thread's logical track id (worker threads call
-/// this with `worker + 1` on spawn; scope-local threads never leak the
-/// value).
+/// Sets the current thread's logical track id (a parallel map sets
+/// `worker + 1` for each worker's share and restores the previous id
+/// when the share ends).
 pub(crate) fn set_current_tid(tid: u32) {
     CURRENT_TID.with(|t| t.set(tid));
 }
@@ -950,7 +950,6 @@ pub struct Telemetry {
     counters: [AtomicU64; Metric::COUNT],
     gauges: [AtomicU64; Gauge::COUNT],
     degrade_rungs: Histogram,
-    item_duration_us: Histogram,
     queue_wait_us: Histogram,
     in_flight: Histogram,
     stage_aggs: Mutex<Vec<StageAgg>>,
@@ -962,9 +961,6 @@ pub struct Telemetry {
 /// Degradation-ladder rung buckets: rungs 0–2 get their own bucket,
 /// rung 3 lands in the overflow bucket.
 const RUNG_BOUNDS: &[u64] = &[0, 1, 2];
-
-/// Log-spaced microsecond buckets for parallel work-item durations.
-const ITEM_US_BOUNDS: &[u64] = &[10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
 /// Log-spaced microsecond buckets for serve admission-queue waits
 /// (sub-millisecond through 10 s; slower waits overflow).
@@ -990,7 +986,6 @@ impl Telemetry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             degrade_rungs: Histogram::new(RUNG_BOUNDS),
-            item_duration_us: Histogram::new(ITEM_US_BOUNDS),
             queue_wait_us: Histogram::new(QUEUE_WAIT_US_BOUNDS),
             in_flight: Histogram::new(IN_FLIGHT_BOUNDS),
             stage_aggs: Mutex::new(Vec::new()),
@@ -1049,17 +1044,6 @@ impl Telemetry {
     /// Records one observation in the rung histogram.
     pub(crate) fn record_degrade_rung(&self, rung: u64) {
         self.degrade_rungs.record(rung);
-    }
-
-    /// The parallel work-item duration histogram (microsecond log
-    /// buckets).
-    pub fn item_durations(&self) -> &Histogram {
-        &self.item_duration_us
-    }
-
-    /// Records one parallel item's closure duration.
-    pub(crate) fn record_item_duration(&self, took: Duration) {
-        self.item_duration_us.record(took.as_micros() as u64);
     }
 
     /// The serve admission-queue wait histogram (microsecond log
@@ -1502,10 +1486,6 @@ impl Telemetry {
                 "histograms".to_owned(),
                 Value::Object(vec![
                     ("degrade.rungs".to_owned(), self.degrade_rungs.to_value()),
-                    (
-                        "par.item_duration_us".to_owned(),
-                        self.item_duration_us.to_value(),
-                    ),
                     (
                         "serve.queue_wait_us".to_owned(),
                         self.queue_wait_us.to_value(),

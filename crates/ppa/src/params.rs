@@ -108,9 +108,9 @@ impl std::error::Error for HwParamsError {}
 /// The largest worker count any thread knob may ask for:
 /// [`DseSpace::threads`], the CLI's `--threads` and the
 /// `CLAIRE_THREADS` environment variable. Each parallel map spawns up
-/// to this many scoped threads, and a spawn the operating system
-/// refuses panics instead of surfacing as a typed error, so the count
-/// is bounded where it enters the program. 256 is 32× the 8 workers
+/// to one fewer scoped threads (the caller is the first worker), and a
+/// spawn the operating system refuses panics instead of surfacing as a
+/// typed error, so the count is bounded where it enters the program. 256 is 32× the 8 workers
 /// the determinism suites exercise.
 pub const MAX_THREADS: usize = 256;
 
