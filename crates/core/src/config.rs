@@ -106,6 +106,11 @@ pub fn monolithic_area_mm2(classes: &BTreeSet<OpClass>, hw: &HwParams) -> f64 {
     units + classes.len() as f64 * Network::noc().router.area_mm2
 }
 
+/// [`OpClass::bit`]s of `classes`, as one word.
+pub(crate) fn class_mask(classes: &BTreeSet<OpClass>) -> u16 {
+    classes.iter().fold(0u16, |m, c| m | c.bit())
+}
+
 /// [`monolithic_area_mm2`] over a grid of design points: one
 /// unit-area table per class, in class order, along the one axis that
 /// class's area reads — `(sa_size, n_sa)` for the systolic classes,
@@ -285,20 +290,33 @@ impl DesignConfig {
         }
     }
 
+    /// [`OpClass::bit`]s of every class [`DesignConfig::supports`]:
+    /// the configuration's classes, plus Tanh when GELU is present.
+    fn supported_mask(&self) -> u16 {
+        let mask = class_mask(&self.classes);
+        let (gelu, tanh) = (
+            OpClass::Activation(ActivationKind::Gelu).bit(),
+            OpClass::Activation(ActivationKind::Tanh).bit(),
+        );
+        if mask & gelu != 0 {
+            mask | tanh
+        } else {
+            mask
+        }
+    }
+
     /// True when every layer of `model` is implementable — algorithm
     /// coverage `C_layer(i, k) = 100 %`.
     pub fn covers(&self, model: &Model) -> bool {
-        model.op_class_counts().keys().all(|&c| self.supports(c))
+        self.first_missing(model).is_none()
     }
 
-    /// The first layer class of `model` this configuration cannot
-    /// implement, if any.
+    /// The first layer class of `model` (in class order) this
+    /// configuration cannot implement, if any: a test of the model's
+    /// class mask ([`Model::class_mask`]) against the mask of every
+    /// class [`DesignConfig::supports`].
     pub fn first_missing(&self, model: &Model) -> Option<OpClass> {
-        model
-            .op_class_counts()
-            .keys()
-            .copied()
-            .find(|&c| !self.supports(c))
+        OpClass::from_mask(model.class_mask() & !self.supported_mask()).next()
     }
 
     /// The chiplet index hosting `class`, after clustering.

@@ -366,18 +366,24 @@ pub struct DirectCosts;
 impl CostProvider for DirectCosts {}
 
 /// Builds the execution-order sequence of per-edge [`TransferCost`]s
-/// for `(model, config)` using aggregated `(route, bytes)` buckets:
-/// each distinct bucket is priced through [`transfer_on_route`] once
-/// and every later edge in the same bucket reuses the priced cost.
-/// [`TransferCost`]'s fields are integer/fixed-point, so a bucket hit
-/// returns a value bit-identical to repricing — replaying the
-/// sequence in order is therefore bit-identical to the evaluator's
-/// per-class-pair walk. Same-class edges are free and excluded, as in
-/// the walk.
+/// for `(model, config)`, pricing each edge family
+/// ([`Model::edge_families`]) once: one executing-class and one route
+/// lookup per distinct `(from, to, bytes)` edge, then the sequence is
+/// expanded through [`Model::edge_family_index`]. A transfer's cost is
+/// a pure function of its family and the configuration, and
+/// [`TransferCost`]'s fields are integer/fixed-point, so replaying the
+/// sequence in order is bit-identical to the evaluator's per-edge
+/// walk. Same-class edges are free and excluded, as in the walk.
+///
+/// Families are numbered in order of first occurrence and each is
+/// priced at its first edge, so the lookups run in the walk's order:
+/// the first failing edge fails here too, with the same error, and a
+/// fault-carrying `routes` table routes the same pairs in the same
+/// order.
 ///
 /// This is the miss path of the engine's per-`(model, topology)`
-/// communication memo tier, and the reference the bucket-costing
-/// property tests pin.
+/// communication memo tier; the property tests pin it to the per-edge
+/// walk.
 ///
 /// # Errors
 ///
@@ -398,19 +404,24 @@ pub fn edge_cost_sequence(
                 missing: c.label(),
             })
     };
-    let mut buckets: std::collections::HashMap<(EdgeRoute, u64), TransferCost> =
-        std::collections::HashMap::new();
+    let families = model.edge_families();
+    // Per family priced so far: its transfer, or `None` when free.
+    let mut priced: Vec<Option<TransferCost>> = Vec::with_capacity(families.len());
     let mut seq = Vec::new();
-    for (a, b, bytes) in model.edges() {
-        let (ea, eb) = (executing(a)?, executing(b)?);
-        if ea == eb {
-            continue; // same-class transfers are free
+    for &family in model.edge_family_index() {
+        let family = family as usize;
+        if family == priced.len() {
+            let (a, b, bytes) = families[family];
+            let (ea, eb) = (executing(a)?, executing(b)?);
+            priced.push(if ea == eb {
+                None // same-class transfers are free
+            } else {
+                Some(transfer_on_route(routes.route(config, ea, eb)?, bytes))
+            });
         }
-        let route = routes.route(config, ea, eb)?;
-        let t = *buckets
-            .entry((route, bytes))
-            .or_insert_with(|| transfer_on_route(route, bytes));
-        seq.push(t);
+        if let Some(t) = priced[family] {
+            seq.push(t);
+        }
     }
     Ok(seq)
 }
@@ -822,7 +833,7 @@ mod tests {
                 }
                 walk.push(transfer_on_route(route_of(&cfg, ea, eb), bytes));
             }
-            assert_eq!(seq, walk, "bucketed sequence diverged on {}", cfg.name);
+            assert_eq!(seq, walk, "family-priced sequence diverged on {}", cfg.name);
             assert!(!seq.is_empty(), "alexnet has cross-class edges");
         }
     }

@@ -25,6 +25,11 @@ pub fn build_graph(model: &Model, hw: &HwParams) -> WeightedGraph<OpClass> {
 /// [`build_graph`] with layer costs served by `costs` (e.g. the
 /// memoized [`crate::parallel::Engine`]) — value-identical, since the
 /// provider contract is to return exactly what a recomputation would.
+///
+/// This per-layer walk is the reference for the engine's single-model
+/// build from model summaries
+/// ([`crate::parallel::Engine::universal_csr`]), which equals it bit
+/// for bit and falls back to it when a weight total is above 2⁵³.
 pub fn build_graph_with_costs<C: CostProvider + ?Sized>(
     model: &Model,
     hw: &HwParams,

@@ -21,14 +21,14 @@
 //! the `CLAIRE_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-use crate::config::{AreaTables, DesignConfig};
+use crate::config::{class_mask, AreaTables, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, CostProvider, EvalTerms, PpaReport, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
 use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
-use claire_model::{LayerKind, Model, OpClass};
+use claire_model::{FxBuildHasher, FxHasher, LayerKind, Model, OpClass};
 use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, SpaceAxes, MAX_THREADS};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -180,7 +180,7 @@ pub struct EngineStats {
     pub dse_evaluated: u64,
     /// Edge-cost sequences served from the communication memo tier.
     pub comm_hits: u64,
-    /// Edge-cost sequences built fresh through bucketed pricing.
+    /// Edge-cost sequences built fresh, each edge family priced once.
     pub comm_misses: u64,
     /// Distinct (model structure, topology) edge-cost sequences cached.
     pub comm_entries: usize,
@@ -333,7 +333,7 @@ impl std::fmt::Display for EngineStats {
 }
 
 /// One memo tier: an FxHash map behind a single reader–writer lock.
-pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>>;
+pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, FxBuildHasher>>;
 
 /// The evaluation engine: a thread-count policy, four memo tiers
 /// (layer cost, Louvain partition, universal graph, comm sequence)
@@ -378,8 +378,8 @@ pub struct Engine {
 /// content comparison after a model's first visit.
 #[derive(Debug, Default)]
 pub(crate) struct ModelInterner {
-    pub(crate) by_instance: HashMap<u64, u32, std::hash::BuildHasherDefault<FxHasher>>,
-    pub(crate) by_content: HashMap<Box<[LayerKind]>, u32, std::hash::BuildHasherDefault<FxHasher>>,
+    pub(crate) by_instance: HashMap<u64, u32, FxBuildHasher>,
+    pub(crate) by_content: HashMap<Box<[LayerKind]>, u32, FxBuildHasher>,
     pub(crate) batches: Vec<Arc<LayerBatch>>,
 }
 
@@ -777,14 +777,16 @@ impl Engine {
     /// the id interns — so models sharing an id produce bit-identical
     /// graphs. Structural keys (unlike the process-unique instance ids
     /// used previously) are also stable across processes, which lets a
-    /// warm-state snapshot replay this tier. On a miss the build
-    /// routes layer costs through the layer memo tier.
+    /// warm-state snapshot replay this tier. On a miss a single-model
+    /// graph is read from the model's summaries without a layer walk:
+    /// node weights from [`LayerBatch::class_executions`], edge weights
+    /// from [`Model::edge_byte_totals`].
     ///
     /// The flow re-derives the same universal graphs over and over
     /// (custom-configuration clustering across the train and test
     /// phases, escalation retries, repeated table runs on a shared
-    /// engine), and each build walks every layer of every member
-    /// model — skipping it dominates the clustering stage's wall time.
+    /// engine); a hit skips the member graphs' derivation, the merge
+    /// and the CSR interning.
     pub fn universal_csr(
         &self,
         models: &[claire_model::Model],
@@ -835,12 +837,56 @@ impl Engine {
     }
 
     /// Builds a universal graph + CSR interning under a trace span.
+    /// A cache-on engine builds a single model's graph from its
+    /// summaries ([`Engine::model_graph`]); cache-off engines and model
+    /// sets walk the layers
+    /// ([`crate::graphs::universal_graph_with_costs`]).
     fn build_universal_csr(&self, models: &[claire_model::Model], hw: &HwParams) -> UniversalCsr {
         let mut span = self.telemetry.span("graph.build", "memo");
         span.arg("models", ArgValue::Int(models.len() as u64));
-        let graph = crate::graphs::universal_graph_with_costs(models, hw, self);
+        let graph = match models {
+            [model] if self.cache_enabled => self.model_graph(model, hw),
+            _ => crate::graphs::universal_graph_with_costs(models, hw, self),
+        };
         let csr = CsrGraph::from_weighted(&graph);
         UniversalCsr { graph, csr }
+    }
+
+    /// One model's graph `G_ini` under `hw` without walking its layers:
+    /// node weights from the per-class executions kernel over the
+    /// interned batch ([`LayerBatch::class_executions`]), edge weights
+    /// from the class-pair byte totals
+    /// ([`claire_model::Model::edge_byte_totals`]).
+    ///
+    /// This equals [`crate::graphs::build_graph_with_costs`] bit for
+    /// bit. That build adds each layer's executions and each edge's
+    /// bytes as `f64`, in order, from `0.0`. Every term is a
+    /// non-negative integer, so while a weight's integer total is at
+    /// most 2⁵³ every partial sum is an integer at most 2⁵³, which
+    /// `f64` holds exactly: the walk's sum is the total. When a total
+    /// is above 2⁵³ or overflows `u64`, the walk itself runs. Fault
+    /// plans need no special case: a PPA fault corrupts a layer's
+    /// energy, never its executions.
+    fn model_graph(&self, model: &Model, hw: &HwParams) -> claire_graph::WeightedGraph<OpClass> {
+        const EXACT: u64 = 1 << 53;
+        let (_, batch) = self.structural(model);
+        let executions = batch
+            .class_executions(hw)
+            .filter(|e| e.iter().all(|&n| n <= EXACT));
+        let edges = model
+            .edge_byte_totals()
+            .filter(|t| t.iter().all(|&(_, _, bytes)| bytes <= EXACT));
+        let (Some(executions), Some(edges)) = (executions, edges) else {
+            return crate::graphs::build_graph_with_costs(model, hw, self);
+        };
+        let mut graph = claire_graph::WeightedGraph::new();
+        for class in OpClass::from_mask(model.class_mask()) {
+            graph.add_node(class, executions[class.index()] as f64);
+        }
+        for &(from, to, bytes) in edges {
+            graph.add_edge(from, to, bytes as f64);
+        }
+        graph
     }
 
     /// The structural id and preprocessed [`LayerBatch`] for `model`
@@ -1261,8 +1307,8 @@ impl CostProvider for Engine {
     /// the comm tier. Keyed by the model's structural id (sound:
     /// `Model::edges` is a pure function of the layer-kind sequence the
     /// id interns) and the exact `TopologyKey` encoding. A miss prices
-    /// each distinct `(route, bytes)` bucket once and expands it into
-    /// the edge-order sequence
+    /// each edge family once and expands the families into the
+    /// edge-order sequence
     /// ([`crate::evaluate::edge_cost_sequence`]'s contract), so replay
     /// is bit-identical to the per-edge walk. Returns `None` — routing
     /// the evaluator to the per-edge walk — when caching is off,
@@ -1526,16 +1572,13 @@ impl TopologyKey {
     /// coordinates ≥ 255 — neither occurs for configurations built by
     /// this crate, but hand-written ones must not be mis-cached).
     fn of(config: &DesignConfig) -> Option<TopologyKey> {
-        fn mask(classes: &std::collections::BTreeSet<OpClass>) -> u16 {
-            classes.iter().fold(0u16, |m, c| m | (1 << c.index()))
-        }
         if config.chiplets.len() > OpClass::COUNT {
             return None;
         }
         let mut chiplets = [0u16; OpClass::COUNT];
         let mut slots = [(u8::MAX, u8::MAX); OpClass::COUNT];
         for (i, chiplet) in config.chiplets.iter().enumerate() {
-            chiplets[i] = mask(&chiplet.classes);
+            chiplets[i] = class_mask(&chiplet.classes);
             if let Some(p) = &config.placement {
                 if i < p.len() {
                     let (x, y) = p.slot(i);
@@ -1547,7 +1590,7 @@ impl TopologyKey {
             }
         }
         Some(TopologyKey {
-            classes: mask(&config.classes),
+            classes: class_mask(&config.classes),
             chiplets,
             slots,
             n_chiplets: config.chiplets.len() as u8,
@@ -1644,55 +1687,6 @@ impl Hasher for PassThroughHasher {
 
     fn write_u64(&mut self, n: u64) {
         self.0 = n;
-    }
-}
-
-/// Multiply-rotate-xor hasher in the style of rustc's FxHash: a few
-/// cycles per word instead of SipHash's per-byte mixing. Deterministic
-/// (no random state); hash quality only affects bucket spread, never
-/// results.
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
     }
 }
 
@@ -2017,6 +2011,95 @@ mod tests {
         assert!(!stats.cache_enabled);
         assert_eq!(stats.cache_entries, 0);
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
+    }
+
+    /// A model of `n` activation layers of `elements` each, the kinds
+    /// cycling through RELU and GELU when `mixed`, with a small linear
+    /// layer on either end.
+    fn activation_stack(n: usize, elements: u64, mixed: bool) -> Model {
+        use claire_model::{Activation, ActivationKind, Linear, ModelBuilder, ModelClass};
+        let fc = LayerKind::Linear(Linear {
+            in_features: 64,
+            out_features: 64,
+            tokens: 4,
+        });
+        let mut b = ModelBuilder::new("stack", ModelClass::Transformer);
+        b.push("in", fc);
+        for i in 0..n {
+            let kind = if mixed && i % 2 == 1 {
+                ActivationKind::Gelu
+            } else {
+                ActivationKind::Relu
+            };
+            b.push("act", LayerKind::Activation(Activation { kind, elements }));
+        }
+        b.push("out", fc);
+        b.build()
+    }
+
+    /// The engine's single-model graph at `hw`, as node and edge
+    /// weight bits, and whether building it read the layer-cost tier
+    /// (the per-layer reference build does, the summary build does
+    /// not).
+    fn engine_graph(model: &Model, hw: &HwParams) -> (Vec<u64>, bool) {
+        let engine = Engine::serial();
+        let built = engine.universal_csr(std::slice::from_ref(model), hw);
+        let stats = engine.stats();
+        (graph_bits(&built.graph), stats.cache_misses > 0)
+    }
+
+    fn graph_bits(g: &claire_graph::WeightedGraph<OpClass>) -> Vec<u64> {
+        g.nodes()
+            .map(|(_, w)| w.to_bits())
+            .chain(g.edges().map(|(_, _, w)| w.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn summary_graph_covers_totals_up_to_two_to_the_53() {
+        // Exactly 2^53 executions and edge bytes: still exact in f64.
+        let model = activation_stack(1, 1 << 53, false);
+        let hw = HwParams::new(16, 16, 1, 1);
+        let (bits, walked) = engine_graph(&model, &hw);
+        assert!(!walked, "a 2^53 total takes the summary build");
+        assert_eq!(bits, graph_bits(&crate::graphs::build_graph(&model, &hw)));
+    }
+
+    #[test]
+    fn totals_above_two_to_the_53_fall_back_to_the_layer_walk() {
+        // 2^60 elements: executions and edge bytes above 2^53, where a
+        // per-layer f64 sum may round.
+        let model = activation_stack(3, 1 << 60, true);
+        let hw = HwParams::new(16, 16, 4, 4);
+        let (bits, walked) = engine_graph(&model, &hw);
+        assert!(walked, "a total above 2^53 must walk the layers");
+        assert_eq!(bits, graph_bits(&crate::graphs::build_graph(&model, &hw)));
+    }
+
+    #[test]
+    fn u64_overflow_falls_back_to_the_layer_walk() {
+        // Seventeen 2^60-element RELU layers at one unit: 17 x 2^60
+        // executions, and sixteen 2^60-byte RELU->RELU edges, both past
+        // 2^64.
+        let model = activation_stack(17, 1 << 60, false);
+        let hw = HwParams::new(16, 16, 1, 1);
+        let (_, batch) = Engine::serial().structural(&model);
+        assert_eq!(batch.class_executions(&hw), None);
+        assert_eq!(model.edge_byte_totals(), None);
+        let (bits, walked) = engine_graph(&model, &hw);
+        assert!(walked, "an overflowing total must walk the layers");
+        assert_eq!(bits, graph_bits(&crate::graphs::build_graph(&model, &hw)));
+    }
+
+    #[test]
+    fn cache_off_engines_build_graphs_by_the_layer_walk() {
+        let model = activation_stack(2, 1000, true);
+        let hw = HwParams::new(16, 16, 4, 4);
+        let engine = Engine::serial().with_cache(false);
+        let built = engine.universal_csr(std::slice::from_ref(&model), &hw);
+        let (summary, walked) = engine_graph(&model, &hw);
+        assert!(!walked);
+        assert_eq!(graph_bits(&built.graph), summary);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub enum Metric {
     FaultFailedNocLink,
     /// Edge-cost sequences served from the communication memo tier.
     CommHit,
-    /// Edge-cost sequences built fresh (bucketed pricing).
+    /// Edge-cost sequences built fresh (each edge family priced once).
     CommMiss,
     /// Never recorded; always reads 0. Kept only because the
     /// benchmark's per-layer replay still names it.

@@ -383,6 +383,19 @@ impl OpClass {
         })
     }
 
+    /// This class's bit in a class mask: `1 << self.index()`.
+    pub fn bit(self) -> u16 {
+        1 << self.index()
+    }
+
+    /// The classes whose bits are set in `mask` (see [`OpClass::bit`]),
+    /// in index order — which is also `Ord` order.
+    pub fn from_mask(mask: u16) -> impl Iterator<Item = OpClass> {
+        (0..Self::COUNT)
+            .filter(move |&i| mask & (1 << i) != 0)
+            .filter_map(OpClass::from_index)
+    }
+
     /// Upper-case label used in graphs and tables (paper Fig. 2 style).
     pub fn label(self) -> String {
         match self {
@@ -581,6 +594,19 @@ mod tests {
             assert_eq!(OpClass::from_index(c.index()), Some(c));
         }
         assert_eq!(OpClass::from_index(OpClass::COUNT), None);
+    }
+
+    #[test]
+    fn class_masks_round_trip_in_ord_order() {
+        let all = OpClass::all();
+        let mask = all.iter().fold(0u16, |m, c| m | c.bit());
+        assert_eq!(OpClass::from_mask(mask).collect::<Vec<_>>(), all);
+        let some = OpClass::Flatten.bit() | OpClass::Conv1d.bit();
+        assert_eq!(
+            OpClass::from_mask(some).collect::<Vec<_>>(),
+            [OpClass::Conv1d, OpClass::Flatten]
+        );
+        assert_eq!(OpClass::from_mask(0).count(), 0);
     }
 
     #[test]

@@ -28,12 +28,14 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod fxhash;
 mod layer;
 mod model;
 pub mod parse;
 pub mod synth;
 pub mod zoo;
 
+pub use fxhash::{FxBuildHasher, FxHasher};
 pub use layer::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, Layer, LayerKind, Linear, OpClass,
     Permute, Pooling, PoolingKind,

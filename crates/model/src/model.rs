@@ -3,10 +3,12 @@
 //! MAC totals, op-class inventories, and the layer-connection edges of
 //! Step #TR1).
 
+use crate::fxhash::FxBuildHasher;
 use crate::layer::{Layer, LayerKind, OpClass};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Broad workload family, mirroring the "Type" column of the paper's
 /// Table I.
@@ -44,6 +46,13 @@ impl fmt::Display for ModelClass {
 /// The paper's parser "reads this layer information file, parses it, and
 /// extracts details for each layer"; [`Model`] is the in-memory result.
 ///
+/// A `Model` is an immutable handle: its layers and the structural
+/// summaries derived from them (per-class counts and work weights, the
+/// class mask, class-pair edge byte totals and edge families) sit
+/// behind one shared allocation, so a clone is a reference-count bump
+/// and every clone reads the summaries its source already derived.
+/// Each summary is derived in one walk over the layers, on first use.
+///
 /// # Example
 ///
 /// ```
@@ -55,8 +64,13 @@ impl fmt::Display for ModelClass {
 ///     .op_class_weights()
 ///     .contains_key(&claire_model::OpClass::Conv1d));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Model {
+    inner: Arc<ModelInner>,
+}
+
+/// The shared body of a [`Model`] handle.
+struct ModelInner {
     name: String,
     class: ModelClass,
     layers: Vec<Layer>,
@@ -68,16 +82,116 @@ pub struct Model {
     /// by clones, fresh per construction/deserialisation. Excluded from
     /// equality and serialisation.
     instance_id: u64,
+    summary: OnceLock<Summary>,
+}
+
+/// Engine-independent facts about a layer sequence, derived in one
+/// walk (see [`Summary::of`]).
+#[derive(Debug)]
+struct Summary {
+    /// Layers per class, by [`OpClass::index`].
+    counts: [u32; OpClass::COUNT],
+    /// Work weight per class, by [`OpClass::index`]: each layer's MACs
+    /// (systolic classes) or element operations, added in layer order
+    /// from `0.0`.
+    weights: [f64; OpClass::COUNT],
+    /// [`OpClass::bit`]s of the classes with at least one layer.
+    mask: u16,
+    /// Per present `(from, to)` class pair, in pair order, the bytes
+    /// summed over its edges; `None` when some sum overflows `u64`.
+    edge_bytes: Option<Box<[(OpClass, OpClass, u64)]>>,
+    /// The distinct `(from, to, bytes)` edges, in first-seen order.
+    families: Box<[(OpClass, OpClass, u64)]>,
+    /// Per edge, in execution order, its index into `families`.
+    family_of_edge: Box<[u32]>,
+}
+
+impl Summary {
+    fn of(layers: &[Layer]) -> Summary {
+        let mut counts = [0u32; OpClass::COUNT];
+        let mut weights = [0.0f64; OpClass::COUNT];
+        for l in layers {
+            let class = l.op_class();
+            let w = if class.is_systolic() {
+                l.macs() as f64
+            } else {
+                l.element_ops() as f64
+            };
+            counts[class.index()] += 1;
+            weights[class.index()] += w;
+        }
+        let mask = (0..OpClass::COUNT)
+            .filter(|&i| counts[i] > 0)
+            .fold(0u16, |m, i| m | 1 << i);
+
+        let mut ids: HashMap<(OpClass, OpClass, u64), u32, FxBuildHasher> = HashMap::default();
+        let mut families = Vec::new();
+        let mut family_of_edge = Vec::with_capacity(layers.len().saturating_sub(1));
+        // Per (from, to) index pair: absent, or the running byte sum.
+        let mut sums = [[None::<u64>; OpClass::COUNT]; OpClass::COUNT];
+        let mut overflow = false;
+        for pair in layers.windows(2) {
+            let edge = (
+                pair[0].op_class(),
+                pair[1].op_class(),
+                pair[0].output_elements(),
+            );
+            let next = families.len() as u32;
+            let family = *ids.entry(edge).or_insert_with(|| {
+                families.push(edge);
+                next
+            });
+            family_of_edge.push(family);
+            let sum = &mut sums[edge.0.index()][edge.1.index()];
+            match sum.unwrap_or(0).checked_add(edge.2) {
+                Some(s) => *sum = Some(s),
+                None => overflow = true,
+            }
+        }
+        let edge_bytes = (!overflow).then(|| {
+            let all = OpClass::all();
+            all.iter()
+                .flat_map(|&a| all.iter().map(move |&b| (a, b)))
+                .filter_map(|(a, b)| sums[a.index()][b.index()].map(|bytes| (a, b, bytes)))
+                .collect()
+        });
+        Summary {
+            counts,
+            weights,
+            mask,
+            edge_bytes,
+            families: families.into(),
+            family_of_edge: family_of_edge.into(),
+        }
+    }
+}
+
+/// The structural fields and the instance id, as a derived `Debug`
+/// over them would print them. The summaries are left out: whether
+/// one is derived yet depends on which queries ran, and the output
+/// must not.
+impl fmt::Debug for Model {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = &*self.inner;
+        f.debug_struct("Model")
+            .field("name", &m.name)
+            .field("class", &m.class)
+            .field("layers", &m.layers)
+            .field("extra_params", &m.extra_params)
+            .field("instance_id", &m.instance_id)
+            .finish()
+    }
 }
 
 /// Structural equality — the instance id is deliberately ignored, so a
 /// deserialised or independently rebuilt model equals the original.
 impl PartialEq for Model {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.class == other.class
-            && self.layers == other.layers
-            && self.extra_params == other.extra_params
+        let (a, b) = (&*self.inner, &*other.inner);
+        a.name == b.name
+            && a.class == b.class
+            && a.layers == b.layers
+            && a.extra_params == b.extra_params
     }
 }
 
@@ -93,10 +207,10 @@ struct ModelRepr {
 impl Serialize for Model {
     fn to_value(&self) -> serde::Value {
         ModelRepr {
-            name: self.name.clone(),
-            class: self.class,
-            layers: self.layers.clone(),
-            extra_params: self.extra_params,
+            name: self.inner.name.clone(),
+            class: self.inner.class,
+            layers: self.inner.layers.clone(),
+            extra_params: self.inner.extra_params,
         }
         .to_value()
     }
@@ -123,11 +237,14 @@ impl Model {
         extra_params: u64,
     ) -> Self {
         Model {
-            name: name.into(),
-            class,
-            layers,
-            extra_params,
-            instance_id: NEXT_INSTANCE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            inner: Arc::new(ModelInner {
+                name: name.into(),
+                class,
+                layers,
+                extra_params,
+                instance_id: NEXT_INSTANCE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                summary: OnceLock::new(),
+            }),
         }
     }
 
@@ -139,36 +256,44 @@ impl Model {
     /// The converse does not hold (equal content, different ids), which
     /// costs a cache a miss, never correctness.
     pub fn instance_id(&self) -> u64 {
-        self.instance_id
+        self.inner.instance_id
     }
 
     /// Algorithm name as listed in the paper's tables.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// Workload family (Table I "Type" column).
     pub fn class(&self) -> ModelClass {
-        self.class
+        self.inner.class
     }
 
-    /// The extracted layers in execution order.
+    /// The extracted layers in execution order. Clones share one
+    /// layer buffer.
     pub fn layers(&self) -> &[Layer] {
-        &self.layers
+        &self.inner.layers
+    }
+
+    /// The structural summaries, derived on first use.
+    fn summary(&self) -> &Summary {
+        self.inner
+            .summary
+            .get_or_init(|| Summary::of(&self.inner.layers))
     }
 
     /// Total trainable parameters (layer parameters + embedding/norm
     /// parameters recorded at construction).
     pub fn param_count(&self) -> u64 {
-        self.layers
+        self.layers()
             .iter()
             .map(Layer::params)
-            .fold(self.extra_params, u64::saturating_add)
+            .fold(self.inner.extra_params, u64::saturating_add)
     }
 
     /// Total multiply-accumulate operations for one inference.
     pub fn macs(&self) -> u64 {
-        self.layers
+        self.layers()
             .iter()
             .map(Layer::macs)
             .fold(0, u64::saturating_add)
@@ -176,7 +301,7 @@ impl Model {
 
     /// Total element-wise (activation / pooling / reshape) operations.
     pub fn element_ops(&self) -> u64 {
-        self.layers
+        self.layers()
             .iter()
             .map(Layer::element_ops)
             .fold(0, u64::saturating_add)
@@ -195,7 +320,7 @@ impl Model {
     /// sane memory system; low values live on the memory wall.
     pub fn arithmetic_intensity(&self) -> f64 {
         let weight_bytes = self
-            .layers
+            .layers()
             .iter()
             .map(Layer::params)
             .fold(0u64, u64::saturating_add);
@@ -210,50 +335,75 @@ impl Model {
     /// number of layers mapping to each — the basis of the node weights
     /// `w_N` and of algorithm coverage `C_layer`.
     pub fn op_class_counts(&self) -> BTreeMap<OpClass, u32> {
-        let mut m = BTreeMap::new();
-        for l in &self.layers {
-            *m.entry(l.op_class()).or_insert(0) += 1;
-        }
-        m
+        let s = self.summary();
+        OpClass::from_mask(s.mask)
+            .map(|c| (c, s.counts[c.index()]))
+            .collect()
     }
 
     /// Work-weighted op-class vector: for systolic classes the weight is
     /// total MACs, for the rest total element operations. This is the
     /// vector the weighted Jaccard similarity (Step #TR2 line 14 and
-    /// Step #TT1) compares.
+    /// Step #TT1) compares. Each class's weight is its layers' weights
+    /// added in layer order from `0.0`.
     pub fn op_class_weights(&self) -> BTreeMap<OpClass, f64> {
-        let mut m = BTreeMap::new();
-        for l in &self.layers {
-            let w = if l.op_class().is_systolic() {
-                l.macs() as f64
-            } else {
-                l.element_ops() as f64
-            };
-            *m.entry(l.op_class()).or_insert(0.0) += w;
-        }
-        m
+        let s = self.summary();
+        OpClass::from_mask(s.mask)
+            .map(|c| (c, s.weights[c.index()]))
+            .collect()
+    }
+
+    /// [`OpClass::bit`]s of the classes this algorithm's layers map
+    /// onto: the key set of [`Model::op_class_counts`] as one word.
+    pub fn class_mask(&self) -> u16 {
+        self.summary().mask
     }
 
     /// Data volume (elements) flowing between consecutive layer classes:
     /// the per-model edge list `(E, w_E)` of the initial graph
     /// `G_ini(N, E, w_N, w_E)`.
     pub fn edges(&self) -> Vec<(OpClass, OpClass, u64)> {
-        let mut edges = Vec::with_capacity(self.layers.len().saturating_sub(1));
-        for pair in self.layers.windows(2) {
-            edges.push((
-                pair[0].op_class(),
-                pair[1].op_class(),
-                pair[0].output_elements(),
-            ));
-        }
-        edges
+        self.layers()
+            .windows(2)
+            .map(|pair| {
+                (
+                    pair[0].op_class(),
+                    pair[1].op_class(),
+                    pair[0].output_elements(),
+                )
+            })
+            .collect()
+    }
+
+    /// [`Model::edges`] summed per `(from, to)` class pair, one entry
+    /// per pair with at least one edge, in pair order: the edge weights
+    /// of `G_ini` as exact integers. `None` when some pair's sum
+    /// overflows `u64`.
+    pub fn edge_byte_totals(&self) -> Option<&[(OpClass, OpClass, u64)]> {
+        self.summary().edge_bytes.as_deref()
+    }
+
+    /// The distinct `(from, to, bytes)` entries of [`Model::edges`], in
+    /// order of first occurrence. Anything priced per edge from these
+    /// three values alone can be priced once per family and expanded
+    /// through [`Model::edge_family_index`].
+    pub fn edge_families(&self) -> &[(OpClass, OpClass, u64)] {
+        &self.summary().families
+    }
+
+    /// Per edge of [`Model::edges`], in execution order, the index of
+    /// its entry in [`Model::edge_families`]. Families are numbered in
+    /// order of first occurrence, so each index is at most one more
+    /// than the largest before it.
+    pub fn edge_family_index(&self) -> &[u32] {
+        &self.summary().family_of_edge
     }
 
     /// Edge-combination counts keyed by (source label, destination
     /// label) — the data behind the paper's Fig. 2 histogram.
     pub fn edge_combination_counts(&self) -> BTreeMap<(OpClass, OpClass), u32> {
         let mut m = BTreeMap::new();
-        for pair in self.layers.windows(2) {
+        for pair in self.layers().windows(2) {
             *m.entry((pair[0].op_class(), pair[1].op_class()))
                 .or_insert(0) += 1;
         }
@@ -262,7 +412,7 @@ impl Model {
 
     /// Number of extracted layers.
     pub fn layer_count(&self) -> usize {
-        self.layers.len()
+        self.layers().len()
     }
 
     /// True when every layer's op class is contained in `supported` —
@@ -271,8 +421,8 @@ impl Model {
     where
         I: IntoIterator<Item = &'a OpClass>,
     {
-        let set: std::collections::BTreeSet<_> = supported.into_iter().copied().collect();
-        self.layers.iter().all(|l| set.contains(&l.op_class()))
+        let supported = supported.into_iter().fold(0u16, |m, c| m | c.bit());
+        self.class_mask() & !supported == 0
     }
 }
 
@@ -454,5 +604,114 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Model = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn clones_share_the_layer_buffer_and_the_instance_id() {
+        let m = tiny();
+        let c = m.clone();
+        assert_eq!(c.layers().as_ptr(), m.layers().as_ptr());
+        assert_eq!(c.instance_id(), m.instance_id());
+        assert_eq!(c, m);
+        // A summary derived through one handle is the other's too.
+        assert_eq!(m.class_mask(), c.class_mask());
+        assert!(std::ptr::eq(m.edge_families(), c.edge_families()));
+    }
+
+    #[test]
+    fn deserialised_model_is_equal_but_a_fresh_instance() {
+        let m = tiny();
+        let back: Model = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
+        assert_eq!(back, m);
+        assert_ne!(back.instance_id(), m.instance_id());
+        assert_ne!(back.layers().as_ptr(), m.layers().as_ptr());
+        assert_eq!(format!("{back:?}").len(), format!("{m:?}").len());
+    }
+
+    #[test]
+    fn debug_renders_the_plain_fields() {
+        let m = tiny();
+        let text = format!("{m:?}");
+        assert!(text.starts_with("Model { name: \"tiny\", class: Cnn, layers: ["));
+        assert!(text.ends_with(&format!(
+            "extra_params: 0, instance_id: {} }}",
+            m.instance_id()
+        )));
+    }
+
+    #[test]
+    fn edge_summaries_follow_the_edge_list() {
+        let mut b = ModelBuilder::new("rep", ModelClass::Llm);
+        let fc = LayerKind::Linear(Linear {
+            in_features: 8,
+            out_features: 8,
+            tokens: 2,
+        });
+        let act = LayerKind::Activation(Activation {
+            kind: ActivationKind::Gelu,
+            elements: 16,
+        });
+        for kind in [fc, act, fc, act, fc, fc] {
+            b.push("l", kind);
+        }
+        let m = b.build();
+        let edges = m.edges();
+        let families = m.edge_families();
+        let index = m.edge_family_index();
+        assert_eq!(index.len(), edges.len());
+        for (edge, &f) in edges.iter().zip(index) {
+            assert_eq!(families[f as usize], *edge);
+        }
+        assert_eq!(families.len(), 3, "fc->act, act->fc, fc->fc");
+        let gelu = OpClass::Activation(ActivationKind::Gelu);
+        assert_eq!(
+            m.edge_byte_totals().unwrap(),
+            [
+                (OpClass::Linear, OpClass::Linear, 16),
+                (OpClass::Linear, gelu, 32),
+                (gelu, OpClass::Linear, 32),
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_work_layers_keep_their_class() {
+        let mut b = ModelBuilder::new("idle", ModelClass::Cnn);
+        b.push(
+            "a",
+            LayerKind::Activation(Activation {
+                kind: ActivationKind::Silu,
+                elements: 0,
+            }),
+        );
+        let m = b.build();
+        let silu = OpClass::Activation(ActivationKind::Silu);
+        assert_eq!(m.class_mask(), silu.bit());
+        assert_eq!(m.op_class_counts()[&silu], 1);
+        assert_eq!(m.op_class_weights()[&silu], 0.0);
+        assert!(!m.covered_by([OpClass::Conv2d].iter()));
+    }
+
+    #[test]
+    fn edge_byte_totals_report_u64_overflow() {
+        let mut b = ModelBuilder::new("huge", ModelClass::Cnn);
+        let big = |kind| {
+            LayerKind::Activation(Activation {
+                kind,
+                elements: 1 << 63,
+            })
+        };
+        for kind in [
+            ActivationKind::Relu,
+            ActivationKind::Gelu,
+            ActivationKind::Relu,
+            ActivationKind::Gelu,
+            ActivationKind::Relu,
+        ] {
+            b.push("a", big(kind));
+        }
+        let m = b.build();
+        assert_eq!(m.edge_byte_totals(), None, "2^63 + 2^63 overflows");
+        assert_eq!(m.edge_families().len(), 2);
     }
 }

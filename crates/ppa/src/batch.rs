@@ -38,7 +38,10 @@ use crate::analytical::{
 };
 use crate::params::HwParams;
 use crate::systolic::{conv1d_energy_pj, conv2d_energy_pj, linear_energy_pj, SystolicArrayModel};
-use claire_model::{Activation, Conv1d, Conv2d, Flatten, LayerKind, Linear, Permute, Pooling};
+use claire_model::{
+    Activation, Conv1d, Conv2d, Flatten, FxBuildHasher, LayerKind, Linear, OpClass, Permute,
+    Pooling,
+};
 use std::collections::HashMap;
 
 /// Whole-batch compute totals under one hardware point — the batched
@@ -86,7 +89,7 @@ impl LayerBatch {
         // index) per layer; global slots are assigned afterwards once
         // every pool size is known.
         let mut batch = LayerBatch::default();
-        let mut interned: HashMap<LayerKind, (u8, u32)> = HashMap::new();
+        let mut interned: HashMap<LayerKind, (u8, u32), FxBuildHasher> = HashMap::default();
         let mut pairs: Vec<(u8, u32)> = Vec::new();
         for kind in kinds {
             let slot = *interned.entry(*kind).or_insert_with(|| match kind {
@@ -340,6 +343,56 @@ impl LayerBatch {
         self.repeated_sum(5, cycles)
     }
 
+    /// Per-class execution counts under `hw`, by [`OpClass::index`]:
+    /// each slot's executions ([`LayerCost::executions`], tiles for
+    /// systolic layers and cycles for the rest) times its repetitions,
+    /// summed per class. These are the node weights `w_N` of the
+    /// model's graph `G_ini` as exact integers. `None` when a product or
+    /// a sum overflows `u64`. Classes with no layer read 0.
+    pub fn class_executions(&self, hw: &HwParams) -> Option<[u64; OpClass::COUNT]> {
+        let sa = SystolicArrayModel::new(*hw);
+        let slots = self
+            .conv2d
+            .iter()
+            .map(|c| (OpClass::Conv2d, systolic_layer_cost(sa.conv2d(c))))
+            .chain(
+                self.conv1d
+                    .iter()
+                    .map(|c| (OpClass::Conv1d, systolic_layer_cost(sa.conv1d(c)))),
+            )
+            .chain(
+                self.linear
+                    .iter()
+                    .map(|l| (OpClass::Linear, systolic_layer_cost(sa.linear(l)))),
+            )
+            .chain(
+                self.act
+                    .iter()
+                    .map(|a| (OpClass::Activation(a.kind), activation_cost(a, hw))),
+            )
+            .chain(
+                self.pool
+                    .iter()
+                    .map(|p| (OpClass::Pooling(p.kind), pooling_cost(p, hw))),
+            )
+            .chain(
+                self.flatten
+                    .iter()
+                    .map(|f| (OpClass::Flatten, flatten_cost(f))),
+            )
+            .chain(
+                self.permute
+                    .iter()
+                    .map(|p| (OpClass::Permute, permute_cost(p))),
+            );
+        let mut out = [0u64; OpClass::COUNT];
+        for ((class, cost), &reps) in slots.zip(&self.reps) {
+            let total = &mut out[class.index()];
+            *total = total.checked_add(cost.executions.checked_mul(reps)?)?;
+        }
+        Some(out)
+    }
+
     /// `Σ cycles × repetitions` over the slots from family `family`'s
     /// base on, in wrapping arithmetic: each slot's cycles added once
     /// per layer that executes it, modulo 2⁶⁴.
@@ -541,6 +594,46 @@ mod tests {
             .sum();
         assert!(unwrapped > u128::from(u64::MAX), "the sum must wrap");
         assert_eq!(u128::from(total), unwrapped % (1u128 << 64));
+    }
+
+    #[test]
+    fn class_executions_match_the_per_layer_sums() {
+        let mut k = kinds();
+        k.push(LayerKind::Pooling(Pooling {
+            kind: claire_model::PoolingKind::MaxPool,
+            input_elements: 4096,
+            output_elements: 1024,
+        }));
+        k.push(LayerKind::Permute(Permute { elements: 777 }));
+        let b = LayerBatch::from_kinds(k.iter());
+        for hw in [
+            HwParams::new(16, 16, 8, 8),
+            HwParams::new(64, 8, 32, 4),
+            HwParams::new(1, 1, 1, 1),
+        ] {
+            let mut reference = [0u64; OpClass::COUNT];
+            for kind in &k {
+                let class = claire_model::Layer::new("l", *kind).op_class();
+                reference[class.index()] += layer_cost(kind, &hw).executions;
+            }
+            assert_eq!(b.class_executions(&hw), Some(reference), "{hw}");
+        }
+    }
+
+    #[test]
+    fn class_executions_report_u64_overflow() {
+        let big = LayerKind::Activation(Activation {
+            kind: ActivationKind::Relu,
+            elements: 1 << 62,
+        });
+        let hw = HwParams::new(1, 1, 1, 1);
+        let three = LayerBatch::from_kinds([big, big, big].iter());
+        assert_eq!(
+            three.class_executions(&hw).map(|e| e[0..5].to_vec()),
+            Some(vec![0, 0, 0, 3 << 62, 0])
+        );
+        let four = LayerBatch::from_kinds([big, big, big, big].iter());
+        assert_eq!(four.class_executions(&hw), None, "4 x 2^62 overflows");
     }
 
     #[test]

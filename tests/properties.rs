@@ -15,7 +15,7 @@ use claire::graph::{
 use claire::model::parse::{parse_model, to_torch_print, InputShape, ParseOptions};
 use claire::model::{
     Activation, ActivationKind, Conv2d, LayerKind, Linear, Model, ModelBuilder, ModelClass,
-    Pooling, PoolingKind,
+    OpClass, Pooling, PoolingKind,
 };
 use claire::noc::{Network, Torus2d};
 use claire::ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams};
@@ -765,16 +765,15 @@ proptest! {
     }
 }
 
-// ---------- bucketed edge-cost sequences ----------
+// ---------- family-priced edge-cost sequences ----------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The aggregated per-`(route, bytes)` bucket costing behind the
-    /// engine's communication memo tier is bit-equal to the
-    /// evaluator's per-class-pair `route_of` walk, edge for edge in
-    /// execution order — and so are the latency/energy folds over the
-    /// sequence.
+    /// The per-edge-family pricing behind the engine's communication
+    /// memo tier is bit-equal to the evaluator's per-class-pair
+    /// `route_of` walk, edge for edge in execution order — and so are
+    /// the latency/energy folds over the sequence.
     #[test]
     fn edge_cost_sequence_matches_per_edge_walk(s in steps()) {
         let model = materialize(&s);
@@ -788,15 +787,7 @@ proptest! {
         for cfg in [&custom.config, &mono] {
             let routes = RouteTable::new();
             let seq = edge_cost_sequence(&model, cfg, &routes).expect("covered");
-            let mut walk = Vec::new();
-            for (a, b, bytes) in model.edges() {
-                let ea = cfg.executing_class(a).expect("covered");
-                let eb = cfg.executing_class(b).expect("covered");
-                if ea == eb {
-                    continue;
-                }
-                walk.push(transfer_on_route(route_of(cfg, ea, eb), bytes));
-            }
+            let walk = per_edge_walk(&model, cfg);
             prop_assert_eq!(&seq, &walk, "{} sequence diverged", cfg.name);
             let fold = |ts: &[TransferCost]| {
                 let (mut lat, mut noc, mut nop) = (0.0f64, 0.0f64, 0.0f64);
@@ -960,5 +951,214 @@ proptest! {
         prop_assert!(m.good_die_cost(area) > 0.0);
         // Yield strictly decreases with area.
         prop_assert!(m.yield_fraction(area + 10.0) < y);
+    }
+}
+
+// ---------- per-model summaries vs the layer walks they replace ----------
+
+/// The hardware points the summary checks run at: the 16 corners of
+/// `DseSpace::dense(16)`, the paper's default point and a one-unit
+/// point, where execution counts are largest.
+fn summary_points() -> Vec<HwParams> {
+    let dense = DseSpace::dense(16);
+    let ends = |axis: &[u32]| [axis[0], axis[axis.len() - 1]];
+    let mut points = Vec::new();
+    for sa in ends(&dense.sa_sizes) {
+        for n_sa in ends(&dense.n_sas) {
+            for n_act in ends(&dense.n_acts) {
+                for n_pool in ends(&dense.n_pools) {
+                    points.push(HwParams::new(sa, n_sa, n_act, n_pool));
+                }
+            }
+        }
+    }
+    points.push(HwParams::new(32, 32, 16, 16));
+    points.push(HwParams::new(1, 1, 1, 1));
+    points
+}
+
+/// A graph's node and edge weights, by bits, in key order.
+type GraphBits = (Vec<(OpClass, u64)>, Vec<(OpClass, OpClass, u64)>);
+
+fn graph_bits(g: &WeightedGraph<OpClass>) -> GraphBits {
+    (
+        g.nodes().map(|(&n, w)| (n, w.to_bits())).collect(),
+        g.edges().map(|(&a, &b, w)| (a, b, w.to_bits())).collect(),
+    )
+}
+
+/// The engine's single-model graph equals the per-layer reference
+/// build at every summary point, and is built without the layer-cost
+/// tier.
+fn assert_engine_graph_is_the_walk(model: &Model) -> Result<(), TestCaseError> {
+    use claire::core::{graphs, DirectCosts, Engine};
+    let engine = Engine::serial();
+    for hw in summary_points() {
+        let built = engine.universal_csr(std::slice::from_ref(model), &hw);
+        let reference = graphs::build_graph_with_costs(model, &hw, &DirectCosts);
+        prop_assert_eq!(
+            graph_bits(&built.graph),
+            graph_bits(&reference),
+            "{} at {}",
+            model.name(),
+            hw
+        );
+    }
+    let stats = engine.stats();
+    prop_assert_eq!(stats.cache_hits + stats.cache_misses, 0, "{}", model.name());
+    Ok(())
+}
+
+/// The evaluator's per-edge walk: every edge routed and priced on its
+/// own, same-class edges skipped.
+fn per_edge_walk(model: &Model, cfg: &DesignConfig) -> Vec<TransferCost> {
+    let mut walk = Vec::new();
+    for (a, b, bytes) in model.edges() {
+        let ea = cfg.executing_class(a).expect("covered");
+        let eb = cfg.executing_class(b).expect("covered");
+        if ea != eb {
+            walk.push(transfer_on_route(route_of(cfg, ea, eb), bytes));
+        }
+    }
+    walk
+}
+
+/// A monolithic config for `model` and a two-chiplet split of it
+/// (systolic classes on one die, the rest on the other, or the first
+/// class alone when one side is empty).
+fn mono_and_split(model: &Model, hw: HwParams) -> [DesignConfig; 2] {
+    use claire::core::Chiplet;
+    use std::collections::BTreeSet;
+    let classes: BTreeSet<OpClass> = model.op_class_counts().into_keys().collect();
+    let mono = DesignConfig::monolithic("mono", hw, classes.clone());
+    let (mut left, mut right): (BTreeSet<_>, BTreeSet<_>) =
+        classes.iter().partition(|c| c.is_systolic());
+    if left.is_empty() || right.is_empty() {
+        let first = *classes.iter().next().expect("a class");
+        left = [first].into();
+        right = classes.iter().copied().filter(|&c| c != first).collect();
+    }
+    let mut split = mono.clone();
+    split.name = "split".to_owned();
+    split.chiplets = vec![Chiplet::from_classes("L1", left, &hw)];
+    if !right.is_empty() {
+        split.chiplets.push(Chiplet::from_classes("L2", right, &hw));
+    }
+    [mono, split]
+}
+
+fn assert_sequence_is_the_walk(model: &Model) -> Result<(), TestCaseError> {
+    for hw in [HwParams::new(12, 8, 4, 4), HwParams::new(192, 128, 64, 64)] {
+        for cfg in mono_and_split(model, hw) {
+            let seq = edge_cost_sequence(model, &cfg, &RouteTable::new()).expect("covered");
+            prop_assert_eq!(
+                seq,
+                per_edge_walk(model, &cfg),
+                "{} on {}",
+                model.name(),
+                cfg.name
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The layer-order folds the cached summaries replace.
+fn assert_summaries_are_the_folds(model: &Model) -> Result<(), TestCaseError> {
+    let mut counts: BTreeMap<OpClass, u32> = BTreeMap::new();
+    let mut weights: BTreeMap<OpClass, f64> = BTreeMap::new();
+    for l in model.layers() {
+        let w = if l.op_class().is_systolic() {
+            l.macs() as f64
+        } else {
+            l.element_ops() as f64
+        };
+        *counts.entry(l.op_class()).or_insert(0) += 1;
+        *weights.entry(l.op_class()).or_insert(0.0) += w;
+    }
+    prop_assert_eq!(model.op_class_counts(), counts);
+    let bits = |m: BTreeMap<OpClass, f64>| -> Vec<(OpClass, u64)> {
+        m.into_iter().map(|(c, w)| (c, w.to_bits())).collect()
+    };
+    prop_assert_eq!(bits(model.op_class_weights()), bits(weights));
+    Ok(())
+}
+
+/// Coverage by the `BTreeMap` walk the class-mask test replaces.
+fn reference_first_missing(cfg: &DesignConfig, model: &Model) -> Option<OpClass> {
+    let mut present: BTreeMap<OpClass, u32> = BTreeMap::new();
+    for l in model.layers() {
+        *present.entry(l.op_class()).or_insert(0) += 1;
+    }
+    present.keys().copied().find(|&c| !cfg.supports(c))
+}
+
+fn assert_coverage_is_the_walk(model: &Model, classes: &[usize]) -> Result<(), TestCaseError> {
+    let set = classes
+        .iter()
+        .filter_map(|&i| OpClass::from_index(i))
+        .collect();
+    let cfg = DesignConfig::monolithic("random", HwParams::new(32, 32, 16, 16), set);
+    let missing = reference_first_missing(&cfg, model);
+    prop_assert_eq!(cfg.first_missing(model), missing, "{}", model.name());
+    prop_assert_eq!(cfg.covers(model), missing.is_none(), "{}", model.name());
+    Ok(())
+}
+
+#[test]
+fn zoo_summaries_match_the_layer_walks() {
+    for model in zoo_models() {
+        assert_engine_graph_is_the_walk(model).unwrap();
+        assert_sequence_is_the_walk(model).unwrap();
+        assert_summaries_are_the_folds(model).unwrap();
+        // Its own classes cover it; with Tanh swapped for GELU too.
+        let own: Vec<usize> = model.op_class_counts().keys().map(|c| c.index()).collect();
+        assert_coverage_is_the_walk(model, &own).unwrap();
+        let tanh = OpClass::Activation(ActivationKind::Tanh).index();
+        let gelu = OpClass::Activation(ActivationKind::Gelu).index();
+        let swapped: Vec<usize> = own
+            .iter()
+            .copied()
+            .filter(|&i| i != tanh)
+            .chain([gelu])
+            .collect();
+        assert_coverage_is_the_walk(model, &swapped).unwrap();
+        let without_tanh: Vec<usize> = own.iter().copied().filter(|&i| i != tanh).collect();
+        assert_coverage_is_the_walk(model, &without_tanh).unwrap();
+    }
+}
+
+fn synth_model() -> impl Strategy<Value = Model> {
+    use claire::model::synth::{random_model, Family};
+    (0u64..1 << 48, 0usize..3).prop_map(|(seed, family)| {
+        let family = [Family::Cnn, Family::Transformer, Family::Audio][family];
+        random_model(seed, family)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random synthetic models, the engine's summary-built graph,
+    /// the family-priced edge sequence and the cached class weights
+    /// equal the layer walks they replace, bit for bit.
+    #[test]
+    fn synth_summaries_match_the_layer_walks(model in synth_model()) {
+        assert_engine_graph_is_the_walk(&model)?;
+        assert_sequence_is_the_walk(&model)?;
+        assert_summaries_are_the_folds(&model)?;
+    }
+
+    /// Mask coverage equals the `BTreeMap` walk over random class sets,
+    /// on zoo and synthetic models; GELU sets that lack Tanh take the
+    /// Tanh→GELU fold.
+    #[test]
+    fn mask_coverage_matches_the_map_walk(
+        model in synth_model(),
+        pick in 0usize..27,
+        classes in proptest::collection::vec(0usize..OpClass::COUNT, 0..OpClass::COUNT),
+    ) {
+        assert_coverage_is_the_walk(&model, &classes)?;
+        assert_coverage_is_the_walk(&zoo_models()[pick], &classes)?;
     }
 }

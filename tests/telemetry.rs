@@ -18,8 +18,11 @@ use std::time::Duration;
 
 use claire::core::fault::{FaultClass, FaultPlan};
 use claire::core::telemetry::Metric;
-use claire::core::{Claire, ClaireOptions, Engine, RobustnessPolicy, TelemetryOptions};
+use claire::core::{
+    Claire, ClaireOptions, DesignConfig, Engine, EvalOptions, RobustnessPolicy, TelemetryOptions,
+};
 use claire::model::zoo;
+use claire::ppa::{HwParams, MemoryModel};
 use serde_json::Value;
 
 /// Thread counts the suite sweeps: the serial edge case, a small
@@ -69,6 +72,22 @@ fn engine_stats_reconcile_exactly_with_counters() {
     for threads in [1, 4] {
         let engine = Engine::new(threads);
         paper_flow(&engine);
+        // A flow builds graphs and prices whole models without the
+        // layer-cost tier; a weight-streaming evaluation resolves each
+        // layer on its own and reads it, twice so it both misses and
+        // hits.
+        let model = zoo::alexnet();
+        let classes = model.op_class_counts().into_keys().collect();
+        let config = DesignConfig::monolithic("streaming", HwParams::new(32, 32, 16, 16), classes);
+        let streaming = EvalOptions {
+            memory: Some(MemoryModel::ddr4_3200()),
+            ..EvalOptions::default()
+        };
+        for _ in 0..2 {
+            engine
+                .evaluate_with(&model, &config, streaming)
+                .expect("streaming evaluation");
+        }
         let stats = engine.stats();
         let tel = engine.telemetry();
         let pairs: [(&str, u64, Metric); 6] = [
@@ -89,9 +108,15 @@ fn engine_stats_reconcile_exactly_with_counters() {
         }
         assert_eq!(stats.dse_pruned, tel.counter(Metric::DsePruned));
         assert_eq!(stats.dse_evaluated, tel.counter(Metric::DseEvaluated));
-        // The flow exercises every memo tier, so the reconciliation
-        // above compared live values, not a wall of zeros.
-        assert!(stats.cache_hits > 0, "flow should hit the layer cache");
+        // The flow and the streaming evaluations exercise every memo
+        // tier, so the reconciliation above compared live values, not
+        // a wall of zeros.
+        assert!(stats.cache_hits > 0, "streaming should hit the layer cache");
+        assert!(
+            stats.cache_misses > 0,
+            "streaming should fill the layer cache"
+        );
+        assert!(stats.graph_hits > 0 && stats.louvain_misses > 0);
         assert!(stats.dse_evaluated > 0, "flow should evaluate DSE points");
     }
 }
