@@ -52,10 +52,10 @@ fn main() {
                 },
             };
             // Stdout is line-buffered and every write ends a line, so a
-            // write error surfaces at the write that hit it. The handle
-            // stays unlocked and is never flushed here: in stdin mode,
-            // `serve` answers from a writer thread that holds the lock.
-            match run(cmd, &globals, &mut io::stdout()) {
+            // write error surfaces at the write that hit it; the flush
+            // sends whatever is left before the process exits.
+            let mut stdout = io::stdout();
+            match run(cmd, &globals, &mut stdout).and_then(|code| stdout.flush().map(|()| code)) {
                 Ok(code) => code,
                 // The reader closed stdout (`claire-cli models | head -1`):
                 // it has all the output it wanted.

@@ -59,7 +59,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How often the dispatcher wakes with an empty queue to poll for
@@ -184,6 +184,10 @@ struct ServerState {
     /// Where flight-recorder dumps land: `<cache-dir>/flight-<pid>.json`
     /// (the temp dir when no cache dir is configured).
     flight_path: PathBuf,
+    /// One model per [`zoo::TABLE`] entry, built on its first request
+    /// and cloned after that: clones share one instance id, so the
+    /// engine interns each zoo model once, not once per request.
+    zoo_models: Box<[OnceLock<Model>]>,
 }
 
 impl ServerState {
@@ -395,6 +399,7 @@ pub fn run(opts: ClaireOptions, settings: &ServeSettings) -> i32 {
         inflight: AtomicU64::new(0),
         event_log: Mutex::new(event_log),
         flight_path,
+        zoo_models: zoo::TABLE.iter().map(|_| OnceLock::new()).collect(),
     });
 
     // The panic hook is the flight recorder's last line: any panic —
@@ -546,8 +551,10 @@ fn watchdog(state: &ServerState) {
 fn spawn_stdin_frontend(state: &Arc<ServerState>) -> std::thread::JoinHandle<()> {
     let (tx, rx) = mpsc::channel::<String>();
     let flusher = std::thread::spawn(move || {
-        let mut out = std::io::stdout().lock();
+        // Locked per answer, never while waiting for the next one, so
+        // no other stdout write or flush in the process can block on it.
         for line in rx {
+            let mut out = std::io::stdout().lock();
             if writeln!(out, "{line}").is_err() || out.flush().is_err() {
                 break;
             }
@@ -744,7 +751,7 @@ fn handle_connection<S: Conn>(stream: S, state: &Arc<ServerState>) {
 fn admit(state: &ServerState, line: &str, reply: &mpsc::Sender<String>) {
     let trace = state.resident.observer().next_trace();
     state.telemetry().count(Metric::ServeRequests);
-    let request = match parse_request(line) {
+    let request = match parse_request(line, &state.zoo_models) {
         Ok(r) => r,
         Err(msg) => {
             state.emit(state.lifecycle(LifecycleStage::Received, trace, &Value::Null, "invalid"));
@@ -1279,8 +1286,9 @@ fn error_value(op: &str, e: &ClaireError) -> Value {
 }
 
 /// Parses one request line into a [`Request`], with a user-facing
-/// message on malformed input.
-fn parse_request(line: &str) -> Result<Request, String> {
+/// message on malformed input. Zoo models come from `zoo_models` (see
+/// [`ServerState::zoo_models`]).
+fn parse_request(line: &str, zoo_models: &[OnceLock<Model>]) -> Result<Request, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
     let obj = value.as_object().ok_or("request must be a JSON object")?;
     for (key, _) in obj {
@@ -1318,7 +1326,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
         .transpose()?;
     let op = match value.get("op").and_then(Value::as_str) {
         Some("custom") => Op::Custom {
-            model: request_model(&value)?,
+            model: request_model(&value, zoo_models)?,
             policy: match value.get("degrade").map(Value::as_bool) {
                 None => None,
                 Some(Some(true)) => Some(RobustnessPolicy::Degrade),
@@ -1327,10 +1335,10 @@ fn parse_request(line: &str) -> Result<Request, String> {
             },
         },
         Some("assign") => Op::Assign {
-            model: request_model(&value)?,
+            model: request_model(&value, zoo_models)?,
         },
         Some("what_if") => Op::WhatIf {
-            model: request_model(&value)?,
+            model: request_model(&value, zoo_models)?,
             constraints: request_constraints(&value)?,
         },
         // In-band introspection needs no model — only `id` (and `op`)
@@ -1347,17 +1355,23 @@ fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
-/// Resolves the request's model: a zoo name (`"model"`) or an inline
-/// `print(model)` dump (`"printout"` with optional `"name"`,
-/// `"image": [C,H,W]` or `"seq": [TOKENS,FEATURES]`).
-fn request_model(value: &Value) -> Result<Model, String> {
+/// Resolves the request's model: a zoo name (`"model"`), cloned from
+/// its slot of `zoo_models` (one per [`zoo::TABLE`] entry), or an
+/// inline `print(model)` dump (`"printout"` with optional `"name"`,
+/// `"image": [C,H,W]` or `"seq": [TOKENS,FEATURES]`), parsed afresh.
+fn request_model(value: &Value, zoo_models: &[OnceLock<Model>]) -> Result<Model, String> {
     match (value.get("model"), value.get("printout")) {
         (Some(_), Some(_)) => Err("`model` and `printout` are mutually exclusive".into()),
         (Some(name), None) => {
             let name = name.as_str().ok_or("model must be a string")?;
-            zoo::by_name(name).ok_or_else(|| {
-                format!("unknown model `{name}` (see `claire-cli models --extended`)")
-            })
+            zoo::TABLE
+                .iter()
+                .zip(zoo_models)
+                .find(|((key, _), _)| *key == name)
+                .map(|((_, make), slot)| slot.get_or_init(make).clone())
+                .ok_or_else(|| {
+                    format!("unknown model `{name}` (see `claire-cli models --extended`)")
+                })
         }
         (None, Some(text)) => {
             let text = text.as_str().ok_or("printout must be a string")?;

@@ -578,6 +578,65 @@ fn stats_and_metrics_export_report_live_engine_gauges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An answer without its `id` and `trace_id`, which name the request
+/// and its arrival rather than the answer.
+fn answer_body(answer: serde_json::Value) -> serde_json::Value {
+    let serde_json::Value::Object(fields) = answer else {
+        panic!("answers are objects: {answer}");
+    };
+    serde_json::Value::Object(
+        fields
+            .into_iter()
+            .filter(|(key, _)| key != "id" && key != "trace_id")
+            .collect(),
+    )
+}
+
+#[test]
+fn serve_builds_each_zoo_model_once_and_answers_as_a_fresh_build() {
+    let dir = scratch("zoo-once");
+    let socket = dir.join("claire.sock");
+    let names = ["Alexnet", "Resnet18"];
+    // Each name answered by a server that builds its model for that one
+    // request only.
+    let fresh: Vec<serde_json::Value> = names
+        .iter()
+        .map(|name| {
+            let line = format!("{{\"op\":\"custom\",\"model\":\"{name}\"}}\n");
+            let lines = serve_stdin_lines(&line, &[]);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            answer_body(serde_json::from_str(&lines[0]).expect("answer is JSON"))
+        })
+        .collect();
+
+    let mut server = spawn_listening(&socket, &["--threads", "2"]);
+    for i in 0..10 {
+        let k = i % names.len();
+        let request = format!(
+            "{{\"id\":{i},\"op\":\"custom\",\"model\":\"{}\"}}",
+            names[k]
+        );
+        let answer = round_trip(&socket, &request).expect("answered");
+        assert_eq!(answer["ok"].as_bool(), Some(true), "{answer}");
+        assert_eq!(answer_body(answer), fresh[k], "request {i}");
+    }
+    let probe = round_trip(&socket, "{\"op\":\"stats\"}").expect("stats answered");
+    assert_eq!(terminate(&mut server).code(), Some(0));
+    let gauges = &probe["stats"]["gauges"];
+    // Ten requests over two zoo names: one model instance per name.
+    assert_eq!(
+        gauges["engine.struct_entries"].as_u64(),
+        Some(2),
+        "{gauges}"
+    );
+    assert_eq!(
+        gauges["engine.struct_instances"].as_u64(),
+        Some(2),
+        "{gauges}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `serve` over stdin with `extra` args, feeds it `input`, and
 /// returns its stdout lines sorted (batch composition — and therefore
 /// delivery order — may differ run to run; the per-request bytes must

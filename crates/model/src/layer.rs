@@ -6,6 +6,7 @@
 //! channels (`N_IFM`, `N_OFM`), kernel size (`K_x`, `K_y`), stride and
 //! padding.
 
+use crate::name::LayerName;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -426,16 +427,16 @@ impl fmt::Display for OpClass {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Layer {
     /// Module path, e.g. `features.0` or `encoder.layer.3.attention.q`.
-    pub name: String,
+    pub name: LayerName,
     /// Typed layer metadata.
     pub kind: LayerKind,
 }
 
 impl Layer {
-    /// Creates a layer record.
+    /// Creates a layer record that owns its name.
     pub fn new(name: impl Into<String>, kind: LayerKind) -> Self {
         Layer {
-            name: name.into(),
+            name: LayerName::from(name.into()),
             kind,
         }
     }
@@ -624,6 +625,13 @@ mod tests {
         let l = Layer::new("conv1", LayerKind::Conv2d(conv(3, 64, 7, 2, 3, 224)));
         assert_eq!(l.output_elements(), 112 * 112 * 64);
         assert_eq!(l.op_class(), OpClass::Conv2d);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_layer_stays_72_bytes() {
+        assert_eq!(std::mem::size_of::<LayerName>(), 24);
+        assert_eq!(std::mem::size_of::<Layer>(), 72);
     }
 
     #[test]

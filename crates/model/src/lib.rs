@@ -31,6 +31,7 @@
 mod fxhash;
 mod layer;
 mod model;
+mod name;
 pub mod parse;
 pub mod synth;
 pub mod zoo;
@@ -41,3 +42,4 @@ pub use layer::{
     Permute, Pooling, PoolingKind,
 };
 pub use model::{Model, ModelBuilder, ModelClass};
+pub use name::{LayerName, LayerPath};

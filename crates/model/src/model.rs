@@ -5,9 +5,11 @@
 
 use crate::fxhash::FxBuildHasher;
 use crate::layer::{Layer, LayerKind, OpClass};
+use crate::name::{LayerName, LayerPath, PathRef};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Broad workload family, mirroring the "Type" column of the paper's
@@ -431,11 +433,18 @@ impl Model {
 /// Tracks the "current" feature-map/sequence shape so that repeated
 /// blocks can be emitted with correct dimensions, exactly as a layer-by-
 /// layer walk over a `print(model)` dump would produce them.
+///
+/// Layer paths go into one name buffer, which [`ModelBuilder::build`]
+/// freezes once: every [`LayerName`] of the built model shares it, and
+/// pushing a layer allocates nothing of its own.
 #[derive(Debug, Clone)]
 pub struct ModelBuilder {
     name: String,
     class: ModelClass,
-    layers: Vec<Layer>,
+    /// Every pushed path (and block prefix), back to back.
+    names: String,
+    /// Per pushed layer, its path's range in `names` and its metadata.
+    layers: Vec<(Range<usize>, LayerKind)>,
     extra_params: u64,
 }
 
@@ -445,15 +454,31 @@ impl ModelBuilder {
         ModelBuilder {
             name: name.into(),
             class,
+            names: String::new(),
             layers: Vec::new(),
             extra_params: 0,
         }
     }
 
-    /// Appends a layer.
-    pub fn push(&mut self, name: impl Into<String>, kind: LayerKind) -> &mut Self {
-        self.layers.push(Layer::new(name, kind));
+    /// Appends a layer whose module path is `name`: text, or
+    /// `format_args!(…)` to write an indexed path without allocating.
+    pub fn push(&mut self, name: impl LayerPath, kind: LayerKind) -> &mut Self {
+        let start = name.append(&mut self.names);
+        self.layers.push((start..self.names.len(), kind));
         self
+    }
+
+    /// Writes a block prefix into the name buffer without pushing a
+    /// layer; its children (`prefix.child("conv1")`) copy it from
+    /// there, and the first one right after it extends it in place.
+    pub(crate) fn prefix(&mut self, path: impl LayerPath) -> PathRef {
+        let start = path.append(&mut self.names);
+        PathRef::new(start..self.names.len())
+    }
+
+    /// The last pushed layer's path (empty before the first push).
+    pub(crate) fn last_path(&self) -> PathRef {
+        PathRef::new(self.layers.last().map_or(0..0, |(range, _)| range.clone()))
     }
 
     /// Records parameters that live outside the considered layer types
@@ -486,7 +511,16 @@ impl ModelBuilder {
             "model `{}` has no layers",
             self.name
         );
-        Model::new(self.name, self.class, self.layers, self.extra_params)
+        let text: Arc<str> = Arc::from(self.names);
+        let layers = self
+            .layers
+            .into_iter()
+            .map(|(range, kind)| Layer {
+                name: LayerName::in_buffer(&text, range),
+                kind,
+            })
+            .collect();
+        Model::new(self.name, self.class, layers, self.extra_params)
     }
 }
 

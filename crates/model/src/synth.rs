@@ -80,7 +80,7 @@ fn random_cnn(rng: &mut StdRng, seed: u64) -> Model {
             let stride = if blk == 0 && fm.0 > 14 { 2 } else { 1 };
             fm = conv2d_act(
                 &mut b,
-                &format!("s{stage}.b{blk}"),
+                format_args!("s{stage}.b{blk}"),
                 ch,
                 out_ch,
                 3,
@@ -95,7 +95,7 @@ fn random_cnn(rng: &mut StdRng, seed: u64) -> Model {
         if rng.gen_bool(0.5) && fm.0 >= 4 {
             fm = pool2d(
                 &mut b,
-                &format!("s{stage}.pool"),
+                format_args!("s{stage}.pool"),
                 PoolingKind::MaxPool,
                 ch,
                 fm,
@@ -125,7 +125,7 @@ fn random_transformer(rng: &mut StdRng, seed: u64) -> Model {
         conv2d_act(&mut b, "patch", 3, d, 16, 16, 0, (224, 224), 1, kind);
     }
     for blk in 0..depth {
-        EncoderBlock::standard(d, 4 * d, tokens, kind).emit(&mut b, &format!("blocks.{blk}"));
+        EncoderBlock::standard(d, 4 * d, tokens, kind).emit(&mut b, format_args!("blocks.{blk}"));
     }
     linear(&mut b, "head", d, rng.gen_range(2..50_000), 1);
     b.build()
@@ -141,7 +141,7 @@ fn random_audio(rng: &mut StdRng, seed: u64) -> Model {
         let stride = rng.gen_range(1..4);
         len = conv1d(
             &mut b,
-            &format!("fe.{i}"),
+            format_args!("fe.{i}"),
             in_ch,
             channels,
             3,
@@ -151,7 +151,7 @@ fn random_audio(rng: &mut StdRng, seed: u64) -> Model {
         );
         act(
             &mut b,
-            &format!("fe.{i}.act"),
+            format_args!("fe.{i}.act"),
             ActivationKind::Gelu,
             u64::from(len) * u64::from(channels),
         );
@@ -163,7 +163,7 @@ fn random_audio(rng: &mut StdRng, seed: u64) -> Model {
     let depth = rng.gen_range(2..13);
     for blk in 0..depth {
         EncoderBlock::standard(channels, 4 * channels, len.max(1), ActivationKind::Gelu)
-            .emit(&mut b, &format!("enc.{blk}"));
+            .emit(&mut b, format_args!("enc.{blk}"));
     }
     b.build()
 }

@@ -28,12 +28,12 @@ fn resnet_basic(name: &str, depths: &[u32; 4]) -> Model {
         let out_ch = 64 << stage;
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            let prefix = format!("layer{}.{blk}", stage + 1);
+            let prefix = b.prefix(format_args!("layer{}.{blk}", stage + 1));
             if stride != 1 || in_ch != out_ch {
                 // Projection shortcut.
                 conv2d(
                     &mut b,
-                    &format!("{prefix}.downsample"),
+                    prefix.child("downsample"),
                     in_ch,
                     out_ch,
                     1,
@@ -45,7 +45,7 @@ fn resnet_basic(name: &str, depths: &[u32; 4]) -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 in_ch,
                 out_ch,
                 3,
@@ -57,7 +57,7 @@ fn resnet_basic(name: &str, depths: &[u32; 4]) -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 out_ch,
                 out_ch,
                 3,
@@ -90,11 +90,11 @@ pub fn resnet50() -> Model {
         let out_ch = mid * 4;
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            let prefix = format!("layer{}.{blk}", stage + 1);
+            let prefix = b.prefix(format_args!("layer{}.{blk}", stage + 1));
             if stride != 1 || in_ch != out_ch {
                 conv2d(
                     &mut b,
-                    &format!("{prefix}.downsample"),
+                    prefix.child("downsample"),
                     in_ch,
                     out_ch,
                     1,
@@ -106,7 +106,7 @@ pub fn resnet50() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 in_ch,
                 mid,
                 1,
@@ -118,7 +118,7 @@ pub fn resnet50() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 mid,
                 mid,
                 3,
@@ -130,7 +130,7 @@ pub fn resnet50() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv3"),
+                prefix.child("conv3"),
                 mid,
                 out_ch,
                 1,
@@ -166,7 +166,7 @@ pub fn vgg16() -> Model {
         for &out_ch in outs.iter() {
             fm = conv2d_act(
                 &mut b,
-                &format!("features.{idx}"),
+                format_args!("features.{idx}"),
                 in_ch,
                 out_ch,
                 3,
@@ -181,7 +181,7 @@ pub fn vgg16() -> Model {
         }
         fm = pool2d(
             &mut b,
-            &format!("features.pool{stage}"),
+            format_args!("features.pool{stage}"),
             PoolingKind::MaxPool,
             in_ch,
             fm,
@@ -235,11 +235,15 @@ pub fn densenet121() -> Model {
     let blocks = [6_u32, 12, 24, 16];
     for (bi, &layers) in blocks.iter().enumerate() {
         for li in 0..layers {
-            let prefix = format!("features.denseblock{}.denselayer{}", bi + 1, li + 1);
+            let prefix = b.prefix(format_args!(
+                "features.denseblock{}.denselayer{}",
+                bi + 1,
+                li + 1
+            ));
             // 1x1 bottleneck to 4*growth, then 3x3 to growth.
             conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 ch,
                 4 * growth,
                 1,
@@ -251,7 +255,7 @@ pub fn densenet121() -> Model {
             );
             conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 4 * growth,
                 growth,
                 3,
@@ -267,7 +271,7 @@ pub fn densenet121() -> Model {
             let out = ch / 2;
             conv2d(
                 &mut b,
-                &format!("features.transition{}.conv", bi + 1),
+                format_args!("features.transition{}.conv", bi + 1),
                 ch,
                 out,
                 1,
@@ -278,7 +282,7 @@ pub fn densenet121() -> Model {
             );
             fm = pool2d(
                 &mut b,
-                &format!("features.transition{}.pool", bi + 1),
+                format_args!("features.transition{}.pool", bi + 1),
                 PoolingKind::AvgPool,
                 out,
                 fm,
@@ -320,11 +324,11 @@ pub fn mobilenet_v2() -> Model {
         for rep in 0..n {
             let stride = if rep == 0 { s } else { 1 };
             let hidden = in_ch * t;
-            let prefix = format!("features.{idx}");
+            let prefix = b.prefix(format_args!("features.{idx}"));
             if t != 1 {
                 fm = conv2d_act(
                     &mut b,
-                    &format!("{prefix}.expand"),
+                    prefix.child("expand"),
                     in_ch,
                     hidden,
                     1,
@@ -337,7 +341,7 @@ pub fn mobilenet_v2() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.depthwise"),
+                prefix.child("depthwise"),
                 hidden,
                 hidden,
                 3,
@@ -348,17 +352,7 @@ pub fn mobilenet_v2() -> Model {
                 RELU6,
             );
             // Linear bottleneck: projection conv has no activation.
-            fm = conv2d(
-                &mut b,
-                &format!("{prefix}.project"),
-                hidden,
-                c,
-                1,
-                1,
-                0,
-                fm,
-                1,
-            );
+            fm = conv2d(&mut b, prefix.child("project"), hidden, c, 1, 1, 0, fm, 1);
             in_ch = c;
             idx += 1;
         }

@@ -4,18 +4,24 @@
 //! actually written: a helper per recurring motif (conv+act, pooling,
 //! transformer encoder block, ...), each updating the running
 //! feature-map / sequence shape.
+//!
+//! Every helper takes its layer's path as a [`LayerPath`]: a literal,
+//! `format_args!(…)` for a path with an index, or `prefix.child(…)`
+//! under a block prefix written once with [`ModelBuilder::prefix`].
+//! None of them allocates a name of its own.
 
 use crate::layer::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, Permute, Pooling,
     PoolingKind,
 };
 use crate::model::ModelBuilder;
+use crate::name::LayerPath;
 
 /// Emits a `Conv2d` layer and returns the output spatial size.
 #[allow(clippy::too_many_arguments)] // mirrors the nn.Conv2d signature
 pub(crate) fn conv2d(
     b: &mut ModelBuilder,
-    name: &str,
+    name: impl LayerPath,
     in_ch: u32,
     out_ch: u32,
     k: u32,
@@ -39,15 +45,16 @@ pub(crate) fn conv2d(
 }
 
 /// Emits an activation over `elements` values.
-pub(crate) fn act(b: &mut ModelBuilder, name: &str, kind: ActivationKind, elements: u64) {
+pub(crate) fn act(b: &mut ModelBuilder, name: impl LayerPath, kind: ActivationKind, elements: u64) {
     b.push(name, LayerKind::Activation(Activation { kind, elements }));
 }
 
-/// Emits a `Conv2d` followed by an activation; returns the output size.
+/// Emits a `Conv2d` followed by an activation named `{name}.act`;
+/// returns the output size.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_act(
     b: &mut ModelBuilder,
-    name: &str,
+    name: impl LayerPath,
     in_ch: u32,
     out_ch: u32,
     k: u32,
@@ -58,9 +65,10 @@ pub(crate) fn conv2d_act(
     kind: ActivationKind,
 ) -> (u32, u32) {
     let ofm = conv2d(b, name, in_ch, out_ch, k, s, p, ifm, groups);
+    let conv = b.last_path();
     act(
         b,
-        &format!("{name}.act"),
+        conv.child("act"),
         kind,
         u64::from(ofm.0) * u64::from(ofm.1) * u64::from(out_ch),
     );
@@ -71,7 +79,7 @@ pub(crate) fn conv2d_act(
 #[allow(clippy::too_many_arguments)] // mirrors the nn.MaxPool2d signature
 pub(crate) fn pool2d(
     b: &mut ModelBuilder,
-    name: &str,
+    name: impl LayerPath,
     kind: PoolingKind,
     channels: u32,
     ifm: (u32, u32),
@@ -95,7 +103,7 @@ pub(crate) fn pool2d(
 /// Emits an adaptive average pooling to `out` × `out`.
 pub(crate) fn adaptive_avg_pool(
     b: &mut ModelBuilder,
-    name: &str,
+    name: impl LayerPath,
     channels: u32,
     ifm: (u32, u32),
     out: u32,
@@ -111,7 +119,7 @@ pub(crate) fn adaptive_avg_pool(
 }
 
 /// Emits a `Linear` layer applied to `tokens` positions.
-pub(crate) fn linear(b: &mut ModelBuilder, name: &str, inf: u32, outf: u32, tokens: u32) {
+pub(crate) fn linear(b: &mut ModelBuilder, name: impl LayerPath, inf: u32, outf: u32, tokens: u32) {
     b.push(
         name,
         LayerKind::Linear(Linear {
@@ -126,7 +134,7 @@ pub(crate) fn linear(b: &mut ModelBuilder, name: &str, inf: u32, outf: u32, toke
 #[allow(clippy::too_many_arguments)] // mirrors the nn.Conv1d signature
 pub(crate) fn conv1d(
     b: &mut ModelBuilder,
-    name: &str,
+    name: impl LayerPath,
     in_ch: u32,
     out_ch: u32,
     k: u32,
@@ -148,12 +156,12 @@ pub(crate) fn conv1d(
 }
 
 /// Emits a printed `Flatten` module.
-pub(crate) fn flatten(b: &mut ModelBuilder, name: &str, elements: u64) {
+pub(crate) fn flatten(b: &mut ModelBuilder, name: impl LayerPath, elements: u64) {
     b.push(name, LayerKind::Flatten(Flatten { elements }));
 }
 
 /// Emits a printed `Permute` module (torchvision Swin).
-pub(crate) fn permute(b: &mut ModelBuilder, name: &str, elements: u64) {
+pub(crate) fn permute(b: &mut ModelBuilder, name: impl LayerPath, elements: u64) {
     b.push(name, LayerKind::Permute(Permute { elements }));
 }
 
@@ -193,47 +201,25 @@ impl EncoderBlock {
     }
 
     /// Emits the block's layers under `prefix`.
-    pub fn emit(&self, b: &mut ModelBuilder, prefix: &str) {
+    pub fn emit(&self, b: &mut ModelBuilder, prefix: impl LayerPath) {
+        let p = b.prefix(prefix);
+        let (d, tokens) = (self.d, self.tokens);
         if self.fused_qkv {
-            linear(
-                b,
-                &format!("{prefix}.attn.qkv"),
-                self.d,
-                self.d + 2 * self.kv,
-                self.tokens,
-            );
+            linear(b, p.child("attn.qkv"), d, d + 2 * self.kv, tokens);
         } else {
-            linear(b, &format!("{prefix}.attn.q"), self.d, self.d, self.tokens);
-            linear(b, &format!("{prefix}.attn.k"), self.d, self.kv, self.tokens);
-            linear(b, &format!("{prefix}.attn.v"), self.d, self.kv, self.tokens);
+            linear(b, p.child("attn.q"), d, d, tokens);
+            linear(b, p.child("attn.k"), d, self.kv, tokens);
+            linear(b, p.child("attn.v"), d, self.kv, tokens);
         }
-        linear(
-            b,
-            &format!("{prefix}.attn.out"),
-            self.d,
-            self.d,
-            self.tokens,
-        );
-        linear(
-            b,
-            &format!("{prefix}.mlp.fc1"),
-            self.d,
-            self.ffn,
-            self.tokens,
-        );
+        linear(b, p.child("attn.out"), d, d, tokens);
+        linear(b, p.child("mlp.fc1"), d, self.ffn, tokens);
         act(
             b,
-            &format!("{prefix}.mlp.act"),
+            p.child("mlp.act"),
             self.act,
-            u64::from(self.ffn) * u64::from(self.tokens),
+            u64::from(self.ffn) * u64::from(tokens),
         );
-        linear(
-            b,
-            &format!("{prefix}.mlp.fc2"),
-            self.ffn,
-            self.d,
-            self.tokens,
-        );
+        linear(b, p.child("mlp.fc2"), self.ffn, d, tokens);
     }
 }
 
@@ -252,42 +238,26 @@ pub(crate) struct GatedBlock {
 
 impl GatedBlock {
     /// Emits attention projections under `prefix`.
-    pub fn emit_attention(&self, b: &mut ModelBuilder, prefix: &str) {
-        linear(b, &format!("{prefix}.q_proj"), self.d, self.d, self.tokens);
-        linear(b, &format!("{prefix}.k_proj"), self.d, self.kv, self.tokens);
-        linear(b, &format!("{prefix}.v_proj"), self.d, self.kv, self.tokens);
-        linear(b, &format!("{prefix}.o_proj"), self.d, self.d, self.tokens);
+    pub fn emit_attention(&self, b: &mut ModelBuilder, prefix: impl LayerPath) {
+        let p = b.prefix(prefix);
+        linear(b, p.child("q_proj"), self.d, self.d, self.tokens);
+        linear(b, p.child("k_proj"), self.d, self.kv, self.tokens);
+        linear(b, p.child("v_proj"), self.d, self.kv, self.tokens);
+        linear(b, p.child("o_proj"), self.d, self.d, self.tokens);
     }
 
     /// Emits one gated MLP (gate, up, SiLU, down) under `prefix`.
-    pub fn emit_mlp(&self, b: &mut ModelBuilder, prefix: &str) {
-        linear(
-            b,
-            &format!("{prefix}.gate_proj"),
-            self.d,
-            self.ffn,
-            self.tokens,
-        );
-        linear(
-            b,
-            &format!("{prefix}.up_proj"),
-            self.d,
-            self.ffn,
-            self.tokens,
-        );
+    pub fn emit_mlp(&self, b: &mut ModelBuilder, prefix: impl LayerPath) {
+        let p = b.prefix(prefix);
+        linear(b, p.child("gate_proj"), self.d, self.ffn, self.tokens);
+        linear(b, p.child("up_proj"), self.d, self.ffn, self.tokens);
         act(
             b,
-            &format!("{prefix}.act"),
+            p.child("act"),
             ActivationKind::Silu,
             u64::from(self.ffn) * u64::from(self.tokens),
         );
-        linear(
-            b,
-            &format!("{prefix}.down_proj"),
-            self.ffn,
-            self.d,
-            self.tokens,
-        );
+        linear(b, p.child("down_proj"), self.ffn, self.d, self.tokens);
     }
 }
 

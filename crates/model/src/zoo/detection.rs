@@ -47,11 +47,11 @@ pub fn peanut_rcnn() -> Model {
         let out_ch = 64 << stage;
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            let prefix = format!("backbone.body.layer{}.{blk}", stage + 1);
+            let prefix = b.prefix(format_args!("backbone.body.layer{}.{blk}", stage + 1));
             if stride != 1 || in_ch != out_ch {
                 conv2d(
                     &mut b,
-                    &format!("{prefix}.downsample"),
+                    prefix.child("downsample"),
                     in_ch,
                     out_ch,
                     1,
@@ -63,7 +63,7 @@ pub fn peanut_rcnn() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 in_ch,
                 out_ch,
                 3,
@@ -75,7 +75,7 @@ pub fn peanut_rcnn() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 out_ch,
                 out_ch,
                 3,
@@ -95,7 +95,7 @@ pub fn peanut_rcnn() -> Model {
     for (i, &(ch, sfm)) in stage_fms.iter().enumerate() {
         conv2d(
             &mut b,
-            &format!("backbone.fpn.inner.{i}"),
+            format_args!("backbone.fpn.inner.{i}"),
             ch,
             256,
             1,
@@ -106,7 +106,7 @@ pub fn peanut_rcnn() -> Model {
         );
         conv2d(
             &mut b,
-            &format!("backbone.fpn.layer.{i}"),
+            format_args!("backbone.fpn.layer.{i}"),
             256,
             256,
             3,
@@ -197,11 +197,11 @@ pub fn detr() -> Model {
         let out_ch = mid * 4;
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            let prefix = format!("backbone.layer{}.{blk}", stage + 1);
+            let prefix = b.prefix(format_args!("backbone.layer{}.{blk}", stage + 1));
             if stride != 1 || in_ch != out_ch {
                 conv2d(
                     &mut b,
-                    &format!("{prefix}.downsample"),
+                    prefix.child("downsample"),
                     in_ch,
                     out_ch,
                     1,
@@ -213,7 +213,7 @@ pub fn detr() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 in_ch,
                 mid,
                 1,
@@ -225,7 +225,7 @@ pub fn detr() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 mid,
                 mid,
                 3,
@@ -237,7 +237,7 @@ pub fn detr() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv3"),
+                prefix.child("conv3"),
                 mid,
                 out_ch,
                 1,
@@ -259,16 +259,16 @@ pub fn detr() -> Model {
 
     for i in 0..6 {
         EncoderBlock::standard(d, ffn, enc_tokens, RELU)
-            .emit(&mut b, &format!("transformer.encoder.layers.{i}"));
+            .emit(&mut b, format_args!("transformer.encoder.layers.{i}"));
     }
     for i in 0..6 {
-        let p = format!("transformer.decoder.layers.{i}");
-        EncoderBlock::standard(d, ffn, dec_tokens, RELU).emit(&mut b, &p);
+        let p = b.prefix(format_args!("transformer.decoder.layers.{i}"));
+        EncoderBlock::standard(d, ffn, dec_tokens, RELU).emit(&mut b, p);
         // Cross-attention projections.
-        linear(&mut b, &format!("{p}.multihead_attn.q"), d, d, dec_tokens);
-        linear(&mut b, &format!("{p}.multihead_attn.k"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.multihead_attn.v"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.multihead_attn.out"), d, d, dec_tokens);
+        linear(&mut b, p.child("multihead_attn.q"), d, d, dec_tokens);
+        linear(&mut b, p.child("multihead_attn.k"), d, d, enc_tokens);
+        linear(&mut b, p.child("multihead_attn.v"), d, d, enc_tokens);
+        linear(&mut b, p.child("multihead_attn.out"), d, d, dec_tokens);
     }
 
     // --- Prediction heads.
@@ -276,7 +276,7 @@ pub fn detr() -> Model {
     for i in 0..3 {
         linear(
             &mut b,
-            &format!("bbox_embed.layers.{i}"),
+            format_args!("bbox_embed.layers.{i}"),
             d,
             if i == 2 { 4 } else { d },
             dec_tokens,
@@ -284,7 +284,7 @@ pub fn detr() -> Model {
         if i < 2 {
             act(
                 &mut b,
-                &format!("bbox_embed.act.{i}"),
+                format_args!("bbox_embed.act.{i}"),
                 RELU,
                 u64::from(d) * u64::from(dec_tokens),
             );

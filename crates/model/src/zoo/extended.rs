@@ -35,7 +35,7 @@ pub fn wav2vec2_base() -> Model {
     for i in 1..5 {
         len = conv1d(
             &mut b,
-            &format!("feature_extractor.conv{i}"),
+            format_args!("feature_extractor.conv{i}"),
             512,
             512,
             3,
@@ -45,7 +45,7 @@ pub fn wav2vec2_base() -> Model {
         );
         act(
             &mut b,
-            &format!("feature_extractor.act{i}"),
+            format_args!("feature_extractor.act{i}"),
             GELU,
             u64::from(len) * 512,
         );
@@ -53,7 +53,7 @@ pub fn wav2vec2_base() -> Model {
     for i in 5..7 {
         len = conv1d(
             &mut b,
-            &format!("feature_extractor.conv{i}"),
+            format_args!("feature_extractor.conv{i}"),
             512,
             512,
             2,
@@ -63,14 +63,15 @@ pub fn wav2vec2_base() -> Model {
         );
         act(
             &mut b,
-            &format!("feature_extractor.act{i}"),
+            format_args!("feature_extractor.act{i}"),
             GELU,
             u64::from(len) * 512,
         );
     }
     linear(&mut b, "feature_projection", 512, 768, len);
     for blk in 0..12 {
-        EncoderBlock::standard(768, 3072, len, GELU).emit(&mut b, &format!("encoder.layers.{blk}"));
+        EncoderBlock::standard(768, 3072, len, GELU)
+            .emit(&mut b, format_args!("encoder.layers.{blk}"));
     }
     // Relative positional conv embedding + norms.
     b.extra_params(4_700_000);
@@ -83,17 +84,17 @@ pub fn distilgpt2() -> Model {
     let mut b = ModelBuilder::new("DistilGPT2", ModelClass::Llm);
     let (d, ffn, seq) = (768_u32, 3072_u32, 1024_u32);
     for blk in 0..6 {
-        let p = format!("h.{blk}");
-        conv1d(&mut b, &format!("{p}.attn.c_attn"), d, 3 * d, 1, 1, 0, seq);
-        conv1d(&mut b, &format!("{p}.attn.c_proj"), d, d, 1, 1, 0, seq);
-        conv1d(&mut b, &format!("{p}.mlp.c_fc"), d, ffn, 1, 1, 0, seq);
+        let p = b.prefix(format_args!("h.{blk}"));
+        conv1d(&mut b, p.child("attn.c_attn"), d, 3 * d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("attn.c_proj"), d, d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("mlp.c_fc"), d, ffn, 1, 1, 0, seq);
         act(
             &mut b,
-            &format!("{p}.mlp.act"),
+            p.child("mlp.act"),
             GELU,
             u64::from(ffn) * u64::from(seq),
         );
-        conv1d(&mut b, &format!("{p}.mlp.c_proj"), ffn, d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("mlp.c_proj"), ffn, d, 1, 1, 0, seq);
     }
     // wte + wpe + norms + persisted causal-mask buffers.
     b.extra_params(50_257 * 768 + 1024 * 768 + 20_000 + 6 * 1024 * 1024);
@@ -136,11 +137,11 @@ pub fn mask_rcnn_r50() -> Model {
         let out_ch = mid * 4;
         for blk in 0..blocks {
             let stride = if stage > 0 && blk == 0 { 2 } else { 1 };
-            let prefix = format!("backbone.body.layer{}.{blk}", stage + 1);
+            let prefix = b.prefix(format_args!("backbone.body.layer{}.{blk}", stage + 1));
             if stride != 1 || in_ch != out_ch {
                 conv2d(
                     &mut b,
-                    &format!("{prefix}.downsample"),
+                    prefix.child("downsample"),
                     in_ch,
                     out_ch,
                     1,
@@ -152,7 +153,7 @@ pub fn mask_rcnn_r50() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv1"),
+                prefix.child("conv1"),
                 in_ch,
                 mid,
                 1,
@@ -164,7 +165,7 @@ pub fn mask_rcnn_r50() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv2"),
+                prefix.child("conv2"),
                 mid,
                 mid,
                 3,
@@ -176,7 +177,7 @@ pub fn mask_rcnn_r50() -> Model {
             );
             fm = conv2d_act(
                 &mut b,
-                &format!("{prefix}.conv3"),
+                prefix.child("conv3"),
                 mid,
                 out_ch,
                 1,
@@ -195,7 +196,7 @@ pub fn mask_rcnn_r50() -> Model {
     for (i, &(ch, sfm)) in stage_fms.iter().enumerate() {
         conv2d(
             &mut b,
-            &format!("backbone.fpn.inner.{i}"),
+            format_args!("backbone.fpn.inner.{i}"),
             ch,
             256,
             1,
@@ -206,7 +207,7 @@ pub fn mask_rcnn_r50() -> Model {
         );
         conv2d(
             &mut b,
-            &format!("backbone.fpn.layer.{i}"),
+            format_args!("backbone.fpn.layer.{i}"),
             256,
             256,
             3,
@@ -261,7 +262,7 @@ pub fn mask_rcnn_r50() -> Model {
     for i in 0..4 {
         conv2d_act(
             &mut b,
-            &format!("roi_heads.mask_head.{i}"),
+            format_args!("roi_heads.mask_head.{i}"),
             256,
             256,
             3,
@@ -297,24 +298,19 @@ pub fn convnext_tiny() -> Model {
     let mut fm = conv2d(&mut b, "features.0.0", 3, 96, 4, 4, 0, (224, 224), 1);
     for (stage, (&dim, &depth)) in dims.iter().zip(depths.iter()).enumerate() {
         for blk in 0..depth {
-            let p = format!("features.{}.{blk}", 2 * stage + 1);
+            let p = b.prefix(format_args!("features.{}.{blk}", 2 * stage + 1));
             let spatial = u64::from(fm.0) * u64::from(fm.1);
-            conv2d(&mut b, &format!("{p}.dwconv"), dim, dim, 7, 1, 3, fm, dim);
-            permute(&mut b, &format!("{p}.permute1"), spatial * u64::from(dim));
-            linear(&mut b, &format!("{p}.pwconv1"), dim, 4 * dim, fm.0 * fm.1);
-            act(
-                &mut b,
-                &format!("{p}.act"),
-                GELU,
-                spatial * u64::from(4 * dim),
-            );
-            linear(&mut b, &format!("{p}.pwconv2"), 4 * dim, dim, fm.0 * fm.1);
-            permute(&mut b, &format!("{p}.permute2"), spatial * u64::from(dim));
+            conv2d(&mut b, p.child("dwconv"), dim, dim, 7, 1, 3, fm, dim);
+            permute(&mut b, p.child("permute1"), spatial * u64::from(dim));
+            linear(&mut b, p.child("pwconv1"), dim, 4 * dim, fm.0 * fm.1);
+            act(&mut b, p.child("act"), GELU, spatial * u64::from(4 * dim));
+            linear(&mut b, p.child("pwconv2"), 4 * dim, dim, fm.0 * fm.1);
+            permute(&mut b, p.child("permute2"), spatial * u64::from(dim));
         }
         if stage + 1 < dims.len() {
             fm = conv2d(
                 &mut b,
-                &format!("features.{}.downsample", 2 * stage + 2),
+                format_args!("features.{}.downsample", 2 * stage + 2),
                 dim,
                 dims[stage + 1],
                 2,
@@ -354,11 +350,11 @@ pub fn efficientnet_b0() -> Model {
         for rep in 0..n {
             let stride = if rep == 0 { s } else { 1 };
             let hidden = in_ch * t;
-            let p = format!("features.{idx}");
+            let p = b.prefix(format_args!("features.{idx}"));
             if t != 1 {
                 fm = conv2d_act(
                     &mut b,
-                    &format!("{p}.expand"),
+                    p.child("expand"),
                     in_ch,
                     hidden,
                     1,
@@ -371,7 +367,7 @@ pub fn efficientnet_b0() -> Model {
             }
             fm = conv2d_act(
                 &mut b,
-                &format!("{p}.depthwise"),
+                p.child("depthwise"),
                 hidden,
                 hidden,
                 k,
@@ -383,10 +379,10 @@ pub fn efficientnet_b0() -> Model {
             );
             // Squeeze-excite: printed AdaptiveAvgPool2d + two 1x1 convs.
             let se = (in_ch / 4).max(1);
-            adaptive_avg_pool(&mut b, &format!("{p}.se.avgpool"), hidden, fm, 1);
+            adaptive_avg_pool(&mut b, p.child("se.avgpool"), hidden, fm, 1);
             conv2d_act(
                 &mut b,
-                &format!("{p}.se.fc1"),
+                p.child("se.fc1"),
                 hidden,
                 se,
                 1,
@@ -396,18 +392,8 @@ pub fn efficientnet_b0() -> Model {
                 1,
                 SILU,
             );
-            conv2d(
-                &mut b,
-                &format!("{p}.se.fc2"),
-                se,
-                hidden,
-                1,
-                1,
-                0,
-                (1, 1),
-                1,
-            );
-            fm = conv2d(&mut b, &format!("{p}.project"), hidden, c, 1, 1, 0, fm, 1);
+            conv2d(&mut b, p.child("se.fc2"), se, hidden, 1, 1, 0, (1, 1), 1);
+            fm = conv2d(&mut b, p.child("project"), hidden, c, 1, 1, 0, fm, 1);
             in_ch = c;
             idx += 1;
         }

@@ -20,34 +20,13 @@ pub fn unet() -> Model {
     // Encoder: double conv + pool, channels 64..1024.
     let widths = [64_u32, 128, 256, 512];
     for (i, &w) in widths.iter().enumerate() {
-        fm = conv2d_act(
-            &mut b,
-            &format!("down{i}.conv1"),
-            ch,
-            w,
-            3,
-            1,
-            1,
-            fm,
-            1,
-            RELU,
-        );
-        fm = conv2d_act(
-            &mut b,
-            &format!("down{i}.conv2"),
-            w,
-            w,
-            3,
-            1,
-            1,
-            fm,
-            1,
-            RELU,
-        );
+        let down = b.prefix(format_args!("down{i}"));
+        fm = conv2d_act(&mut b, down.child("conv1"), ch, w, 3, 1, 1, fm, 1, RELU);
+        fm = conv2d_act(&mut b, down.child("conv2"), w, w, 3, 1, 1, fm, 1, RELU);
         ch = w;
         fm = pool2d(
             &mut b,
-            &format!("down{i}.pool"),
+            down.child("pool"),
             PoolingKind::MaxPool,
             ch,
             fm,
@@ -64,19 +43,9 @@ pub fn unet() -> Model {
     // (upsampling is functional => spatial size stays at the print-
     // visible resolution, channel arithmetic follows the skip concat).
     for (i, &w) in widths.iter().rev().enumerate() {
-        fm = conv2d_act(
-            &mut b,
-            &format!("up{i}.conv1"),
-            ch + w,
-            w,
-            3,
-            1,
-            1,
-            fm,
-            1,
-            RELU,
-        );
-        fm = conv2d_act(&mut b, &format!("up{i}.conv2"), w, w, 3, 1, 1, fm, 1, RELU);
+        let up = b.prefix(format_args!("up{i}"));
+        fm = conv2d_act(&mut b, up.child("conv1"), ch + w, w, 3, 1, 1, fm, 1, RELU);
+        fm = conv2d_act(&mut b, up.child("conv2"), w, w, 3, 1, 1, fm, 1, RELU);
         ch = w;
     }
     conv2d(&mut b, "head", ch, 2, 1, 1, 0, fm, 1);
@@ -95,16 +64,16 @@ pub fn t5_small() -> Model {
     let dec_tokens = 128_u32;
     for i in 0..6 {
         EncoderBlock::standard(d, ffn, enc_tokens, RELU)
-            .emit(&mut b, &format!("encoder.block.{i}"));
+            .emit(&mut b, format_args!("encoder.block.{i}"));
     }
     for i in 0..6 {
-        let p = format!("decoder.block.{i}");
-        EncoderBlock::standard(d, ffn, dec_tokens, RELU).emit(&mut b, &p);
+        let p = b.prefix(format_args!("decoder.block.{i}"));
+        EncoderBlock::standard(d, ffn, dec_tokens, RELU).emit(&mut b, p);
         // Cross-attention.
-        linear(&mut b, &format!("{p}.cross.q"), d, d, dec_tokens);
-        linear(&mut b, &format!("{p}.cross.k"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.cross.v"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.cross.out"), d, d, dec_tokens);
+        linear(&mut b, p.child("cross.q"), d, d, dec_tokens);
+        linear(&mut b, p.child("cross.k"), d, d, enc_tokens);
+        linear(&mut b, p.child("cross.v"), d, d, enc_tokens);
+        linear(&mut b, p.child("cross.out"), d, d, dec_tokens);
     }
     linear(&mut b, "lm_head", d, 32_128, dec_tokens);
     // The token embedding is tied to lm_head (already counted above);
@@ -123,14 +92,14 @@ pub fn clip_vit_b32() -> Model {
     let img_tokens = (224 / 32) * (224 / 32) + 1;
     for i in 0..12 {
         EncoderBlock::standard(768, 3072, img_tokens, GELU)
-            .emit(&mut b, &format!("visual.transformer.{i}"));
+            .emit(&mut b, format_args!("visual.transformer.{i}"));
     }
     linear(&mut b, "visual.proj", 768, 512, 1);
     // Text tower.
     let txt_tokens = 77;
     for i in 0..12 {
         EncoderBlock::standard(512, 2048, txt_tokens, GELU)
-            .emit(&mut b, &format!("transformer.{i}"));
+            .emit(&mut b, format_args!("transformer.{i}"));
     }
     linear(&mut b, "text_projection", 512, 512, 1);
     // Token embedding (49408 x 512) + positional tables + norms.

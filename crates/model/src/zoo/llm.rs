@@ -31,18 +31,18 @@ fn gpt2_with_tokens(name: &str, seq: u32) -> Model {
     let mut b = ModelBuilder::new(name, ModelClass::Llm);
     let (d, ffn) = (768_u32, 3072_u32);
     for blk in 0..12 {
-        let p = format!("h.{blk}");
+        let p = b.prefix(format_args!("h.{blk}"));
         // Fused QKV projection: d -> 3d.
-        conv1d(&mut b, &format!("{p}.attn.c_attn"), d, 3 * d, 1, 1, 0, seq);
-        conv1d(&mut b, &format!("{p}.attn.c_proj"), d, d, 1, 1, 0, seq);
-        conv1d(&mut b, &format!("{p}.mlp.c_fc"), d, ffn, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("attn.c_attn"), d, 3 * d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("attn.c_proj"), d, d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("mlp.c_fc"), d, ffn, 1, 1, 0, seq);
         act(
             &mut b,
-            &format!("{p}.mlp.act"),
+            p.child("mlp.act"),
             GELU,
             u64::from(ffn) * u64::from(seq),
         );
-        conv1d(&mut b, &format!("{p}.mlp.c_proj"), ffn, d, 1, 1, 0, seq);
+        conv1d(&mut b, p.child("mlp.c_proj"), ffn, d, 1, 1, 0, seq);
     }
     // wte 50257x768 + wpe 1024x768 + layer norms + 12 causal-mask
     // buffers of 1024^2 (persisted in the checkpoint; HF counts them).
@@ -75,8 +75,9 @@ fn llama3_8b_with_tokens(name: &str, tokens: u32) -> Model {
         kv: 1024,
     };
     for i in 0..32 {
-        blk.emit_attention(&mut b, &format!("layers.{i}.self_attn"));
-        blk.emit_mlp(&mut b, &format!("layers.{i}.mlp"));
+        let layer = b.prefix(format_args!("layers.{i}"));
+        blk.emit_attention(&mut b, layer.child("self_attn"));
+        blk.emit_mlp(&mut b, layer.child("mlp"));
     }
     linear(&mut b, "lm_head", 4096, 128_256, tokens);
     // Untied input embedding (128256 x 4096) + RMS norms.
@@ -108,11 +109,12 @@ fn mixtral_8x7b_with_tokens(name: &str, tokens: u32) -> Model {
         kv: 1024,
     };
     for i in 0..32 {
-        blk.emit_attention(&mut b, &format!("layers.{i}.self_attn"));
+        let layer = b.prefix(format_args!("layers.{i}"));
+        blk.emit_attention(&mut b, layer.child("self_attn"));
         // Router.
-        linear(&mut b, &format!("layers.{i}.gate"), 4096, 8, tokens);
+        linear(&mut b, layer.child("gate"), 4096, 8, tokens);
         for e in 0..8 {
-            blk.emit_mlp(&mut b, &format!("layers.{i}.experts.{e}"));
+            blk.emit_mlp(&mut b, format_args!("layers.{i}.experts.{e}"));
         }
     }
     linear(&mut b, "lm_head", 4096, 32_000, tokens);
@@ -139,16 +141,16 @@ pub fn whisper_v3_large() -> Model {
 
     for i in 0..32 {
         EncoderBlock::standard(d, ffn, enc_tokens, GELU)
-            .emit(&mut b, &format!("encoder.layers.{i}"));
+            .emit(&mut b, format_args!("encoder.layers.{i}"));
     }
     for i in 0..32 {
-        let p = format!("decoder.layers.{i}");
+        let p = b.prefix(format_args!("decoder.layers.{i}"));
         // Self-attention + cross-attention + MLP.
-        EncoderBlock::standard(d, ffn, dec_tokens, GELU).emit(&mut b, &p);
-        linear(&mut b, &format!("{p}.encoder_attn.q"), d, d, dec_tokens);
-        linear(&mut b, &format!("{p}.encoder_attn.k"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.encoder_attn.v"), d, d, enc_tokens);
-        linear(&mut b, &format!("{p}.encoder_attn.out"), d, d, dec_tokens);
+        EncoderBlock::standard(d, ffn, dec_tokens, GELU).emit(&mut b, p);
+        linear(&mut b, p.child("encoder_attn.q"), d, d, dec_tokens);
+        linear(&mut b, p.child("encoder_attn.k"), d, d, enc_tokens);
+        linear(&mut b, p.child("encoder_attn.v"), d, d, enc_tokens);
+        linear(&mut b, p.child("encoder_attn.out"), d, d, dec_tokens);
     }
     linear(&mut b, "proj_out", d, 51_866, dec_tokens);
     // Token + learned position embeddings + norms. proj_out is tied to

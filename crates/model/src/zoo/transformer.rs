@@ -25,15 +25,15 @@ pub fn swin_t() -> Model {
     for (stage, (&d, &depth)) in dims.iter().zip(depths.iter()).enumerate() {
         let tokens = res * res;
         for blk in 0..depth {
-            let prefix = format!("features.{}.{}", 2 * stage + 1, blk);
-            EncoderBlock::standard(d, 4 * d, tokens, GELU).emit(&mut b, &prefix);
+            EncoderBlock::standard(d, 4 * d, tokens, GELU)
+                .emit(&mut b, format_args!("features.{}.{blk}", 2 * stage + 1));
         }
         if stage + 1 < dims.len() {
             // PatchMerging: 4d -> 2d linear reduction at half resolution.
             res /= 2;
             linear(
                 &mut b,
-                &format!("features.{}.reduction", 2 * stage + 2),
+                format_args!("features.{}.reduction", 2 * stage + 2),
                 4 * d,
                 2 * d,
                 res * res,
@@ -63,7 +63,7 @@ fn vit_backbone(
     let tokens = grid * grid + 1; // + [CLS]
     conv2d(
         b,
-        &format!("{prefix}.patch_embed"),
+        format_args!("{prefix}.patch_embed"),
         3,
         d,
         patch,
@@ -75,7 +75,7 @@ fn vit_backbone(
     for blk in 0..depth {
         let mut block = EncoderBlock::standard(d, 4 * d, tokens, GELU);
         block.fused_qkv = fused_qkv;
-        block.emit(b, &format!("{prefix}.blocks.{blk}"));
+        block.emit(b, format_args!("{prefix}.blocks.{blk}"));
     }
     tokens
 }
@@ -97,17 +97,18 @@ pub fn dpt_large() -> Model {
     let grid = 384 / 16; // 24
     let pyramid = [96_u32, 192, 384, 768];
     for (i, &ch) in pyramid.iter().enumerate() {
+        let reassemble = b.prefix(format_args!("neck.reassemble.{i}"));
         // Readout projection: concatenated [token; CLS] back to d.
         linear(
             &mut b,
-            &format!("neck.reassemble.{i}.readout_project"),
+            reassemble.child("readout_project"),
             2 * 1024,
             1024,
             grid * grid,
         );
         conv2d(
             &mut b,
-            &format!("neck.reassemble.{i}.projection"),
+            reassemble.child("projection"),
             1024,
             ch,
             1,
@@ -119,7 +120,7 @@ pub fn dpt_large() -> Model {
         // Channel-align to the 256-wide fusion trunk.
         conv2d(
             &mut b,
-            &format!("neck.convs.{i}"),
+            format_args!("neck.convs.{i}"),
             ch,
             256,
             3,
@@ -132,9 +133,10 @@ pub fn dpt_large() -> Model {
     // Four RefineNet-style fusion stages, two residual conv units each.
     for i in 0..4_u32 {
         for j in 0..2 {
+            let rcu = b.prefix(format_args!("neck.fusion.{i}.rcu{j}"));
             conv2d_act(
                 &mut b,
-                &format!("neck.fusion.{i}.rcu{j}.conv1"),
+                rcu.child("conv1"),
                 256,
                 256,
                 3,
@@ -146,7 +148,7 @@ pub fn dpt_large() -> Model {
             );
             conv2d_act(
                 &mut b,
-                &format!("neck.fusion.{i}.rcu{j}.conv2"),
+                rcu.child("conv2"),
                 256,
                 256,
                 3,
@@ -159,7 +161,7 @@ pub fn dpt_large() -> Model {
         }
         conv2d(
             &mut b,
-            &format!("neck.fusion.{i}.project"),
+            format_args!("neck.fusion.{i}.project"),
             256,
             256,
             1,
@@ -205,7 +207,8 @@ pub fn bert_base() -> Model {
     let mut b = ModelBuilder::new("BERT-base", ModelClass::Transformer);
     let (d, ffn, tokens) = (768, 3072, 128);
     for blk in 0..12 {
-        EncoderBlock::standard(d, ffn, tokens, GELU).emit(&mut b, &format!("encoder.layer.{blk}"));
+        EncoderBlock::standard(d, ffn, tokens, GELU)
+            .emit(&mut b, format_args!("encoder.layer.{blk}"));
     }
     linear(&mut b, "pooler.dense", d, d, 1);
     act(
@@ -225,7 +228,7 @@ pub fn graphormer() -> Model {
     let mut b = ModelBuilder::new("Graphormer", ModelClass::Transformer);
     let (d, ffn, tokens) = (768, 3072, 128);
     for blk in 0..12 {
-        EncoderBlock::standard(d, ffn, tokens, GELU).emit(&mut b, &format!("layers.{blk}"));
+        EncoderBlock::standard(d, ffn, tokens, GELU).emit(&mut b, format_args!("layers.{blk}"));
     }
     linear(&mut b, "lm_head_transform", d, d, tokens);
     act(
@@ -269,7 +272,7 @@ pub fn ast() -> Model {
     let tokens = (128 / 16) * (1024 / 16) + 2;
     for blk in 0..12 {
         EncoderBlock::standard(768, 3072, tokens, GELU)
-            .emit(&mut b, &format!("encoder.layer.{blk}"));
+            .emit(&mut b, format_args!("encoder.layer.{blk}"));
     }
     linear(&mut b, "classifier.dense", 768, 527, 1);
     b.extra_params(500_000);

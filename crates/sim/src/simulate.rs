@@ -277,7 +277,7 @@ pub fn simulate_trace(model: &Model, config: &DesignConfig) -> Result<Vec<TraceS
         }
         spans.push(TraceSpan {
             layer: i,
-            name: model.layers()[i].name.clone(),
+            name: model.layers()[i].name.to_string(),
             class: work.class.label(),
             start,
             end,

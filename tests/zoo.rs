@@ -1,7 +1,10 @@
 //! The zoo table: every set and every name lookup reads one
 //! `(name, constructor)` table, and `by_name` builds only the model
-//! asked for.
+//! asked for. Every zoo model's layer names, JSON and `print(model)`
+//! text are pinned by `tests/golden/zoo_layer_names.txt`; regenerate
+//! it with `GOLDEN_BLESS=1 cargo test --test zoo`.
 
+use claire::model::parse::to_torch_print;
 use claire::model::{zoo, Model};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -122,5 +125,82 @@ fn unknown_and_wrong_case_names_resolve_to_none() {
         "Resnet18 ",
     ] {
         assert!(zoo::by_name(name).is_none(), "{name:?} resolved");
+    }
+}
+
+/// Every [`zoo::TABLE`] constructor, then the three decode variants.
+fn every_zoo_constructor() -> Vec<zoo::Entry> {
+    let decode: [zoo::Entry; 3] = [
+        ("GPT2 (decode)", zoo::gpt2_decode),
+        ("Meta Llama-3-8B (decode)", zoo::llama3_8b_decode),
+        ("Mixtral-8x7B (decode)", zoo::mixtral_8x7b_decode),
+    ];
+    zoo::TABLE.iter().copied().chain(decode).collect()
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One fixture line: the model's layer count and FNV-1a digests of
+/// its newline-joined layer names, its JSON and its `print(model)`
+/// text.
+fn fingerprint(m: &Model) -> String {
+    let names: Vec<&str> = m.layers().iter().map(|l| &*l.name).collect();
+    let json = serde_json::to_string(m).expect("zoo models serialize");
+    format!(
+        "{}\tlayers={}\tnames={:016x}\tjson={:016x}\tprint={:016x}\n",
+        m.name(),
+        m.layer_count(),
+        fnv1a(names.join("\n").as_bytes()),
+        fnv1a(json.as_bytes()),
+        fnv1a(to_torch_print(m).as_bytes()),
+    )
+}
+
+#[test]
+fn zoo_layer_names_match_the_golden_fixture() {
+    let _guard = serial();
+    let rendered: String = every_zoo_constructor()
+        .iter()
+        .map(|(name, make)| {
+            let m = make();
+            assert_eq!(m.name(), *name);
+            fingerprint(&m)
+        })
+        .collect();
+    let path = format!(
+        "{}/tests/golden/zoo_layer_names.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("{path}: {e}"));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{path}: {e} (run with GOLDEN_BLESS=1 to create)"));
+    assert_eq!(rendered, expected, "zoo layer names diverged from {path}");
+}
+
+#[test]
+fn every_zoo_model_round_trips_through_json() {
+    let _guard = serial();
+    for (name, make) in every_zoo_constructor() {
+        let m = make();
+        let json = serde_json::to_string(&m).expect("zoo models serialize");
+        let back: Model = serde_json::from_str(&json).expect("zoo JSON parses back");
+        assert_eq!(back, m, "{name}");
+        assert_eq!(
+            format!("{:?}", back.layers()),
+            format!("{:?}", m.layers()),
+            "{name}"
+        );
+        assert_eq!(
+            serde_json::to_string(&back).expect("serializes"),
+            json,
+            "{name}"
+        );
     }
 }
