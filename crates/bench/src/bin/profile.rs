@@ -11,25 +11,26 @@
 //! instances, a snapshot restart (identical output, zero warm misses,
 //! an unchanged tier signature, canonical bytes), the staged DSE sweep
 //! over [`DseSpace::dense`]'s 10⁴-point stress space against the
-//! exhaustive reference, successive halving (its exhaustive
-//! degeneracy, seeded reproducibility, and a 2²⁰-point generative run
-//! over [`GridSpace::huge`] priced within its budget), the flat plan,
-//! and the test-stage worker-busy imbalance. The only wall times it
-//! reads itself feed the overhead models: the cold and warm flow times
-//! they divide by, and the per-hook, per-event and per-insert prices
-//! they multiply.
+//! exhaustive reference, an exhaustive search of the 2²⁰-point
+//! [`GridSpace::huge`] at 1 thread and at the default thread count,
+//! the flat plan, and the test-stage worker-busy imbalance. The only
+//! wall times it reads itself feed the overhead models: the cold and
+//! warm flow times they divide by, and the per-hook, per-event and
+//! per-insert prices they multiply.
 //!
 //! Besides the human-readable tables, the run writes
 //! `BENCH_profile.json` for machine consumption; CI gates on it and
 //! uploads it as an artifact. The binary takes no arguments.
 
 use claire_bench::{paper_options, render_table, run_flow_with_engine};
-use claire_core::dse::{custom_config_with_engine, set_config_with_engine, DseObjective};
+use claire_core::dse::{
+    custom_config_with_engine, set_config_with_engine, sweep_with_engine, DseObjective,
+};
 use claire_core::evaluate::EvalOptions;
 use claire_core::telemetry::Metric;
 use claire_core::{
-    search_with_engine, Claire, Constraints, DesignConfig, Engine, EngineStats, LifecycleEvent,
-    LifecycleStage, QuantileDigest, SearchPolicy, ServeObserver, Telemetry,
+    Claire, Constraints, DesignConfig, Engine, EngineStats, LifecycleEvent, LifecycleStage,
+    QuantileDigest, ServeObserver, Telemetry,
 };
 use claire_model::{zoo, Model};
 use claire_ppa::{DesignSpace, DseSpace, GridSpace, MemoryModel};
@@ -288,57 +289,14 @@ fn main() {
         "dense-space latency lower-bound screen pruned nothing"
     );
 
-    // Search-at-scale profile: the latency lower-bound screen, the
-    // successive-halving policy's exhaustive degeneracy and seeded
-    // reproducibility, and a generative 2^20-point sampled search.
+    // Search-at-scale profile: the latency lower-bound screen's share
+    // of the dense sweep, and an exhaustive search of the 2^20-point
+    // generative grid.
     let lb_pruned_fraction = if screened == 0 {
         0.0
     } else {
         dse_stats.dse_lb_pruned as f64 / screened as f64
     };
-
-    // Budget >= |space| makes successive halving exactly exhaustive:
-    // no rung ever fires, the point lists are bit-identical. Checked
-    // on the paper's 81-point space for every built-in algorithm.
-    let paper_space = DseSpace::default();
-    let degen_engine = Engine::for_space(&paper_space);
-    let degen_policy = SearchPolicy::SuccessiveHalving {
-        seed: 7,
-        eta: 2,
-        budget: paper_space.len(),
-    };
-    let sh_degenerate_identical = models.iter().all(|m| {
-        let sh = search_with_engine(m, &paper_space, &cons, degen_policy, &degen_engine);
-        let ex = search_with_engine(
-            m,
-            &paper_space,
-            &cons,
-            SearchPolicy::Exhaustive,
-            &degen_engine,
-        );
-        !sh.sampled && format!("{:?}", sh.points) == format!("{:?}", ex.points)
-    });
-    assert!(
-        sh_degenerate_identical,
-        "full-budget successive halving diverged from the exhaustive oracle"
-    );
-
-    // A genuinely sampled run on the comparison space: seeded, so two
-    // runs walk identical trajectories.
-    let sh_policy = SearchPolicy::SuccessiveHalving {
-        seed: 42,
-        eta: 2,
-        budget: 16,
-    };
-    let sh_first = search_with_engine(&models[0], &dse_space, &cons, sh_policy, &staged_engine);
-    let sh_second = search_with_engine(&models[0], &dse_space, &cons, sh_policy, &staged_engine);
-    let sh_reproducible = format!("{:?}", sh_first.points) == format!("{:?}", sh_second.points);
-    let sh_front = sh_first.front().len();
-    assert!(
-        sh_reproducible,
-        "seeded successive halving is not reproducible"
-    );
-    let search_stats = staged_engine.stats();
     println!();
     println!("== Search at scale ==");
     println!(
@@ -347,57 +305,43 @@ fn main() {
         100.0 * lb_pruned_fraction,
         screened
     );
-    println!("successive halving, budget >= |space|: exhaustive-identical on all 19 models");
-    println!(
-        "successive halving, budget 16 over {} points: {} survivors, \
-         {} Pareto entries, {} rungs, reproducible {}",
-        dse_space.len(),
-        sh_first.points.len(),
-        sh_front,
-        search_stats.search_rungs,
-        sh_reproducible
-    );
 
     // The generative stress run: 2^20 grid points streamed — never
-    // collected into a Vec — through the closed-form area screen and
-    // the lower-bound kernel; exact pricing only at the surviving
-    // rung. The screens must do the work: exact pricing stays within
-    // the budget.
+    // collected into a Vec — through the area screen's row walk and the
+    // lower-bound screen, the survivors priced exactly. Run at 1 thread
+    // and at the default thread count; points and counts must agree.
     let grid = GridSpace::huge();
-    let huge_engine = Engine::for_space(&paper_options().space);
-    const HUGE_BUDGET: usize = 64;
-    let huge_policy = SearchPolicy::SuccessiveHalving {
-        seed: 42,
-        eta: 4,
-        budget: HUGE_BUDGET,
+    let huge_run = |engine: Engine| {
+        let points = sweep_with_engine(&models[0], &grid, &cons, &engine);
+        (format!("{points:?}"), points.len(), engine.stats())
     };
-    let huge_out = search_with_engine(&models[0], &grid, &cons, huge_policy, &huge_engine);
-    let huge_front = huge_out.front().len();
-    let huge_stats = huge_engine.stats();
+    let (huge_points, huge_feasible, huge_stats) = huge_run(Engine::serial());
+    let (default_points, _, default_stats) = huge_run(Engine::for_space(&paper_options().space));
+    let huge_counts = |s: &EngineStats| (s.dse_pruned, s.dse_lb_pruned, s.dse_evaluated);
+    let huge_identical =
+        huge_points == default_points && huge_counts(&huge_stats) == huge_counts(&default_stats);
     println!(
-        "2^20 grid: {} points -> {} survivors ({} rungs; {} area-pruned, {} lb-pruned, \
-         {} priced of budget {HUGE_BUDGET}; best {})",
+        "2^20 grid, exhaustive: {} points -> {} area-pruned, {} lb-pruned, {} priced, \
+         {huge_feasible} feasible; identical at 1 and {} threads: {huge_identical}",
         grid.size(),
-        huge_out.points.len(),
-        huge_stats.search_rungs,
         huge_stats.dse_pruned,
         huge_stats.dse_lb_pruned,
         huge_stats.dse_evaluated,
-        huge_out
-            .points
-            .first()
-            .map(|p| p.hw.to_string())
-            .unwrap_or_default()
+        default_stats.threads
     );
-    assert!(huge_out.sampled, "2^20-point grid search did not sample");
     assert!(
-        huge_front > 0,
+        huge_identical,
+        "2^20-point search differs between 1 and {} threads",
+        default_stats.threads
+    );
+    assert_eq!(
+        huge_stats.dse_pruned + huge_stats.dse_lb_pruned + huge_stats.dse_evaluated,
+        grid.size() as u64,
+        "2^20-point search lost or double-counted points"
+    );
+    assert!(
+        huge_feasible > 0,
         "2^20-point grid search found no feasible configuration"
-    );
-    assert!(
-        huge_stats.dse_evaluated <= HUGE_BUDGET as u64,
-        "2^20-point search priced {} points, over its budget of {HUGE_BUDGET}",
-        huge_stats.dse_evaluated
     );
     assert!(
         huge_stats.dse_pruned > 0 && huge_stats.dse_lb_pruned > 0,
@@ -803,44 +747,9 @@ fn main() {
                 ),
                 ("selections_identical", Value::Bool(selections_identical)),
                 (
-                    "sh_degenerate_identical",
-                    Value::Bool(sh_degenerate_identical),
-                ),
-                (
-                    "successive_halving",
-                    obj(vec![
-                        ("budget", Value::Number(Number::PosInt(16))),
-                        ("eta", Value::Number(Number::PosInt(2))),
-                        ("seed", Value::Number(Number::PosInt(42))),
-                        (
-                            "survivors",
-                            Value::Number(Number::PosInt(sh_first.points.len() as u64)),
-                        ),
-                        ("front", Value::Number(Number::PosInt(sh_front as u64))),
-                        (
-                            "rungs",
-                            Value::Number(Number::PosInt(search_stats.search_rungs)),
-                        ),
-                        ("reproducible", Value::Bool(sh_reproducible)),
-                    ]),
-                ),
-                (
                     "huge",
                     obj(vec![
                         ("points", Value::Number(Number::PosInt(grid.size() as u64))),
-                        ("budget", Value::Number(Number::PosInt(HUGE_BUDGET as u64))),
-                        ("eta", Value::Number(Number::PosInt(4))),
-                        ("seed", Value::Number(Number::PosInt(42))),
-                        ("sampled", Value::Bool(huge_out.sampled)),
-                        (
-                            "survivors",
-                            Value::Number(Number::PosInt(huge_out.points.len() as u64)),
-                        ),
-                        ("front", Value::Number(Number::PosInt(huge_front as u64))),
-                        (
-                            "rungs",
-                            Value::Number(Number::PosInt(huge_stats.search_rungs)),
-                        ),
                         (
                             "pruned",
                             Value::Number(Number::PosInt(huge_stats.dse_pruned)),
@@ -853,6 +762,11 @@ fn main() {
                             "evaluated",
                             Value::Number(Number::PosInt(huge_stats.dse_evaluated)),
                         ),
+                        (
+                            "feasible",
+                            Value::Number(Number::PosInt(huge_feasible as u64)),
+                        ),
+                        ("identical_across_threads", Value::Bool(huge_identical)),
                     ]),
                 ),
             ]),

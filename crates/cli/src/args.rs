@@ -213,88 +213,6 @@ pub fn extract_degrade(args: &[String]) -> (bool, Vec<String>) {
     (degrade, rest)
 }
 
-/// The search policy requested on the command line, mirrored into
-/// `claire_core::SearchPolicy` by the binary (this module stays
-/// dependency-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CliSearch {
-    /// Visit every surviving point of the DSE space (the oracle).
-    Exhaustive,
-    /// Seeded successive halving over the latency lower bound.
-    SuccessiveHalving {
-        /// Tie-break seed (reproducible trajectories).
-        seed: u64,
-        /// Stage-B evaluation budget (halving stops at this size).
-        budget: usize,
-    },
-}
-
-/// Strips the global `--search <exhaustive|successive-halving>`,
-/// `--budget <n>` and `--seed <n>` options (valid with any command)
-/// from the raw argument list, returning the requested search policy
-/// and the remaining arguments for [`parse_args`]. `--budget`
-/// (default 32) and `--seed` (default 0) are only meaningful with
-/// `--search successive-halving` and are rejected otherwise.
-///
-/// # Errors
-///
-/// Returns [`ParseArgsError`] when a value is missing or malformed,
-/// when the policy name is unknown, when the budget is zero, or when
-/// `--budget`/`--seed` appear without successive halving.
-pub fn extract_search(args: &[String]) -> Result<(Option<CliSearch>, Vec<String>), ParseArgsError> {
-    let mut policy: Option<&str> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--search" => {
-                let v = it.next().ok_or_else(|| err("--search requires a value"))?;
-                policy = Some(v.as_str());
-            }
-            "--budget" => {
-                let v = it.next().ok_or_else(|| err("--budget requires a value"))?;
-                let n: usize = v.parse().map_err(|_| err(format!("bad budget `{v}`")))?;
-                if n == 0 {
-                    return Err(err("--budget must be at least 1"));
-                }
-                budget = Some(n);
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed requires a value"))?;
-                seed = Some(v.parse().map_err(|_| err(format!("bad seed `{v}`")))?);
-            }
-            _ => rest.push(a.clone()),
-        }
-    }
-    let search = match policy {
-        None => {
-            if budget.is_some() || seed.is_some() {
-                return Err(err("--budget/--seed require --search successive-halving"));
-            }
-            None
-        }
-        Some("exhaustive") => {
-            if budget.is_some() || seed.is_some() {
-                return Err(err("--budget/--seed require --search successive-halving"));
-            }
-            Some(CliSearch::Exhaustive)
-        }
-        Some("successive-halving") => Some(CliSearch::SuccessiveHalving {
-            seed: seed.unwrap_or(0),
-            budget: budget.unwrap_or(32),
-        }),
-        Some(other) => {
-            return Err(err(format!(
-                "unknown search policy `{other}` (expected `exhaustive` or \
-                 `successive-halving`)"
-            )))
-        }
-    };
-    Ok((search, rest))
-}
-
 /// Strips a global `--trace-out <path>` option (valid with any
 /// command) from the raw argument list, returning the Chrome-trace
 /// export path and the remaining arguments for [`parse_args`].
@@ -691,22 +609,6 @@ power density, then chiplet area) instead of failing when the DSE
 finds no feasible configuration; degraded results are flagged on
 stderr.
 
-Search policy (also valid with any command):
-  --search exhaustive           Visit every screened DSE point
-                                (the default, and the oracle).
-  --search successive-halving   Seeded successive halving over the
-                                latency lower bound; exact pricing is
-                                spent only on the surviving rung.
-                                Tune with --budget <n> (stage-B
-                                evaluation budget, default 32) and
-                                --seed <n> (tie-break seed, default 0;
-                                same seed => same trajectory). With
-                                --budget >= the space size this is
-                                exactly exhaustive. Example:
-                                  claire-cli custom Resnet50 \
-                                    --search successive-halving \
-                                    --budget 16 --seed 42
-
 Warm-state persistence (also valid with any command):
   --cache-dir <dir>      Load <dir>/claire.snapshot into the engine
                          before the flow and save the warmed memo
@@ -864,72 +766,6 @@ mod tests {
     fn telemetry_paths_require_values() {
         assert!(extract_trace_out(&v(&["flow", "--trace-out"])).is_err());
         assert!(extract_metrics_json(&v(&["flow", "--metrics-json"])).is_err());
-    }
-
-    #[test]
-    fn search_is_extracted_from_any_position() {
-        let (s, rest) = extract_search(&v(&[
-            "custom",
-            "Resnet50",
-            "--search",
-            "successive-halving",
-            "--budget",
-            "16",
-            "--seed",
-            "42",
-        ]))
-        .unwrap();
-        assert_eq!(
-            s,
-            Some(CliSearch::SuccessiveHalving {
-                seed: 42,
-                budget: 16
-            })
-        );
-        assert_eq!(rest, v(&["custom", "Resnet50"]));
-        let (s, rest) = extract_search(&v(&["flow", "--search", "exhaustive"])).unwrap();
-        assert_eq!(s, Some(CliSearch::Exhaustive));
-        assert_eq!(rest, v(&["flow"]));
-        let (s, rest) = extract_search(&v(&["flow"])).unwrap();
-        assert_eq!(s, None);
-        assert_eq!(rest, v(&["flow"]));
-    }
-
-    #[test]
-    fn successive_halving_defaults_are_applied() {
-        let (s, _) = extract_search(&v(&["flow", "--search", "successive-halving"])).unwrap();
-        assert_eq!(
-            s,
-            Some(CliSearch::SuccessiveHalving {
-                seed: 0,
-                budget: 32
-            })
-        );
-    }
-
-    #[test]
-    fn search_rejects_bad_combinations() {
-        assert!(extract_search(&v(&["flow", "--search"])).is_err());
-        assert!(extract_search(&v(&["flow", "--search", "random"])).is_err());
-        assert!(extract_search(&v(&["flow", "--budget", "8"])).is_err());
-        assert!(extract_search(&v(&["flow", "--seed", "7"])).is_err());
-        assert!(extract_search(&v(&["flow", "--search", "exhaustive", "--budget", "8"])).is_err());
-        assert!(extract_search(&v(&[
-            "flow",
-            "--search",
-            "successive-halving",
-            "--budget",
-            "0"
-        ]))
-        .is_err());
-        assert!(extract_search(&v(&[
-            "flow",
-            "--search",
-            "successive-halving",
-            "--budget",
-            "many"
-        ]))
-        .is_err());
     }
 
     #[test]

@@ -8,13 +8,12 @@ mod serve;
 mod summary;
 
 use args::{
-    extract_cache_dir, extract_degrade, extract_metrics_json, extract_search, extract_threads,
-    extract_trace_out, parse_args, CliSearch, Command, USAGE,
+    extract_cache_dir, extract_degrade, extract_metrics_json, extract_threads, extract_trace_out,
+    parse_args, Command, USAGE,
 };
 use claire_core::{
     paper_table3_subsets, ChipletLibrary, Claire, ClaireError, ClaireOptions, Degradation, Engine,
-    RobustnessPolicy, RunConfig, SearchPolicy, SubsetStrategy, TelemetryOptions, TrainOutput,
-    WeightScale,
+    RobustnessPolicy, RunConfig, SubsetStrategy, TelemetryOptions, TrainOutput, WeightScale,
 };
 use claire_model::parse::{parse_model, InputShape, ParseOptions};
 use claire_model::{zoo, Model, ModelClass};
@@ -29,22 +28,13 @@ fn main() {
         let (metrics, rest) = extract_metrics_json(&rest)?;
         let (cache_dir, rest) = extract_cache_dir(&rest)?;
         let (threads, rest) = extract_threads(&rest)?;
-        let (search, rest) = extract_search(&rest)?;
-        Ok((
-            parse_args(&rest)?,
-            threads,
-            trace,
-            metrics,
-            cache_dir,
-            search,
-        ))
+        Ok((parse_args(&rest)?, threads, trace, metrics, cache_dir))
     });
     let code = match parsed {
-        Ok((cmd, threads, trace, metrics, cache_dir, search)) => {
+        Ok((cmd, threads, trace, metrics, cache_dir)) => {
             let globals = Globals {
                 threads,
                 degrade,
-                search,
                 cache_dir,
                 telemetry: TelemetryOptions {
                     trace_out: trace.map(PathBuf::from),
@@ -151,21 +141,8 @@ fn warn_train(out: &TrainOutput) {
 struct Globals {
     threads: Option<usize>,
     degrade: bool,
-    search: Option<CliSearch>,
     cache_dir: Option<String>,
     telemetry: TelemetryOptions,
-}
-
-/// Maps the dependency-free CLI search policy onto the core's.
-fn search_policy(search: Option<CliSearch>) -> SearchPolicy {
-    match search {
-        None | Some(CliSearch::Exhaustive) => SearchPolicy::Exhaustive,
-        Some(CliSearch::SuccessiveHalving { seed, budget }) => SearchPolicy::SuccessiveHalving {
-            seed,
-            eta: 2,
-            budget,
-        },
-    }
 }
 
 fn options(
@@ -195,7 +172,6 @@ fn options(
     if g.degrade {
         opts.policy = RobustnessPolicy::Degrade;
     }
-    opts.search = search_policy(g.search);
     opts.telemetry = g.telemetry.clone();
     opts.cache_dir = g.cache_dir.as_ref().map(PathBuf::from);
     Ok(opts)
@@ -562,7 +538,6 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             if g.degrade {
                 opts.policy = RobustnessPolicy::Degrade;
             }
-            opts.search = search_policy(g.search);
             opts.telemetry = g.telemetry.clone();
             let claire = Claire::new(opts);
             let custom = match claire.custom_for(&m) {

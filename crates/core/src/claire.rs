@@ -6,7 +6,7 @@ use crate::assign::{partition_training, partition_training_merged, scaled_vector
 use crate::chiplet::cluster_into_chiplets_with_engine;
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
-    custom_config_searched, set_config_with_engine, with_relaxation_observed, Degradation,
+    custom_config_with_engine, set_config_with_engine, with_relaxation_observed, Degradation,
     DseObjective, RobustnessPolicy,
 };
 use crate::error::ClaireError;
@@ -16,7 +16,6 @@ use crate::parallel::Engine;
 use crate::plan::flat::{
     build_eval_table, custom_from_row, set_config_from_table, EvalTable, ModelRow,
 };
-use crate::search::SearchPolicy;
 use crate::telemetry::TelemetryOptions;
 use claire_cost::NreModel;
 use claire_model::{ActivationKind, Model, OpClass};
@@ -81,14 +80,6 @@ pub struct ClaireOptions {
     /// trace path is set, so runs without exports stay on the
     /// counters-only fast path.
     pub telemetry: TelemetryOptions,
-    /// How the per-model custom sweeps walk the DSE space (default:
-    /// exhaustive — the oracle). Under a sampled policy
-    /// ([`SearchPolicy::SuccessiveHalving`]) the flat plan runs the
-    /// search's halving rungs on each model's row and leaves demoted
-    /// points unpriced, so planned selections replay the sampled
-    /// search exactly. Set sweeps (generic and library stages) never
-    /// sample.
-    pub search: SearchPolicy,
     /// Directory for the persistent warm-state snapshot (`None`
     /// disables persistence). When set, drivers load the snapshot
     /// into a fresh engine before the flow
@@ -112,7 +103,6 @@ impl Default for ClaireOptions {
             provision_tanh_in_generic: true,
             policy: RobustnessPolicy::default(),
             telemetry: TelemetryOptions::default(),
-            search: SearchPolicy::default(),
             cache_dir: None,
         }
     }
@@ -402,7 +392,7 @@ impl Claire {
     /// rung 0 selects from the flat plan's `row` when one is given
     /// (bit-identical to the search — same feasibility filter, same
     /// shared selection tail, same evaluations); every other rung runs
-    /// the configured search, memo-warm from the plan (a relaxed
+    /// the search, memo-warm from the plan (a relaxed
     /// rung's widened screens can need points outside the row).
     pub(crate) fn custom_relaxed(
         &self,
@@ -419,12 +409,11 @@ impl Claire {
             |cons| {
                 let (mut cfg, _) = match row.take() {
                     Some(row) => custom_from_row(model, row, cons, DseObjective::MinArea),
-                    None => custom_config_searched(
+                    None => custom_config_with_engine(
                         model,
                         &self.opts.space,
                         cons,
                         DseObjective::MinArea,
-                        self.opts.search,
                         engine,
                     ),
                 }?;
@@ -448,13 +437,12 @@ impl Claire {
     }
 
     /// The flat execution plan for `models` under the configured
-    /// space, constraints and search policy.
+    /// space and constraints.
     fn plan(&self, models: &[Model], engine: &Engine) -> EvalTable {
         build_eval_table(
             models,
             &self.opts.space,
             &self.opts.constraints,
-            self.opts.search,
             engine,
             &[],
         )
@@ -543,8 +531,7 @@ impl Claire {
     /// as one item set and fed through a single parallel map, and the
     /// per-model/per-subset selections replay from the resulting
     /// table (see [`crate::plan::flat`]). This is the only execution
-    /// path — armed fault plans and sampled search policies run on it
-    /// too.
+    /// path — armed fault plans run on it too.
     ///
     /// # Errors
     ///
@@ -769,7 +756,7 @@ impl Claire {
     /// `(test-model, hw-point)` evaluation runs through one
     /// load-balanced parallel map before the per-model selections,
     /// clustering and assignment replay from the table — under any
-    /// fault plan or search policy.
+    /// fault plan.
     ///
     /// # Errors
     ///

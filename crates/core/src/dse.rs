@@ -9,7 +9,7 @@ use crate::config::{Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
-use crate::search::{search_with_engine, SearchPolicy};
+pub use crate::search::sweep_with_engine;
 use crate::telemetry::{ArgValue, Metric, Telemetry};
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams};
@@ -41,8 +41,7 @@ pub enum DseObjective {
 }
 
 impl DseObjective {
-    /// Every objective, in declaration order — the axes of the
-    /// three-objective Pareto front ([`crate::search::ParetoFront`]).
+    /// Every objective, in declaration order.
     pub const ALL: [DseObjective; 3] = [
         DseObjective::MinArea,
         DseObjective::MinLatency,
@@ -269,38 +268,6 @@ pub fn sweep(model: &Model, space: &DseSpace, constraints: &Constraints) -> Vec<
     sweep_with_engine(model, space, constraints, &Engine::serial())
 }
 
-/// [`sweep`] on an explicit [`Engine`]: the exhaustive-policy
-/// three-stage search ([`crate::search::search_with_engine`]),
-/// returning the exactly priced survivors in space iteration order,
-/// identical selections to the serial exhaustive sweep at any thread
-/// count.
-///
-/// **Stage A** screens the points' monolithic area in closed form
-/// ([`crate::config::monolithic_area_mm2`], read from the shell
-/// pricer's per-class tables) — no per-layer work — and (when
-/// [`Engine::pruning_enabled`]) drops points already over
-/// `chiplet_area_limit_mm2`; this screen is bit-exact against the
-/// evaluated `area_mm2`, so it only removes points the feasibility
-/// check would reject. **Stage A′** additionally drops points whose
-/// compute-only latency lower bound already exceeds the
-/// latency-slack window around an exactly priced pivot (see the
-/// [`crate::search`] soundness argument) — such points can never be
-/// selected under any objective, though they may be *feasible*, so
-/// the returned list can be a strict subset of the unscreened
-/// feasible set. **Stage B** runs the full timing/energy evaluation
-/// on the survivors only. Every downstream selection
-/// ([`custom_config_with_engine`], [`set_config_with_engine`], the
-/// flat-plan replay) is bit-identical to the exhaustive oracle
-/// (`engine.with_pruning(false)`).
-pub fn sweep_with_engine(
-    model: &Model,
-    space: &DseSpace,
-    constraints: &Constraints,
-    engine: &Engine,
-) -> Vec<DsePoint> {
-    search_with_engine(model, space, constraints, SearchPolicy::Exhaustive, engine).points
-}
-
 /// Algorithm 1, lines 1–8: the custom design configuration `C_i` for
 /// one algorithm — the lowest-area configuration whose latency stays
 /// within `1 + latency_slack` of the best latency any feasible
@@ -332,50 +299,23 @@ pub fn custom_config_with(
     custom_config_with_engine(model, space, constraints, objective, &Engine::serial())
 }
 
-/// [`custom_config_with`] on an explicit [`Engine`] (parallel sweep,
-/// memoized layer costs, thread-count-independent selection).
+/// [`custom_config_with`] on an explicit [`Engine`] over any
+/// [`DesignSpace`]: one [`sweep_with_engine`] prices the survivor list
+/// and selection folds it directly (`select_custom_config`), with the
+/// same result at any thread count.
 ///
 /// # Errors
 ///
 /// Same as [`custom_config`].
 pub fn custom_config_with_engine(
     model: &Model,
-    space: &DseSpace,
-    constraints: &Constraints,
-    objective: DseObjective,
-    engine: &Engine,
-) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    custom_config_searched(
-        model,
-        space,
-        constraints,
-        objective,
-        SearchPolicy::Exhaustive,
-        engine,
-    )
-}
-
-/// [`custom_config_with_engine`] over any [`DesignSpace`] and
-/// [`SearchPolicy`]: one search prices the survivor list, and
-/// selection folds it directly (`select_custom_config`) — no Pareto
-/// front is built. Under [`SearchPolicy::Exhaustive`] the result is
-/// bit-identical to the classic sweep-then-select path; sampled
-/// policies trade that oracle guarantee for a reproducible (seeded)
-/// trajectory over spaces exhaustive pricing can't touch.
-///
-/// # Errors
-///
-/// Same as [`custom_config`].
-pub fn custom_config_searched(
-    model: &Model,
     space: &dyn DesignSpace,
     constraints: &Constraints,
     objective: DseObjective,
-    policy: SearchPolicy,
     engine: &Engine,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    let outcome = search_with_engine(model, space, constraints, policy, engine);
-    select_custom_config(model, outcome.points, constraints, objective)
+    let points = sweep_with_engine(model, space, constraints, engine);
+    select_custom_config(model, points, constraints, objective)
 }
 
 /// The selection tail of [`custom_config_with_engine`]: runs
@@ -411,8 +351,7 @@ pub(crate) fn select_custom_config(
 /// does), then the objective minimum under `total_cmp` (which orders
 /// exactly like `partial_cmp` here because every surviving report
 /// passed the evaluator's finiteness gate), first tie wins. `None`
-/// when `points` is empty. [`crate::search::ParetoFront::select`] runs
-/// the same fold over the front's entries.
+/// when `points` is empty.
 pub(crate) fn select_point<'p>(
     points: &'p [DsePoint],
     constraints: &Constraints,

@@ -81,7 +81,7 @@ pub use plan::{plan_portfolio, PortfolioPlan, Product};
 pub use resident::{
     CustomRequest, LifecycleEvent, LifecycleStage, ResidentEngine, ServeObserver, WhatIfReport,
 };
-pub use search::{search_with_engine, ParetoFront, SearchOutcome, SearchPolicy};
+pub use search::{search_with_engine, SearchPolicy};
 pub use snapshot::SNAPSHOT_VERSION;
 pub use telemetry::{
     EventRing, QuantileDigest, QuantileSummary, RateSnapshot, RateWindows, Telemetry,

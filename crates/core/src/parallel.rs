@@ -196,8 +196,6 @@ pub struct EngineStats {
     pub lb_entries: usize,
     /// DSE points skipped by the latency lower-bound screen.
     pub dse_lb_pruned: u64,
-    /// Successive-halving rungs executed by sampled searches.
-    pub search_rungs: u64,
     /// Accumulated wall time per pipeline stage, in first-recorded
     /// order.
     pub stages: Vec<(String, Duration)>,
@@ -308,13 +306,12 @@ impl std::fmt::Display for EngineStats {
         writeln!(
             f,
             "  dse screens: {} area-pruned / {} lb-pruned / {} evaluated \
-             ({:.1} % area, {:.1} % lb); {} search rungs",
+             ({:.1} % area, {:.1} % lb)",
             self.dse_pruned,
             self.dse_lb_pruned,
             self.dse_evaluated,
             100.0 * self.pruned_fraction(),
-            100.0 * self.lb_pruned_fraction(),
-            self.search_rungs
+            100.0 * self.lb_pruned_fraction()
         )?;
         writeln!(
             f,
@@ -642,7 +639,6 @@ impl Engine {
             plan_items: t.counter(Metric::PlanItems),
             lb_entries: 0,
             dse_lb_pruned: t.counter(Metric::DseLbPruned),
-            search_rungs: t.counter(Metric::SearchRungs),
             stages: t.stage_aggregates(),
         }
     }
@@ -935,11 +931,6 @@ impl Engine {
     /// screen.
     pub(crate) fn note_dse_lb_pruned(&self, n: u64) {
         self.telemetry.count_by(Metric::DseLbPruned, n);
-    }
-
-    /// Records one executed successive-halving rung.
-    pub(crate) fn note_search_rung(&self) {
-        self.telemetry.count(Metric::SearchRungs);
     }
 
     /// Whole-model **compute-cycle lower bound**: the total compute

@@ -11,12 +11,10 @@
 //! The per-model and per-subset *selections* then replay serially
 //! from the resulting [`EvalTable`]. A row applies exactly the
 //! screens of the single-subject search
-//! ([`crate::search::search_with_engine`]) and, under a sampled
-//! [`SearchPolicy`], its successive-halving rungs
-//! (`search::halving_rungs`); replay calls the same selection
-//! code (`dse::select_custom_config`, `dse::screen_set_points`,
-//! `dse::select_set_hw`) on the same point lists in the same space
-//! order. Each model prices through one [`ShellPricer`] for its shell,
+//! ([`crate::search::sweep_with_engine`]); replay calls the same
+//! selection code (`dse::select_custom_config`,
+//! `dse::screen_set_points`, `dse::select_set_hw`) on the same point
+//! lists in the same space order. Each model prices through one [`ShellPricer`] for its shell,
 //! built before the maps and resolved on first use, so a row the area
 //! screen empties touches no memo tier. Every table entry is the
 //! pricer call the search would make — bit-identical to
@@ -33,7 +31,7 @@ use crate::dse::{
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
-use crate::search::{halving_rungs, SearchPolicy};
+use crate::search::area_screen;
 use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams, SpaceAxes};
@@ -45,8 +43,8 @@ use std::sync::Arc;
 /// points in space order, each with its monolithic-shell evaluation
 /// (`None` when the evaluation surfaced an error — the points the
 /// search drops) unless the point is *unpriced*: dropped before
-/// pricing by the latency lower-bound screen or by a sampled policy's
-/// halving rungs, exactly the points the search never prices.
+/// pricing by the latency lower-bound screen, exactly the points the
+/// search never prices.
 #[derive(Debug, Clone)]
 pub struct ModelRow {
     /// The model's area-screened `(space index, point)` pairs, in
@@ -56,22 +54,21 @@ pub struct ModelRow {
     /// `None` for failed evaluations *and* for unpriced points —
     /// `unpriced` tells them apart.
     pub reports: Vec<Option<PpaReport>>,
-    /// Parallel to `points`: `true` when the lower-bound screen or a
-    /// halving rung dropped the point, so the plan never priced it. A
-    /// subset replay that still needs such a point (its member-set
-    /// bound can be looser than this row's pivot bound, and set sweeps
-    /// never sample) prices it lazily through the member's shell
-    /// pricer — see [`set_config_from_table`].
+    /// Parallel to `points`: `true` when the lower-bound screen
+    /// dropped the point, so the plan never priced it. A subset replay
+    /// that still needs such a point (its member-set bound can be
+    /// looser than this row's pivot bound) prices it lazily through the
+    /// member's shell pricer — see [`set_config_from_table`].
     unpriced: Vec<bool>,
 }
 
 impl ModelRow {
     /// The feasible [`DsePoint`]s of this row under `constraints`, in
     /// space order — exactly the search's stage-B survivor list: area
-    /// screen, lower-bound screen, halving rungs, then per-point
-    /// feasibility. Every selection over it is bit-identical to the
-    /// search's (the shared `dse::select_custom_config` tail,
-    /// see the [`crate::search`] soundness argument).
+    /// screen, lower-bound screen, then per-point feasibility. Every
+    /// selection over it is bit-identical to the search's (the shared
+    /// `dse::select_custom_config` tail, see the [`crate::search`]
+    /// soundness argument).
     pub fn feasible_points(&self, constraints: &Constraints) -> Vec<DsePoint> {
         self.points
             .iter()
@@ -113,16 +110,15 @@ pub struct EvalTable {
     pub rows: Vec<ModelRow>,
 }
 
-/// Builds the evaluation table for `models` under `policy`. Each
-/// model's points pass the search's stage A (the closed-form area
-/// screen) and stage A′ (the latency lower-bound screen), with
-/// identical constraints and counters; a sampled policy then runs its
-/// halving rungs on each row's survivors. The union of all remaining
+/// Builds the evaluation table for `models`. Each model's points pass
+/// the search's stage A (its own area screen, `search::area_screen`)
+/// and stage A′ (the latency lower-bound screen), with identical
+/// constraints and counters. The union of all remaining
 /// `(model, hw-point)` items is evaluated through one
 /// [`Engine::par_map`], and the item count lands on the `plan.items`
 /// counter. Every bound and evaluation goes through the model's one
-/// [`ShellPricer`], shared by the lower-bound loop, the pivots, the
-/// rungs and the big map.
+/// [`ShellPricer`], shared by the lower-bound loop, the pivots and the
+/// big map.
 ///
 /// `cancels` is parallel to `models` (an empty slice disables
 /// cancellation). Each evaluation item checks its model's flag when a
@@ -130,15 +126,14 @@ pub struct EvalTable {
 /// unevaluated when the flag is set, so an expired request stops
 /// consuming workers at item granularity. A cancelled model's row is
 /// garbage (its caller must discard it); every *other* model's row is
-/// bit-identical to an uncancelled build, because screens, bounds,
-/// rungs and evaluations are per-model and the shared memo tiers hold
+/// bit-identical to an uncancelled build, because screens, bounds and
+/// evaluations are per-model and the shared memo tiers hold
 /// exact values — skipping a neighbour's items can only *miss* warm
 /// entries, never write wrong ones.
 pub fn build_eval_table(
     models: &[Model],
     space: &DseSpace,
     constraints: &Constraints,
-    policy: SearchPolicy,
     engine: &Engine,
     cancels: &[Arc<AtomicBool>],
 ) -> EvalTable {
@@ -152,37 +147,23 @@ pub fn build_eval_table(
         .map(|(m, shell)| engine.shell_pricer(m, shell, &axes))
         .collect();
 
-    // Stage A per model: the search's sound area screen, read from the
-    // pricer's area tables point by point. The survivor scratch is
-    // hoisted out of the per-model loop — each screen filters into the
-    // same full-capacity buffer and copies once into an exact-sized
-    // row, instead of growth-reallocating a fresh `Vec` per model.
-    let mut rows: Vec<ModelRow> = Vec::with_capacity(models.len());
-    let mut scratch: Vec<(u32, HwParams)> = Vec::with_capacity(space_points.len());
-    for pricer in &pricers {
-        let points: Vec<(u32, HwParams)> = if engine.pruning_enabled() {
-            let mut span = engine.telemetry().span("dse.screen", "dse");
-            scratch.clear();
-            scratch.extend(space_points.iter().copied().filter(|(idx, hw)| {
-                pricer.area_mm2(*idx, hw) <= constraints.chiplet_area_limit_mm2
-            }));
-            engine.note_dse_pruned((space_points.len() - scratch.len()) as u64);
-            span.arg(
-                "pruned",
-                ArgValue::Int((space_points.len() - scratch.len()) as u64),
-            );
-            span.arg("kept", ArgValue::Int(scratch.len() as u64));
-            scratch.as_slice().to_vec()
-        } else {
-            space_points.clone()
-        };
-        let n = points.len();
-        rows.push(ModelRow {
-            points,
-            reports: Vec::new(),
-            unpriced: vec![false; n],
-        });
-    }
+    // Stage A per model: the search's own area screen.
+    let mut rows: Vec<ModelRow> = pricers
+        .iter()
+        .map(|pricer| {
+            let points = if engine.pruning_enabled() {
+                area_screen(engine, &axes, pricer, constraints.chiplet_area_limit_mm2)
+            } else {
+                space_points.clone()
+            };
+            let n = points.len();
+            ModelRow {
+                points,
+                reports: Vec::new(),
+                unpriced: vec![false; n],
+            }
+        })
+        .collect();
 
     // Stage A′ per model: the search's latency lower-bound screen (see
     // [`crate::search`]). All models' lower bounds run in one plain
@@ -272,33 +253,6 @@ pub fn build_eval_table(
         span.arg("pruned", ArgValue::Int(total_pruned));
     }
 
-    // A sampled policy's halving rungs, on each row's screen survivors
-    // in space order: the search's exact trajectory, demoting every
-    // point a rung drops to unpriced. One map over models; each
-    // model's rungs run serially inside the worker that claims it.
-    if policy.is_sampled() {
-        let promoted: Vec<Vec<(u32, HwParams)>> = engine.par_map(&rows, |mi, row| {
-            let mut candidates: Vec<(u32, HwParams)> = row
-                .points
-                .iter()
-                .zip(&row.unpriced)
-                .filter(|&(_, &unpriced)| !unpriced)
-                .map(|(&p, _)| p)
-                .collect();
-            if !cancelled(mi) {
-                halving_rungs(&mut candidates, policy, engine, &pricers[mi]);
-            }
-            candidates
-        });
-        for (row, promoted) in rows.iter_mut().zip(promoted) {
-            row.unpriced.fill(true);
-            for (idx, _) in promoted {
-                if let Some(pi) = row.position(idx) {
-                    row.unpriced[pi] = false;
-                }
-            }
-        }
-    }
     if engine.pruning_enabled() {
         let evaluated: u64 = rows
             .iter()
@@ -354,7 +308,7 @@ pub fn build_eval_table(
     }
 }
 
-/// The flat-plan replay of [`crate::dse::custom_config_searched`]:
+/// The flat-plan replay of [`crate::dse::custom_config_with_engine`]:
 /// filters the model's row to its feasible points (the search's exact
 /// stage-B survivor list) and runs the shared selection tail.
 ///
@@ -383,8 +337,8 @@ pub fn custom_from_row(
 /// the shared selection fold.
 ///
 /// A surviving point may be unpriced in a *member's* row (the
-/// member's pivot bound can be tighter than its custom-latency bound,
-/// and set sweeps never sample); such points are priced lazily here
+/// member's pivot bound can be tighter than its custom-latency bound);
+/// such points are priced lazily here
 /// through the member's [`ShellPricer`] — the identical call the set
 /// sweep makes, so the fold's inputs are unchanged. The pricers are
 /// built once per replay and resolve on first use, so a member whose

@@ -506,7 +506,6 @@ impl ResidentEngine {
                     &models,
                     &opts.space,
                     &opts.constraints,
-                    opts.search,
                     &self.engine,
                     &cancels,
                 )

@@ -151,8 +151,6 @@ pub enum Metric {
     LbMiss,
     /// DSE points screened out by the latency lower-bound stage.
     DseLbPruned,
-    /// Successive-halving rungs executed by sampled searches.
-    SearchRungs,
     /// Serve requests shed because the admission queue was full.
     ServeShed,
     /// Serve requests answered `DeadlineExceeded` (at dispatch or by
@@ -182,7 +180,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of counter instruments.
-    pub const COUNT: usize = 51;
+    pub const COUNT: usize = 50;
 
     /// Every counter, in index order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -225,7 +223,6 @@ impl Metric {
         Metric::LbHit,
         Metric::LbMiss,
         Metric::DseLbPruned,
-        Metric::SearchRungs,
         Metric::ServeShed,
         Metric::ServeDeadlineExpired,
         Metric::ServeCheckpoints,
@@ -281,7 +278,6 @@ impl Metric {
             Metric::LbHit => "memo.lb.hit",
             Metric::LbMiss => "memo.lb.miss",
             Metric::DseLbPruned => "dse.lb_pruned",
-            Metric::SearchRungs => "dse.search.rungs",
             Metric::ServeShed => "serve.shed",
             Metric::ServeDeadlineExpired => "serve.deadline_expired",
             Metric::ServeCheckpoints => "serve.checkpoints",

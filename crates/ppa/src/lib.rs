@@ -48,7 +48,7 @@ pub mod thermal;
 pub use analytical::{config_area_mm2, layer_cost, layer_cycles, unit_area_mm2, LayerCost};
 pub use batch::{BatchSum, LayerBatch};
 pub use memory::{layer_weight_bytes, MemoryModel};
-pub use params::{DseSpace, DseSpaceError, HwParams, HwParamsError, MAX_THREADS};
+pub use params::{DseSpace, DseSpaceError, HwParams, HwParamsError, MAX_POINTS, MAX_THREADS};
 pub use scaling::{NodeScaling, TechNode};
 pub use space::{space_points, DesignSpace, GridAxis, GridSpace, SpaceAxes};
 pub use systolic::{Dataflow, SystolicArrayModel};

@@ -114,6 +114,10 @@ impl std::error::Error for HwParamsError {}
 /// the determinism suites exercise.
 pub const MAX_THREADS: usize = 256;
 
+/// The most points a design space may span: a point's space index is a
+/// `u32` (`claire_ppa::space_points`), which numbers 2³² points.
+pub const MAX_POINTS: u64 = 1 << 32;
+
 /// The design-space-exploration sweep: the cartesian product of the
 /// parameter axes. The default is 3 values per axis = 3⁴ = **81
 /// configurations**, matching "The DSE run encompassed 81
@@ -175,9 +179,14 @@ impl DseSpace {
         }
     }
 
-    /// Number of configurations in the sweep.
+    /// Number of configurations in the sweep, saturating at
+    /// `usize::MAX` (a space that large fails [`DseSpace::validate`]).
     pub fn len(&self) -> usize {
-        self.sa_sizes.len() * self.n_sas.len() * self.n_acts.len() * self.n_pools.len()
+        self.sa_sizes
+            .len()
+            .saturating_mul(self.n_sas.len())
+            .saturating_mul(self.n_acts.len())
+            .saturating_mul(self.n_pools.len())
     }
 
     /// True when any axis is empty.
@@ -201,12 +210,13 @@ impl DseSpace {
     }
 
     /// Checks the space describes at least one valid design point —
-    /// every axis non-empty, every value non-zero — and that its
-    /// thread knob, when set, is from 1 to [`MAX_THREADS`].
+    /// every axis non-empty, every value non-zero — and at most
+    /// [`MAX_POINTS`], and that its thread knob, when set, is from 1 to
+    /// [`MAX_THREADS`].
     ///
     /// # Errors
     ///
-    /// [`DseSpaceError`] naming the offending axis.
+    /// [`DseSpaceError`] naming the offending axis or limit.
     pub fn validate(&self) -> Result<(), DseSpaceError> {
         for (axis, values) in [
             ("sa_sizes", &self.sa_sizes),
@@ -220,6 +230,14 @@ impl DseSpace {
             if values.contains(&0) {
                 return Err(DseSpaceError::ZeroValue { axis });
             }
+        }
+        let points = [&self.n_sas, &self.n_acts, &self.n_pools]
+            .iter()
+            .try_fold(self.sa_sizes.len() as u64, |n, axis| {
+                n.checked_mul(axis.len() as u64)
+            });
+        if points.is_none_or(|n| n > MAX_POINTS) {
+            return Err(DseSpaceError::TooManyPoints);
         }
         match self.threads {
             Some(0) => Err(DseSpaceError::ZeroThreads),
@@ -251,6 +269,9 @@ pub enum DseSpaceError {
         /// The requested worker count.
         threads: usize,
     },
+    /// The axes span more than [`MAX_POINTS`] points, more than a
+    /// `u32` space index can number.
+    TooManyPoints,
 }
 
 impl fmt::Display for DseSpaceError {
@@ -268,6 +289,9 @@ impl fmt::Display for DseSpaceError {
                     f,
                     "{threads} threads requested; at most {MAX_THREADS} allowed"
                 )
+            }
+            DseSpaceError::TooManyPoints => {
+                write!(f, "DSE space has more than {MAX_POINTS} points")
             }
         }
     }
@@ -382,6 +406,27 @@ mod tests {
             ..DseSpace::default()
         };
         assert!(one.validate().is_ok());
+    }
+
+    #[test]
+    fn spaces_past_the_u32_index_are_rejected() {
+        let axes = |per_axis: u32| DseSpace {
+            sa_sizes: (1..=per_axis).collect(),
+            n_sas: (1..=per_axis).collect(),
+            n_acts: (1..=per_axis).collect(),
+            n_pools: (1..=per_axis).collect(),
+            threads: None,
+        };
+        // 256⁴ = 2³² points: every index fits a u32.
+        assert!(axes(256).validate().is_ok());
+        // 257⁴ = 4,362,470,401 points and 65,536⁴ = 2⁶⁴ points (past
+        // u64 too): rejected before any index is formed.
+        for per_axis in [257, 65_536] {
+            let err = axes(per_axis).validate().unwrap_err();
+            assert_eq!(err, DseSpaceError::TooManyPoints, "{per_axis}");
+            assert!(err.to_string().contains("4294967296"), "{err}");
+        }
+        assert_eq!(axes(65_536).len(), usize::MAX);
     }
 
     #[test]

@@ -491,97 +491,6 @@ proptest! {
             (stats.dse_pruned, stats.dse_lb_pruned, stats.dse_evaluated)
         );
     }
-
-    /// The three-objective Pareto front of a feasible sweep contains
-    /// the windowed argmin of **every** objective, and selection from
-    /// the front reproduces the sweep's winner bit-identically — one
-    /// sweep answers all objective queries.
-    #[test]
-    fn pareto_front_reproduces_every_objective_winner(
-        s in steps(),
-        space in random_space(),
-        cons in random_constraints(),
-    ) {
-        use claire::core::dse::{sweep_with_engine, DseObjective};
-        use claire::core::{Engine, ParetoFront};
-        let model = materialize(&s);
-        let points =
-            sweep_with_engine(&model, &space, &cons, &Engine::serial().with_pruning(false));
-        let front = ParetoFront::from_points(&points);
-        prop_assert!(front.len() <= points.len());
-        let best_latency = points
-            .iter()
-            .map(|p| p.report.latency_s)
-            .fold(f64::INFINITY, f64::min);
-        for objective in [
-            DseObjective::MinArea,
-            DseObjective::MinLatency,
-            DseObjective::MinEnergyDelayProduct,
-        ] {
-            // The historical full-list fold: window, then first-tie
-            // argmin.
-            let limit = best_latency * (1.0 + cons.latency_slack);
-            let reference = points
-                .iter()
-                .filter(|p| p.report.latency_s <= limit)
-                .min_by(|a, b| {
-                    objective
-                        .score(&a.report)
-                        .total_cmp(&objective.score(&b.report))
-                });
-            let got = front.select(&cons, objective);
-            prop_assert_eq!(
-                format!("{got:?}"),
-                format!("{reference:?}"),
-                "objective {:?} diverged on the front",
-                objective
-            );
-        }
-    }
-
-    /// Successive halving with `budget ≥ |space|` never samples: its
-    /// exactly priced point set, front, and selections are
-    /// bit-identical to the exhaustive policy on random small spaces.
-    #[test]
-    fn full_budget_successive_halving_degenerates_to_exhaustive(
-        s in steps(),
-        space in random_space(),
-        cons in random_constraints(),
-        seed in 0u64..u64::MAX,
-    ) {
-        use claire::core::dse::DseObjective;
-        use claire::core::{search_with_engine, Engine, SearchPolicy};
-        let model = materialize(&s);
-        let policy = SearchPolicy::SuccessiveHalving {
-            seed,
-            eta: 2,
-            budget: space.len(),
-        };
-        let sh = search_with_engine(&model, &space, &cons, policy, &Engine::serial());
-        let ex = search_with_engine(
-            &model,
-            &space,
-            &cons,
-            SearchPolicy::Exhaustive,
-            &Engine::serial(),
-        );
-        prop_assert!(!sh.sampled);
-        prop_assert_eq!(format!("{:?}", sh.points), format!("{:?}", ex.points));
-        prop_assert_eq!(
-            format!("{:?}", sh.front().entries()),
-            format!("{:?}", ex.front().entries())
-        );
-        for objective in [
-            DseObjective::MinArea,
-            DseObjective::MinLatency,
-            DseObjective::MinEnergyDelayProduct,
-        ] {
-            prop_assert_eq!(
-                format!("{:?}", sh.front().select(&cons, objective)),
-                format!("{:?}", ex.front().select(&cons, objective))
-            );
-        }
-    }
 }
 
 // ---------- grid pricing tables vs the per-point evaluator ----------
@@ -631,7 +540,8 @@ proptest! {
         cons in random_constraints(),
         pick in 0usize..256,
     ) {
-        use claire::core::{monolithic_area_mm2, search_with_engine, Engine, SearchPolicy};
+        use claire::core::dse::sweep_with_engine;
+        use claire::core::{monolithic_area_mm2, Engine};
         use claire::ppa::DesignSpace;
         let axes = space.axes();
         let points: Vec<(u32, HwParams)> = claire::ppa::space_points(&space).collect();
@@ -686,13 +596,11 @@ proptest! {
                 }
             }
             let searched = Engine::serial();
-            let outcome =
-                search_with_engine(model, &space, &cons, SearchPolicy::Exhaustive, &searched);
-            let reference =
-                search_with_engine(model, &space, &cons, SearchPolicy::Exhaustive, &oracle);
+            let outcome = sweep_with_engine(model, &space, &cons, &searched);
+            let reference = sweep_with_engine(model, &space, &cons, &oracle);
             prop_assert_eq!(
-                format!("{:?}", outcome.points),
-                format!("{:?}", reference.points),
+                format!("{outcome:?}"),
+                format!("{reference:?}"),
                 "{}", model.name()
             );
             let (a, b) = (searched.stats(), oracle.stats());

@@ -5,10 +5,8 @@
 //! rejected with a typed error that degrades to a cold start —
 //! never a panic, never a poisoned engine.
 
-use claire::core::{
-    search_with_engine, Claire, ClaireError, ClaireOptions, Constraints, Engine, SearchPolicy,
-    SNAPSHOT_VERSION,
-};
+use claire::core::dse::sweep_with_engine;
+use claire::core::{Claire, ClaireError, ClaireOptions, Constraints, Engine, SNAPSHOT_VERSION};
 use claire::model::zoo;
 use claire::ppa::DseSpace;
 use proptest::prelude::*;
@@ -99,14 +97,8 @@ fn area_screening_leaves_no_warm_state() {
     };
     let engine = Engine::new(2);
     let signature = engine.tier_signature();
-    let out = search_with_engine(
-        &zoo::alexnet(),
-        &space,
-        &cons,
-        SearchPolicy::Exhaustive,
-        &engine,
-    );
-    assert!(out.points.is_empty());
+    let out = sweep_with_engine(&zoo::alexnet(), &space, &cons, &engine);
+    assert!(out.is_empty());
     assert_eq!(
         engine.stats().dse_pruned,
         4096,
@@ -138,13 +130,7 @@ fn search_state_is_independent_of_points_priced() {
             .iter()
             .map(|space| {
                 let engine = Engine::new(2);
-                search_with_engine(
-                    &model,
-                    space,
-                    &Constraints::default(),
-                    SearchPolicy::Exhaustive,
-                    &engine,
-                );
+                sweep_with_engine(&model, space, &Constraints::default(), &engine);
                 (
                     engine.snapshot_bytes().expect("encode"),
                     engine.tier_signature(),
@@ -170,14 +156,13 @@ fn search_state_is_independent_of_points_priced() {
         chiplet_area_limit_mm2: 0.5,
         ..Constraints::default()
     };
-    let out = search_with_engine(
+    let out = sweep_with_engine(
         &zoo::resnet18(),
         &DseSpace::default(),
         &nothing_fits,
-        SearchPolicy::Exhaustive,
         &engine,
     );
-    assert!(out.points.is_empty());
+    assert!(out.is_empty());
     assert_eq!(
         engine.tier_signature(),
         Engine::new(2).tier_signature(),
