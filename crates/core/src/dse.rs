@@ -9,10 +9,11 @@ use crate::config::{Constraints, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
+use crate::search::sweep_blocks;
 pub use crate::search::sweep_with_engine;
 use crate::telemetry::{ArgValue, Metric, Telemetry};
 use claire_model::{Model, OpClass};
-use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams};
+use claire_ppa::{space_points, DesignSpace, DseSpace, DseSpaceError, HwParams, MAX_POINTS};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One evaluated DSE point.
@@ -300,13 +301,16 @@ pub fn custom_config_with(
 }
 
 /// [`custom_config_with`] on an explicit [`Engine`] over any
-/// [`DesignSpace`]: one [`sweep_with_engine`] prices the survivor list
-/// and selection folds it directly (`select_custom_config`), with the
-/// same result at any thread count.
+/// [`DesignSpace`]: the search prices the survivor list block by block
+/// ([`crate::search`], stage B) and the selection folds over the blocks
+/// in order (`select_custom_config`), without concatenating them, with
+/// the same result at any thread count.
 ///
 /// # Errors
 ///
-/// Same as [`custom_config`].
+/// [`ClaireError::InvalidInput`] when `space` spans more than
+/// [`MAX_POINTS`] slots (checked before anything is priced); otherwise
+/// the same as [`custom_config`].
 pub fn custom_config_with_engine(
     model: &Model,
     space: &dyn DesignSpace,
@@ -314,65 +318,67 @@ pub fn custom_config_with_engine(
     objective: DseObjective,
     engine: &Engine,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    let points = sweep_with_engine(model, space, constraints, engine);
+    if space.size() as u64 > MAX_POINTS {
+        return Err(ClaireError::InvalidInput {
+            what: DseSpaceError::TooManyPoints.to_string(),
+        });
+    }
+    let blocks = sweep_blocks(model, space, constraints, engine);
+    let points = blocks.iter().flatten().map(|p| (p.hw, &p.report));
     select_custom_config(model, points, constraints, objective)
 }
 
 /// The selection tail of [`custom_config_with_engine`]: runs
 /// [`select_point`] over the feasible points (space order) and names
 /// the winner's monolithic configuration. Shared with the flat-plan
-/// replay ([`crate::plan::flat`]), which feeds it the feasible point
-/// list from the pre-computed evaluation table — one fold, one order,
-/// one set of comparisons, so both flows select the same point bit
-/// for bit.
+/// replay ([`crate::plan::flat`]), which feeds it the feasible points
+/// of its pre-computed evaluation-table row — one fold, one order, one
+/// set of comparisons, so both flows select the same point bit for
+/// bit.
 ///
 /// # Errors
 ///
 /// Same as [`custom_config`].
-pub(crate) fn select_custom_config(
+pub(crate) fn select_custom_config<'p>(
     model: &Model,
-    points: Vec<DsePoint>,
+    points: impl Iterator<Item = (HwParams, &'p PpaReport)> + Clone,
     constraints: &Constraints,
     objective: DseObjective,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    let chosen = select_point(&points, constraints, objective).ok_or_else(|| {
+    let (hw, report) = select_point(points, constraints, objective).ok_or_else(|| {
         ClaireError::NoFeasibleConfiguration {
             subject: model.name().to_owned(),
         }
     })?;
-    let mut cfg = monolithic_for(model, chosen.hw);
+    let mut cfg = monolithic_for(model, hw);
     cfg.name = format!("C_{}", model.name());
-    Ok((cfg, chosen.report))
+    Ok((cfg, *report))
 }
 
-/// The custom-configuration selection fold over `points` (space
-/// order): best-latency fold, latency-slack window (an infinite slack
-/// — degradation ladder — admits every point, which `best * inf = inf`
-/// does), then the objective minimum under `total_cmp` (which orders
-/// exactly like `partial_cmp` here because every surviving report
-/// passed the evaluator's finiteness gate), first tie wins. `None`
-/// when `points` is empty.
+/// The custom-configuration selection fold over the feasible points,
+/// borrowed in space order (it walks them twice): best-latency fold,
+/// latency-slack window (an infinite slack — degradation ladder —
+/// admits every point, which `best * inf = inf` does), then the
+/// objective minimum under `total_cmp` (which orders exactly like
+/// `partial_cmp` here because every surviving report passed the
+/// evaluator's finiteness gate), first tie wins. `None` when there are
+/// no points.
 pub(crate) fn select_point<'p>(
-    points: &'p [DsePoint],
+    points: impl Iterator<Item = (HwParams, &'p PpaReport)> + Clone,
     constraints: &Constraints,
     objective: DseObjective,
-) -> Option<&'p DsePoint> {
+) -> Option<(HwParams, &'p PpaReport)> {
     let best_latency = points
-        .iter()
-        .map(|p| p.report.latency_s)
+        .clone()
+        .map(|(_, r)| r.latency_s)
         .fold(f64::INFINITY, f64::min);
     if !best_latency.is_finite() {
         return None;
     }
     let limit = best_latency * (1.0 + constraints.latency_slack);
     points
-        .iter()
-        .filter(|p| p.report.latency_s <= limit)
-        .min_by(|a, b| {
-            objective
-                .score(&a.report)
-                .total_cmp(&objective.score(&b.report))
-        })
+        .filter(|(_, r)| r.latency_s <= limit)
+        .min_by(|(_, a), (_, b)| objective.score(a).total_cmp(&objective.score(b)))
 }
 
 /// Algorithm 1, lines 9–13 (and 15–17 with a subset): the shared
@@ -725,8 +731,11 @@ mod tests {
             }
         }
         for objective in DseObjective::ALL {
-            let a = select_custom_config(&m, staged.clone(), &cons, objective).unwrap();
-            let b = select_custom_config(&m, exhaustive.clone(), &cons, objective).unwrap();
+            let select = |points: &[DsePoint]| {
+                let points = points.iter().map(|p| (p.hw, &p.report));
+                select_custom_config(&m, points, &cons, objective).unwrap()
+            };
+            let (a, b) = (select(&staged), select(&exhaustive));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{objective:?}");
         }
         let stats = staged_engine.stats();
@@ -786,6 +795,39 @@ mod tests {
         };
         let err = custom_config(&zoo::alexnet(), &space, &cons).unwrap_err();
         assert!(matches!(err, ClaireError::NoFeasibleConfiguration { .. }));
+    }
+
+    #[test]
+    fn spaces_past_the_u32_index_are_rejected_before_pricing() {
+        use claire_ppa::{GridAxis, GridSpace};
+        // 257⁴ slots overflow the u32 space index; 65,536⁴ overflows
+        // `usize` and saturates.
+        for per_axis in [257, 65_536] {
+            let axis = GridAxis::new(1, 1, per_axis);
+            let grid = GridSpace {
+                sa_size: axis,
+                n_sa: axis,
+                n_act: axis,
+                n_pool: axis,
+            };
+            let engine = Engine::serial();
+            let err = custom_config_with_engine(
+                &zoo::alexnet(),
+                &grid,
+                &Constraints::default(),
+                DseObjective::MinArea,
+                &engine,
+            )
+            .unwrap_err();
+            assert!(matches!(err, ClaireError::InvalidInput { .. }), "{err:?}");
+            assert!(err.to_string().contains("4294967296"), "{err}");
+            let stats = engine.stats();
+            assert_eq!(
+                (stats.dse_pruned, stats.dse_lb_pruned, stats.dse_evaluated),
+                (0, 0, 0),
+                "nothing screened or priced"
+            );
+        }
     }
 
     #[test]

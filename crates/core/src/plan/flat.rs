@@ -26,7 +26,7 @@
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
     member_total, monolithic_for, screen_set_points, select_custom_config, select_set_hw,
-    DseObjective, DsePoint, SHELL_HW,
+    DseObjective, SHELL_HW,
 };
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
@@ -63,26 +63,6 @@ pub struct ModelRow {
 }
 
 impl ModelRow {
-    /// The feasible [`DsePoint`]s of this row under `constraints`, in
-    /// space order — exactly the search's stage-B survivor list: area
-    /// screen, lower-bound screen, then per-point feasibility. Every
-    /// selection over it is bit-identical to the search's (the shared
-    /// `dse::select_custom_config` tail, see the [`crate::search`]
-    /// soundness argument).
-    pub fn feasible_points(&self, constraints: &Constraints) -> Vec<DsePoint> {
-        self.points
-            .iter()
-            .zip(&self.reports)
-            .filter_map(|(&(_, hw), r)| {
-                let report = (*r)?;
-                let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
-                    && report.power_density_w_per_mm2()
-                        <= constraints.power_density_limit_w_per_mm2;
-                feasible.then_some(DsePoint { hw, report })
-            })
-            .collect()
-    }
-
     /// The position in `points` of the point at space index `index`,
     /// found by binary search (`points` is in space order). `None`
     /// when the area screen dropped the point; a set sweep visits the
@@ -309,8 +289,10 @@ pub fn build_eval_table(
 }
 
 /// The flat-plan replay of [`crate::dse::custom_config_with_engine`]:
-/// filters the model's row to its feasible points (the search's exact
-/// stage-B survivor list) and runs the shared selection tail.
+/// runs the shared selection tail over the row's feasible points,
+/// borrowed in place in space order — exactly the search's stage-B
+/// survivor list: area screen, lower-bound screen, then per-point
+/// feasibility (see the [`crate::search`] soundness argument).
 ///
 /// # Errors
 ///
@@ -321,12 +303,17 @@ pub fn custom_from_row(
     constraints: &Constraints,
     objective: DseObjective,
 ) -> Result<(DesignConfig, PpaReport), ClaireError> {
-    select_custom_config(
-        model,
-        row.feasible_points(constraints),
-        constraints,
-        objective,
-    )
+    let feasible = row
+        .points
+        .iter()
+        .zip(&row.reports)
+        .filter_map(|(&(_, hw), r)| {
+            let report = r.as_ref()?;
+            let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
+                && report.power_density_w_per_mm2() <= constraints.power_density_limit_w_per_mm2;
+            feasible.then_some((hw, report))
+        });
+    select_custom_config(model, feasible, constraints, objective)
 }
 
 /// The flat-plan replay of [`crate::dse::set_config_with_engine`]:

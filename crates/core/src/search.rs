@@ -33,11 +33,20 @@
 //!   are priced exactly, so selections stay bit-identical to the
 //!   unscreened sweep. An infinite slack (relaxation-ladder rungs)
 //!   or an infeasible pivot widens the bound to ∞ — no pruning.
-//! * **Stage B — exact pricing.** Prices the remaining candidates
-//!   through [`Engine::par_map`] and keeps the feasible points in space
-//!   order, so one sweep answers the selection query of *every*
-//!   [`crate::dse::DseObjective`] without re-pricing: selection folds
-//!   that survivor list directly.
+//! * **Stage B — exact pricing.** Prices the remaining candidates in
+//!   contiguous blocks of [`STAGE_B_BLOCK`], the blocks being
+//!   [`Engine::par_map`]'s items. Each block keeps its feasible points,
+//!   in space order, in one `Vec` sized for the block, so every priced
+//!   point is written once; the blocks in order are the survivor list,
+//!   and one sweep answers the selection query of *every*
+//!   [`crate::dse::DseObjective`] without re-pricing.
+//!   [`crate::dse::custom_config_with_engine`] folds the selection over
+//!   the blocks in place; [`sweep_with_engine`] concatenates them once.
+//!   Why blocks: a fresh process pays a page fault for every page it
+//!   first touches, so every buffer a priced point passes through costs
+//!   faults, and a map over single points would pass each one through
+//!   the map's per-chunk outcomes, their reassembly and its output
+//!   before selection read it.
 //!
 //! Every stage prices through one [`ShellPricer`] for the model's
 //! monolithic shell, built on the space's axes: the area screen reads
@@ -77,11 +86,20 @@ pub fn search_with_engine(
     sweep_with_engine(model, space, constraints, engine)
 }
 
+/// Stage B's block size: the candidates one parallel-map item prices.
+/// Each block's feasible points land in one `Vec` sized for the block,
+/// and a search of at most one block (any search of the 81-point
+/// default space, such as serve's `what_if` and its relaxation rungs)
+/// runs on the calling thread, because a map over one item spawns no
+/// helper.
+pub const STAGE_B_BLOCK: usize = 256;
+
 /// Sweeps `space` for one model, keeping the exactly priced points
 /// that satisfy the area and power-density constraints, in space
 /// iteration order (Algorithm 1 lines 2–6; the latency constraint needs
 /// the custom reference and is applied by the selection). The three
-/// stages and their soundness argument are in the module docs.
+/// stages and their soundness argument are in the module docs; this
+/// concatenates stage B's blocks once, at exact capacity.
 ///
 /// The latency screen may drop *feasible* points that no objective can
 /// select, so the list can be a strict, order-preserving subset of the
@@ -89,12 +107,30 @@ pub fn search_with_engine(
 /// ([`crate::dse::custom_config_with_engine`], the flat-plan replay) is
 /// bit-identical to the unscreened sweep
 /// (`engine.with_pruning(false)`) at any thread count.
+///
+/// A point's space index is a `u32`, so `space` must span at most
+/// [`claire_ppa::MAX_POINTS`] slots, which `validate` on
+/// [`claire_ppa::DseSpace`] and [`claire_ppa::GridSpace`] checks and
+/// [`crate::dse::custom_config_with_engine`] enforces.
 pub fn sweep_with_engine(
     model: &Model,
     space: &dyn DesignSpace,
     constraints: &Constraints,
     engine: &Engine,
 ) -> Vec<DsePoint> {
+    sweep_blocks(model, space, constraints, engine).concat()
+}
+
+/// The three stages of [`sweep_with_engine`], returning stage B's
+/// blocks in space order: each block holds the feasible points of
+/// [`STAGE_B_BLOCK`] consecutive candidates (the last block of fewer),
+/// so the blocks in order are the survivor list.
+pub(crate) fn sweep_blocks(
+    model: &Model,
+    space: &dyn DesignSpace,
+    constraints: &Constraints,
+    engine: &Engine,
+) -> Vec<Vec<DsePoint>> {
     let shell = monolithic_for(model, SHELL_HW);
     let axes = space.axes();
     let pricer = engine.shell_pricer(model, &shell, &axes);
@@ -159,20 +195,21 @@ pub fn sweep_with_engine(
         }
     }
 
-    // Stage B: exact pricing of the remaining candidates; the feasible
-    // ones stay in space order.
+    // Stage B: exact pricing, block by block; each block's feasible
+    // points stay in space order.
     if engine.pruning_enabled() {
         engine.note_dse_evaluated(candidates.len() as u64);
     }
     let mut span = engine.telemetry().span("dse.eval", "dse");
     span.arg("points", ArgValue::Int(candidates.len() as u64));
-    let points: Vec<DsePoint> = engine
-        .par_map(&candidates, |_, &(idx, hw)| evaluate(idx, hw))
-        .into_iter()
-        .flatten()
-        .collect();
+    let blocks: Vec<&[(u32, HwParams)]> = candidates.chunks(STAGE_B_BLOCK).collect();
+    let priced = engine.par_map(&blocks, |_, block| {
+        let mut points = Vec::with_capacity(block.len());
+        points.extend(block.iter().filter_map(|&(idx, hw)| evaluate(idx, hw)));
+        points
+    });
     drop(span);
-    points
+    priced
 }
 
 /// Stage A over the grid `axes`: the `(space index, point)` pairs
@@ -251,8 +288,9 @@ mod tests {
         let cons = Constraints::default();
         let engine = Engine::serial();
         let points = sweep_with_engine(&m, &grid, &cons, &engine);
+        let pairs = points.iter().map(|p| (p.hw, &p.report));
         assert!(
-            select_point(&points, &cons, DseObjective::MinArea).is_some(),
+            select_point(pairs, &cons, DseObjective::MinArea).is_some(),
             "grid must admit feasible points"
         );
         let stats = engine.stats();

@@ -231,14 +231,12 @@ impl DseSpace {
                 return Err(DseSpaceError::ZeroValue { axis });
             }
         }
-        let points = [&self.n_sas, &self.n_acts, &self.n_pools]
-            .iter()
-            .try_fold(self.sa_sizes.len() as u64, |n, axis| {
-                n.checked_mul(axis.len() as u64)
-            });
-        if points.is_none_or(|n| n > MAX_POINTS) {
-            return Err(DseSpaceError::TooManyPoints);
-        }
+        check_point_count([
+            self.sa_sizes.len(),
+            self.n_sas.len(),
+            self.n_acts.len(),
+            self.n_pools.len(),
+        ])?;
         match self.threads {
             Some(0) => Err(DseSpaceError::ZeroThreads),
             Some(threads) if threads > MAX_THREADS => {
@@ -249,7 +247,19 @@ impl DseSpace {
     }
 }
 
-/// Error validating a [`DseSpace`].
+/// Rejects axis lengths whose product, the space's slot count, exceeds
+/// [`MAX_POINTS`] (or `u64`), multiplying with checked arithmetic.
+pub(crate) fn check_point_count(axis_lens: [usize; 4]) -> Result<(), DseSpaceError> {
+    let points = axis_lens
+        .iter()
+        .try_fold(1u64, |n, &len| n.checked_mul(len as u64));
+    if points.is_none_or(|n| n > MAX_POINTS) {
+        return Err(DseSpaceError::TooManyPoints);
+    }
+    Ok(())
+}
+
+/// Error validating a [`DseSpace`] or a [`crate::GridSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DseSpaceError {
     /// An axis has no candidate values, so the sweep is empty.

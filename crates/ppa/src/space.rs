@@ -18,7 +18,7 @@
 //! deterministic tie-break ("first point in space order") means the
 //! same thing for explicit and generative spaces.
 
-use crate::params::{DseSpace, HwParams};
+use crate::params::{check_point_count, DseSpace, DseSpaceError, HwParams};
 use serde::{Deserialize, Serialize};
 
 /// A lazily enumerable hardware design space.
@@ -206,11 +206,44 @@ impl GridSpace {
             n_pool: GridAxis::new(2, 2, 32),
         }
     }
+
+    /// Checks the grid describes at least one valid design point —
+    /// every axis non-empty, every value non-zero — and at most
+    /// [`crate::MAX_POINTS`], as [`DseSpace::validate`] does. An axis
+    /// holds a zero exactly when it starts at zero: its values never
+    /// decrease.
+    ///
+    /// # Errors
+    ///
+    /// [`DseSpaceError`] naming the offending axis or limit.
+    pub fn validate(&self) -> Result<(), DseSpaceError> {
+        let axes = [
+            ("sa_size", self.sa_size),
+            ("n_sa", self.n_sa),
+            ("n_act", self.n_act),
+            ("n_pool", self.n_pool),
+        ];
+        for (axis, values) in axes {
+            if values.is_empty() {
+                return Err(DseSpaceError::EmptyAxis { axis });
+            }
+            if values.start == 0 {
+                return Err(DseSpaceError::ZeroValue { axis });
+            }
+        }
+        check_point_count(axes.map(|(_, values)| values.len()))
+    }
 }
 
 impl DesignSpace for GridSpace {
+    /// The axis counts' product, saturating at `usize::MAX` (a grid
+    /// that large fails [`GridSpace::validate`]).
     fn size(&self) -> usize {
-        self.sa_size.len() * self.n_sa.len() * self.n_act.len() * self.n_pool.len()
+        self.sa_size
+            .len()
+            .saturating_mul(self.n_sa.len())
+            .saturating_mul(self.n_act.len())
+            .saturating_mul(self.n_pool.len())
     }
 
     fn point_at(&self, index: usize) -> Option<HwParams> {
@@ -303,6 +336,50 @@ mod tests {
         // Spot-check index round-tripping against the mixed-radix
         // layout: slot 0 is every axis at start.
         assert_eq!(g.point_at(0), HwParams::try_new(8, 4, 2, 2).ok());
+    }
+
+    #[test]
+    fn grids_past_the_u32_index_saturate_and_fail_validation() {
+        let grid = |per_axis: u32| {
+            let axis = GridAxis::new(1, 1, per_axis);
+            GridSpace {
+                sa_size: axis,
+                n_sa: axis,
+                n_act: axis,
+                n_pool: axis,
+            }
+        };
+        // 256⁴ = 2³² slots: every index fits a u32.
+        assert_eq!(grid(256).size(), 1 << 32);
+        assert!(grid(256).validate().is_ok());
+        // 257⁴ = 4,362,470,401 slots, and 65,536⁴ = 2⁶⁴, past `usize`:
+        // `size` saturates and `validate` rejects both.
+        assert_eq!(grid(257).size(), 4_362_470_401);
+        assert_eq!(grid(65_536).size(), usize::MAX);
+        for per_axis in [257, 65_536] {
+            assert_eq!(
+                grid(per_axis).validate(),
+                Err(DseSpaceError::TooManyPoints),
+                "{per_axis}"
+            );
+        }
+        let empty = GridSpace {
+            n_act: GridAxis::new(4, 4, 0),
+            ..GridSpace::huge()
+        };
+        assert_eq!(
+            empty.validate(),
+            Err(DseSpaceError::EmptyAxis { axis: "n_act" })
+        );
+        let zeroed = GridSpace {
+            n_sa: GridAxis::new(0, 4, 8),
+            ..GridSpace::huge()
+        };
+        assert_eq!(
+            zeroed.validate(),
+            Err(DseSpaceError::ZeroValue { axis: "n_sa" })
+        );
+        assert!(GridSpace::huge().validate().is_ok());
     }
 
     #[test]

@@ -613,6 +613,145 @@ proptest! {
     }
 }
 
+// ---------- stage-B blocks at their edges ----------
+
+/// A space of exactly `count` valid points: each of the first three
+/// axes takes the largest divisor of what is left that is at most its
+/// `shape` entry, and `n_pools` takes the rest, ascending or
+/// descending.
+fn space_of(count: usize, shape: [usize; 3], descending: bool) -> DseSpace {
+    let axis = |len: usize, step: u32| (1..=len as u32).map(|i| i * step).collect::<Vec<u32>>();
+    let mut rest = count;
+    let mut lens = [1usize; 3];
+    for (len, cap) in lens.iter_mut().zip(shape) {
+        *len = (1..=cap)
+            .rev()
+            .find(|&d| rest.is_multiple_of(d))
+            .unwrap_or(1);
+        rest /= *len;
+    }
+    let mut n_pools = axis(rest, 4);
+    if descending {
+        n_pools.reverse();
+    }
+    DseSpace {
+        sa_sizes: axis(lens[0], 12),
+        n_sas: axis(lens[1], 8),
+        n_acts: axis(lens[2], 4),
+        n_pools,
+        threads: Some(1),
+    }
+}
+
+/// Point counts at stage B's block edges: under one block, on a block
+/// multiple, and one past it.
+fn block_edge_count() -> impl Strategy<Value = usize> {
+    use claire::core::search::STAGE_B_BLOCK as B;
+    prop_oneof![1..B, Just(B), Just(2 * B), Just(B + 1), Just(2 * B + 1)]
+}
+
+/// Algorithm 1's selection written out over a full sweep, as
+/// `custom_config_with_engine` names its winner.
+fn reference_selection(
+    model: &Model,
+    points: &[claire::core::DsePoint],
+    cons: &Constraints,
+    objective: claire::core::DseObjective,
+) -> Result<(DesignConfig, claire::core::PpaReport), claire::core::ClaireError> {
+    let best = points
+        .iter()
+        .map(|p| p.report.latency_s)
+        .fold(f64::INFINITY, f64::min);
+    let limit = best * (1.0 + cons.latency_slack);
+    let chosen = points
+        .iter()
+        .filter(|p| p.report.latency_s <= limit)
+        .min_by(|a, b| {
+            objective
+                .score(&a.report)
+                .total_cmp(&objective.score(&b.report))
+        })
+        .ok_or_else(|| claire::core::ClaireError::NoFeasibleConfiguration {
+            subject: model.name().to_owned(),
+        })?;
+    let classes = model.op_class_counts().keys().copied().collect();
+    let mut config = DesignConfig::monolithic(format!("dse:{}", model.name()), chosen.hw, classes);
+    config.name = format!("C_{}", model.name());
+    Ok((config, chosen.report))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Stage B prices its candidates in blocks. With the area cap
+    /// lifted and an infinite slack every point is a candidate, so
+    /// these spaces put the candidate count under one block, on a block
+    /// multiple and one past it. The cache-off, pruning-off oracle's
+    /// full sweep keeps the evaluator's feasible points in space order;
+    /// at slack 0, 0.5 and ∞, every objective's
+    /// `custom_config_with_engine` at 1, 2 and 8 threads equals the
+    /// selection over that sweep, and the staged sweep is the same at
+    /// every thread count.
+    #[test]
+    fn stage_b_blocks_keep_every_point_in_space_order(
+        count in block_edge_count(),
+        shape in (1usize..5, 1usize..5, 1usize..3),
+        descending in 0u8..2,
+        pick in 0usize..64,
+    ) {
+        use claire::core::dse::{custom_config_with_engine, sweep_with_engine, DseObjective};
+        use claire::core::{DsePoint, Engine};
+        let space = space_of(count, [shape.0, shape.1, shape.2], descending == 1);
+        prop_assert_eq!(space.len(), count);
+        let models = zoo_models();
+        let model = &models[pick % models.len()];
+        let base = Constraints {
+            chiplet_area_limit_mm2: f64::MAX,
+            ..Constraints::default()
+        };
+        let oracle = Engine::serial().with_cache(false).with_pruning(false);
+        let full = sweep_with_engine(model, &space, &base, &oracle);
+        let shell = DesignConfig::monolithic(
+            format!("dse:{}", model.name()),
+            HwParams::new(1, 1, 1, 1),
+            model.op_class_counts().keys().copied().collect(),
+        );
+        let evaluated: Vec<DsePoint> = claire::ppa::space_points(&space)
+            .filter_map(|(_, hw)| {
+                let mut config = shell.clone();
+                config.hw = hw;
+                let report = oracle.evaluate(model, &config).ok()?;
+                let feasible = report.area_mm2 <= base.chiplet_area_limit_mm2
+                    && report.power_density_w_per_mm2() <= base.power_density_limit_w_per_mm2;
+                feasible.then_some(DsePoint { hw, report })
+            })
+            .collect();
+        prop_assert_eq!(format!("{full:?}"), format!("{evaluated:?}"), "{}", model.name());
+        for slack in [0.0, 0.5, f64::INFINITY] {
+            let cons = Constraints { latency_slack: slack, ..base };
+            let mut sweeps = Vec::new();
+            for threads in [1, 2, 8] {
+                let engine = Engine::new(threads);
+                sweeps.push(format!("{:?}", sweep_with_engine(model, &space, &cons, &engine)));
+                if slack.is_infinite() {
+                    prop_assert_eq!(engine.stats().dse_evaluated, count as u64);
+                }
+                for objective in DseObjective::ALL {
+                    let got = custom_config_with_engine(model, &space, &cons, objective, &engine);
+                    let want = reference_selection(model, &full, &cons, objective);
+                    prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{} {:?} slack {} at {} threads",
+                        model.name(), objective, slack, threads
+                    );
+                }
+            }
+            prop_assert!(sweeps.iter().all(|s| *s == sweeps[0]), "{}", model.name());
+        }
+    }
+}
+
 // ---------- parser robustness ----------
 
 proptest! {
