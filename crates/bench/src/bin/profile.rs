@@ -146,9 +146,12 @@ fn main() {
         "structural keys: {} structures over {} instances",
         reflow_stats.struct_entries, reflow_stats.struct_instances
     );
-    assert!(
-        reflow_stats.struct_instances > reflow_stats.struct_entries,
-        "reflow should map several instances onto each structure"
+    // The cold flow's instances are gone by now, and the interner
+    // sweeps their entries out, so the instance count no longer shows
+    // the sharing; an unchanged structure count does.
+    assert_eq!(
+        reflow_stats.struct_entries, flow_stats.struct_entries,
+        "reflow should map every fresh instance onto an existing structure"
     );
 
     // Warm-state persistence: the serialized memo tiers must be a

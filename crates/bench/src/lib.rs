@@ -23,6 +23,8 @@
 //! paper reports an eight-minute end-to-end convergence; this
 //! implementation converges in well under a second.
 
+#![forbid(unsafe_code)]
+
 use claire_core::{
     paper_table3_subsets, Claire, ClaireOptions, Engine, SubsetStrategy, TestOutput, TrainOutput,
 };

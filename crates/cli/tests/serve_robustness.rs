@@ -637,6 +637,49 @@ fn serve_builds_each_zoo_model_once_and_answers_as_a_fresh_build() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn served_printouts_leave_no_interned_instance_behind() {
+    let dir = scratch("printouts");
+    let socket = dir.join("claire.sock");
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../assets/alexnet_print.txt"
+    ))
+    .expect("read the AlexNet printout");
+    let request = |id: u64| {
+        serde_json::to_string(&serde_json::json!({
+            "id": id,
+            "op": "custom",
+            "printout": text.as_str()
+        }))
+        .expect("encode request")
+    };
+    // The answer of a server that parses the printout once.
+    let lines = serve_stdin_lines(&format!("{}\n", request(0)), &[]);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let fresh = answer_body(serde_json::from_str(&lines[0]).expect("answer is JSON"));
+
+    let mut server = spawn_listening(&socket, &["--threads", "2"]);
+    for i in 0..16 {
+        let answer = round_trip(&socket, &request(i)).expect("answered");
+        assert_eq!(answer["ok"].as_bool(), Some(true), "{answer}");
+        assert_eq!(answer_body(answer), fresh, "request {i}");
+    }
+    let probe = round_trip(&socket, "{\"op\":\"stats\"}").expect("stats answered");
+    assert_eq!(terminate(&mut server).code(), Some(0));
+    let gauges = &probe["stats"]["gauges"];
+    // Each request parses a fresh model of one structure; the instances
+    // of answered requests are swept out of the interner.
+    assert_eq!(
+        gauges["engine.struct_entries"].as_u64(),
+        Some(1),
+        "{gauges}"
+    );
+    let instances = gauges["engine.struct_instances"].as_u64().expect("gauge");
+    assert!(instances <= 2, "{instances} instances: {gauges}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `serve` over stdin with `extra` args, feeds it `input`, and
 /// returns its stdout lines sorted (batch composition — and therefore
 /// delivery order — may differ run to run; the per-request bytes must

@@ -36,7 +36,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -55,6 +55,7 @@ pub mod metrics;
 pub mod parallel;
 pub mod place;
 pub mod plan;
+mod pool;
 mod resident;
 pub mod search;
 mod snapshot;

@@ -5,9 +5,9 @@
 //! hardware points per algorithm, the training phase evaluates every
 //! algorithm on every candidate configuration, and the test phase
 //! repeats the DSE per test algorithm. [`Engine`] runs those maps on
-//! the calling thread plus scoped helper threads and memoizes the
-//! per-layer cost model behind a sharded lock, while guaranteeing
-//! **bit-identical results at any thread count**:
+//! the calling thread plus the helper threads of its own parked pool
+//! and memoizes the per-layer cost model behind a sharded lock, while
+//! guaranteeing **bit-identical results at any thread count**:
 //!
 //! * work items are claimed in contiguous chunks from an atomic cursor
 //!   but results are reassembled by item index, so output order never
@@ -20,15 +20,27 @@
 //! Thread count resolution: explicit [`DseSpace::threads`] knob, then
 //! the `CLAIRE_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
+//!
+//! An engine starts up to `threads − 1` helpers, on demand, the first
+//! time a map can use them; they park between maps and are joined
+//! when the engine drops. A map publishes its shares to the helpers
+//! and works as worker 0 itself. When its own share ends it retracts
+//! the job and waits only for the helpers that took a share, on
+//! unwind too, so no helper outlives the borrow of the map's closure.
+//! A map runs serially on its calling thread when it has one item or
+//! the engine one thread, when it is nested inside another map's
+//! item, when another thread's map holds the helpers, and when no
+//! helper could be started.
 
 use crate::config::{class_mask, AreaTables, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, CostProvider, EvalTerms, PpaReport, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
+use crate::pool::Pool;
 use crate::snapshot::Persisted;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
-use claire_model::{FxBuildHasher, FxHasher, LayerKind, Model, OpClass};
+use claire_model::{FxBuildHasher, FxHasher, LayerKind, Model, OpClass, WeakModel};
 use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, SpaceAxes, MAX_THREADS};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -36,7 +48,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Read-locks `lock`, recovering from poisoning. Every lock in this
@@ -360,6 +372,8 @@ pub struct Engine {
     /// The telemetry hub every counter, span and export reads from —
     /// the single source of truth behind [`EngineStats`].
     telemetry: Arc<Telemetry>,
+    /// The parked helpers [`Engine::par_map`] runs beside the caller.
+    pool: Pool,
 }
 
 /// The structural model interner behind the comm and universal-graph
@@ -372,20 +386,24 @@ pub struct Engine {
 /// engine derives from their layers can distinguish them. A
 /// per-instance fast path (keyed by
 /// [`claire_model::Model::instance_id`], shared by clones) skips the
-/// content comparison after a model's first visit.
+/// content comparison after a model's first visit; each of its
+/// entries holds a [`WeakModel`], so entries whose model is gone can
+/// be swept out.
 #[derive(Debug, Default)]
 pub(crate) struct ModelInterner {
-    pub(crate) by_instance: HashMap<u64, u32, FxBuildHasher>,
+    pub(crate) by_instance: HashMap<u64, (WeakModel, u32), FxBuildHasher>,
+    /// How many `by_instance` entries the last sweep kept.
+    swept_len: usize,
     pub(crate) by_content: HashMap<Box<[LayerKind]>, u32, FxBuildHasher>,
     pub(crate) batches: Vec<Arc<LayerBatch>>,
 }
 
 impl ModelInterner {
-    /// Interns a layer-kind sequence directly (no model instance),
-    /// returning its structural id — the snapshot loader's entry
-    /// point. Identical id-assignment logic to [`Engine::structural`]:
-    /// an existing content entry keeps its id, a new sequence gets the
-    /// next dense id and a preprocessed batch.
+    /// Interns a layer-kind sequence, returning its structural id: an
+    /// existing content entry keeps its id, a new sequence gets the
+    /// next dense id and a preprocessed batch. The snapshot loader
+    /// calls it directly, with no model instance; [`Engine::structural`]
+    /// calls it on a model's first visit.
     pub(crate) fn intern_content(&mut self, kinds: Box<[LayerKind]>) -> u32 {
         match self.by_content.get(&kinds) {
             Some(&sid) => sid,
@@ -397,6 +415,20 @@ impl ModelInterner {
                 sid
             }
         }
+    }
+
+    /// Maps `model`'s instance onto structural id `sid`. Whenever the
+    /// instance map has doubled since the last sweep, it first drops
+    /// the entries of models no handle holds any more, so a long-lived
+    /// engine fed fresh model instances keeps at most about twice the
+    /// instances alive at its last sweep.
+    fn note_instance(&mut self, model: &Model, sid: u32) {
+        if self.by_instance.len() >= 2 * self.swept_len.max(1) {
+            self.by_instance.retain(|_, (weak, _)| weak.is_live());
+            self.swept_len = self.by_instance.len();
+        }
+        self.by_instance
+            .insert(model.instance_id(), (model.downgrade(), sid));
     }
 }
 
@@ -420,8 +452,9 @@ impl Engine {
     /// An engine with an explicit worker count (clamped to
     /// `1..=`[`MAX_THREADS`]) and the memo cache enabled.
     pub fn new(threads: usize) -> Self {
+        let threads = threads.clamp(1, MAX_THREADS);
         Engine {
-            threads: threads.clamp(1, MAX_THREADS),
+            threads,
             cache_enabled: true,
             pruning_enabled: true,
             faults: None,
@@ -434,6 +467,7 @@ impl Engine {
             models: RwLock::new(ModelInterner::default()),
             persisted: RwLock::new(None),
             telemetry: Arc::new(Telemetry::new()),
+            pool: Pool::new(threads - 1),
         }
     }
 
@@ -888,26 +922,16 @@ impl Engine {
     /// The structural id and preprocessed [`LayerBatch`] for `model`
     /// (see [`ModelInterner`]).
     fn structural(&self, model: &claire_model::Model) -> (u32, Arc<LayerBatch>) {
-        let iid = model.instance_id();
         {
             let interner = read_lock(&self.models);
-            if let Some(&sid) = interner.by_instance.get(&iid) {
+            if let Some(&(_, sid)) = interner.by_instance.get(&model.instance_id()) {
                 return (sid, Arc::clone(&interner.batches[sid as usize]));
             }
         }
         let kinds: Box<[LayerKind]> = model.layers().iter().map(|l| l.kind).collect();
         let mut interner = write_lock(&self.models);
-        let sid = match interner.by_content.get(&kinds) {
-            Some(&sid) => sid,
-            None => {
-                let sid = interner.batches.len() as u32;
-                let batch = Arc::new(LayerBatch::from_kinds(kinds.iter()));
-                interner.batches.push(batch);
-                interner.by_content.insert(kinds, sid);
-                sid
-            }
-        };
-        interner.by_instance.insert(iid, sid);
+        let sid = interner.intern_content(kinds);
+        interner.note_instance(model, sid);
         (sid, Arc::clone(&interner.batches[sid as usize]))
     }
 
@@ -1030,10 +1054,15 @@ impl Engine {
 
     /// Deterministic parallel map: applies `f` to every item and
     /// returns results in item order, regardless of thread count or
-    /// scheduling. The calling thread works as worker 0 beside
-    /// `threads - 1` scoped helpers; workers claim contiguous chunks of
-    /// indices from an atomic cursor (so long and short items balance),
-    /// and the chunks are reassembled into input order afterwards.
+    /// scheduling. The calling thread works as worker 0 beside up to
+    /// `threads - 1` helpers of the engine's parked pool; workers claim
+    /// contiguous chunks of indices from an atomic cursor (so long and
+    /// short items balance), and the chunks are reassembled into input
+    /// order afterwards. When the caller's share ends, the map retracts
+    /// its job from the pool and waits only for helpers that took a
+    /// share, so it never waits on a helper still waking up. The map
+    /// runs serially on the caller when nested inside another map's
+    /// item and when another thread's map holds the pool.
     ///
     /// A panic in `f` is contained per item and re-raised for the
     /// **lowest-indexed** panicking item after every worker finishes —
@@ -1112,8 +1141,7 @@ impl Engine {
         };
         // Nested `par_map` calls (a per-model sweep inside a per-model
         // stage) run serially on the worker that reached them: the outer
-        // map already saturates the thread budget, and W x W transient
-        // threads would only add scheduling overhead.
+        // map's workers already fill the thread budget.
         let nested = IN_WORKER.with(|w| w.get());
         if workers <= 1 || nested {
             // A *top-level* serial map still publishes a worker-0
@@ -1184,24 +1212,19 @@ impl Engine {
             tel.flush_thread_events();
             chunks
         };
-        // The caller works as worker 0 beside `workers - 1` helpers:
-        // no start barrier, so a short map may finish on the caller
-        // before a helper claims anything.
-        let mut chunks = std::thread::scope(|scope| {
-            let work = &work;
-            let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
-            let mut chunks = work(0);
-            for h in helpers {
-                match h.join() {
-                    Ok(theirs) => chunks.extend(theirs),
-                    // Unreachable — `run_one` contains every unwind —
-                    // but a helper dying some other way must still
-                    // not hang the caller.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+        // The caller works as worker 0 beside up to `workers - 1`
+        // parked helpers: no start barrier, so a short map may finish
+        // on the caller before a helper takes its share, and a share
+        // no helper took never runs — the cursor is already past `n`.
+        let chunks = Mutex::new(Vec::new());
+        self.pool.run(workers, &|w| {
+            let mine = work(w);
             chunks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(mine);
         });
+        let mut chunks = chunks.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         chunks.sort_unstable_by_key(|&(first, _)| first);
         let mut out = Vec::with_capacity(n);
@@ -1786,14 +1809,107 @@ mod tests {
         assert!(on_caller.contains(&true), "the caller ran nested maps");
         // The forced map's two samples; its nested maps record none.
         assert_eq!(engine.telemetry().worker_samples().len(), 2);
-        let items: Vec<u32> = (0..64).collect();
-        engine.par_map(&items, |_, &x| x);
+        // The caller is not left marked as a worker: the next map still
+        // reaches the helper. Its two workers are forced, since a trivial
+        // map may finish on the caller before the parked helper wakes.
+        let next = split_first_chunks(&engine, Ok).unwrap();
+        assert_eq!(next, (0..64).collect::<Vec<usize>>());
         let workers: Vec<usize> = engine.telemetry().worker_samples()[2..]
             .iter()
             .map(|s| s.worker)
             .collect();
         assert_eq!(workers.len(), 2, "{workers:?}");
         assert!(workers.contains(&0) && workers.contains(&1), "{workers:?}");
+    }
+
+    #[test]
+    fn five_hundred_maps_start_at_most_threads_minus_one_helpers() {
+        let engine = Engine::new(4);
+        let items: Vec<u64> = (0..64).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 7).collect();
+        for _ in 0..500 {
+            assert_eq!(engine.par_map(&items, |_, &x| x * 7), want);
+        }
+        let started = engine.pool.helpers_started();
+        assert!(started <= 3, "{started} helpers started");
+    }
+
+    #[test]
+    fn dropping_the_engine_joins_its_helpers() {
+        let engine = Engine::new(2);
+        split_first_chunks(&engine, Ok).unwrap();
+        assert_eq!(engine.pool.helpers_started(), 1);
+        let shared = engine.pool.shared_weak();
+        drop(engine);
+        assert!(shared.upgrade().is_none(), "a helper outlived its engine");
+    }
+
+    #[test]
+    fn a_contained_panic_leaves_the_next_map_equal_to_the_serial_map() {
+        let items: Vec<u64> = (0..64).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        let engine = Engine::new(2);
+        // Items 2 and 6 panic on different workers, one of them a helper.
+        let err = split_first_chunks(&engine, |i| match i {
+            2 | 6 => panic!("p{i}"),
+            _ => Ok(i),
+        })
+        .unwrap_err();
+        assert!(err.contains("item 2"), "{err}");
+        assert_eq!(engine.par_map(&items, |_, &x| x * 3 + 1), serial);
+
+        let plan = FaultPlan::new(7).with(crate::FaultClass::WorkerPanic, 0.25);
+        let engine = Engine::new(2).with_faults(plan);
+        let err = engine
+            .try_par_map(&items, |_, &x| -> Result<u64, ClaireError> { Ok(x) })
+            .unwrap_err();
+        assert!(matches!(err, ClaireError::WorkerPanic { .. }), "{err}");
+        assert_eq!(engine.par_map(&items, |_, &x| x * 3 + 1), serial);
+    }
+
+    #[test]
+    fn two_threads_mapping_on_one_engine_at_once_both_get_item_order() {
+        let engine = Engine::new(4);
+        let items: Vec<u64> = (0..256).collect();
+        // Each map's item 0 waits for the other's, so both maps are in
+        // flight at once: one holds the helpers, the other runs serially.
+        let both = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let maps: Vec<_> = [3u64, 5]
+                .into_iter()
+                .map(|k| {
+                    let (engine, items, both) = (&engine, &items, &both);
+                    let map = scope.spawn(move || {
+                        engine.par_map(items, |i, &x| {
+                            if i == 0 {
+                                both.wait();
+                            }
+                            x * k
+                        })
+                    });
+                    (k, map)
+                })
+                .collect();
+            for (k, map) in maps {
+                let want: Vec<u64> = items.iter().map(|x| x * k).collect();
+                assert_eq!(map.join().unwrap(), want, "k = {k}");
+            }
+        });
+    }
+
+    #[test]
+    fn closures_borrowing_stack_locals_match_the_serial_map_every_time() {
+        for threads in [2, 8] {
+            let engine = Engine::new(threads);
+            for round in 0..1000u64 {
+                let offsets: Vec<u64> = (0..17).map(|k| k * round + 1).collect();
+                let items: Vec<u64> = (0..64).map(|i| i ^ round).collect();
+                let f = |i: usize, &x: &u64| x * offsets[i % offsets.len()];
+                let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+                let got = engine.par_map(&items, f);
+                assert_eq!(got, serial, "threads {threads}, round {round}");
+            }
+        }
     }
 
     #[test]
@@ -2091,6 +2207,24 @@ mod tests {
         let (summary, walked) = engine_graph(&model, &hw);
         assert!(!walked);
         assert_eq!(graph_bits(&built.graph), summary);
+    }
+
+    #[test]
+    fn dropped_models_leave_the_instance_map_when_it_doubles() {
+        let engine = Engine::serial();
+        let hw = HwParams::new(16, 16, 8, 8);
+        let kept = claire_model::zoo::alexnet();
+        engine.compute_cycles_lb(&kept, &hw);
+        for round in 0..16 {
+            // A fresh instance per round, dropped once it is interned.
+            engine.compute_cycles_lb(&claire_model::zoo::alexnet(), &hw);
+            let stats = engine.stats();
+            assert_eq!(stats.struct_entries, 1, "round {round}");
+            assert!(stats.struct_instances <= 2, "round {round}: {stats:?}");
+        }
+        // The live instance is never swept: it still hits its entry.
+        let iid = kept.instance_id();
+        assert!(read_lock(&engine.models).by_instance.contains_key(&iid));
     }
 
     #[test]

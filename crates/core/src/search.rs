@@ -90,7 +90,7 @@ pub fn search_with_engine(
 /// Each block's feasible points land in one `Vec` sized for the block,
 /// and a search of at most one block (any search of the 81-point
 /// default space, such as serve's `what_if` and its relaxation rungs)
-/// runs on the calling thread, because a map over one item spawns no
+/// runs on the calling thread, because a map over one item wakes no
 /// helper.
 pub const STAGE_B_BLOCK: usize = 256;
 

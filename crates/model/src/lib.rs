@@ -41,5 +41,5 @@ pub use layer::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, Layer, LayerKind, Linear, OpClass,
     Permute, Pooling, PoolingKind,
 };
-pub use model::{Model, ModelBuilder, ModelClass};
+pub use model::{Model, ModelBuilder, ModelClass, WeakModel};
 pub use name::{LayerName, LayerPath};

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Broad workload family, mirroring the "Type" column of the paper's
 /// Table I.
@@ -69,6 +69,22 @@ impl fmt::Display for ModelClass {
 #[derive(Clone)]
 pub struct Model {
     inner: Arc<ModelInner>,
+}
+
+/// A non-owning handle on a [`Model`] (see [`Model::downgrade`]), for
+/// caches keyed by [`Model::instance_id`] that must not outlive the
+/// instances they key.
+#[derive(Debug)]
+pub struct WeakModel {
+    inner: Weak<ModelInner>,
+}
+
+impl WeakModel {
+    /// Whether any [`Model`] handle on the model — the one downgraded
+    /// or a clone of it — is still alive.
+    pub fn is_live(&self) -> bool {
+        self.inner.strong_count() > 0
+    }
 }
 
 /// The shared body of a [`Model`] handle.
@@ -259,6 +275,14 @@ impl Model {
     /// costs a cache a miss, never correctness.
     pub fn instance_id(&self) -> u64 {
         self.inner.instance_id
+    }
+
+    /// A [`WeakModel`] on this model: it holds none of the model's
+    /// data alive, and tells when the last handle on it has dropped.
+    pub fn downgrade(&self) -> WeakModel {
+        WeakModel {
+            inner: Arc::downgrade(&self.inner),
+        }
     }
 
     /// Algorithm name as listed in the paper's tables.
@@ -650,6 +674,17 @@ mod tests {
         // A summary derived through one handle is the other's too.
         assert_eq!(m.class_mask(), c.class_mask());
         assert!(std::ptr::eq(m.edge_families(), c.edge_families()));
+    }
+
+    #[test]
+    fn a_weak_model_is_live_while_any_clone_is() {
+        let m = tiny();
+        let weak = m.downgrade();
+        let c = m.clone();
+        drop(m);
+        assert!(weak.is_live());
+        drop(c);
+        assert!(!weak.is_live());
     }
 
     #[test]
