@@ -26,16 +26,15 @@ use claire_bench::{paper_options, render_table, run_flow_with_engine};
 use claire_core::dse::{
     custom_config_with_engine, set_config_with_engine, sweep_with_engine, DseObjective,
 };
-use claire_core::evaluate::EvalOptions;
 use claire_core::telemetry::Metric;
 use claire_core::{
-    Claire, Constraints, DesignConfig, Engine, EngineStats, LifecycleEvent, LifecycleStage,
-    QuantileDigest, ServeObserver, Telemetry,
+    Claire, Constraints, Engine, EngineStats, LifecycleEvent, LifecycleStage, QuantileDigest,
+    ServeObserver, Telemetry,
 };
 use claire_model::{zoo, Model};
-use claire_ppa::{DesignSpace, DseSpace, GridSpace, MemoryModel};
+use claire_ppa::{DesignSpace, DseSpace, GridSpace};
 use serde::{Number, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -205,8 +204,7 @@ fn main() {
     let warm_rendered = persist_flow(&persist_warm);
     let snapshot_unchanged = persist_warm.tier_signature() == loaded_signature;
     let warm = persist_warm.stats();
-    let warm_misses =
-        warm.cache_misses + warm.louvain_misses + warm.graph_misses + warm.comm_misses;
+    let warm_misses = warm.louvain_misses + warm.graph_misses + warm.comm_misses;
 
     let persist_identical = warm_rendered == cold_rendered;
     assert!(
@@ -352,35 +350,6 @@ fn main() {
         huge_stats.dse_pruned,
         huge_stats.dse_lb_pruned
     );
-
-    // The per-layer memo tier serves the paths that price layers one
-    // at a time — here, a weight-streaming sweep, where each layer's
-    // compute/stream overlap is resolved individually (the
-    // compute-only flow above prices whole-model sums through the
-    // batch kernel instead).
-    let streaming = Engine::for_space(&paper_options().space);
-    let space = paper_options().space;
-    for m in &models {
-        let classes: BTreeSet<_> = m.op_class_counts().into_keys().collect();
-        for hw in space.iter() {
-            let cfg = DesignConfig::monolithic(format!("prof:{}", m.name()), hw, classes.clone());
-            let _ = streaming.evaluate_with(
-                m,
-                &cfg,
-                EvalOptions {
-                    memory: Some(MemoryModel::ddr4_3200()),
-                    ..EvalOptions::default()
-                },
-            );
-        }
-    }
-    println!();
-    println!(
-        "== Layer-cost memo tier ({} models x {} points, DDR4 weight streaming) ==",
-        models.len(),
-        space.len()
-    );
-    print!("{}", streaming.stats());
 
     // Telemetry overhead model: with tracing disabled every hook on
     // the hot path is one relaxed atomic op (a counter bump or the
@@ -909,10 +878,6 @@ fn tier(hits: u64, misses: u64, entries: usize) -> Value {
 /// All memo tiers of an engine snapshot.
 fn tiers(s: &EngineStats) -> Value {
     obj(vec![
-        (
-            "layer_cost",
-            tier(s.cache_hits, s.cache_misses, s.cache_entries),
-        ),
         (
             "louvain",
             tier(s.louvain_hits, s.louvain_misses, s.louvain_entries),

@@ -43,8 +43,8 @@ pub fn cluster_into_chiplets(
     })
 }
 
-/// [`cluster_into_chiplets`] with the universal graph built through
-/// the engine's memoized layer costs and each Louvain partition served
+/// [`cluster_into_chiplets`] with the universal graph served from the
+/// engine's graph memo tier and each Louvain partition served
 /// from the engine's `(graph, γ)` memo tier
 /// ([`Engine::louvain_partition`]). The CSR kernel graph is interned
 /// **once**; the resolution-escalation loop re-clusters flat arrays

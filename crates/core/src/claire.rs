@@ -522,7 +522,7 @@ impl Claire {
 
     /// [`Claire::train`] on an explicit [`Engine`]: custom
     /// configurations and Fig. 4 evaluations run in parallel over the
-    /// algorithms, and all layer costs share the engine's memo cache.
+    /// algorithms, and all of them share the engine's memo tiers.
     /// The output is bit-identical to the serial flow at any thread
     /// count.
     ///
@@ -749,8 +749,8 @@ impl Claire {
     }
 
     /// [`Claire::evaluate_test`] with an explicit [`Engine`], so test
-    /// models are evaluated in parallel and layer costs are shared with
-    /// any prior training run through the memo cache.
+    /// models are evaluated in parallel and share the memo tiers of any
+    /// prior training run.
     ///
     /// The test stage opens with the flat execution plan: every
     /// `(test-model, hw-point)` evaluation runs through one

@@ -1,5 +1,6 @@
 //! Design configurations, chiplets, and the Input #4 constraints.
 
+use crate::evaluate::PpaReport;
 use claire_model::{ActivationKind, Model, OpClass};
 use claire_noc::Network;
 use claire_ppa::{unit_area_mm2, HwParams, SpaceAxes};
@@ -31,6 +32,16 @@ impl Default for Constraints {
             power_density_limit_w_per_mm2: 1.0,
             latency_slack: 0.5,
         }
+    }
+}
+
+impl Constraints {
+    /// Whether `report` meets the area and power-density limits: the
+    /// per-point feasibility test of Algorithm 1's sweep. The latency
+    /// limit needs the custom reference, so the selection applies it.
+    pub(crate) fn admits(&self, report: &PpaReport) -> bool {
+        report.area_mm2 <= self.chiplet_area_limit_mm2
+            && report.power_density_w_per_mm2() <= self.power_density_limit_w_per_mm2
     }
 }
 

@@ -560,10 +560,7 @@ pub(crate) fn member_total(
             .get(m.model().name())
             .map(|&l| report.latency_s <= l * (1.0 + constraints.latency_slack))
             .unwrap_or(true);
-        if report.area_mm2 > constraints.chiplet_area_limit_mm2
-            || report.power_density_w_per_mm2() > constraints.power_density_limit_w_per_mm2
-            || !latency_ok
-        {
+        if !constraints.admits(&report) || !latency_ok {
             return None;
         }
         total_area += report.area_mm2;

@@ -457,11 +457,11 @@ pub fn evaluate_with(
     evaluate_with_costs(model, config, opts, &DirectCosts)
 }
 
-/// [`evaluate_with`] under an explicit layer-cost provider — the hook
-/// the parallel engine uses to route compute costs through its memo
-/// cache (see [`crate::parallel::Engine`]). The provider must be a
-/// pure function of `(layer, hw)`; [`claire_ppa::layer_cost`] is the
-/// reference implementation.
+/// [`evaluate_with`] under an explicit cost provider — the hook the
+/// parallel engine uses to price whole models through its interned
+/// batches and memo tiers (see [`crate::parallel::Engine`]). The
+/// provider must be a pure function of its arguments;
+/// [`DirectCosts`] is the reference implementation.
 ///
 /// # Errors
 ///
@@ -488,8 +488,7 @@ pub fn evaluate_with_costs(
         None => costs.compute_sum(model, &config.hw),
         Some(mem) => {
             // Weight streaming couples each layer's time to the memory
-            // model, so this path stays per-layer (and per-layer costs
-            // still ride the provider's memo cache).
+            // model, so this path stays per-layer.
             let mut cycles: u64 = 0;
             let mut energy_pj = 0.0;
             for layer in model.layers() {

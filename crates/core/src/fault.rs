@@ -3,13 +3,14 @@
 //! A [`FaultPlan`] describes *which* faults to inject and *how often*,
 //! and hands out per-site decisions that are a pure function of
 //! `(seed, fault class, site)`. Sites are stable identifiers of the
-//! place a fault could strike — a layer-cost cache key, a model ×
-//! configuration pair, a work-item index, a torus link — hashed with a
-//! fixed (non-random) hasher, so a plan injects the *same* faults at
-//! the *same* places regardless of thread count, scheduling, or how
-//! many times a site is visited. That makes every failure the harness
-//! provokes exactly reproducible: rerun with the same seed and the
-//! same fault fires again.
+//! place a fault could strike — a layer's `(kind, hardware point)`
+//! pair, a model × configuration pair, a work-item index, a memo
+//! lock, a torus link — hashed with a fixed (non-random) hasher, so a
+//! plan injects the *same* faults at the *same* places regardless of
+//! thread count, scheduling, or how many times a site is visited.
+//! That makes every failure the harness provokes exactly
+//! reproducible: rerun with the same seed and the same fault fires
+//! again.
 //!
 //! The plan is wired into [`crate::parallel::Engine`] via
 //! [`Engine::with_faults`](crate::parallel::Engine::with_faults); with
@@ -21,11 +22,11 @@
 //!
 //! * [`FaultClass::NanPpa`] / [`FaultClass::InfPpa`] /
 //!   [`FaultClass::PerturbPpa`] — corrupt unit-PPA energies after the
-//!   analytical model computes them. Non-finite values are rejected at
-//!   the cache-insert boundary and surface as
+//!   analytical model computes them. Non-finite values surface as
 //!   [`ClaireError::NonFiniteMetric`](crate::ClaireError::NonFiniteMetric)
-//!   from evaluation; perturbed-but-finite values flow through
-//!   normally (they model calibration drift, not corruption).
+//!   from the evaluator's finiteness gate; perturbed-but-finite values
+//!   flow through normally (they model calibration drift, not
+//!   corruption).
 //! * [`FaultClass::DropCoverage`] — pretend a configuration lost an
 //!   op class, surfacing
 //!   [`ClaireError::IncompleteCoverage`](crate::ClaireError::IncompleteCoverage).
@@ -33,10 +34,12 @@
 //!   [`try_par_map`](crate::parallel::Engine::try_par_map) worker;
 //!   contained by `catch_unwind` and surfaced as
 //!   [`ClaireError::WorkerPanic`](crate::ClaireError::WorkerPanic).
-//! * [`FaultClass::PoisonShard`] — poison layer-cost cache shards at
-//!   engine construction; recovered by the poison-tolerant lock
-//!   accessors (memo caches hold pure values, so a panicked writer
-//!   cannot leave them logically corrupt).
+//! * [`FaultClass::PoisonShard`] — poison the locks of the Louvain
+//!   tier, the graph tier and the structural interner at engine
+//!   construction, the locks a run with a fault plan reads; recovered
+//!   by the poison-tolerant lock accessors (memo tiers hold pure
+//!   values, so a panicked writer cannot leave them logically
+//!   corrupt).
 //! * [`FaultClass::InfeasibleConstraints`] — substitute an
 //!   unsatisfiable constraint set for a DSE subject; fail-fast mode
 //!   surfaces the typed error, degrade mode walks the relaxation
@@ -82,7 +85,8 @@ pub enum FaultClass {
     DropCoverage,
     /// Panic inside a `try_par_map` worker closure.
     WorkerPanic,
-    /// Poison a layer-cost cache shard at engine construction.
+    /// Poison a memo lock (Louvain tier, graph tier or structural
+    /// interner) at engine construction.
     PoisonShard,
     /// Substitute an unsatisfiable constraint set for a DSE subject.
     InfeasibleConstraints,
@@ -186,9 +190,9 @@ impl FaultClass {
 /// independently per *site* (1.0 = fault every site of that class).
 /// Decisions are pure functions of `(seed, class, site)` — see the
 /// module docs for the determinism argument. Injection counters record
-/// how many *distinct decisions* came up positive (a site revisited
-/// through a cache miss may be counted again; counters are for test
-/// assertions, not exact occurrence accounting).
+/// how many decisions came up positive (a site visited again is
+/// counted again; counters are for test assertions, not exact
+/// occurrence accounting).
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -327,8 +331,8 @@ impl FaultPlan {
         self.decide(FaultClass::WorkerPanic, index as u64)
     }
 
-    /// Which of `n` cache shards to poison at engine construction.
-    pub fn poisoned_shards(&self, n: usize) -> Vec<usize> {
+    /// Which of `n` memo locks to poison at engine construction.
+    pub fn poisoned_locks(&self, n: usize) -> Vec<usize> {
         (0..n)
             .filter(|&i| self.decide(FaultClass::PoisonShard, i as u64))
             .collect()

@@ -23,8 +23,8 @@ pub fn build_graph(model: &Model, hw: &HwParams) -> WeightedGraph<OpClass> {
 }
 
 /// [`build_graph`] with layer costs served by `costs` (e.g. the
-/// memoized [`crate::parallel::Engine`]) — value-identical, since the
-/// provider contract is to return exactly what a recomputation would.
+/// [`crate::parallel::Engine`]) — value-identical, since the provider
+/// contract is to return exactly what a recomputation would.
 ///
 /// This per-layer walk is the reference for the engine's single-model
 /// build from model summaries

@@ -6,7 +6,8 @@
 //! algorithm on every candidate configuration, and the test phase
 //! repeats the DSE per test algorithm. [`Engine`] runs those maps on
 //! the calling thread plus the helper threads of its own parked pool
-//! and memoizes the per-layer cost model behind a sharded lock, while
+//! and memoizes whole-model derivations (Louvain partitions, universal
+//! graphs, edge-cost sequences) in three memo tiers, while
 //! guaranteeing **bit-identical results at any thread count**:
 //!
 //! * work items are claimed in contiguous chunks from an atomic cursor
@@ -14,8 +15,8 @@
 //!   depends on scheduling;
 //! * each item's computation is a pure function of its inputs (no
 //!   cross-item accumulation), so values cannot drift either;
-//! * the memo cache stores exact [`LayerCost`] values — a hit returns
-//!   precisely what a recomputation would.
+//! * every memo tier stores exact values under complete keys — a hit
+//!   returns precisely what a recomputation would.
 //!
 //! Thread count resolution: explicit [`DseSpace::threads`] knob, then
 //! the `CLAIRE_THREADS` environment variable, then
@@ -44,7 +45,7 @@ use claire_model::{FxBuildHasher, FxHasher, LayerKind, Model, OpClass, WeakModel
 use claire_ppa::{layer_cost, DseSpace, HwParams, LayerBatch, LayerCost, SpaceAxes, MAX_THREADS};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -64,6 +65,16 @@ pub(crate) fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `lock`, recovering from poisoning (see [`read_lock`]).
 pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poisons `lock` for fault injection: panics while holding its write
+/// guard, and contains the unwind, so the caller never sees a panic.
+fn poison<T>(lock: &RwLock<T>) {
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        let _guard = write_lock(lock);
+        panic!("injected lock poison");
+    }));
+    debug_assert!(lock.is_poisoned());
 }
 
 /// A contained panic from a parallel-map worker closure: the item
@@ -107,22 +118,6 @@ impl From<WorkerPanic> for String {
     }
 }
 
-/// Number of independently locked cache shards; a small power of two
-/// keeps contention negligible at realistic thread counts.
-const CACHE_SHARDS: usize = 16;
-
-/// Memo key: a layer's full shape plus the hardware design point.
-/// Both are `Copy + Eq + Hash`, and together they determine
-/// [`LayerCost`] exactly.
-pub(crate) type CacheKey = (LayerKind, HwParams);
-
-/// One cache shard. Keys carry a precomputed [`FxHasher`] hash that
-/// doubles as the shard selector, so each lookup hashes exactly once
-/// with a multiply-xor hasher instead of twice with SipHash — the
-/// analytical cost model is cheap enough that hashing speed decides
-/// whether the memo cache wins at all.
-pub(crate) type Shard = HashMap<Prehashed, LayerCost, PrehashedState>;
-
 /// Environment variable overriding the engine's thread count.
 pub const THREADS_ENV: &str = "CLAIRE_THREADS";
 
@@ -151,13 +146,10 @@ pub fn resolve_threads(knob: Option<usize>) -> usize {
 pub struct EngineStats {
     /// Worker threads the engine maps over.
     pub threads: usize,
-    /// Whether the layer-cost memo cache is enabled.
+    /// Whether the memo tiers are enabled.
     pub cache_enabled: bool,
-    /// Layer-cost lookups served from the cache.
-    pub cache_hits: u64,
-    /// Layer-cost lookups that had to compute (and then stored).
-    pub cache_misses: u64,
-    /// Distinct (layer, hardware) keys currently cached.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub cache_entries: usize,
     /// Never recorded; always reads 0. Kept only because the
     /// benchmark's per-layer replay still reads it.
@@ -214,19 +206,13 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Layer-cost cache hit rate in `[0, 1]`; 0 when nothing was
+    /// Hit rate across every memo tier (Louvain partitions, universal
+    /// graphs and comm sequences) in `[0, 1]`; 0 when nothing was
     /// looked up.
-    pub fn hit_rate(&self) -> f64 {
-        ratio(self.cache_hits, self.cache_misses)
-    }
-
-    /// Hit rate across every memo tier (layer costs, Louvain
-    /// partitions, universal graphs and comm sequences) in `[0, 1]`;
-    /// 0 when nothing was looked up.
     pub fn overall_hit_rate(&self) -> f64 {
         ratio(
-            self.cache_hits + self.louvain_hits + self.graph_hits + self.comm_hits,
-            self.cache_misses + self.louvain_misses + self.graph_misses + self.comm_misses,
+            self.louvain_hits + self.graph_hits + self.comm_hits,
+            self.louvain_misses + self.graph_misses + self.comm_misses,
         )
     }
 
@@ -275,14 +261,6 @@ impl std::fmt::Display for EngineStats {
             "engine: {} thread(s), cache {}",
             self.threads,
             if self.cache_enabled { "on" } else { "off" }
-        )?;
-        writeln!(
-            f,
-            "  layer-cost cache: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate(),
-            self.cache_entries
         )?;
         writeln!(
             f,
@@ -344,11 +322,16 @@ impl std::fmt::Display for EngineStats {
 /// One memo tier: an FxHash map behind a single reader–writer lock.
 pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, FxBuildHasher>>;
 
-/// The evaluation engine: a thread-count policy, four memo tiers
-/// (layer cost, Louvain partition, universal graph, comm sequence)
-/// plus the structural interner, and stage/wall-time counters. Cheap
-/// to share by reference across the whole pipeline; all interior
-/// state is thread-safe.
+/// A model's per-class executions and class-pair byte totals, each at
+/// most 2⁵³ (see [`Engine::model_graph`]).
+type ExactTotals<'m> = ([u64; OpClass::COUNT], &'m [(OpClass, OpClass, u64)]);
+
+/// The evaluation engine: a thread-count policy, three memo tiers
+/// (Louvain partition, universal graph, comm sequence) plus the
+/// structural interner, and stage/wall-time counters. Layer costs are
+/// not memoized: a recomputation costs less than a lookup. Cheap to
+/// share by reference across the whole pipeline; all interior state
+/// is thread-safe.
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
@@ -357,7 +340,6 @@ pub struct Engine {
     faults: Option<Arc<FaultPlan>>,
     // Tier fields are `pub(crate)` so [`crate::snapshot`] can
     // serialize and restore them without widening the public API.
-    pub(crate) shards: Vec<RwLock<Shard>>,
     pub(crate) louvains: MemoMap<Box<[u64]>, Arc<Partition<OpClass>>>,
     /// Universal-graph tier, keyed by the member models' structural
     /// ids (in member order) plus the hardware point.
@@ -458,9 +440,6 @@ impl Engine {
             cache_enabled: true,
             pruning_enabled: true,
             faults: None,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
             louvains: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
@@ -506,26 +485,24 @@ impl Engine {
         self
     }
 
-    /// Attaches a fault-injection plan (builder style). Shards the
-    /// plan selects for [`crate::fault::FaultClass::PoisonShard`] are
-    /// poisoned immediately — a controlled panic inside each shard's
-    /// write guard sets the lock's poison flag, exercising the
+    /// Attaches a fault-injection plan (builder style). The locks the
+    /// plan selects for [`crate::fault::FaultClass::PoisonShard`] —
+    /// of the Louvain tier, the graph tier and the structural
+    /// interner, the locks a run with a fault plan reads — are
+    /// poisoned immediately: a controlled panic inside each lock's
+    /// write guard sets its poison flag, exercising the
     /// poison-recovering accessors on every later lookup.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         let plan = Arc::new(plan);
-        // Bind before the first decision (shard poisoning below) so
+        // Bind before the first decision (lock poisoning below) so
         // every injection lands in the fault counters and the trace.
         plan.attach_telemetry(Arc::clone(&self.telemetry));
-        for i in plan.poisoned_shards(self.shards.len()) {
-            let shard = &self.shards[i];
-            // Panicking while holding the write guard poisons the
-            // RwLock; the unwind is contained here so construction
-            // itself never propagates a panic.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                let _guard = shard.write().unwrap_or_else(PoisonError::into_inner);
-                panic!("injected shard poison");
-            }));
-            debug_assert!(shard.is_poisoned());
+        for i in plan.poisoned_locks(3) {
+            match i {
+                0 => poison(&self.louvains),
+                1 => poison(&self.graphs),
+                _ => poison(&self.models),
+            }
         }
         self.faults = Some(plan);
         self
@@ -566,13 +543,6 @@ impl Engine {
         let t = &self.telemetry;
         t.set_gauge(Gauge::Threads, self.threads as u64);
         t.set_gauge(
-            Gauge::LayerEntries,
-            self.shards
-                .iter()
-                .map(|s| read_lock(s).len())
-                .sum::<usize>() as u64,
-        );
-        t.set_gauge(
             Gauge::LouvainEntries,
             read_lock(&self.louvains).len() as u64,
         );
@@ -587,12 +557,8 @@ impl Engine {
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
     /// order.
-    pub(crate) fn persisted_counts(&self) -> [usize; 5] {
+    pub(crate) fn persisted_counts(&self) -> [usize; 4] {
         [
-            self.shards
-                .iter()
-                .map(|s| read_lock(s).len())
-                .sum::<usize>(),
             read_lock(&self.louvains).len(),
             read_lock(&self.graphs).len(),
             read_lock(&self.comms).len(),
@@ -649,9 +615,7 @@ impl Engine {
         EngineStats {
             threads: self.threads,
             cache_enabled: self.cache_enabled,
-            cache_hits: t.counter(Metric::LayerHit),
-            cache_misses: t.counter(Metric::LayerMiss),
-            cache_entries: self.shards.iter().map(|s| read_lock(s).len()).sum(),
+            cache_entries: 0,
             route_topologies: 0,
             sum_entries: 0,
             louvain_hits: t.counter(Metric::LouvainHit),
@@ -677,36 +641,14 @@ impl Engine {
         }
     }
 
-    /// Memoized [`claire_ppa::layer_cost`]: exact, keyed by the full
-    /// layer shape and hardware point. When a fault plan is attached,
-    /// the computed cost passes through
-    /// [`FaultPlan::corrupt_cost`] first; values that come out
-    /// non-finite are **never inserted into the cache** — the
-    /// finiteness guard at this boundary keeps corrupt entries from
-    /// outliving the evaluation that detects them.
+    /// [`claire_ppa::layer_cost`], through the fault plan's
+    /// [`FaultPlan::corrupt_cost`] when the plan arms PPA faults. The
+    /// injection site is the FxHash of `(kind, hw)`, so the same
+    /// (layer, hardware) pair is corrupted identically however and
+    /// wherever it is priced. Not memoized: the kernel costs less than
+    /// a lookup.
     pub fn layer_cost(&self, kind: &LayerKind, hw: &HwParams) -> LayerCost {
-        if !self.cache_enabled {
-            return self.maybe_corrupt_cost(kind, hw, layer_cost(kind, hw));
-        }
-        let key = Prehashed::new((*kind, *hw));
-        let shard = &self.shards[key.shard()];
-        if let Some(cached) = read_lock(shard).get(&key) {
-            self.telemetry.count(Metric::LayerHit);
-            return *cached;
-        }
-        let computed = self.maybe_corrupt_cost(kind, hw, layer_cost(kind, hw));
-        self.telemetry.count(Metric::LayerMiss);
-        if computed.energy_pj.is_finite() {
-            write_lock(shard).insert(key, computed);
-        }
-        computed
-    }
-
-    /// Applies the fault plan's PPA corruption to a freshly computed
-    /// cost. The injection site is the FxHash of the memo key, so the
-    /// same (layer, hardware) pair is corrupted identically however
-    /// and wherever it is recomputed.
-    fn maybe_corrupt_cost(&self, kind: &LayerKind, hw: &HwParams, cost: LayerCost) -> LayerCost {
+        let cost = layer_cost(kind, hw);
         match &self.faults {
             Some(plan) if plan.has_ppa_faults() => {
                 let mut hasher = FxHasher::default();
@@ -717,8 +659,8 @@ impl Engine {
         }
     }
 
-    /// Memoized [`crate::evaluate::evaluate`]: full-model PPA with
-    /// layer costs served from this engine's cache.
+    /// Memoized [`crate::evaluate::evaluate`]: full-model PPA through
+    /// this engine's memo tiers.
     ///
     /// # Errors
     ///
@@ -894,19 +836,11 @@ impl Engine {
     /// non-negative integer, so while a weight's integer total is at
     /// most 2⁵³ every partial sum is an integer at most 2⁵³, which
     /// `f64` holds exactly: the walk's sum is the total. When a total
-    /// is above 2⁵³ or overflows `u64`, the walk itself runs. Fault
-    /// plans need no special case: a PPA fault corrupts a layer's
-    /// energy, never its executions.
+    /// is above 2⁵³ or overflows `u64` ([`Engine::exact_totals`]), the
+    /// walk itself runs. Fault plans need no special case: a PPA fault
+    /// corrupts a layer's energy, never its executions.
     fn model_graph(&self, model: &Model, hw: &HwParams) -> claire_graph::WeightedGraph<OpClass> {
-        const EXACT: u64 = 1 << 53;
-        let (_, batch) = self.structural(model);
-        let executions = batch
-            .class_executions(hw)
-            .filter(|e| e.iter().all(|&n| n <= EXACT));
-        let edges = model
-            .edge_byte_totals()
-            .filter(|t| t.iter().all(|&(_, _, bytes)| bytes <= EXACT));
-        let (Some(executions), Some(edges)) = (executions, edges) else {
+        let Some((executions, edges)) = self.exact_totals(model, hw) else {
             return crate::graphs::build_graph_with_costs(model, hw, self);
         };
         let mut graph = claire_graph::WeightedGraph::new();
@@ -917,6 +851,21 @@ impl Engine {
             graph.add_edge(from, to, bytes as f64);
         }
         graph
+    }
+
+    /// The summary totals [`Engine::model_graph`] builds from: the
+    /// per-class executions under `hw` and the class-pair byte totals,
+    /// or `None` when one is above 2⁵³ or overflows `u64`.
+    fn exact_totals<'m>(&self, model: &'m Model, hw: &HwParams) -> Option<ExactTotals<'m>> {
+        const EXACT: u64 = 1 << 53;
+        let (_, batch) = self.structural(model);
+        let executions = batch
+            .class_executions(hw)
+            .filter(|e| e.iter().all(|&n| n <= EXACT))?;
+        let edges = model
+            .edge_byte_totals()
+            .filter(|t| t.iter().all(|&(_, _, bytes)| bytes <= EXACT))?;
+        Some((executions, edges))
     }
 
     /// The structural id and preprocessed [`LayerBatch`] for `model`
@@ -1300,7 +1249,7 @@ impl CostProvider for Engine {
     /// bit-for-bit. Cache-off engines and engines with PPA corruption
     /// armed walk the layers through [`Engine::layer_cost`]: each
     /// layer's injection site must be consulted, and without PPA
-    /// faults a cache-off `layer_cost` is the raw kernel.
+    /// faults `layer_cost` is the raw kernel.
     fn compute_sum(&self, model: &claire_model::Model, hw: &HwParams) -> ComputeSum {
         let ppa_faults = self.faults.as_ref().is_some_and(|p| p.has_ppa_faults());
         if !self.cache_enabled || ppa_faults {
@@ -1642,68 +1591,6 @@ thread_local! {
     static SUM_SCRATCH: RefCell<Vec<LayerCost>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A cache key bundled with its hash, computed once per lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Prehashed {
-    hash: u64,
-    pub(crate) key: CacheKey,
-}
-
-impl Prehashed {
-    pub(crate) fn new(key: CacheKey) -> Self {
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        Prehashed {
-            hash: hasher.finish(),
-            key,
-        }
-    }
-
-    /// Shard index from the hash's middle bits — disjoint from both
-    /// the low bits (hashbrown's bucket index) and the top bits (its
-    /// control tag), so sharding does not degrade bucket spread.
-    /// Shard choice affects only lock distribution, never results.
-    pub(crate) fn shard(&self) -> usize {
-        ((self.hash >> 32) as usize) % CACHE_SHARDS
-    }
-}
-
-impl Hash for Prehashed {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Build-hasher for [`Shard`] maps: keys already carry their hash, so
-/// the map's hasher just passes the stored `u64` through.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PrehashedState;
-
-impl BuildHasher for PrehashedState {
-    type Hasher = PassThroughHasher;
-
-    fn build_hasher(&self) -> PassThroughHasher {
-        PassThroughHasher(0)
-    }
-}
-
-/// Identity hasher over a single `write_u64`.
-pub(crate) struct PassThroughHasher(u64);
-
-impl Hasher for PassThroughHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("prehashed keys hash via write_u64 only");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2034,40 +1921,21 @@ mod tests {
 
     #[test]
     fn poisoned_engine_locks_recover() {
-        use claire_model::{Activation, ActivationKind};
         let plan = crate::fault::FaultPlan::new(9).with(crate::fault::FaultClass::PoisonShard, 1.0);
         let engine = Engine::new(2).with_faults(plan);
-        assert!(engine.shards.iter().all(|s| s.is_poisoned()));
-        let kind = LayerKind::Activation(Activation {
-            kind: ActivationKind::Relu,
-            elements: 64,
-        });
+        assert!(engine.louvains.is_poisoned());
+        assert!(engine.graphs.is_poisoned());
+        assert!(engine.models.is_poisoned());
+        let model = claire_model::zoo::alexnet();
         let hw = HwParams::new(16, 16, 8, 8);
-        let first = engine.layer_cost(&kind, &hw);
-        let second = engine.layer_cost(&kind, &hw);
-        assert_eq!(first, second);
+        let first = engine.universal_csr(std::slice::from_ref(&model), &hw);
+        let second = engine.universal_csr(std::slice::from_ref(&model), &hw);
+        assert!(Arc::ptr_eq(&first, &second), "a poisoned tier hits");
+        let louvain = |g: &UniversalCsr| engine.louvain_partition(&g.csr, 1.0);
+        assert!(Arc::ptr_eq(&louvain(&first), &louvain(&second)));
         let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1, "poisoned shard still serves hits");
-        assert_eq!(stats.cache_misses, 1);
-    }
-
-    #[test]
-    fn cache_counts_hits_and_misses() {
-        use claire_model::{Activation, ActivationKind};
-        let engine = Engine::new(2);
-        let kind = LayerKind::Activation(Activation {
-            kind: ActivationKind::Relu,
-            elements: 1024,
-        });
-        let hw = HwParams::new(32, 32, 16, 16);
-        let first = engine.layer_cost(&kind, &hw);
-        let second = engine.layer_cost(&kind, &hw);
-        assert_eq!(first, second);
-        let stats = engine.stats();
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_entries, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((stats.graph_hits, stats.graph_misses), (1, 1));
+        assert_eq!((stats.louvain_hits, stats.louvain_misses), (1, 1));
     }
 
     #[test]
@@ -2104,20 +1972,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_stays_empty_and_exact() {
+    fn layer_costs_are_the_kernel_and_fill_no_tier() {
         use claire_model::Linear;
-        let engine = Engine::new(1).with_cache(false);
         let kind = LayerKind::Linear(Linear {
             in_features: 256,
             out_features: 128,
             tokens: 4,
         });
         let hw = HwParams::new(16, 16, 8, 8);
-        assert_eq!(engine.layer_cost(&kind, &hw), layer_cost(&kind, &hw));
-        let stats = engine.stats();
-        assert!(!stats.cache_enabled);
-        assert_eq!(stats.cache_entries, 0);
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
+        let fresh = Engine::new(1).tier_signature();
+        for engine in [Engine::new(2), Engine::new(1).with_cache(false)] {
+            for _ in 0..2 {
+                assert_eq!(engine.layer_cost(&kind, &hw), layer_cost(&kind, &hw));
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.cache_enabled, engine.cache_enabled());
+            assert_eq!(stats.cache_entries, 0);
+            assert_eq!(engine.tier_signature(), fresh);
+        }
     }
 
     /// A model of `n` activation layers of `elements` each, the kinds
@@ -2145,14 +2017,13 @@ mod tests {
     }
 
     /// The engine's single-model graph at `hw`, as node and edge
-    /// weight bits, and whether building it read the layer-cost tier
-    /// (the per-layer reference build does, the summary build does
-    /// not).
+    /// weight bits, and whether the build walked the layers: whether
+    /// the guard of the summary build refused the model's totals.
     fn engine_graph(model: &Model, hw: &HwParams) -> (Vec<u64>, bool) {
         let engine = Engine::serial();
         let built = engine.universal_csr(std::slice::from_ref(model), hw);
-        let stats = engine.stats();
-        (graph_bits(&built.graph), stats.cache_misses > 0)
+        let walked = engine.exact_totals(model, hw).is_none();
+        (graph_bits(&built.graph), walked)
     }
 
     fn graph_bits(g: &claire_graph::WeightedGraph<OpClass>) -> Vec<u64> {

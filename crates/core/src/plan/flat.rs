@@ -31,7 +31,7 @@ use crate::dse::{
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
-use crate::search::area_screen;
+use crate::search::{area_screen, pivot_bound};
 use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams, SpaceAxes};
@@ -171,47 +171,16 @@ pub fn build_eval_table(
             offsets.push(at);
             at += row.points.len();
         }
-        // Pivot per model: first index with minimal bound (u64
-        // compare — exact, order-deterministic).
-        let pivots: Vec<Option<usize>> = rows
-            .iter()
-            .enumerate()
-            .map(|(mi, row)| {
-                (!row.points.is_empty()).then(|| {
-                    let slice = &lbs[offsets[mi]..offsets[mi] + row.points.len()];
-                    let mut pivot = 0usize;
-                    for (i, &lb) in slice.iter().enumerate() {
-                        if lb < slice[pivot] {
-                            pivot = i;
-                        }
-                    }
-                    pivot
-                })
-            })
-            .collect();
-        // Price every pivot (one small parallel map over models); an
-        // infeasible or failed pivot yields no sound bound — keep all.
-        let bounds: Vec<f64> = engine.par_map(&pivots, |mi, pivot| {
-            let Some(pi) = *pivot else {
-                return f64::INFINITY;
-            };
-            if cancelled(mi) {
-                // Cooperative checkpoint: an infinite bound keeps the
-                // model's points unscreened, and the big map below
-                // skips them anyway.
+        // Price each model's pivot (one small parallel map over
+        // models). An empty row has no pivot. A cancelled model gets an
+        // infinite bound, which keeps its points unscreened; the big
+        // map below skips them anyway (the cooperative checkpoint).
+        let bounds: Vec<f64> = engine.par_map(&rows, |mi, row| {
+            if row.points.is_empty() || cancelled(mi) {
                 return f64::INFINITY;
             }
-            let (idx, hw) = rows[mi].points[pi];
-            match pricers[mi].price(idx, hw) {
-                Ok(r)
-                    if r.area_mm2 <= constraints.chiplet_area_limit_mm2
-                        && r.power_density_w_per_mm2()
-                            <= constraints.power_density_limit_w_per_mm2 =>
-                {
-                    r.latency_s * (1.0 + constraints.latency_slack)
-                }
-                _ => f64::INFINITY,
-            }
+            let slice = &lbs[offsets[mi]..offsets[mi] + row.points.len()];
+            pivot_bound(&pricers[mi], &row.points, slice, constraints).1
         });
         let clock = claire_ppa::tech28::CLOCK_HZ;
         let mut total_pruned: u64 = 0;
@@ -309,9 +278,7 @@ pub fn custom_from_row(
         .zip(&row.reports)
         .filter_map(|(&(_, hw), r)| {
             let report = r.as_ref()?;
-            let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
-                && report.power_density_w_per_mm2() <= constraints.power_density_limit_w_per_mm2;
-            feasible.then_some((hw, report))
+            constraints.admits(report).then_some((hw, report))
         });
     select_custom_config(model, feasible, constraints, objective)
 }

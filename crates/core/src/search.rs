@@ -145,9 +145,9 @@ pub(crate) fn sweep_blocks(
 
     let evaluate = |idx: u32, hw: HwParams| -> Option<DsePoint> {
         let report = pricer.price(idx, hw).ok()?;
-        let feasible = report.area_mm2 <= constraints.chiplet_area_limit_mm2
-            && report.power_density_w_per_mm2() <= constraints.power_density_limit_w_per_mm2;
-        feasible.then_some(DsePoint { hw, report })
+        constraints
+            .admits(&report)
+            .then_some(DsePoint { hw, report })
     };
 
     // Stage A′: the latency lower-bound screen. Gated off under fault
@@ -162,21 +162,8 @@ pub(crate) fn sweep_blocks(
             .iter()
             .map(|&(idx, hw)| pricer.lb_cycles(idx, &hw))
             .collect();
-        // Pivot: first candidate in space order with minimal bound
-        // (u64 compare — exact, order-deterministic).
-        let mut pivot = 0usize;
-        for (i, &lb) in lbs.iter().enumerate() {
-            if lb < lbs[pivot] {
-                pivot = i;
-            }
-        }
-        let (pivot_idx, pivot_hw) = candidates[pivot];
-        let bound_s = match evaluate(pivot_idx, pivot_hw) {
-            Some(p) => p.report.latency_s * (1.0 + constraints.latency_slack),
-            // Infeasible / failed pivot: no sound bound — keep all.
-            None => f64::INFINITY,
-        };
-        span.arg("pivot", ArgValue::Text(pivot_hw.to_string()));
+        let (pivot, bound_s) = pivot_bound(&pricer, &candidates, &lbs, constraints);
+        span.arg("pivot", ArgValue::Text(candidates[pivot].1.to_string()));
         if bound_s.is_finite() {
             let clock = claire_ppa::tech28::CLOCK_HZ;
             let before = candidates.len();
@@ -210,6 +197,36 @@ pub(crate) fn sweep_blocks(
     });
     drop(span);
     priced
+}
+
+/// Stage A′'s cutoff for one model, in seconds: prices the pivot — the
+/// first of `points` (non-empty, in space order) with the minimal lower
+/// bound in `lbs`, which is parallel to `points` (a `u64` compare,
+/// exact and order-deterministic). A feasible pivot gives
+/// `latency × (1 + slack)`; an infeasible or failed one gives no sound
+/// bound, ∞, which keeps every point. Returns the pivot's position
+/// with the cutoff. Shared by [`sweep_with_engine`] and the flat plan
+/// ([`crate::plan::flat::build_eval_table`]).
+pub(crate) fn pivot_bound(
+    pricer: &ShellPricer<'_>,
+    points: &[(u32, HwParams)],
+    lbs: &[u64],
+    constraints: &Constraints,
+) -> (usize, f64) {
+    let mut pivot = 0usize;
+    for (i, &lb) in lbs.iter().enumerate() {
+        if lb < lbs[pivot] {
+            pivot = i;
+        }
+    }
+    let (idx, hw) = points[pivot];
+    let bound = match pricer.price(idx, hw) {
+        Ok(report) if constraints.admits(&report) => {
+            report.latency_s * (1.0 + constraints.latency_slack)
+        }
+        _ => f64::INFINITY,
+    };
+    (pivot, bound)
 }
 
 /// Stage A over the grid `axes`: the `(space index, point)` pairs

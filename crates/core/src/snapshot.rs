@@ -1,14 +1,15 @@
 //! Persistent warm state: versioned snapshots of the engine's memo tiers.
 //!
 //! Every memo tier the [`Engine`](crate::Engine) builds during a run is
-//! keyed canonically — by layer content, hardware parameters, complete
-//! topology encodings, or bit-exact graph encodings — never by process
-//! addresses or hash-iteration order (the one instance-keyed map,
-//! `ModelInterner::by_instance`, is deliberately *not* persisted). That
-//! is what makes cross-process reuse sound: an entry looked up from a
-//! snapshot is indistinguishable from one the loading process would
-//! have computed itself, so a flow started from a snapshot is
-//! bit-identical to the cold flow.
+//! keyed canonically — by interned layer sequences, hardware
+//! parameters, complete topology encodings, or bit-exact graph
+//! encodings — never by process addresses or hash-iteration order
+//! (the one instance-keyed map, `ModelInterner::by_instance`, is
+//! deliberately *not* persisted). That is what makes cross-process
+//! reuse sound: an entry looked up from a snapshot is
+//! indistinguishable from one the loading process would have computed
+//! itself, so a flow started from a snapshot is bit-identical to the
+//! cold flow.
 //!
 //! # File format
 //!
@@ -18,13 +19,13 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 5)
+//!     10     4  format version (u32 LE, currently 6)
 //!     14     8  body length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the body (u64 LE)
 //!     30     …  body
 //! ```
 //!
-//! The body is five sections in this fixed order. Each section is a
+//! The body is four sections in this fixed order. Each section is a
 //! `u32` record count followed by its records. Every integer is
 //! little-endian and every float is stored as its IEEE-754 bit pattern
 //! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
@@ -32,7 +33,6 @@
 //! ```text
 //! section       record
 //! structures    n:u32, n × kind            (position = structural id)
-//! layer_costs   kind, hw, cycles:u64, energy_pj:f64, executions:u64
 //! comms         sid:u32, topo, n:u32, n × transfer
 //! louvains      n:u32, n × key word:u64, partition
 //! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
@@ -84,13 +84,13 @@
 
 use crate::error::ClaireError;
 use crate::evaluate::TransferCost;
-use crate::parallel::{read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr};
+use crate::parallel::{read_lock, write_lock, Engine, TopologyKey, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
 use claire_model::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
     Pooling, PoolingKind,
 };
-use claire_ppa::{HwParams, LayerCost};
+use claire_ppa::HwParams;
 use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -105,7 +105,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -366,26 +366,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
     };
     let renum = |old: u32| old_to_new[old as usize];
 
-    let shards: Vec<_> = engine.shards.iter().map(read_lock).collect();
-    put_section(
-        &mut out,
-        shards.iter().flat_map(|shard| shard.iter()),
-        |out, (key, cost)| {
-            let (kind, hw) = &key.key;
-            let LayerCost {
-                cycles,
-                energy_pj,
-                executions,
-            } = *cost;
-            put_kind(out, kind);
-            put_hw(out, hw);
-            put_u64(out, cycles);
-            put_f64(out, energy_pj);
-            put_u64(out, executions);
-        },
-    );
-    drop(shards);
-
     put_section(
         &mut out,
         read_lock(&engine.comms).iter(),
@@ -461,7 +441,6 @@ type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 #[derive(Debug)]
 struct Staged {
     structures: Vec<Box<[LayerKind]>>,
-    layer_costs: Vec<(LayerKind, HwParams, LayerCost)>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
@@ -499,14 +478,6 @@ impl<'a> Reader<'a> {
 
     fn f64(&mut self) -> Result<f64, ClaireError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn finite(&mut self, what: &str) -> Result<f64, ClaireError> {
-        let v = self.f64()?;
-        if !v.is_finite() {
-            return Err(invalid(format!("non-finite {what} in snapshot")));
-        }
-        Ok(v)
     }
 
     fn bool(&mut self) -> Result<bool, ClaireError> {
@@ -737,18 +708,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         }
     };
 
-    let layer_costs = r.list(KIND_MIN + HW_LEN + 24, |r| {
-        Ok((
-            r.kind()?,
-            r.hw()?,
-            LayerCost {
-                cycles: r.u64()?,
-                energy_pj: r.finite("layer-cost energy")?,
-                executions: r.u64()?,
-            },
-        ))
-    })?;
-
     let comms = r.list(4 + TOPO_LEN + 4, |r| {
         Ok((
             sid(r)?,
@@ -777,7 +736,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     }
     Ok(Staged {
         structures,
-        layer_costs,
         comms,
         louvains,
         graphs,
@@ -801,11 +759,6 @@ fn apply(engine: &Engine, staged: Staged) {
     };
     let live = |sid: u32| sid_map[sid as usize];
 
-    for (kind, hw, cost) in staged.layer_costs {
-        let key = Prehashed::new((kind, hw));
-        let mut shard = write_lock(&engine.shards[key.shard()]);
-        shard.entry(key).or_insert(cost);
-    }
     {
         let mut comms = write_lock(&engine.comms);
         for (sid, topo, costs) in staged.comms {
@@ -998,11 +951,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// A framed snapshot whose body is the five sections, empty except
+    /// A framed snapshot whose body is the four sections, empty except
     /// for the given `(section index, count, records)`.
     fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
         let mut body = Vec::new();
-        for i in 0..5 {
+        for i in 0..4 {
             match sections.iter().find(|(s, _, _)| *s == i) {
                 Some((_, count, records)) => {
                     put_u32(&mut body, *count);
@@ -1033,7 +986,6 @@ mod tests {
 
     #[test]
     fn body_errors_are_typed() {
-        const HW: [u32; 4] = [16, 64, 16, 8];
         // A lone empty structure, so structural id 0 is in range.
         let one_structure = (0, 1, vec![0; 4]);
 
@@ -1048,25 +1000,27 @@ mod tests {
         trailing[..HEADER_LEN].copy_from_slice(&header_for(&body));
         assert!(rejection(&trailing).contains("trailing"));
 
-        // An unknown layer tag.
-        let mut cost = vec![7];
-        cost.extend(hw_bytes(HW));
-        cost.extend([0; 32]);
-        assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("layer tag"));
+        // An unknown layer tag, in a structure of one layer.
+        let mut structure = Vec::new();
+        put_u32(&mut structure, 1);
+        structure.push(7);
+        structure.extend([0; 8]);
+        assert!(rejection(&with_sections(&[(0, 1, structure)])).contains("layer tag"));
 
-        // A zero hardware parameter.
-        let mut cost = vec![5];
-        cost.extend([0; 8]);
-        cost.extend(hw_bytes([16, 0, 16, 8]));
-        cost.extend([0; 24]);
-        let detail = rejection(&with_sections(&[(1, 1, cost)]));
+        // A zero hardware parameter, in a graph of no members.
+        let mut graph = Vec::new();
+        put_u32(&mut graph, 0);
+        graph.extend(hw_bytes([16, 0, 16, 8]));
+        put_u32(&mut graph, 0);
+        put_u32(&mut graph, 0);
+        let detail = rejection(&with_sections(&[(3, 1, graph)]));
         assert!(detail.contains("n_sa"), "{detail}");
 
         // A structural id out of range.
         let mut comm = vec![1, 0, 0, 0];
         comm.extend([0; TOPO_LEN]);
         put_u32(&mut comm, 0);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (2, 1, comm)]));
+        let detail = rejection(&with_sections(&[one_structure.clone(), (1, 1, comm)]));
         assert!(detail.contains("structural id"), "{detail}");
 
         // A bool byte other than 0 or 1.
@@ -1075,7 +1029,7 @@ mod tests {
         comm.extend([0; 16]);
         comm.push(2);
         comm.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure, (2, 1, comm)]));
+        let detail = rejection(&with_sections(&[one_structure, (1, 1, comm)]));
         assert!(detail.contains("bool"), "{detail}");
 
         // An op class out of range inside a partition.
@@ -1084,17 +1038,8 @@ mod tests {
         put_u32(&mut louvain, 1); // one community
         put_u32(&mut louvain, 1); // of one node
         louvain.push(OpClass::COUNT as u8);
-        let detail = rejection(&with_sections(&[(3, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(2, 1, louvain)]));
         assert!(detail.contains("op class"), "{detail}");
-
-        // A non-finite energy.
-        let mut cost = vec![5];
-        cost.extend([0; 8]);
-        cost.extend(hw_bytes(HW));
-        put_u64(&mut cost, 1);
-        put_f64(&mut cost, f64::NAN);
-        put_u64(&mut cost, 1);
-        assert!(rejection(&with_sections(&[(1, 1, cost)])).contains("non-finite"));
 
         // A node in two communities.
         let mut louvain = Vec::new();
@@ -1104,7 +1049,7 @@ mod tests {
             put_u32(&mut louvain, 1);
             louvain.push(0);
         }
-        let detail = rejection(&with_sections(&[(3, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(2, 1, louvain)]));
         assert!(detail.contains("two communities"), "{detail}");
     }
 

@@ -56,13 +56,15 @@ fn lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Monotonic counter instruments. Each variant is one named counter;
 /// names follow a `subsystem.object.event` dotted convention (e.g.
-/// `memo.layer.hit`, `dse.pruned`, `fault.worker_panic`).
+/// `memo.graph.hit`, `dse.pruned`, `fault.worker_panic`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Layer-cost memo lookups served from cache.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LayerHit,
-    /// Layer-cost memo lookups that computed (and stored).
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     LayerMiss,
     /// Never recorded; always reads 0. Kept only because the
     /// benchmark's per-layer replay still names it.
@@ -317,8 +319,6 @@ impl Metric {
 pub enum Gauge {
     /// Worker threads the engine maps over.
     Threads,
-    /// Entries in the layer-cost memo cache.
-    LayerEntries,
     /// Entries in the Louvain partition cache.
     LouvainEntries,
     /// Entries in the universal-graph cache.
@@ -333,12 +333,11 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::Threads,
-        Gauge::LayerEntries,
         Gauge::LouvainEntries,
         Gauge::GraphEntries,
         Gauge::StructEntries,
@@ -350,7 +349,6 @@ impl Gauge {
     pub fn name(self) -> &'static str {
         match self {
             Gauge::Threads => "engine.threads",
-            Gauge::LayerEntries => "memo.layer.entries",
             Gauge::LouvainEntries => "memo.louvain.entries",
             Gauge::GraphEntries => "memo.graph.entries",
             Gauge::StructEntries => "engine.struct_entries",
@@ -1582,11 +1580,11 @@ mod tests {
     #[test]
     fn counters_start_zero_and_accumulate() {
         let t = Telemetry::new();
-        assert_eq!(t.counter(Metric::LayerHit), 0);
-        t.count(Metric::LayerHit);
-        t.count_by(Metric::LayerHit, 4);
-        assert_eq!(t.counter(Metric::LayerHit), 5);
-        assert_eq!(t.counter(Metric::LayerMiss), 0);
+        assert_eq!(t.counter(Metric::GraphHit), 0);
+        t.count(Metric::GraphHit);
+        t.count_by(Metric::GraphHit, 4);
+        assert_eq!(t.counter(Metric::GraphHit), 5);
+        assert_eq!(t.counter(Metric::GraphMiss), 0);
     }
 
     #[test]

@@ -145,26 +145,33 @@ fn worker_panics_are_contained_as_typed_errors() {
 
 #[test]
 fn poisoned_cache_shards_recover_bit_identically() {
+    let claire = Claire::new(ClaireOptions::default());
     for threads in THREAD_COUNTS {
         let plain = Engine::new(threads);
-        let baseline = Claire::new(ClaireOptions::default())
+        let baseline = claire
             .custom_for_with_engine(&zoo::alexnet(), &plain)
             .expect("baseline");
 
-        let (out, injected) = faulted_custom(
-            FaultClass::PoisonShard,
-            1.0,
-            threads,
-            RobustnessPolicy::FailFast,
-        );
-        assert!(injected > 0, "every shard should be poisoned");
-        let poisoned = out.expect("poisoned memo shards are recoverable");
+        let plan = FaultPlan::new(0xFA11).with(FaultClass::PoisonShard, 1.0);
+        let engine = Engine::new(threads).with_faults(plan);
+        let injected = engine
+            .faults()
+            .map_or(0, |p| p.injections(FaultClass::PoisonShard));
+        assert_eq!(injected, 3, "the Louvain, graph and interner locks");
+        let poisoned = claire
+            .custom_for_with_engine(&zoo::alexnet(), &engine)
+            .expect("poisoned memo locks are recoverable");
         assert_finite(&poisoned.report);
+        // The run read every poisoned lock, so recovery was exercised.
+        let stats = engine.stats();
+        assert!(stats.graph_hits + stats.graph_misses >= 1, "{stats:?}");
+        assert!(stats.louvain_hits + stats.louvain_misses >= 1, "{stats:?}");
+        assert!(stats.struct_entries >= 1, "{stats:?}");
         // Poisoning never corrupts stored values, so recovery is
         // exact, not merely approximate.
         assert_eq!(
-            format!("{:?}", poisoned.report),
-            format!("{:?}", baseline.report),
+            format!("{:?}", (&poisoned.config, &poisoned.report)),
+            format!("{:?}", (&baseline.config, &baseline.report)),
             "{threads} threads"
         );
     }

@@ -439,3 +439,48 @@ fn engine_counters_see_traffic_during_a_sweep() {
     );
     assert!(stats.overall_hit_rate() > 0.0, "no memo hits: {stats:?}");
 }
+
+#[test]
+fn weight_streaming_is_bit_identical_across_engines() {
+    use claire::core::evaluate::evaluate_with;
+    use claire::core::{DesignConfig, EvalOptions};
+    use claire::ppa::MemoryModel;
+    // Weight streaming prices each layer on its own, through
+    // `Engine::layer_cost` rather than the interned batch; the
+    // reference prices through `DirectCosts`.
+    let streaming = EvalOptions {
+        memory: Some(MemoryModel::ddr4_3200()),
+        ..EvalOptions::default()
+    };
+    for model in [
+        zoo::alexnet(),
+        zoo::resnet50(),
+        zoo::mobilenet_v2(),
+        zoo::bert_base(),
+        zoo::gpt2(),
+    ] {
+        let classes: std::collections::BTreeSet<_> = model.op_class_counts().into_keys().collect();
+        let configs: Vec<DesignConfig> = DseSpace::default()
+            .iter()
+            .map(|hw| DesignConfig::monolithic("streaming", hw, classes.clone()))
+            .collect();
+        let reference: Vec<String> = configs
+            .iter()
+            .map(|c| format!("{:?}", evaluate_with(&model, c, streaming)))
+            .collect();
+        let name = model.name();
+        assert!(reference.iter().all(|r| r.starts_with("Ok(")), "{name}");
+        for threads in THREAD_COUNTS {
+            for cache in [true, false] {
+                let engine = Engine::new(threads).with_cache(cache);
+                let got = engine.par_map(&configs, |_, c| {
+                    format!("{:?}", engine.evaluate_with(&model, c, streaming))
+                });
+                assert_eq!(
+                    got, reference,
+                    "{name} at {threads} thread(s), cache {cache}"
+                );
+            }
+        }
+    }
+}

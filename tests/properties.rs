@@ -1035,8 +1035,7 @@ fn graph_bits(g: &WeightedGraph<OpClass>) -> GraphBits {
 }
 
 /// The engine's single-model graph equals the per-layer reference
-/// build at every summary point, and is built without the layer-cost
-/// tier.
+/// build at every summary point.
 fn assert_engine_graph_is_the_walk(model: &Model) -> Result<(), TestCaseError> {
     use claire::core::{graphs, DirectCosts, Engine};
     let engine = Engine::serial();
@@ -1051,8 +1050,6 @@ fn assert_engine_graph_is_the_walk(model: &Model) -> Result<(), TestCaseError> {
             hw
         );
     }
-    let stats = engine.stats();
-    prop_assert_eq!(stats.cache_hits + stats.cache_misses, 0, "{}", model.name());
     Ok(())
 }
 

@@ -58,7 +58,6 @@ fn flow_from_snapshot_is_bit_identical_to_cold() {
     // memo lookup is a hit, and no tier grows, so the snapshot would
     // not be rewritten.
     let stats = warm.stats();
-    assert_eq!(stats.cache_misses, 0, "{stats:?}");
     assert_eq!(stats.louvain_misses, 0, "{stats:?}");
     assert_eq!(stats.graph_misses, 0, "{stats:?}");
     assert_eq!(stats.comm_misses, 0, "{stats:?}");
