@@ -87,9 +87,17 @@ fn exit_code(e: &ClaireError) -> i32 {
 
 /// Builds the engine a command runs on: tracing armed exactly when a
 /// trace export path is set (mirrors the façade's internal policy).
-fn engine_for(claire: &Claire) -> Engine {
-    Engine::for_space(&claire.options().space)
-        .with_tracing(claire.options().telemetry.trace_out.is_some())
+///
+/// The engine is leaked, never dropped. Each command that takes one
+/// (`custom`, `train`, `flow`, `parse`) exports its telemetry, saves
+/// its snapshot and writes its output before `main` ends the process,
+/// so a drop would only wake and join the parked pool helper and free
+/// every memo tier moments before the process exits.
+fn engine_for(claire: &Claire) -> &'static Engine {
+    Box::leak(Box::new(
+        Engine::for_space(&claire.options().space)
+            .with_tracing(claire.options().telemetry.trace_out.is_some()),
+    ))
 }
 
 /// Loads the warm-state snapshot (if `--cache-dir` names one) into
@@ -234,13 +242,13 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             };
             let claire = Claire::new(opts);
             let engine = engine_for(&claire);
-            load_warm(&claire, &engine);
-            match claire.custom_for_with_engine(&m, &engine) {
+            load_warm(&claire, engine);
+            match claire.custom_for_with_engine(&m, engine) {
                 Ok(custom) => {
-                    if let Err(e) = claire.export_telemetry(&engine) {
+                    if let Err(e) = claire.export_telemetry(engine) {
                         return Ok(fail(&e));
                     }
-                    save_warm(&claire, &engine);
+                    save_warm(&claire, engine);
                     warn_degraded(custom.model.name(), custom.degradation.as_ref());
                     let s = CustomSummary::from(&custom);
                     if json {
@@ -290,13 +298,13 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             };
             let claire = Claire::new(opts);
             let engine = engine_for(&claire);
-            load_warm(&claire, &engine);
-            match claire.train_with_engine(&zoo::training_set(), &engine) {
+            load_warm(&claire, engine);
+            match claire.train_with_engine(&zoo::training_set(), engine) {
                 Ok(train) => {
-                    if let Err(e) = claire.export_telemetry(&engine) {
+                    if let Err(e) = claire.export_telemetry(engine) {
                         return Ok(fail(&e));
                     }
-                    save_warm(&claire, &engine);
+                    save_warm(&claire, engine);
                     warn_train(&train);
                     let s = TrainSummary::from(&train);
                     if json {
@@ -330,8 +338,8 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             // export covers all six flow stages in a single trace and
             // a --cache-dir snapshot captures both phases' tiers.
             let engine = engine_for(&claire);
-            load_warm(&claire, &engine);
-            let train = match claire.train_with_engine(&zoo::training_set(), &engine) {
+            load_warm(&claire, engine);
+            let train = match claire.train_with_engine(&zoo::training_set(), engine) {
                 Ok(t) => {
                     warn_train(&t);
                     t
@@ -342,12 +350,12 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             if extended {
                 tests.extend(zoo::extended_test_set());
             }
-            match claire.evaluate_test_with_engine(&train, &tests, &engine) {
+            match claire.evaluate_test_with_engine(&train, &tests, engine) {
                 Ok(test) => {
-                    if let Err(e) = claire.export_telemetry(&engine) {
+                    if let Err(e) = claire.export_telemetry(engine) {
                         return Ok(fail(&e));
                     }
-                    save_warm(&claire, &engine);
+                    save_warm(&claire, engine);
                     let flow = FlowSummary::new(&train, &test);
                     if json {
                         writeln!(
@@ -641,13 +649,13 @@ fn run(cmd: Command, g: &Globals, out: &mut impl Write) -> io::Result<i32> {
             };
             let claire = Claire::new(opts);
             let engine = engine_for(&claire);
-            load_warm(&claire, &engine);
-            match claire.custom_for_with_engine(&model, &engine) {
+            load_warm(&claire, engine);
+            match claire.custom_for_with_engine(&model, engine) {
                 Ok(custom) => {
-                    if let Err(e) = claire.export_telemetry(&engine) {
+                    if let Err(e) = claire.export_telemetry(engine) {
                         return Ok(fail(&e));
                     }
-                    save_warm(&claire, &engine);
+                    save_warm(&claire, engine);
                     warn_degraded(custom.model.name(), custom.degradation.as_ref());
                     let s = CustomSummary::from(&custom);
                     if json {

@@ -130,6 +130,14 @@ pub(crate) fn class_mask(classes: &BTreeSet<OpClass>) -> u16 {
 /// and adds the same router term, so it is bit-identical to
 /// [`monolithic_area_mm2`] at every point of the grid.
 ///
+/// A row of the grid (the `n_pool` axis at fixed `(sa_size, n_sa,
+/// n_act)`) shares every term before the first pooling class, the
+/// classes being ordered systolic, activation, pooling, reshape. So
+/// [`AreaTables::row_mm2`] folds that prefix once per row and
+/// [`AreaTables::area_in_row`] resumes the same left-to-right fold
+/// from it per point: the same additions in the same order, hence the
+/// same bits. No term is ever summed out of class order.
+///
 /// Each unit area is `f64::from(v)` times a positive constant, or a
 /// constant, so it is non-decreasing along its axis; `f64` addition is
 /// monotone, so the folded area is non-decreasing along every axis.
@@ -137,6 +145,9 @@ pub(crate) fn class_mask(classes: &BTreeSet<OpClass>) -> u16 {
 pub(crate) struct AreaTables {
     /// Per class, in class order: the axis it reads and its areas.
     units: Box<[(UnitAxis, Box<[f64]>)]>,
+    /// The position in `units` of the first pooling class (`units.len()`
+    /// when there is none): the units before it read no `n_pool`.
+    split: usize,
     /// `n_sas.len()`: the row stride of the systolic tables.
     n_sas: usize,
     /// One NoC router per module group.
@@ -163,7 +174,7 @@ impl AreaTables {
             n_act,
             n_pool,
         };
-        let units = classes
+        let units: Box<[(UnitAxis, Box<[f64]>)]> = classes
             .iter()
             .map(|&class| {
                 let area = |hw: HwParams| unit_area_mm2(class, &hw);
@@ -195,8 +206,13 @@ impl AreaTables {
                 }
             })
             .collect();
+        let split = units
+            .iter()
+            .position(|(axis, _)| matches!(axis, UnitAxis::Pooling))
+            .unwrap_or(units.len());
         AreaTables {
             units,
+            split,
             n_sas: axes.n_sas.len(),
             routers_mm2: classes.len() as f64 * Network::noc().router.area_mm2,
         }
@@ -205,18 +221,39 @@ impl AreaTables {
     /// The monolithic area at axis positions `[sa_size, n_sa, n_act,
     /// n_pool]` (see [`SpaceAxes::decode`]).
     pub(crate) fn area_mm2(&self, at: [usize; 4]) -> f64 {
-        let [si, ni, ai, pi] = at;
-        let units: f64 = self
-            .units
+        self.area_in_row(self.row_mm2(at), at)
+    }
+
+    /// The fold of the unit areas before the first pooling class at the
+    /// row of `at` (its `n_pool` position is not read): the prefix of
+    /// [`AreaTables::area_mm2`]'s sum that every point of the row
+    /// shares.
+    pub(crate) fn row_mm2(&self, at: [usize; 4]) -> f64 {
+        self.units[..self.split]
             .iter()
-            .map(|(axis, areas)| match axis {
-                UnitAxis::Systolic => areas[si * self.n_sas + ni],
-                UnitAxis::Activation => areas[ai],
-                UnitAxis::Pooling => areas[pi],
-                UnitAxis::Fixed => areas[0],
-            })
-            .sum();
+            .map(|unit| self.unit_mm2(unit, at))
+            .sum()
+    }
+
+    /// [`AreaTables::area_mm2`] at `at`, resumed from its row's prefix
+    /// `row` ([`AreaTables::row_mm2`]): the remaining classes' terms
+    /// added in class order, then the routers.
+    pub(crate) fn area_in_row(&self, row: f64, at: [usize; 4]) -> f64 {
+        let units = self.units[self.split..]
+            .iter()
+            .fold(row, |sum, unit| sum + self.unit_mm2(unit, at));
         units + self.routers_mm2
+    }
+
+    /// One class's unit area at `at`.
+    fn unit_mm2(&self, (axis, areas): &(UnitAxis, Box<[f64]>), at: [usize; 4]) -> f64 {
+        let [si, ni, ai, pi] = at;
+        match axis {
+            UnitAxis::Systolic => areas[si * self.n_sas + ni],
+            UnitAxis::Activation => areas[ai],
+            UnitAxis::Pooling => areas[pi],
+            UnitAxis::Fixed => areas[0],
+        }
     }
 }
 
@@ -577,6 +614,39 @@ mod tests {
                 monolithic_area_mm2(&classes, &hw).to_bits(),
                 "{hw}"
             );
+        }
+    }
+
+    #[test]
+    fn row_fold_matches_the_closed_form_for_every_zoo_model() {
+        use claire_ppa::{DesignSpace, DseSpace};
+        let dense = DseSpace::dense(16).axes();
+        let reversed = SpaceAxes {
+            n_pools: dense.n_pools.iter().rev().copied().collect(),
+            ..dense.clone()
+        };
+        let class_sets: BTreeSet<BTreeSet<OpClass>> = claire_model::zoo::TABLE
+            .iter()
+            .map(|(_, make)| make().op_class_counts().keys().copied().collect())
+            .collect();
+        let np = dense.n_pools.len();
+        let rows = dense.sa_sizes.len() * dense.n_sas.len() * dense.n_acts.len();
+        for classes in &class_sets {
+            for axes in [&dense, &reversed] {
+                let tables = AreaTables::new(classes, axes);
+                for row in 0..rows {
+                    let shared = tables.row_mm2(axes.decode(row * np));
+                    for pi in 0..np {
+                        let at = axes.decode(row * np + pi);
+                        let hw = axes.point(at).expect("dense values are non-zero");
+                        assert_eq!(
+                            tables.area_in_row(shared, at).to_bits(),
+                            monolithic_area_mm2(classes, &hw).to_bits(),
+                            "{hw} {classes:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -301,7 +301,7 @@ pub fn custom_config_with(
 }
 
 /// [`custom_config_with`] on an explicit [`Engine`] over any
-/// [`DesignSpace`]: the search prices the survivor list block by block
+/// [`DesignSpace`]: the search prices its candidates block by block
 /// ([`crate::search`], stage B) and the selection folds over the blocks
 /// in order (`select_custom_config`), without concatenating them, with
 /// the same result at any thread count.

@@ -435,6 +435,10 @@ impl Engine {
     /// `1..=`[`MAX_THREADS`]) and the memo cache enabled.
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_THREADS);
+        let telemetry = Telemetry::new();
+        // Set before any map runs, so per-worker utilization lists
+        // every configured worker.
+        telemetry.set_gauge(Gauge::Threads, threads as u64);
         Engine {
             threads,
             cache_enabled: true,
@@ -445,7 +449,7 @@ impl Engine {
             comms: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
             persisted: RwLock::new(None),
-            telemetry: Arc::new(Telemetry::new()),
+            telemetry: Arc::new(telemetry),
             pool: Pool::new(threads - 1),
         }
     }
@@ -1315,19 +1319,26 @@ impl CostProvider for Engine {
 ///   one run of that family's batch kernel
 ///   ([`LayerBatch::systolic_cycles`] and its siblings), plus the
 ///   axis-free reshape part. A point's cycles are those four parts
-///   added with `wrapping_add`: the batch kernel's per-layer sum;
+///   added with `wrapping_add`: the batch kernel's per-layer sum. A row
+///   of the grid (the `n_pool` axis at fixed `(sa_size, n_sa, n_act)`)
+///   shares all but the pooling part (`row_cycles`); wrapping `u64`
+///   addition is associative and commutative, so the row's part plus
+///   the point's pooling entry is the same count;
 /// * **energy**: no layer's energy reads the point, so the model's
 ///   compute energy is folded once ([`LayerBatch::energy_pj`]), on the
-///   first [`ShellPricer::price`] call, with the coverage check and the
-///   comm tier's edge-cost sequence and its NoC and NoP energy folds;
+///   first [`ShellPricer::price`] call, with the coverage check, the
+///   comm tier's edge-cost sequence, each transfer's latency and the
+///   sequence's NoC and NoP energy folds;
 /// * **area**: one unit-area table per class of the shell, along the
 ///   axis that class reads, folded in class order per point
 ///   ([`crate::config::monolithic_area_mm2`], bit for bit).
 ///
-/// A point then costs four cycle-table reads, the in-order latency
-/// fold over the sequence, the area fold and the evaluator's own
-/// report tail ([`crate::evaluate`]'s `EvalTerms`), so `price` is
-/// bit-identical to [`Engine::evaluate`] on the shell at that point.
+/// A point then costs three cycle-table reads (one once its row's part
+/// is known), the in-order latency fold over the transfer latencies,
+/// the area fold and the evaluator's own report tail
+/// ([`crate::evaluate`]'s `EvalTerms`), so `price` is bit-identical to
+/// [`Engine::evaluate`] on the shell at that point; the search's stage
+/// B runs the same fold for several points at once (`LaneFold`).
 /// Points are addressed by their flat space index, decoded by
 /// [`SpaceAxes::decode`]; callers pass the point too, which the tables
 /// fill from and the fallback prices. Every table and table entry
@@ -1374,11 +1385,12 @@ fn entries(len: usize) -> Box<[OnceLock<u64>]> {
     std::iter::repeat_with(OnceLock::new).take(len).collect()
 }
 
-/// A shell's edge-cost sequence with the point-independent energy
+/// A shell's transfer latencies with the point-independent energy
 /// sums.
 #[derive(Debug)]
 struct PreparedComm {
-    seq: Arc<[TransferCost]>,
+    /// Each transfer's [`TransferCost::latency_s`], in edge order.
+    latencies: Box<[f64]>,
     noc_pj: f64,
     nop_pj: f64,
     compute_pj: f64,
@@ -1388,6 +1400,11 @@ impl<'a> ShellPricer<'a> {
     /// The priced model.
     pub(crate) fn model(&self) -> &'a Model {
         self.model
+    }
+
+    /// The axes of the space the priced points come from.
+    pub(crate) fn axes(&self) -> &'a SpaceAxes {
+        self.axes
     }
 
     /// The axis positions of the point at space index `index`.
@@ -1412,21 +1429,52 @@ impl<'a> ShellPricer<'a> {
         })
     }
 
-    /// The model's compute cycles at the point `hw` at positions `at`:
-    /// four table reads, each entry filled from `hw` on first use.
-    fn cycles_at(&self, at: [usize; 4], hw: &HwParams) -> u64 {
+    /// A cycle-table entry, filled from `hw` by one run of `kernel` on
+    /// first use.
+    fn entry(
+        &self,
+        entry: &OnceLock<u64>,
+        kernel: fn(&LayerBatch, &HwParams) -> u64,
+        hw: &HwParams,
+    ) -> u64 {
+        *entry.get_or_init(|| {
+            let batch = &self.cycle_tables().batch;
+            self.engine.batch_kernel(batch, || kernel(batch, hw))
+        })
+    }
+
+    /// The compute cycles every point of the row of `at` shares (its
+    /// `n_pool` position is not read): the systolic, activation and
+    /// reshape parts added with `wrapping_add`, each entry filled from
+    /// `hw`, a point of that row, on first use. `None` when the pricer
+    /// is not prepared and computes each point's count whole.
+    pub(crate) fn row_cycles(&self, at: [usize; 4], hw: &HwParams) -> Option<u64> {
+        if !self.prepared {
+            return None;
+        }
         let t = self.cycle_tables();
-        let [si, ni, ai, pi] = at;
-        let fill = |entry: &OnceLock<u64>, kernel: fn(&LayerBatch, &HwParams) -> u64| {
-            *entry.get_or_init(|| self.engine.batch_kernel(&t.batch, || kernel(&t.batch, hw)))
-        };
-        fill(
-            &t.systolic[si * self.axes.n_sas.len() + ni],
-            LayerBatch::systolic_cycles,
+        let [si, ni, ai, _] = at;
+        let systolic = &t.systolic[si * self.axes.n_sas.len() + ni];
+        Some(
+            self.entry(systolic, LayerBatch::systolic_cycles, hw)
+                .wrapping_add(self.entry(&t.activation[ai], LayerBatch::activation_cycles, hw))
+                .wrapping_add(t.reshape),
         )
-        .wrapping_add(fill(&t.activation[ai], LayerBatch::activation_cycles))
-        .wrapping_add(fill(&t.pooling[pi], LayerBatch::pooling_cycles))
-        .wrapping_add(t.reshape)
+    }
+
+    /// [`ShellPricer::lb_cycles`] at the point `hw`, at `n_pool`
+    /// position `pi` of a row whose shared cycles are `row`
+    /// ([`ShellPricer::row_cycles`]): one pooling-table read added to
+    /// the row's part.
+    pub(crate) fn cycles_in_row(&self, row: Option<u64>, pi: usize, hw: &HwParams) -> u64 {
+        match row {
+            Some(row) => row.wrapping_add(self.entry(
+                &self.cycle_tables().pooling[pi],
+                LayerBatch::pooling_cycles,
+                hw,
+            )),
+            None => self.engine.compute_cycles_lb(self.model, hw),
+        }
     }
 
     /// The shell's monolithic area at space index `index`: exactly
@@ -1438,18 +1486,20 @@ impl<'a> ShellPricer<'a> {
 
     /// [`ShellPricer::area_mm2`] at axis positions `at`.
     pub(crate) fn area_at(&self, at: [usize; 4]) -> f64 {
+        self.area_tables().area_mm2(at)
+    }
+
+    /// The per-class area tables, built on first use.
+    pub(crate) fn area_tables(&self) -> &AreaTables {
         self.area
             .get_or_init(|| AreaTables::new(&self.shell.classes, self.axes))
-            .area_mm2(at)
     }
 
     /// The compute-cycle lower bound at the point `hw` at space index
     /// `index`: exactly [`Engine::compute_cycles_lb`] for the model.
     pub fn lb_cycles(&self, index: u32, hw: &HwParams) -> u64 {
-        if !self.prepared {
-            return self.engine.compute_cycles_lb(self.model, hw);
-        }
-        self.cycles_at(self.at(index, hw), hw)
+        let at = self.at(index, hw);
+        self.cycles_in_row(self.row_cycles(at, hw), at[3], hw)
     }
 
     /// The model's PPA on the shell at the point `hw` at space index
@@ -1460,29 +1510,60 @@ impl<'a> ShellPricer<'a> {
     ///
     /// Exactly [`Engine::evaluate`]'s errors.
     pub fn price(&self, index: u32, hw: HwParams) -> Result<PpaReport, ClaireError> {
-        let comm = if self.prepared {
-            self.comm.get_or_init(|| self.resolve_comm()).as_ref()
-        } else {
-            None
-        };
-        let Some(comm) = comm else {
+        let Some(comm) = self.prepared_comm() else {
             let mut config = self.shell.clone();
             config.hw = hw;
             return self.engine.evaluate(self.model, &config);
         };
         let at = self.at(index, &hw);
+        let cycles = self.cycles_in_row(self.row_cycles(at, &hw), at[3], &hw);
         // The evaluator's latency fold: compute seconds first, then
         // each transfer in edge order.
-        let mut latency_s = self.cycles_at(at, &hw) as f64 / claire_ppa::tech28::CLOCK_HZ;
-        for t in comm.seq.iter() {
-            latency_s += t.latency_s();
+        let mut latency_s = cycles as f64 / claire_ppa::tech28::CLOCK_HZ;
+        for t in comm.latencies.iter() {
+            latency_s += t;
         }
+        self.report(comm, latency_s, self.area_at(at))
+    }
+
+    /// A [`LaneFold`] over this pricer, or `None` when it prices each
+    /// point through [`Engine::evaluate`] (see [`ShellPricer::price`]).
+    /// Resolves the comm terms on first use, as `price` does.
+    pub(crate) fn lanes(&self) -> Option<LaneFold<'_, 'a>> {
+        self.prepared_comm().map(|comm| LaneFold {
+            pricer: self,
+            comm,
+            // Placeholders: a lane is read only after a push fills it.
+            hw: [self.shell.hw; LANES],
+            latency_s: [0.0; LANES],
+            area_mm2: [0.0; LANES],
+            len: 0,
+        })
+    }
+
+    /// The prepared comm terms, resolved on first use; `None` when the
+    /// pricer evaluates each point instead.
+    fn prepared_comm(&self) -> Option<&PreparedComm> {
+        if !self.prepared {
+            return None;
+        }
+        self.comm.get_or_init(|| self.resolve_comm()).as_ref()
+    }
+
+    /// The evaluator's report tail for a point of this shell with
+    /// latency `latency_s` and area `area_mm2`.
+    fn report(
+        &self,
+        comm: &PreparedComm,
+        latency_s: f64,
+        area_mm2: f64,
+    ) -> Result<PpaReport, ClaireError> {
         EvalTerms {
             latency_s,
             compute_pj: comm.compute_pj,
             noc_pj: comm.noc_pj,
             nop_pj: comm.nop_pj,
-            area_mm2: self.area_at(at),
+            area_mm2,
             leakage_j: 0.0,
         }
         .into_report(self.model, &self.shell.name)
@@ -1503,11 +1584,71 @@ impl<'a> ShellPricer<'a> {
         }
         let batch = &self.cycle_tables().batch;
         Some(PreparedComm {
-            seq,
+            latencies: seq.iter().map(TransferCost::latency_s).collect(),
             noc_pj,
             nop_pj,
             compute_pj: self.engine.batch_kernel(batch, || batch.energy_pj()),
         })
+    }
+}
+
+/// The points a [`LaneFold`] prices at once.
+pub(crate) const LANES: usize = 8;
+
+/// Up to [`LANES`] points of one [`ShellPricer`], priced together. Each
+/// lane starts from its point's compute seconds; then every transfer
+/// latency is added to every lane, in edge order. A lane thus goes
+/// through exactly the additions [`ShellPricer::price`] makes for its
+/// point, in the same order, and Rust never reassociates or contracts
+/// `f64` operations, so each lane's report is bit-identical to
+/// `price`'s. What changes is the dependency chain: `price` waits on
+/// one add per transfer, while the lanes' adds for one transfer are
+/// independent of each other.
+#[derive(Debug)]
+pub(crate) struct LaneFold<'p, 'a> {
+    pricer: &'p ShellPricer<'a>,
+    comm: &'p PreparedComm,
+    hw: [HwParams; LANES],
+    latency_s: [f64; LANES],
+    area_mm2: [f64; LANES],
+    /// Filled lanes.
+    len: usize,
+}
+
+impl LaneFold<'_, '_> {
+    /// Fills the next lane with the point `hw`, its compute `cycles`
+    /// ([`ShellPricer::lb_cycles`]) and its area; returns `true` when
+    /// every lane is filled, so the caller drains before the next push.
+    pub(crate) fn push(&mut self, hw: HwParams, cycles: u64, area_mm2: f64) -> bool {
+        let k = self.len;
+        self.hw[k] = hw;
+        self.latency_s[k] = cycles as f64 / claire_ppa::tech28::CLOCK_HZ;
+        self.area_mm2[k] = area_mm2;
+        self.len += 1;
+        self.len == LANES
+    }
+
+    /// Adds the transfer latencies to the lanes and hands each filled
+    /// lane's point and report to `emit`, in push order, leaving every
+    /// lane empty.
+    pub(crate) fn drain(&mut self, mut emit: impl FnMut(HwParams, Result<PpaReport, ClaireError>)) {
+        if self.len == 0 {
+            return;
+        }
+        // Every lane, filled or not: a fixed-width inner loop over a
+        // local copy the compiler can keep in registers; an unfilled
+        // lane's sum is never read.
+        let mut latency_s = self.latency_s;
+        for &t in self.comm.latencies.iter() {
+            for lane in &mut latency_s {
+                *lane += t;
+            }
+        }
+        let lanes = self.hw.iter().zip(&latency_s).zip(&self.area_mm2);
+        for ((&hw, &latency_s), &area_mm2) in lanes.take(self.len) {
+            emit(hw, self.pricer.report(self.comm, latency_s, area_mm2));
+        }
+        self.len = 0;
     }
 }
 
@@ -1707,6 +1848,26 @@ mod tests {
             .collect();
         assert_eq!(workers.len(), 2, "{workers:?}");
         assert!(workers.contains(&0) && workers.contains(&1), "{workers:?}");
+    }
+
+    #[test]
+    fn a_worker_that_took_no_job_still_has_a_utilization_row() {
+        // A one-item map runs on the caller alone: workers 1 and 2 take
+        // no job and record no sample.
+        let engine = Engine::new(3);
+        assert_eq!(engine.par_map(&[7u32], |_, &x| x + 1), vec![8]);
+        assert_eq!(engine.telemetry().worker_samples().len(), 1);
+        let util = engine.telemetry().worker_utilization();
+        let rows: Vec<(usize, u64)> = util.iter().map(|u| (u.worker, u.items)).collect();
+        assert_eq!(rows, vec![(0, 1), (1, 0), (2, 0)]);
+        for idle in &util[1..] {
+            assert_eq!((idle.busy, idle.wall), (Duration::ZERO, Duration::ZERO));
+            assert_eq!(idle.utilization(), 0.0);
+        }
+        let metrics = engine.metrics_value();
+        let workers = metrics["worker_utilization"].as_array().expect("rows");
+        assert_eq!(workers.len(), 3);
+        assert_eq!(workers[2]["items"].as_u64(), Some(0));
     }
 
     #[test]

@@ -91,7 +91,8 @@ pub struct EvalTable {
 }
 
 /// Builds the evaluation table for `models`. Each model's points pass
-/// the search's stage A (its own area screen, `search::area_screen`)
+/// the search's stage A (its own area screen, `search::area_screen`,
+/// whose row runs expand into the row's point list)
 /// and stage A′ (the latency lower-bound screen), with identical
 /// constraints and counters. The union of all remaining
 /// `(model, hw-point)` items is evaluated through one
@@ -132,7 +133,10 @@ pub fn build_eval_table(
         .iter()
         .map(|pricer| {
             let points = if engine.pruning_enabled() {
-                area_screen(engine, &axes, pricer, constraints.chiplet_area_limit_mm2)
+                area_screen(engine, pricer, constraints.chiplet_area_limit_mm2)
+                    .into_iter()
+                    .flat_map(|run| run.points(&axes))
+                    .collect()
             } else {
                 space_points.clone()
             };
@@ -179,8 +183,12 @@ pub fn build_eval_table(
             if row.points.is_empty() || cancelled(mi) {
                 return f64::INFINITY;
             }
+            // The first point with the minimal bound, in space order
+            // (`min_by_key` keeps the first of equal minima).
             let slice = &lbs[offsets[mi]..offsets[mi] + row.points.len()];
-            pivot_bound(&pricers[mi], &row.points, slice, constraints).1
+            let pivot = slice.iter().enumerate().min_by_key(|&(_, &lb)| lb);
+            let (index, hw) = row.points[pivot.map_or(0, |(i, _)| i)];
+            pivot_bound(&pricers[mi], index, hw, constraints)
         });
         let clock = claire_ppa::tech28::CLOCK_HZ;
         let mut total_pruned: u64 = 0;

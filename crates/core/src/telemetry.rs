@@ -1184,10 +1184,23 @@ impl Telemetry {
         lock(&self.workers).clone()
     }
 
-    /// Per-worker utilization aggregated across every parallel map.
+    /// Per-worker utilization aggregated across every parallel map, in
+    /// worker order. Every configured worker — `0..` the
+    /// [`Gauge::Threads`] value, which an engine sets when it is built —
+    /// has a row, so a worker that never took a job shows 0 items and
+    /// utilization 0 rather than no row. Any other worker a sample names
+    /// gets a row too, so a hub no engine owns lists the workers that
+    /// recorded.
     pub fn worker_utilization(&self) -> Vec<WorkerUtilization> {
         let samples = self.worker_samples();
-        let mut out: Vec<WorkerUtilization> = Vec::new();
+        let mut out: Vec<WorkerUtilization> = (0..self.gauge(Gauge::Threads) as usize)
+            .map(|worker| WorkerUtilization {
+                worker,
+                busy: Duration::ZERO,
+                wall: Duration::ZERO,
+                items: 0,
+            })
+            .collect();
         for s in &samples {
             match out.iter_mut().find(|u| u.worker == s.worker) {
                 Some(u) => {

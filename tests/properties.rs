@@ -618,8 +618,11 @@ proptest! {
 /// A space of exactly `count` valid points: each of the first three
 /// axes takes the largest divisor of what is left that is at most its
 /// `shape` entry, and `n_pools` takes the rest, ascending or
-/// descending.
-fn space_of(count: usize, shape: [usize; 3], descending: bool) -> DseSpace {
+/// descending. When `zero` names an axis (`zero.0 < 4`, in
+/// `sa_size, n_sa, n_act, n_pool` order), a zero value — a slot that
+/// is no point — goes into it at position `zero.1` modulo its length
+/// plus one.
+fn space_of(count: usize, shape: [usize; 3], descending: bool, zero: (usize, usize)) -> DseSpace {
     let axis = |len: usize, step: u32| (1..=len as u32).map(|i| i * step).collect::<Vec<u32>>();
     let mut rest = count;
     let mut lens = [1usize; 3];
@@ -634,13 +637,25 @@ fn space_of(count: usize, shape: [usize; 3], descending: bool) -> DseSpace {
     if descending {
         n_pools.reverse();
     }
-    DseSpace {
+    let mut space = DseSpace {
         sa_sizes: axis(lens[0], 12),
         n_sas: axis(lens[1], 8),
         n_acts: axis(lens[2], 4),
         n_pools,
         threads: Some(1),
+    };
+    let (zero_axis, at) = zero;
+    let values = match zero_axis {
+        0 => Some(&mut space.sa_sizes),
+        1 => Some(&mut space.n_sas),
+        2 => Some(&mut space.n_acts),
+        3 => Some(&mut space.n_pools),
+        _ => None,
+    };
+    if let Some(values) = values {
+        values.insert(at % (values.len() + 1), 0);
     }
+    space
 }
 
 /// Point counts at stage B's block edges: under one block, on a block
@@ -686,36 +701,55 @@ proptest! {
     /// Stage B prices its candidates in blocks. With the area cap
     /// lifted and an infinite slack every point is a candidate, so
     /// these spaces put the candidate count under one block, on a block
-    /// multiple and one past it. The cache-off, pruning-off oracle's
-    /// full sweep keeps the evaluator's feasible points in space order;
-    /// at slack 0, 0.5 and ∞, every objective's
-    /// `custom_config_with_engine` at 1, 2 and 8 threads equals the
-    /// selection over that sweep, and the staged sweep is the same at
-    /// every thread count.
+    /// multiple and one past it. Some spaces hold a zero axis value (a
+    /// slot that is no point, which must be neither priced nor counted)
+    /// and some cap the area at a quantile of the space's areas, which
+    /// ends ascending rows mid-way and splits unsorted rows into several
+    /// runs. The cache-off, pruning-off oracle's full sweep keeps the
+    /// evaluator's feasible points in space order; at slack 0, 0.5 and
+    /// ∞, every objective's `custom_config_with_engine` at 1, 2 and 8
+    /// threads equals the selection over that sweep, every valid point
+    /// leaves through exactly one screen, and the staged sweep is the
+    /// same at every thread count.
     #[test]
     fn stage_b_blocks_keep_every_point_in_space_order(
         count in block_edge_count(),
         shape in (1usize..5, 1usize..5, 1usize..3),
         descending in 0u8..2,
+        zero in (0usize..6, 0usize..8),
+        cap_quartile in 0usize..4,
         pick in 0usize..64,
     ) {
         use claire::core::dse::{custom_config_with_engine, sweep_with_engine, DseObjective};
-        use claire::core::{DsePoint, Engine};
-        let space = space_of(count, [shape.0, shape.1, shape.2], descending == 1);
-        prop_assert_eq!(space.len(), count);
+        use claire::core::{monolithic_area_mm2, DsePoint, Engine};
+        let space = space_of(count, [shape.0, shape.1, shape.2], descending == 1, zero);
+        prop_assert_eq!(claire::ppa::space_points(&space).count(), count);
         let models = zoo_models();
         let model = &models[pick % models.len()];
-        let base = Constraints {
-            chiplet_area_limit_mm2: f64::MAX,
-            ..Constraints::default()
-        };
-        let oracle = Engine::serial().with_cache(false).with_pruning(false);
-        let full = sweep_with_engine(model, &space, &base, &oracle);
         let shell = DesignConfig::monolithic(
             format!("dse:{}", model.name()),
             HwParams::new(1, 1, 1, 1),
             model.op_class_counts().keys().copied().collect(),
         );
+        let areas: Vec<f64> = claire::ppa::space_points(&space)
+            .map(|(_, hw)| monolithic_area_mm2(&shell.classes, &hw))
+            .collect();
+        // No cap, or the area at the lower quartile, median or upper
+        // quartile.
+        let cap = if cap_quartile == 0 {
+            f64::MAX
+        } else {
+            let mut sorted = areas.clone();
+            sorted.sort_by(f64::total_cmp);
+            sorted[(sorted.len() - 1) * cap_quartile / 4]
+        };
+        let fitting = areas.iter().filter(|&&a| a <= cap).count() as u64;
+        let base = Constraints {
+            chiplet_area_limit_mm2: cap,
+            ..Constraints::default()
+        };
+        let oracle = Engine::serial().with_cache(false).with_pruning(false);
+        let full = sweep_with_engine(model, &space, &base, &oracle);
         let evaluated: Vec<DsePoint> = claire::ppa::space_points(&space)
             .filter_map(|(_, hw)| {
                 let mut config = shell.clone();
@@ -733,8 +767,14 @@ proptest! {
             for threads in [1, 2, 8] {
                 let engine = Engine::new(threads);
                 sweeps.push(format!("{:?}", sweep_with_engine(model, &space, &cons, &engine)));
+                let stats = engine.stats();
+                prop_assert_eq!(
+                    stats.dse_pruned + stats.dse_lb_pruned + stats.dse_evaluated,
+                    count as u64
+                );
+                prop_assert_eq!(stats.dse_pruned, count as u64 - fitting);
                 if slack.is_infinite() {
-                    prop_assert_eq!(engine.stats().dse_evaluated, count as u64);
+                    prop_assert_eq!(stats.dse_evaluated, fitting);
                 }
                 for objective in DseObjective::ALL {
                     let got = custom_config_with_engine(model, &space, &cons, objective, &engine);
