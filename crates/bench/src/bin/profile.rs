@@ -204,7 +204,7 @@ fn main() {
     let warm_rendered = persist_flow(&persist_warm);
     let snapshot_unchanged = persist_warm.tier_signature() == loaded_signature;
     let warm = persist_warm.stats();
-    let warm_misses = warm.louvain_misses + warm.graph_misses + warm.comm_misses;
+    let warm_misses = warm.louvain_misses + warm.graph_misses;
 
     let persist_identical = warm_rendered == cold_rendered;
     assert!(
@@ -531,8 +531,8 @@ fn main() {
     }
 
     // Flat-execution-plan profile (cold flow): the up-front item set,
-    // the two plan-level coarse memo tiers, and the load balance the
-    // single flat par_map buys. The graph tier's cold hit rate is the
+    // the merged member-graph builds, and the load balance the single
+    // flat par_map buys. The graph tier's cold hit rate is the
     // merged-member-build payoff — before the plan it was 0 % (every
     // multi-member graph rebuilt its members from scratch).
     let graph_cold_hit_rate = {
@@ -546,13 +546,6 @@ fn main() {
     println!();
     println!("== Flat execution plan (cold flow) ==");
     println!("plan items: {}", flow_stats.plan_items);
-    println!(
-        "comm tier: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-        flow_stats.comm_hits,
-        flow_stats.comm_misses,
-        100.0 * flow_stats.comm_hit_rate(),
-        flow_stats.comm_entries
-    );
     println!(
         "merged graph builds: {}; graph tier cold hit rate {:.1} %",
         flow_stats.merged_graph_builds,
@@ -631,14 +624,6 @@ fn main() {
                 (
                     "items",
                     Value::Number(Number::PosInt(flow_stats.plan_items)),
-                ),
-                (
-                    "comm_tier",
-                    tier(
-                        flow_stats.comm_hits,
-                        flow_stats.comm_misses,
-                        flow_stats.comm_entries,
-                    ),
                 ),
                 (
                     "merged_graph_builds",
@@ -883,6 +868,5 @@ fn tiers(s: &EngineStats) -> Value {
             tier(s.louvain_hits, s.louvain_misses, s.louvain_entries),
         ),
         ("graph", tier(s.graph_hits, s.graph_misses, s.graph_entries)),
-        ("comm", tier(s.comm_hits, s.comm_misses, s.comm_entries)),
     ])
 }

@@ -628,6 +628,7 @@ Telemetry exports (also valid with any command):
   --metrics-json <path>  Write the run's counters, gauges, histograms,
                          stage aggregates and per-worker utilization
                          as JSON.
+  An export path that cannot be written exits 9 (invalid input).
 
 EXIT CODES:
   0 success (including --degrade fallbacks)   2 usage / bad input file

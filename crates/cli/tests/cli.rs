@@ -394,6 +394,25 @@ fn flow_exports_chrome_trace_and_metrics() {
 }
 
 #[test]
+fn unwritable_metrics_path_is_invalid_input() {
+    // A directory that does not exist: the export cannot be written,
+    // which is the caller's input at fault, not a broken invariant.
+    let dir = std::env::temp_dir().join(format!("claire-cli-absent-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let metrics = dir.join("m.json");
+    let out = cli()
+        .args(["custom", "Alexnet", "--metrics-json"])
+        .arg(&metrics)
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(9), "{err}");
+    assert!(err.contains("invalid input"), "{err}");
+    assert!(err.contains(metrics.to_str().expect("utf8")), "{err}");
+    assert!(!metrics.exists());
+}
+
+#[test]
 fn trace_out_requires_a_value() {
     let out = cli().args(["flow", "--trace-out"]).output().expect("run");
     assert_eq!(out.status.code(), Some(2));

@@ -565,10 +565,10 @@ fn stats_and_metrics_export_report_live_engine_gauges() {
             .expect("metrics are JSON");
     for gauges in [&probe["stats"]["gauges"], &exported["gauges"]] {
         assert_eq!(gauges["engine.threads"].as_u64(), Some(2), "{gauges}");
-        // A `custom` request builds its model's graph and prices it
-        // against its shells' edge sequences, so the graph and comm
-        // tiers hold entries once it is answered.
-        for tier in ["memo.graph.entries", "memo.comm.entries"] {
+        // A `custom` request builds its model's graph and clusters
+        // it, so the graph and Louvain tiers hold entries once it is
+        // answered.
+        for tier in ["memo.graph.entries", "memo.louvain.entries"] {
             assert!(
                 gauges[tier].as_u64().expect("gauge") >= 1,
                 "{tier}: {gauges}"

@@ -286,22 +286,18 @@ impl Claire {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::Internal`] when an export file cannot be
-    /// written.
+    /// [`ClaireError::InvalidInput`] naming the path when an export
+    /// file cannot be written: the path is the caller's input.
     pub fn export_telemetry(&self, engine: &Engine) -> Result<(), ClaireError> {
         if let Some(path) = &self.opts.telemetry.trace_out {
             engine
                 .write_trace(path)
-                .map_err(|e| ClaireError::Internal {
-                    detail: format!("failed to write trace {}: {e}", path.display()),
-                })?;
+                .map_err(|e| unwritable("write trace", path, &e))?;
         }
         if let Some(path) = &self.opts.telemetry.metrics_out {
             engine
                 .write_metrics(path)
-                .map_err(|e| ClaireError::Internal {
-                    detail: format!("failed to write metrics {}: {e}", path.display()),
-                })?;
+                .map_err(|e| unwritable("write metrics", path, &e))?;
         }
         Ok(())
     }
@@ -343,7 +339,9 @@ impl Claire {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::Internal`] when the directory or file cannot be
+    /// [`ClaireError::InvalidInput`] naming the directory when
+    /// `cache_dir` cannot be created, and
+    /// [`ClaireError::SnapshotInvalid`] when the file cannot be
     /// written.
     pub fn save_warm_state(&self, engine: &Engine) -> Result<bool, ClaireError> {
         let Some(path) = self.snapshot_path() else {
@@ -353,9 +351,7 @@ impl Claire {
             return Ok(false);
         }
         if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| ClaireError::Internal {
-                detail: format!("cannot create cache dir {}: {e}", dir.display()),
-            })?;
+            std::fs::create_dir_all(dir).map_err(|e| unwritable("create cache dir", dir, &e))?;
         }
         engine.save_snapshot(&path)
     }
@@ -875,6 +871,15 @@ impl Claire {
             .collect();
 
         Ok(TestOutput { reports, nre_rows })
+    }
+}
+
+/// The typed error for an output path the caller named that could
+/// not be written (`action` failed on `path`): invalid input naming the
+/// path, not a broken invariant.
+fn unwritable(action: &str, path: &std::path::Path, e: &std::io::Error) -> ClaireError {
+    ClaireError::InvalidInput {
+        what: format!("cannot {action} {}: {e}", path.display()),
     }
 }
 

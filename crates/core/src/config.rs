@@ -118,7 +118,7 @@ pub fn monolithic_area_mm2(classes: &BTreeSet<OpClass>, hw: &HwParams) -> f64 {
 }
 
 /// [`OpClass::bit`]s of `classes`, as one word.
-pub(crate) fn class_mask(classes: &BTreeSet<OpClass>) -> u16 {
+fn class_mask(classes: &BTreeSet<OpClass>) -> u16 {
     classes.iter().fold(0u16, |m, c| m | c.bit())
 }
 

@@ -80,10 +80,9 @@ pub struct TransferCost {
     /// Whether the transfer crosses a chiplet boundary (NoP).
     pub crosses_chiplet: bool,
     /// NoC energy, whole picojoules ×1000 (fixed-point to keep `Eq`).
-    /// `pub(crate)` so [`crate::snapshot`] can serialize the comm tier.
-    pub(crate) noc_mpj: u64,
+    noc_mpj: u64,
     /// NoP energy, milli-picojoules.
-    pub(crate) nop_mpj: u64,
+    nop_mpj: u64,
 }
 
 impl TransferCost {
@@ -108,9 +107,9 @@ impl TransferCost {
 /// (NoC torus hops on a shared die, AIB channel hops across dies).
 /// Determined entirely by the configuration's topology — classes,
 /// chiplet partition, and interposer placement — never by the payload
-/// or the hardware parameters, which is what lets the comm tier reuse
-/// one priced edge sequence across every hardware point of a topology
-/// (see [`edge_cost_sequence`]).
+/// or the hardware parameters, which is what lets a DSE shell's
+/// pricer reuse one priced edge sequence across every hardware point
+/// it prices (see [`edge_cost_sequence`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeRoute {
     /// Whether the transfer pays the NoP (crosses a chiplet boundary).
@@ -344,7 +343,7 @@ pub trait CostProvider: Sync {
     }
 
     /// The execution-order per-edge transfer-cost sequence for
-    /// `(model, config)`, if the provider has one. `Some(seq)` makes
+    /// `(model, config)`, if the provider builds one. `Some(seq)` makes
     /// the evaluator replay `seq` instead of walking `model.edges()`
     /// through [`RouteTable::route`]; the sequence must be exactly
     /// what [`edge_cost_sequence`] returns for the pair (same values,
@@ -353,7 +352,7 @@ pub trait CostProvider: Sync {
     /// direct walk — also the escape hatch when the sequence cannot
     /// be built (coverage/route errors must surface from the walk's
     /// own error path).
-    fn edge_costs(&self, model: &Model, config: &DesignConfig) -> Option<Arc<[TransferCost]>> {
+    fn edge_costs(&self, model: &Model, config: &DesignConfig) -> Option<Vec<TransferCost>> {
         let _ = (model, config);
         None
     }
@@ -381,9 +380,9 @@ impl CostProvider for DirectCosts {}
 /// fault-carrying `routes` table routes the same pairs in the same
 /// order.
 ///
-/// This is the miss path of the engine's per-`(model, topology)`
-/// communication memo tier; the property tests pin it to the per-edge
-/// walk.
+/// The engine builds one per evaluation and one per DSE shell pricer
+/// ([`CostProvider::edge_costs`]); the property tests pin it to the
+/// per-edge walk.
 ///
 /// # Errors
 ///
@@ -407,8 +406,10 @@ pub fn edge_cost_sequence(
     let families = model.edge_families();
     // Per family priced so far: its transfer, or `None` when free.
     let mut priced: Vec<Option<TransferCost>> = Vec::with_capacity(families.len());
-    let mut seq = Vec::new();
-    for &family in model.edge_family_index() {
+    let index = model.edge_family_index();
+    // At most one transfer per edge: same-class edges are dropped.
+    let mut seq = Vec::with_capacity(index.len());
+    for &family in index {
         let family = family as usize;
         if family == priced.len() {
             let (a, b, bytes) = families[family];
@@ -510,8 +511,8 @@ pub fn evaluate_with_costs(
     let mut noc_pj = 0.0;
     let mut nop_pj = 0.0;
     if let Some(seq) = costs.edge_costs(model, config) {
-        // Memoized sequence replay: same costs, same order, same fold
-        // as the walk below — bit-identical by construction (see
+        // Sequence replay: same costs, same order, same fold as the
+        // walk below — bit-identical by construction (see
         // [`edge_cost_sequence`]).
         for t in seq.iter() {
             latency_s += t.latency_s();
@@ -837,10 +838,10 @@ mod tests {
         }
     }
 
-    struct SeqCosts(Arc<[TransferCost]>);
+    struct SeqCosts(Vec<TransferCost>);
 
     impl CostProvider for SeqCosts {
-        fn edge_costs(&self, _m: &Model, _c: &DesignConfig) -> Option<Arc<[TransferCost]>> {
+        fn edge_costs(&self, _m: &Model, _c: &DesignConfig) -> Option<Vec<TransferCost>> {
             Some(self.0.clone())
         }
     }
@@ -849,9 +850,7 @@ mod tests {
     fn evaluator_sequence_replay_is_bit_identical() {
         let (m, split) = split_alexnet();
         for cfg in [config_for(&m), split] {
-            let seq: Arc<[TransferCost]> = edge_cost_sequence(&m, &cfg, &RouteTable::new())
-                .unwrap()
-                .into();
+            let seq = edge_cost_sequence(&m, &cfg, &RouteTable::new()).unwrap();
             let direct = evaluate(&m, &cfg).unwrap();
             let replay =
                 evaluate_with_costs(&m, &cfg, EvalOptions::default(), &SeqCosts(seq)).unwrap();

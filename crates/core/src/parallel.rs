@@ -6,9 +6,9 @@
 //! algorithm on every candidate configuration, and the test phase
 //! repeats the DSE per test algorithm. [`Engine`] runs those maps on
 //! the calling thread plus the helper threads of its own parked pool
-//! and memoizes whole-model derivations (Louvain partitions, universal
-//! graphs, edge-cost sequences) in three memo tiers, while
-//! guaranteeing **bit-identical results at any thread count**:
+//! and memoizes whole-model derivations (Louvain partitions and
+//! universal graphs) in two memo tiers, while guaranteeing
+//! **bit-identical results at any thread count**:
 //!
 //! * work items are claimed in contiguous chunks from an atomic cursor
 //!   but results are reassembled by item index, so output order never
@@ -33,7 +33,7 @@
 //! item, when another thread's map holds the helpers, and when no
 //! helper could be started.
 
-use crate::config::{class_mask, AreaTables, DesignConfig};
+use crate::config::{AreaTables, DesignConfig};
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, CostProvider, EvalTerms, PpaReport, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
@@ -182,11 +182,8 @@ pub struct EngineStats {
     pub dse_pruned: u64,
     /// DSE points that survived the screen into full PPA evaluation.
     pub dse_evaluated: u64,
-    /// Edge-cost sequences served from the communication memo tier.
-    pub comm_hits: u64,
-    /// Edge-cost sequences built fresh, each edge family priced once.
-    pub comm_misses: u64,
-    /// Distinct (model structure, topology) edge-cost sequences cached.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still reads it.
     pub comm_entries: usize,
     /// Never recorded; always reads 0. Kept only because the
     /// benchmark's per-layer replay still reads it.
@@ -206,19 +203,13 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Hit rate across every memo tier (Louvain partitions, universal
-    /// graphs and comm sequences) in `[0, 1]`; 0 when nothing was
-    /// looked up.
+    /// Hit rate across both memo tiers (Louvain partitions and
+    /// universal graphs) in `[0, 1]`; 0 when nothing was looked up.
     pub fn overall_hit_rate(&self) -> f64 {
         ratio(
-            self.louvain_hits + self.graph_hits + self.comm_hits,
-            self.louvain_misses + self.graph_misses + self.comm_misses,
+            self.louvain_hits + self.graph_hits,
+            self.louvain_misses + self.graph_misses,
         )
-    }
-
-    /// Communication edge-cost tier hit rate in `[0, 1]`.
-    pub fn comm_hit_rate(&self) -> f64 {
-        ratio(self.comm_hits, self.comm_misses)
     }
 
     /// Fraction of the screened DSE points the area screen pruned, in
@@ -282,14 +273,6 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "  comm sequences: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-            self.comm_hits,
-            self.comm_misses,
-            100.0 * self.comm_hit_rate(),
-            self.comm_entries
-        )?;
-        writeln!(
-            f,
             "  structural keys: {} structures over {} model instances",
             self.struct_entries, self.struct_instances
         )?;
@@ -326,12 +309,12 @@ pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, FxBuildHasher>>;
 /// most 2⁵³ (see [`Engine::model_graph`]).
 type ExactTotals<'m> = ([u64; OpClass::COUNT], &'m [(OpClass, OpClass, u64)]);
 
-/// The evaluation engine: a thread-count policy, three memo tiers
-/// (Louvain partition, universal graph, comm sequence) plus the
-/// structural interner, and stage/wall-time counters. Layer costs are
-/// not memoized: a recomputation costs less than a lookup. Cheap to
-/// share by reference across the whole pipeline; all interior state
-/// is thread-safe.
+/// The evaluation engine: a thread-count policy, two memo tiers
+/// (Louvain partition, universal graph) plus the structural interner,
+/// and stage/wall-time counters. Layer costs and edge-cost sequences
+/// are not memoized: a recomputation costs less than a lookup saves.
+/// Cheap to share by reference across the whole pipeline; all
+/// interior state is thread-safe.
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
@@ -344,9 +327,6 @@ pub struct Engine {
     /// Universal-graph tier, keyed by the member models' structural
     /// ids (in member order) plus the hardware point.
     pub(crate) graphs: MemoMap<(Box<[u64]>, HwParams), Arc<UniversalCsr>>,
-    /// Communication tier: execution-order per-edge transfer costs,
-    /// keyed by (model structural id, configuration topology).
-    pub(crate) comms: MemoMap<(u32, TopologyKey), Arc<[TransferCost]>>,
     pub(crate) models: RwLock<ModelInterner>,
     /// The snapshot file the tiers last matched: set by a save, or by
     /// a load into empty tiers (see [`crate::snapshot`]).
@@ -358,8 +338,8 @@ pub struct Engine {
     pool: Pool,
 }
 
-/// The structural model interner behind the comm and universal-graph
-/// tiers' memo keys and the batched compute kernels. Every model maps
+/// The structural model interner behind the universal-graph tier's
+/// memo keys and the batched compute kernels. Every model maps
 /// to a dense **structural id**: models whose layer sequences are
 /// element-wise identical share one id (and one preprocessed
 /// [`LayerBatch`]), however they were constructed. The content key is
@@ -446,7 +426,6 @@ impl Engine {
             faults: None,
             louvains: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
-            comms: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
             persisted: RwLock::new(None),
             telemetry: Arc::new(telemetry),
@@ -551,7 +530,6 @@ impl Engine {
             read_lock(&self.louvains).len() as u64,
         );
         t.set_gauge(Gauge::GraphEntries, read_lock(&self.graphs).len() as u64);
-        t.set_gauge(Gauge::CommEntries, read_lock(&self.comms).len() as u64);
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
@@ -561,11 +539,10 @@ impl Engine {
 
     /// Entry counts of the tiers a snapshot persists, in a fixed
     /// order.
-    pub(crate) fn persisted_counts(&self) -> [usize; 4] {
+    pub(crate) fn persisted_counts(&self) -> [usize; 3] {
         [
             read_lock(&self.louvains).len(),
             read_lock(&self.graphs).len(),
-            read_lock(&self.comms).len(),
             read_lock(&self.models).by_content.len(),
         ]
     }
@@ -633,9 +610,7 @@ impl Engine {
             struct_instances,
             dse_pruned: t.counter(Metric::DsePruned),
             dse_evaluated: t.counter(Metric::DseEvaluated),
-            comm_hits: t.counter(Metric::CommHit),
-            comm_misses: t.counter(Metric::CommMiss),
-            comm_entries: read_lock(&self.comms).len(),
+            comm_entries: 0,
             louvain_warm_entries: 0,
             merged_graph_builds: t.counter(Metric::MergedGraphBuilds),
             plan_items: t.counter(Metric::PlanItems),
@@ -745,15 +720,15 @@ impl Engine {
     /// Memoized universal-graph construction (Step #TR1) with CSR
     /// interning — the universal-graph tier. Keyed by the member
     /// models' **structural ids** (see the structural interner), in
-    /// member order, plus the hardware point. The key is sound for the
-    /// same reason the comm tier's structural key is: the graph's
-    /// nodes aggregate per-class execution counts from the layer costs
-    /// (pure functions of `(LayerKind, HwParams)`) and its edges come
-    /// from `Model::edges`, a pure function of the layer-kind sequence
-    /// the id interns — so models sharing an id produce bit-identical
-    /// graphs. Structural keys (unlike the process-unique instance ids
-    /// used previously) are also stable across processes, which lets a
-    /// warm-state snapshot replay this tier. On a miss a single-model
+    /// member order, plus the hardware point. The key is sound: the
+    /// graph's nodes aggregate per-class execution counts from the
+    /// layer costs (pure functions of `(LayerKind, HwParams)`) and its
+    /// edges come from `Model::edges`, a pure function of the
+    /// layer-kind sequence the id interns — so models sharing an id
+    /// produce bit-identical graphs. Structural keys (unlike the
+    /// process-unique instance ids used previously) are also stable
+    /// across processes, which lets a warm-state snapshot replay this
+    /// tier. On a miss a single-model
     /// graph is read from the model's summaries without a layer walk:
     /// node weights from [`LayerBatch::class_executions`], edge weights
     /// from [`Model::edge_byte_totals`].
@@ -1270,40 +1245,26 @@ impl CostProvider for Engine {
         self.batch_sum(&batch, hw)
     }
 
-    /// Memoized per-(model structure, topology) edge-cost sequences —
-    /// the comm tier. Keyed by the model's structural id (sound:
-    /// `Model::edges` is a pure function of the layer-kind sequence the
-    /// id interns) and the exact `TopologyKey` encoding. A miss prices
-    /// each edge family once and expands the families into the
-    /// edge-order sequence
-    /// ([`crate::evaluate::edge_cost_sequence`]'s contract), so replay
-    /// is bit-identical to the per-edge walk. Returns `None` — routing
-    /// the evaluator to the per-edge walk — when caching is off,
-    /// faults are armed (injection sites must see every pricing call),
-    /// the topology has no compact encoding, or the sequence build
-    /// fails (the walk then surfaces the identical typed error).
+    /// The model's edge-cost sequence on `config`, built on every call
+    /// by [`crate::evaluate::edge_cost_sequence`]: each edge family is
+    /// priced once and expanded into edge order, so replay is
+    /// bit-identical to the per-edge walk. Not memoized: a build takes
+    /// a few microseconds, and a stored sequence saved less end to end
+    /// than it cost to keep and persist. Returns `None` — routing the
+    /// evaluator to the per-edge walk, the oracle — when caching is off
+    /// or faults are armed (injection sites must see every pricing
+    /// call), or when the build fails (the walk then surfaces the
+    /// identical typed error).
     fn edge_costs(
         &self,
         model: &claire_model::Model,
         config: &DesignConfig,
-    ) -> Option<Arc<[TransferCost]>> {
+    ) -> Option<Vec<TransferCost>> {
         if !self.cache_enabled || self.faults.is_some() {
             return None;
         }
-        let topo = TopologyKey::of(config)?;
-        let (sid, _) = self.structural(model);
-        let key = (sid, topo);
-        if let Some(seq) = read_lock(&self.comms).get(&key) {
-            self.telemetry.count(Metric::CommHit);
-            return Some(Arc::clone(seq));
-        }
         // No fault plan here, so a fresh table routes every pair.
-        let seq = crate::evaluate::edge_cost_sequence(model, config, &RouteTable::new()).ok()?;
-        self.telemetry.count(Metric::CommMiss);
-        let seq: Arc<[TransferCost]> = seq.into();
-        Some(Arc::clone(
-            write_lock(&self.comms).entry(key).or_insert(seq),
-        ))
+        crate::evaluate::edge_cost_sequence(model, config, &RouteTable::new()).ok()
     }
 }
 
@@ -1327,7 +1288,7 @@ impl CostProvider for Engine {
 /// * **energy**: no layer's energy reads the point, so the model's
 ///   compute energy is folded once ([`LayerBatch::energy_pj`]), on the
 ///   first [`ShellPricer::price`] call, with the coverage check, the
-///   comm tier's edge-cost sequence, each transfer's latency and the
+///   model's edge-cost sequence, each transfer's latency and the
 ///   sequence's NoC and NoP energy folds;
 /// * **area**: one unit-area table per class of the shell, along the
 ///   axis that class reads, folded in class order per point
@@ -1347,11 +1308,11 @@ impl CostProvider for Engine {
 ///
 /// Cache-off engines (the equivalence oracle), engines with a fault
 /// plan (whose injection sites must see every pricing call), clustered
-/// shells, and shells that miss a class of the model or have no comm
-/// sequence price each point through [`Engine::evaluate`] and
-/// [`Engine::compute_cycles_lb`] instead. Area has no injection site
-/// and reads no memo tier, so [`ShellPricer::area_mm2`] reads the
-/// tables on every engine.
+/// shells, and shells that miss a class of the model or whose
+/// edge-cost sequence cannot be built price each point through
+/// [`Engine::evaluate`] and [`Engine::compute_cycles_lb`] instead.
+/// Area has no injection site and reads no memo tier, so
+/// [`ShellPricer::area_mm2`] reads the tables on every engine.
 #[derive(Debug)]
 pub struct ShellPricer<'a> {
     engine: &'a Engine,
@@ -1571,7 +1532,7 @@ impl<'a> ShellPricer<'a> {
 
     /// The first-`price` resolution: `None` (per-point evaluation,
     /// which surfaces the typed error) when the shell misses a class
-    /// of the model or the comm tier has no sequence for it.
+    /// of the model or the model's edge-cost sequence cannot be built.
     fn resolve_comm(&self) -> Option<PreparedComm> {
         if self.shell.first_missing(self.model).is_some() {
             return None;
@@ -1649,56 +1610,6 @@ impl LaneFold<'_, '_> {
             emit(hw, self.pricer.report(self.comm, latency_s, area_mm2));
         }
         self.len = 0;
-    }
-}
-
-/// An exact, compact encoding of everything [`crate::evaluate::route_of`]
-/// reads from a configuration: the monolithic class set, the chiplet
-/// partition (as per-chiplet class bitmasks in order), and the
-/// interposer slots. Two configs with equal keys provably yield
-/// identical routes for every class pair — the key is a complete
-/// encoding, not a hash, so comm-tier hits cannot collide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct TopologyKey {
-    /// Bitmask over [`OpClass::index`] of the configuration's classes.
-    pub(crate) classes: u16,
-    /// Per-chiplet class bitmasks, in chiplet order (0 = unused slot).
-    pub(crate) chiplets: [u16; OpClass::COUNT],
-    /// Interposer slot per chiplet; `(u8::MAX, u8::MAX)` when unplaced.
-    pub(crate) slots: [(u8, u8); OpClass::COUNT],
-    /// Number of chiplets (0 = monolithic).
-    pub(crate) n_chiplets: u8,
-}
-
-impl TopologyKey {
-    /// Encodes `config`, or `None` when it falls outside the compact
-    /// representation (more chiplets than op classes, or slot
-    /// coordinates ≥ 255 — neither occurs for configurations built by
-    /// this crate, but hand-written ones must not be mis-cached).
-    fn of(config: &DesignConfig) -> Option<TopologyKey> {
-        if config.chiplets.len() > OpClass::COUNT {
-            return None;
-        }
-        let mut chiplets = [0u16; OpClass::COUNT];
-        let mut slots = [(u8::MAX, u8::MAX); OpClass::COUNT];
-        for (i, chiplet) in config.chiplets.iter().enumerate() {
-            chiplets[i] = class_mask(&chiplet.classes);
-            if let Some(p) = &config.placement {
-                if i < p.len() {
-                    let (x, y) = p.slot(i);
-                    if x >= u8::MAX.into() || y >= u8::MAX.into() {
-                        return None;
-                    }
-                    slots[i] = (x as u8, y as u8);
-                }
-            }
-        }
-        Some(TopologyKey {
-            classes: class_mask(&config.classes),
-            chiplets,
-            slots,
-            n_chiplets: config.chiplets.len() as u8,
-        })
     }
 }
 
@@ -2100,17 +2011,18 @@ mod tests {
     }
 
     #[test]
-    fn overall_hit_rate_counts_comm_tier() {
+    fn overall_hit_rate_counts_both_tiers() {
         let idle = Engine::new(1).stats();
-        let comm_only = EngineStats {
-            comm_hits: 3,
-            comm_misses: 1,
+        assert_eq!(idle.overall_hit_rate(), 0.0, "nothing looked up");
+        let graph_only = EngineStats {
+            graph_hits: 3,
+            graph_misses: 1,
             ..idle.clone()
         };
-        assert!((comm_only.overall_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((graph_only.overall_hit_rate() - 0.75).abs() < 1e-12);
         let with_louvain = EngineStats {
-            comm_hits: 3,
-            comm_misses: 1,
+            graph_hits: 3,
+            graph_misses: 1,
             louvain_hits: 1,
             louvain_misses: 3,
             ..idle

@@ -304,7 +304,7 @@ pub fn custom_from_row(
 /// through the member's [`ShellPricer`] — the identical call the set
 /// sweep makes, so the fold's inputs are unchanged. The pricers are
 /// built once per replay and resolve on first use, so a member whose
-/// points all come from the table adds no comm lookup.
+/// points all come from the table builds no edge-cost sequence.
 ///
 /// # Errors
 ///

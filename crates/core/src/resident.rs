@@ -416,7 +416,8 @@ impl ResidentEngine {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::Internal`] when the snapshot cannot be written.
+    /// Those of [`Claire::save_warm_state`]: the cache dir cannot be
+    /// created or the snapshot cannot be written.
     pub fn save_warm_state(&self) -> Result<bool, ClaireError> {
         self.claire.save_warm_state(&self.engine)
     }

@@ -63,7 +63,7 @@
 //!   [`crate::dse::custom_config_with_engine`] folds the selection over
 //!   the blocks in place; [`sweep_with_engine`] concatenates them once.
 //!   A pricer that is not prepared (cache-off engines, fault plans,
-//!   shells with no comm sequence) takes the same walk and prices each
+//!   shells with a missing class) takes the same walk and prices each
 //!   candidate through [`ShellPricer::price`].
 //!
 //! Why runs and blocks: a fresh process pays a page fault for every

@@ -2,10 +2,9 @@
 //!
 //! Every memo tier the [`Engine`](crate::Engine) builds during a run is
 //! keyed canonically — by interned layer sequences, hardware
-//! parameters, complete topology encodings, or bit-exact graph
-//! encodings — never by process addresses or hash-iteration order
-//! (the one instance-keyed map, `ModelInterner::by_instance`, is
-//! deliberately *not* persisted). That is what makes cross-process
+//! parameters, or bit-exact graph encodings — never by process
+//! addresses or hash-iteration order (the one instance-keyed map,
+//! `ModelInterner::by_instance`, is deliberately *not* persisted). That is what makes cross-process
 //! reuse sound: an entry looked up from a snapshot is
 //! indistinguishable from one the loading process would have computed
 //! itself, so a flow started from a snapshot is bit-identical to the
@@ -19,13 +18,13 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 6)
+//!     10     4  format version (u32 LE, currently 7)
 //!     14     8  body length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the body (u64 LE)
 //!     30     …  body
 //! ```
 //!
-//! The body is four sections in this fixed order. Each section is a
+//! The body is three sections in this fixed order. Each section is a
 //! `u32` record count followed by its records. Every integer is
 //! little-endian and every float is stored as its IEEE-754 bit pattern
 //! (`f64::to_bits`, a `u64`), so a round trip is bit-exact.
@@ -33,7 +32,6 @@
 //! ```text
 //! section       record
 //! structures    n:u32, n × kind            (position = structural id)
-//! comms         sid:u32, topo, n:u32, n × transfer
 //! louvains      n:u32, n × key word:u64, partition
 //! graphs        n:u32, n × sid:u32, hw, n:u32, n × (class, weight:f64),
 //!               m:u32, m × (class, class, weight:f64)
@@ -45,11 +43,6 @@
 //!               4 Pooling kind:u8 + 2 × u64, 5 Flatten u64, 6 Permute u64
 //! hw            sa_size, n_sa, n_act, n_pool: 4 × u32, each non-zero
 //! class         OpClass::index as u8
-//! bool          u8, 0 or 1
-//! topo          classes:u16, 15 × chiplet mask:u16, 15 × slot (u8, u8),
-//!               n_chiplets:u8
-//! transfer      ser_cycles:u64, fixed_cycles:u64, crosses_chiplet:bool,
-//!               noc_mpj:u64, nop_mpj:u64
 //! partition     n:u32, n × community (m:u32, m × class)
 //! ```
 //!
@@ -83,8 +76,7 @@
 //! [`Engine::save_snapshot`] itself always writes.
 
 use crate::error::ClaireError;
-use crate::evaluate::TransferCost;
-use crate::parallel::{read_lock, write_lock, Engine, TopologyKey, UniversalCsr};
+use crate::parallel::{read_lock, write_lock, Engine, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
 use claire_model::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
@@ -105,7 +97,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -114,8 +106,6 @@ const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
 /// A layer kind is at least a tag and one `u64` (Flatten, Permute).
 const KIND_MIN: usize = 1 + 8;
 const HW_LEN: usize = 4 * 4;
-const TOPO_LEN: usize = 2 + 2 * OpClass::COUNT + 2 * OpClass::COUNT + 1;
-const TRANSFER_LEN: usize = 8 + 8 + 1 + 8 + 8;
 
 /// FNV-1a 64-bit checksum — dependency-free and byte-order independent.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -147,10 +137,6 @@ pub(crate) struct Persisted {
 }
 
 // --- encoding -------------------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -264,38 +250,6 @@ fn put_kind(out: &mut Vec<u8>, kind: &LayerKind) {
     }
 }
 
-fn put_topo(out: &mut Vec<u8>, key: &TopologyKey) {
-    let TopologyKey {
-        classes,
-        chiplets,
-        slots,
-        n_chiplets,
-    } = *key;
-    put_u16(out, classes);
-    for mask in chiplets {
-        put_u16(out, mask);
-    }
-    for (x, y) in slots {
-        out.extend_from_slice(&[x, y]);
-    }
-    out.push(n_chiplets);
-}
-
-fn put_transfer(out: &mut Vec<u8>, t: &TransferCost) {
-    let TransferCost {
-        ser_cycles,
-        fixed_cycles,
-        crosses_chiplet,
-        noc_mpj,
-        nop_mpj,
-    } = *t;
-    put_u64(out, ser_cycles);
-    put_u64(out, fixed_cycles);
-    out.push(u8::from(crosses_chiplet));
-    put_u64(out, noc_mpj);
-    put_u64(out, nop_mpj);
-}
-
 fn put_words(out: &mut Vec<u8>, words: &[u64]) {
     put_len(out, words.len());
     for &w in words {
@@ -368,19 +322,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
 
     put_section(
         &mut out,
-        read_lock(&engine.comms).iter(),
-        |out, ((sid, topo), costs)| {
-            put_u32(out, renum(*sid));
-            put_topo(out, topo);
-            put_len(out, costs.len());
-            for t in costs.iter() {
-                put_transfer(out, t);
-            }
-        },
-    );
-
-    put_section(
-        &mut out,
         read_lock(&engine.louvains).iter(),
         |out, (key, partition)| {
             put_words(out, key);
@@ -441,7 +382,6 @@ type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 #[derive(Debug)]
 struct Staged {
     structures: Vec<Box<[LayerKind]>>,
-    comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
 }
@@ -464,10 +404,6 @@ impl<'a> Reader<'a> {
         Ok(self.take::<1>()?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ClaireError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
     fn u32(&mut self) -> Result<u32, ClaireError> {
         Ok(u32::from_le_bytes(self.take()?))
     }
@@ -478,14 +414,6 @@ impl<'a> Reader<'a> {
 
     fn f64(&mut self) -> Result<f64, ClaireError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, ClaireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(invalid(format!("bool byte {b} (expected 0 or 1)"))),
-        }
     }
 
     fn u32s<const N: usize>(&mut self) -> Result<[u32; N], ClaireError> {
@@ -594,34 +522,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn topo(&mut self) -> Result<TopologyKey, ClaireError> {
-        let classes = self.u16()?;
-        let mut chiplets = [0u16; OpClass::COUNT];
-        for mask in &mut chiplets {
-            *mask = self.u16()?;
-        }
-        let mut slots = [(0u8, 0u8); OpClass::COUNT];
-        for slot in &mut slots {
-            *slot = (self.u8()?, self.u8()?);
-        }
-        Ok(TopologyKey {
-            classes,
-            chiplets,
-            slots,
-            n_chiplets: self.u8()?,
-        })
-    }
-
-    fn transfer(&mut self) -> Result<TransferCost, ClaireError> {
-        Ok(TransferCost {
-            ser_cycles: self.u64()?,
-            fixed_cycles: self.u64()?,
-            crosses_chiplet: self.bool()?,
-            noc_mpj: self.u64()?,
-            nop_mpj: self.u64()?,
-        })
-    }
-
     fn words(&mut self) -> Result<Box<[u64]>, ClaireError> {
         Ok(self.list(8, Self::u64)?.into_boxed_slice())
     }
@@ -708,14 +608,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         }
     };
 
-    let comms = r.list(4 + TOPO_LEN + 4, |r| {
-        Ok((
-            sid(r)?,
-            r.topo()?,
-            Arc::from(r.list(TRANSFER_LEN, Reader::transfer)?),
-        ))
-    })?;
-
     let louvains = r.list(4 + 4, |r| Ok((r.words()?, Arc::new(r.partition()?))))?;
 
     let graphs = r.list(4 + HW_LEN + 4 + 4, |r| {
@@ -736,7 +628,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     }
     Ok(Staged {
         structures,
-        comms,
         louvains,
         graphs,
     })
@@ -759,12 +650,6 @@ fn apply(engine: &Engine, staged: Staged) {
     };
     let live = |sid: u32| sid_map[sid as usize];
 
-    {
-        let mut comms = write_lock(&engine.comms);
-        for (sid, topo, costs) in staged.comms {
-            comms.entry((live(sid), topo)).or_insert(costs);
-        }
-    }
     {
         let mut louvains = write_lock(&engine.louvains);
         for (key, partition) in staged.louvains {
@@ -943,6 +828,12 @@ mod tests {
         let err = decode(&vers).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
+        // A version-6 file, which still carried a comm section.
+        let mut old = bytes.clone();
+        old[10..14].copy_from_slice(&6u32.to_le_bytes());
+        let err = decode(&old).unwrap_err();
+        assert!(err.to_string().contains("version 6"), "{err}");
+
         // Body corruption trips the checksum.
         let mut flip = bytes.clone();
         let last = flip.len() - 1;
@@ -951,11 +842,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
-    /// A framed snapshot whose body is the four sections, empty except
+    /// A framed snapshot whose body is the three sections, empty except
     /// for the given `(section index, count, records)`.
     fn with_sections(sections: &[(usize, u32, Vec<u8>)]) -> Vec<u8> {
         let mut body = Vec::new();
-        for i in 0..4 {
+        for i in 0..3 {
             match sections.iter().find(|(s, _, _)| *s == i) {
                 Some((_, count, records)) => {
                     put_u32(&mut body, *count);
@@ -1013,24 +904,18 @@ mod tests {
         graph.extend(hw_bytes([16, 0, 16, 8]));
         put_u32(&mut graph, 0);
         put_u32(&mut graph, 0);
-        let detail = rejection(&with_sections(&[(3, 1, graph)]));
+        let detail = rejection(&with_sections(&[(2, 1, graph)]));
         assert!(detail.contains("n_sa"), "{detail}");
 
-        // A structural id out of range.
-        let mut comm = vec![1, 0, 0, 0];
-        comm.extend([0; TOPO_LEN]);
-        put_u32(&mut comm, 0);
-        let detail = rejection(&with_sections(&[one_structure.clone(), (1, 1, comm)]));
-        assert!(detail.contains("structural id"), "{detail}");
-
-        // A bool byte other than 0 or 1.
-        let mut comm = vec![0; 4 + TOPO_LEN];
-        put_u32(&mut comm, 1);
-        comm.extend([0; 16]);
-        comm.push(2);
-        comm.extend([0; 16]);
-        let detail = rejection(&with_sections(&[one_structure, (1, 1, comm)]));
-        assert!(detail.contains("bool"), "{detail}");
+        // A structural id out of range, as a graph's one member.
+        let mut graph = Vec::new();
+        put_u32(&mut graph, 1);
+        put_u32(&mut graph, 1);
+        graph.extend(hw_bytes([16, 16, 16, 8]));
+        put_u32(&mut graph, 0);
+        put_u32(&mut graph, 0);
+        let detail = rejection(&with_sections(&[one_structure, (2, 1, graph)]));
+        assert!(detail.contains("structural id 1"), "{detail}");
 
         // An op class out of range inside a partition.
         let mut louvain = Vec::new();
@@ -1038,7 +923,7 @@ mod tests {
         put_u32(&mut louvain, 1); // one community
         put_u32(&mut louvain, 1); // of one node
         louvain.push(OpClass::COUNT as u8);
-        let detail = rejection(&with_sections(&[(2, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(1, 1, louvain)]));
         assert!(detail.contains("op class"), "{detail}");
 
         // A node in two communities.
@@ -1049,7 +934,7 @@ mod tests {
             put_u32(&mut louvain, 1);
             louvain.push(0);
         }
-        let detail = rejection(&with_sections(&[(2, 1, louvain)]));
+        let detail = rejection(&with_sections(&[(1, 1, louvain)]));
         assert!(detail.contains("two communities"), "{detail}");
     }
 

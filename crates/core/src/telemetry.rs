@@ -130,9 +130,11 @@ pub enum Metric {
     FaultInfeasibleConstraints,
     /// Injected NoC link failures.
     FaultFailedNocLink,
-    /// Edge-cost sequences served from the communication memo tier.
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     CommHit,
-    /// Edge-cost sequences built fresh (each edge family priced once).
+    /// Never recorded; always reads 0. Kept only because the
+    /// benchmark's per-layer replay still names it.
     CommMiss,
     /// Never recorded; always reads 0. Kept only because the
     /// benchmark's per-layer replay still names it.
@@ -327,13 +329,11 @@ pub enum Gauge {
     StructEntries,
     /// Model instances mapped onto interned structures.
     StructInstances,
-    /// Entries in the communication edge-cost sequence cache.
-    CommEntries,
 }
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -342,7 +342,6 @@ impl Gauge {
         Gauge::GraphEntries,
         Gauge::StructEntries,
         Gauge::StructInstances,
-        Gauge::CommEntries,
     ];
 
     /// The gauge's dotted instrument name.
@@ -353,7 +352,6 @@ impl Gauge {
             Gauge::GraphEntries => "memo.graph.entries",
             Gauge::StructEntries => "engine.struct_entries",
             Gauge::StructInstances => "engine.struct_instances",
-            Gauge::CommEntries => "memo.comm.entries",
         }
     }
 }
@@ -1900,10 +1898,10 @@ mod tests {
         {
             let _s = t.stage_span("demo");
         }
-        t.count(Metric::CommMiss);
+        t.count(Metric::GraphMiss);
         let text = t.text_summary();
         assert!(text.contains("demo"), "{text}");
-        assert!(text.contains("memo.comm.miss"), "{text}");
+        assert!(text.contains("memo.graph.miss"), "{text}");
         assert!(text.contains("track main"), "{text}");
     }
 }

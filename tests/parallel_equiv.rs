@@ -12,7 +12,8 @@ use claire::core::dse::{
 use claire::core::telemetry::Metric;
 use claire::core::{Claire, ClaireOptions, Constraints, Engine, SubsetStrategy, WeightScale};
 use claire::model::zoo;
-use claire::ppa::DseSpace;
+use claire::ppa::{DseSpace, HwParams};
+use std::sync::Arc;
 
 /// Thread counts the suite sweeps: the serial edge case, a small
 /// pool, and more workers than this container has cores.
@@ -378,15 +379,20 @@ fn area_tier_and_structural_keys_see_traffic() {
             warm.struct_instances, 2,
             "both instances mapped onto the shared structure"
         );
+        // The graph tier keys by structure too: the second instance's
+        // universal graph is the entry the first one's build stored.
+        let hw = HwParams::new(32, 32, 16, 16);
+        let built = engine.universal_csr(std::slice::from_ref(&first), &hw);
+        let shared = engine.universal_csr(std::slice::from_ref(&second), &hw);
+        let after = engine.stats();
         assert_eq!(
-            warm.comm_misses, cold.comm_misses,
-            "structural keys must serve the second instance's edge costs from \
+            (after.graph_hits, after.graph_misses),
+            (warm.graph_hits + 1, warm.graph_misses + 1),
+            "structural keys must serve the second instance's graph from \
              cache ({threads} thread(s))"
         );
-        assert!(
-            warm.comm_hits > cold.comm_hits,
-            "second sweep produced no comm hits: {warm:?}"
-        );
+        assert!(Arc::ptr_eq(&built, &shared), "{after:?}");
+        assert_eq!(after.struct_entries, 1, "{after:?}");
     }
 }
 
@@ -407,37 +413,47 @@ fn cache_off_engine_interns_nothing() {
 
 #[test]
 fn engine_counters_see_traffic_during_a_sweep() {
-    // A sweep prices through one prepared shell pricer: one comm
-    // lookup per sweep at any thread count, one batch sum per point.
+    // A sweep prices through one prepared shell pricer: its cycle
+    // tables and energy fold run the batch kernel, every point leaves
+    // through exactly one screen or exact pricing, and no memo tier is
+    // read. A second sweep builds a fresh pricer, so it repeats the
+    // same work exactly.
     let engine = Engine::new(2);
     let model = zoo::resnet18();
-    let sweep = || {
-        sweep_with_engine(
-            &model,
-            &DseSpace::default(),
-            &Constraints::default(),
-            &engine,
-        )
+    let space = DseSpace::default();
+    let sweep = || sweep_with_engine(&model, &space, &Constraints::default(), &engine);
+    let counts = || {
+        let s = engine.stats();
+        let batch_sums = engine.telemetry().counter(Metric::BatchSums);
+        (batch_sums, s.dse_pruned, s.dse_lb_pruned, s.dse_evaluated)
     };
     sweep();
+    let first = counts();
     let stats = engine.stats();
-    assert_eq!(
-        (stats.comm_hits, stats.comm_misses),
-        (0, 1),
-        "a fresh engine's sweep makes exactly one comm lookup: {stats:?}"
-    );
     assert!(
-        engine.telemetry().counter(Metric::BatchSums) > 0,
+        first.0 > 0,
         "no compute sum priced through the batch kernel: {stats:?}"
     );
+    assert_eq!(
+        first.1 + first.2 + first.3,
+        space.len() as u64,
+        "every point is screened or priced once: {stats:?}"
+    );
+    assert!(first.3 > 0, "nothing priced: {stats:?}");
     sweep();
+    let second = counts();
     let stats = engine.stats();
     assert_eq!(
-        (stats.comm_hits, stats.comm_misses),
-        (1, 1),
-        "a second sweep's one lookup hits the stored sequence: {stats:?}"
+        second,
+        (2 * first.0, 2 * first.1, 2 * first.2, 2 * first.3),
+        "a second sweep repeats the first one's work: {stats:?}"
     );
-    assert!(stats.overall_hit_rate() > 0.0, "no memo hits: {stats:?}");
+    assert_eq!(stats.struct_entries, 1, "{stats:?}");
+    assert_eq!(
+        stats.louvain_hits + stats.louvain_misses + stats.graph_hits + stats.graph_misses,
+        0,
+        "a sweep reads no memo tier: {stats:?}"
+    );
 }
 
 #[test]

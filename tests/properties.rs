@@ -857,8 +857,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The per-edge-family pricing behind the engine's communication
-    /// memo tier is bit-equal to the evaluator's per-class-pair
+    /// The per-edge-family pricing behind the engine's edge-cost
+    /// sequences is bit-equal to the evaluator's per-class-pair
     /// `route_of` walk, edge for edge in execution order — and so are
     /// the latency/energy folds over the sequence.
     #[test]

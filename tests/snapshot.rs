@@ -60,7 +60,6 @@ fn flow_from_snapshot_is_bit_identical_to_cold() {
     let stats = warm.stats();
     assert_eq!(stats.louvain_misses, 0, "{stats:?}");
     assert_eq!(stats.graph_misses, 0, "{stats:?}");
-    assert_eq!(stats.comm_misses, 0, "{stats:?}");
     assert_eq!(warm.tier_signature(), loaded_signature, "{stats:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -148,8 +147,7 @@ fn search_state_is_independent_of_points_priced() {
         }
     }
     // A search whose area screen empties the space prices nothing, so
-    // its shell pricer resolves nothing: no interned structure, no
-    // comm lookup.
+    // its shell pricer resolves nothing: no interned structure.
     let engine = Engine::new(2);
     let nothing_fits = Constraints {
         chiplet_area_limit_mm2: 0.5,

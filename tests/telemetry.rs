@@ -71,13 +71,11 @@ fn engine_stats_reconcile_exactly_with_counters() {
         paper_flow(&engine);
         let stats = engine.stats();
         let tel = engine.telemetry();
-        let pairs: [(&str, u64, Metric); 6] = [
+        let pairs: [(&str, u64, Metric); 4] = [
             ("louvain_hits", stats.louvain_hits, Metric::LouvainHit),
             ("louvain_misses", stats.louvain_misses, Metric::LouvainMiss),
             ("graph_hits", stats.graph_hits, Metric::GraphHit),
             ("graph_misses", stats.graph_misses, Metric::GraphMiss),
-            ("comm_hits", stats.comm_hits, Metric::CommHit),
-            ("comm_misses", stats.comm_misses, Metric::CommMiss),
         ];
         for (field, legacy, metric) in pairs {
             assert_eq!(
