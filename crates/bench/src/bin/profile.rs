@@ -26,10 +26,10 @@ use claire_bench::{paper_options, render_table, run_flow_with_engine};
 use claire_core::dse::{
     custom_config_with_engine, set_config_with_engine, sweep_with_engine, DseObjective,
 };
-use claire_core::telemetry::Metric;
+use claire_core::telemetry::{Distribution, Metric};
 use claire_core::{
-    Claire, Constraints, Engine, EngineStats, LifecycleEvent, LifecycleStage, QuantileDigest,
-    ServeObserver, Telemetry,
+    Claire, Constraints, Engine, EngineStats, LifecycleEvent, LifecycleStage, ServeObserver,
+    Telemetry,
 };
 use claire_model::{zoo, Model};
 use claire_ppa::{DesignSpace, DseSpace, GridSpace};
@@ -397,8 +397,10 @@ fn main() {
     // Serve-observability overhead model: price the lifecycle hooks
     // the serve layer wraps around every request — one observer record
     // per stage transition (flight-ring push + sliding-window rate
-    // fold), two exact-digest inserts (queue wait, end-to-end
-    // latency), and the disabled event-log check each emit performs —
+    // fold), three digest records in the engine's telemetry (queue
+    // wait, end-to-end latency, and the batch size, charged to every
+    // request as if each batch held one), and the disabled event-log
+    // check each emit performs —
     // then bound the modeled per-request cost against the warm
     // reflow's per-model wall time. The 2 %
     // budget is the CI perf-smoke gate; the disabled event-log path
@@ -424,16 +426,20 @@ fn main() {
             t.elapsed().as_secs_f64() * 1e9 / OBS_REPS as f64
         })
         .fold(f64::INFINITY, f64::min);
-    // Digest inserts over a realistic µs-granularity latency spread
-    // (bounded distinct values keep the RLE runs — and the binary
-    // search — at serve-like sizes).
-    let mut scratch_digest = QuantileDigest::new();
+    // Digest records through the telemetry hub's lock, as serve makes
+    // them, over a realistic µs-granularity latency spread (bounded
+    // distinct values keep the RLE runs — and the binary search — at
+    // serve-like sizes).
+    let scratch_hub = Telemetry::new();
     const DIGEST_REPS: u64 = 200_000;
     let digest_insert_ns = (0..5)
         .map(|_| {
             let t = Instant::now();
             for i in 0..DIGEST_REPS {
-                black_box(&mut scratch_digest).record(i.wrapping_mul(2_654_435_761) % 4096);
+                black_box(&scratch_hub).record(
+                    Distribution::LatencyUs,
+                    i.wrapping_mul(2_654_435_761) % 4096,
+                );
             }
             t.elapsed().as_secs_f64() * 1e9 / DIGEST_REPS as f64
         })
@@ -456,10 +462,10 @@ fn main() {
         })
         .fold(f64::INFINITY, f64::min);
     // An answered request transitions through 5 stages (received,
-    // admitted, dispatched, evaluating, answered), adds 2 digest
-    // inserts, and checks the event log once per emitted event.
+    // admitted, dispatched, evaluating, answered), adds at most 3
+    // digest records, and checks the event log once per emitted event.
     const EVENTS_PER_REQUEST: f64 = 5.0;
-    const DIGEST_INSERTS_PER_REQUEST: f64 = 2.0;
+    const DIGEST_INSERTS_PER_REQUEST: f64 = 3.0;
     let modeled_request_ns = EVENTS_PER_REQUEST * (per_event_record_ns + event_log_disabled_ns)
         + DIGEST_INSERTS_PER_REQUEST * digest_insert_ns;
     let warm_request_ns = reflow_time.as_secs_f64() * 1e9 / models.len() as f64;
@@ -473,7 +479,7 @@ fn main() {
     println!();
     println!("== Serve observability ==");
     println!(
-        "lifecycle record: {per_event_record_ns:.1} ns/event; exact-digest insert: \
+        "lifecycle record: {per_event_record_ns:.1} ns/event; digest record: \
          {digest_insert_ns:.1} ns; disabled event-log check: {event_log_disabled_ns:.1} ns"
     );
     println!(

@@ -625,9 +625,10 @@ Telemetry exports (also valid with any command):
   --trace-out <path>     Write a Chrome Trace Event JSON of the run
                          (load in Perfetto or chrome://tracing; one
                          track per worker thread). Enables tracing.
-  --metrics-json <path>  Write the run's counters, gauges, histograms,
-                         stage aggregates and per-worker utilization
-                         as JSON.
+  --metrics-json <path>  Write the run's counters, gauges, digests
+                         ({count, p50, p90, p99, max} per
+                         distribution), stage aggregates and
+                         per-worker utilization as JSON.
   An export path that cannot be written exits 9 (invalid input).
 
 EXIT CODES:

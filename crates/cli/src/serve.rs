@@ -18,12 +18,14 @@
 //!   request is answered immediately with a typed
 //!   [`ClaireError::Overloaded`] (exit-code 13 numbering) instead of
 //!   queueing unboundedly.
-//! * **Deadlines** — a request may declare `"deadline_ms"`. A watchdog
-//!   fires its cancel flag when the budget lapses: still-queued
-//!   requests are answered `DeadlineExceeded{stage:"queued"}`, and
-//!   in-flight custom evaluations stop at the flat plan's cooperative
-//!   checkpoints and answer `stage:"evaluating"`. Completed neighbours
-//!   in the same batch are untouched — answers stay bit-identical.
+//! * **Deadlines** — a request may declare `"deadline_ms"`, which
+//!   admission turns into an absolute deadline. Nothing polls for it:
+//!   the dispatcher answers a request whose deadline lapsed while it
+//!   was queued `DeadlineExceeded{stage:"queued"}`, and an in-flight
+//!   custom evaluation reads the clock at the flat plan's cooperative
+//!   checkpoints, stops once the deadline has passed and answers
+//!   `stage:"evaluating"`. Completed neighbours in the same batch are
+//!   untouched — answers stay bit-identical.
 //! * **Crash safety** — with `--cache-dir`, warm state is checkpointed
 //!   every `--checkpoint-ms` (atomic tmp+rename, generation-countered,
 //!   skipped while the file on disk already holds the memo tiers) and
@@ -45,7 +47,7 @@
 //! down. See [`crate::args::USAGE`].
 
 use crate::summary::CustomSummary;
-use claire_core::telemetry::Metric;
+use claire_core::telemetry::{Distribution, Metric};
 use claire_core::{
     ClaireError, ClaireOptions, Constraints, CustomRequest, FaultClass, FaultPlan, LifecycleEvent,
     LifecycleStage, ResidentEngine, RobustnessPolicy,
@@ -65,9 +67,6 @@ use std::time::{Duration, Instant};
 /// How often the dispatcher wakes with an empty queue to poll for
 /// shutdown and drive periodic checkpoints.
 const DISPATCH_TICK: Duration = Duration::from_millis(50);
-
-/// How often the deadline watchdog scans for lapsed budgets.
-const WATCHDOG_TICK: Duration = Duration::from_millis(5);
 
 /// Bounded capacity of the event-log channel between request threads
 /// and the logger thread. A full channel drops the event (counted in
@@ -142,13 +141,10 @@ struct Job {
     /// Where the response line goes (stdout writer or the
     /// connection's writer thread).
     reply: mpsc::Sender<String>,
-    /// Admission time, for the queue-wait histogram.
+    /// Admission time, for the queue-wait and latency digests.
     enqueued: Instant,
     /// Absolute deadline derived from `deadline_ms` at admission.
     deadline: Option<Instant>,
-    /// Set by the watchdog when the deadline lapses; threaded into the
-    /// flat plan's cooperative cancellation checkpoints.
-    cancel: Arc<AtomicBool>,
 }
 
 /// The event-log writer: a bounded sender into the dedicated logger
@@ -158,7 +154,7 @@ struct EventLog {
     logger: std::thread::JoinHandle<()>,
 }
 
-/// Everything the front ends, watchdog and dispatcher share.
+/// Everything the front ends and the dispatcher share.
 struct ServerState {
     resident: Arc<ResidentEngine>,
     queue: Mutex<VecDeque<Job>>,
@@ -169,14 +165,13 @@ struct ServerState {
     eof: AtomicBool,
     conn_seq: AtomicU64,
     batch_seq: AtomicU64,
-    /// Live deadlines the watchdog scans: `(lapse instant, cancel)`.
-    deadlines: Mutex<Vec<(Instant, Arc<AtomicBool>)>>,
     /// The serve-layer fault drill; never attached to the engine.
     faults: Option<FaultPlan>,
     /// The serve epoch every lifecycle timestamp is measured from.
     epoch: Instant,
     /// Requests currently inside engine evaluation (live gauge for
-    /// `stats`; the histogram records per-dispatch observations).
+    /// `stats`; the `serve.in_flight` digest records each batch's
+    /// size).
     inflight: AtomicU64,
     /// The `--event-log` writer; `None` when disabled, and taken (to
     /// close the channel and join the logger) on shutdown.
@@ -393,7 +388,6 @@ pub fn run(opts: ClaireOptions, settings: &ServeSettings) -> i32 {
         eof: AtomicBool::new(false),
         conn_seq: AtomicU64::new(0),
         batch_seq: AtomicU64::new(0),
-        deadlines: Mutex::new(Vec::new()),
         faults,
         epoch: Instant::now(),
         inflight: AtomicU64::new(0),
@@ -413,11 +407,6 @@ pub fn run(opts: ClaireOptions, settings: &ServeSettings) -> i32 {
             state.export_metrics_atomic();
             previous(info);
         }));
-    }
-
-    {
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || watchdog(&state));
     }
 
     let stdout_flusher = match &settings.listen {
@@ -518,27 +507,6 @@ fn parse_serve_faults(spec: &str) -> Result<FaultPlan, String> {
         }
     }
     Ok(plan)
-}
-
-/// The deadline watchdog: fires cancel flags when budgets lapse and
-/// prunes entries whose request already finished (their cancel Arc has
-/// no other holder).
-fn watchdog(state: &ServerState) {
-    loop {
-        std::thread::sleep(WATCHDOG_TICK);
-        let now = Instant::now();
-        let mut entries = lock(&state.deadlines);
-        entries.retain(|(deadline, cancel)| {
-            if Arc::strong_count(cancel) == 1 {
-                return false;
-            }
-            if *deadline <= now {
-                cancel.store(true, Ordering::Relaxed);
-                return false;
-            }
-            true
-        });
-    }
 }
 
 // ---------------------------------------------------------------- //
@@ -663,11 +631,10 @@ fn handle_connection<S: Conn>(stream: S, state: &Arc<ServerState>) {
     };
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
-        for line in rx {
-            if write_half.write_all(line.as_bytes()).is_err()
-                || write_half.write_all(b"\n").is_err()
-                || write_half.flush().is_err()
-            {
+        // One write per answer: the line and its newline together.
+        for mut line in rx {
+            line.push('\n');
+            if write_half.write_all(line.as_bytes()).is_err() {
                 break;
             }
         }
@@ -801,13 +768,9 @@ fn admit(state: &ServerState, line: &str, reply: &mpsc::Sender<String>) {
         return;
     }
     let now = Instant::now();
-    let cancel = Arc::new(AtomicBool::new(false));
     let deadline = request
         .deadline_ms
         .map(|ms| now + Duration::from_millis(ms));
-    if let Some(deadline) = deadline {
-        lock(&state.deadlines).push((deadline, Arc::clone(&cancel)));
-    }
     state.emit(state.lifecycle(LifecycleStage::Admitted, trace, &request.id, op));
     queue.push_back(Job {
         request,
@@ -815,7 +778,6 @@ fn admit(state: &ServerState, line: &str, reply: &mpsc::Sender<String>) {
         reply: reply.clone(),
         enqueued: now,
         deadline,
-        cancel,
     });
     state.wakeup.notify_one();
 }
@@ -840,8 +802,8 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
         "counters": metrics["counters"].clone(),
         "gauges": metrics["gauges"].clone(),
         "quantiles": serde_json::json!({
-            "queue_wait_us": observer.queue_wait_summary().to_value(),
-            "latency_us": observer.latency_summary().to_value(),
+            "queue_wait_us": telemetry.distribution(Distribution::QueueWaitUs).to_value(),
+            "latency_us": telemetry.distribution(Distribution::LatencyUs).to_value(),
         }),
         "rates": serde_json::json!({
             "requests": requests.to_value(),
@@ -891,14 +853,10 @@ fn dispatch(resident: &ResidentEngine, state: &ServerState, settings: &ServeSett
             maybe_checkpoint(resident, state, checkpoint_every, &mut last_checkpoint);
             continue;
         }
-        telemetry.record_in_flight(jobs.len() as u64);
+        telemetry.record(Distribution::InFlight, jobs.len() as u64);
         for job in &jobs {
-            let waited = job.enqueued.elapsed();
-            telemetry.record_queue_wait(waited);
-            state
-                .resident
-                .observer()
-                .record_queue_wait_us(waited.as_micros() as u64);
+            let waited_us = job.enqueued.elapsed().as_micros() as u64;
+            telemetry.record(Distribution::QueueWaitUs, waited_us);
         }
 
         // Requests whose deadline lapsed while queued are answered
@@ -1051,8 +1009,8 @@ fn maybe_checkpoint(
 
 /// Serves one batch of admitted jobs, returning responses in job
 /// order. Custom requests across the batch share one flat evaluation
-/// table (with per-request cancel flags); assignment requests share
-/// one test table.
+/// table (with per-request deadlines); assignment requests share one
+/// test table.
 fn serve_jobs(resident: &ResidentEngine, jobs: &[Job]) -> Vec<Value> {
     let mut responses: Vec<Option<Value>> = jobs.iter().map(|_| None).collect();
 
@@ -1071,7 +1029,7 @@ fn serve_jobs(resident: &ResidentEngine, jobs: &[Job]) -> Vec<Value> {
                     model: model.clone(),
                     policy: *policy,
                     constraints: None,
-                    cancel: Some(Arc::clone(&jobs[i].cancel)),
+                    deadline: jobs[i].deadline,
                     deadline_ms: jobs[i].request.deadline_ms,
                 },
                 _ => unreachable!("custom_idx filters Op::Custom"),
@@ -1157,10 +1115,10 @@ fn serve_jobs(resident: &ResidentEngine, jobs: &[Job]) -> Vec<Value> {
 
 /// Finalizes one response — echoes the id and the serve-assigned
 /// `trace_id`, honors the per-request trace export, mirrors deadline
-/// answers into the `serve.deadline_expired` counter, folds the
-/// end-to-end latency into the exact digest, and closes the request's
-/// lifecycle with an `answered`/`errored` event — then sends it to
-/// the job's writer.
+/// answers into the `serve.deadline_expired` counter, records the
+/// end-to-end latency in the `serve.latency_us` digest, and closes
+/// the request's lifecycle with an `answered`/`errored` event — then
+/// sends it to the job's writer.
 fn deliver(state: &ServerState, job: &Job, batch: Option<u64>, mut value: Value) {
     let resident = &state.resident;
     if let Value::Object(fields) = &mut value {
@@ -1181,15 +1139,14 @@ fn deliver(state: &ServerState, job: &Job, batch: Option<u64>, mut value: Value)
         .get("error")
         .and_then(|e| e.get("code"))
         .and_then(Value::as_u64);
+    let telemetry = state.telemetry();
     if error_code == Some(14) {
-        resident
-            .engine()
-            .telemetry()
-            .count(Metric::ServeDeadlineExpired);
+        telemetry.count(Metric::ServeDeadlineExpired);
     }
-    resident
-        .observer()
-        .record_latency_us(job.enqueued.elapsed().as_micros() as u64);
+    telemetry.record(
+        Distribution::LatencyUs,
+        job.enqueued.elapsed().as_micros() as u64,
+    );
     let stage = match error_code {
         None => LifecycleStage::Answered,
         Some(_) => LifecycleStage::Errored,
@@ -1198,7 +1155,7 @@ fn deliver(state: &ServerState, job: &Job, batch: Option<u64>, mut value: Value)
     event.batch = batch;
     event.outcome = Some(error_code.unwrap_or(0) as i64);
     state.emit(event);
-    state.telemetry().count(Metric::ServeAnswered);
+    telemetry.count(Metric::ServeAnswered);
     let _ = job.reply.send(to_line(&value));
 }
 
@@ -1228,7 +1185,7 @@ fn plain_error_line_traced(code: i64, detail: &str, trace: u64) -> String {
 
 /// Writes the session's trace/metrics exports (the `--trace-out` and
 /// `--metrics-json` paths) on the way out, so `serve.*` counters and
-/// the queue-wait/in-flight histograms survive the process. Metrics go
+/// digests survive the process. Metrics go
 /// through the atomic writer — the same one the crash paths use.
 fn export_shutdown_telemetry(state: &ServerState) {
     let resident = &state.resident;

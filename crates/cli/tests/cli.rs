@@ -413,6 +413,34 @@ fn unwritable_metrics_path_is_invalid_input() {
 }
 
 #[test]
+fn unwritable_snapshot_warns_invalid_input_and_still_answers() {
+    // The cache dir's `claire.snapshot` is a directory: the save fails
+    // as invalid input naming the path, and stays a warning.
+    let dir = std::env::temp_dir().join(format!("claire-cli-snapdir-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let snapshot = dir.join("claire.snapshot");
+    std::fs::create_dir_all(&snapshot).expect("directory in the snapshot's place");
+    let out = cli()
+        .args(["custom", "Alexnet", "--cache-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!out.stdout.is_empty(), "no answer printed");
+    let warning = err
+        .lines()
+        .find(|l| l.contains("failed to save warm state"))
+        .unwrap_or_else(|| panic!("no save warning: {err}"));
+    assert!(warning.contains("invalid input"), "{warning}");
+    assert!(
+        warning.contains(snapshot.to_str().expect("utf8")),
+        "{warning}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_out_requires_a_value() {
     let out = cli().args(["flow", "--trace-out"]).output().expect("run");
     assert_eq!(out.status.code(), Some(2));

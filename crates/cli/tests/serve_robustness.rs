@@ -306,8 +306,9 @@ fn full_queue_sheds_with_typed_code_13_and_metrics_record_it() {
         .expect("shed answer");
     assert!(first_shed["id"].as_u64().is_some(), "{first_shed}");
 
-    // The shed count and queue-wait/in-flight histograms surface in
-    // --metrics-json.
+    // The shed count and the queue-wait, in-flight and latency digests
+    // surface in --metrics-json: every evaluated request waited in the
+    // queue and was answered exactly once; shed ones did neither.
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
     let parsed: serde_json::Value = serde_json::from_str(&text).expect("metrics JSON");
     assert_eq!(
@@ -315,22 +316,22 @@ fn full_queue_sheds_with_typed_code_13_and_metrics_record_it() {
         Some(shed as u64),
         "serve.shed counter disagrees with the wire"
     );
-    let histogram_total = |name: &str| -> u64 {
-        parsed["histograms"][name]["counts"]
-            .as_array()
-            .unwrap_or_else(|| panic!("histogram {name} missing: {}", parsed["histograms"]))
-            .iter()
-            .map(|c| c.as_u64().expect("bucket count"))
-            .sum()
+    let samples = |name: &str| -> u64 {
+        parsed["digests"][name]["count"]
+            .as_u64()
+            .unwrap_or_else(|| panic!("digest {name} missing: {}", parsed["digests"]))
     };
-    assert!(
-        histogram_total("serve.queue_wait_us") >= 1,
-        "queue-wait histogram empty"
+    assert_eq!(
+        samples("serve.queue_wait_us"),
+        ok as u64,
+        "queue-wait digest disagrees with the evaluated answers"
     );
-    assert!(
-        histogram_total("serve.in_flight") >= 1,
-        "in-flight histogram empty"
+    assert_eq!(
+        samples("serve.latency_us"),
+        ok as u64,
+        "latency digest disagrees with the evaluated answers"
     );
+    assert!(samples("serve.in_flight") >= 1, "in-flight digest empty");
     std::fs::remove_dir_all(&dir).ok();
 }
 

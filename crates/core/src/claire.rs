@@ -339,10 +339,8 @@ impl Claire {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::InvalidInput`] naming the directory when
-    /// `cache_dir` cannot be created, and
-    /// [`ClaireError::SnapshotInvalid`] when the file cannot be
-    /// written.
+    /// [`ClaireError::InvalidInput`] naming the path when `cache_dir`
+    /// cannot be created or the snapshot cannot be written.
     pub fn save_warm_state(&self, engine: &Engine) -> Result<bool, ClaireError> {
         let Some(path) = self.snapshot_path() else {
             return Ok(false);
@@ -877,7 +875,7 @@ impl Claire {
 /// The typed error for an output path the caller named that could
 /// not be written (`action` failed on `path`): invalid input naming the
 /// path, not a broken invariant.
-fn unwritable(action: &str, path: &std::path::Path, e: &std::io::Error) -> ClaireError {
+pub(crate) fn unwritable(action: &str, path: &std::path::Path, e: &std::io::Error) -> ClaireError {
     ClaireError::InvalidInput {
         what: format!("cannot {action} {}: {e}", path.display()),
     }

@@ -11,7 +11,7 @@ use crate::evaluate::PpaReport;
 use crate::parallel::{Engine, ShellPricer};
 use crate::search::sweep_blocks;
 pub use crate::search::sweep_with_engine;
-use crate::telemetry::{ArgValue, Metric, Telemetry};
+use crate::telemetry::{ArgValue, Distribution, Metric, Telemetry};
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, DseSpaceError, HwParams, MAX_POINTS};
 use std::collections::{BTreeMap, BTreeSet};
@@ -172,11 +172,11 @@ pub fn with_relaxation<T>(
 
 /// [`with_relaxation`] that reports ladder activity to `telemetry`
 /// (when given): every winning rung lands in the `degrade.rungs`
-/// histogram, each relaxed retry counts a `degrade.attempts`, a
-/// relaxed success counts a `degrade.successes` and — when tracing —
-/// emits a `degrade.success` instant event carrying `subject` and the
-/// rung index, so `--degrade` runs leave an auditable trail.
-/// Observation never changes the returned value.
+/// digest, each relaxed retry counts a `degrade.attempts`, a relaxed
+/// success counts a `degrade.successes` and — when tracing — emits a
+/// `degrade.success` instant event carrying `subject` and the rung
+/// index, so `--degrade` runs leave an auditable trail. Observation
+/// never changes the returned value.
 ///
 /// # Errors
 ///
@@ -188,15 +188,9 @@ pub fn with_relaxation_observed<T>(
     subject: &str,
     mut attempt: impl FnMut(&Constraints) -> Result<T, ClaireError>,
 ) -> Result<(T, Option<Degradation>), ClaireError> {
-    match policy {
-        RobustnessPolicy::FailFast => {
-            let v = attempt(base)?;
-            if let Some(t) = telemetry {
-                t.record_degrade_rung(0);
-            }
-            Ok((v, None))
-        }
-        RobustnessPolicy::Degrade => {
+    let (v, rung_index, degradation) = match policy {
+        RobustnessPolicy::FailFast => (attempt(base)?, 0, None),
+        RobustnessPolicy::Degrade => 'ladder: {
             let mut last: Option<ClaireError> = None;
             for (rung_index, (steps, rung)) in relaxation_ladder(base).into_iter().enumerate() {
                 if rung_index > 0 {
@@ -206,34 +200,35 @@ pub fn with_relaxation_observed<T>(
                 }
                 match attempt(&rung) {
                     Ok(v) => {
-                        if let Some(t) = telemetry {
-                            t.record_degrade_rung(rung_index as u64);
-                            if rung_index > 0 {
-                                t.count(Metric::DegradeSuccesses);
-                                if t.tracing_enabled() {
-                                    t.instant(
-                                        "degrade.success",
-                                        "degrade",
-                                        vec![
-                                            ("subject", ArgValue::Text(subject.to_owned())),
-                                            ("rung", ArgValue::Int(rung_index as u64)),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
                         let degradation = (!steps.is_empty()).then_some(Degradation { steps });
-                        return Ok((v, degradation));
+                        break 'ladder (v, rung_index, degradation);
                     }
                     Err(e) if relaxation_can_help(&e) => last = Some(e),
                     Err(e) => return Err(e),
                 }
             }
-            Err(last.unwrap_or(ClaireError::NoFeasibleConfiguration {
+            return Err(last.unwrap_or(ClaireError::NoFeasibleConfiguration {
                 subject: "relaxation ladder".to_owned(),
-            }))
+            }));
+        }
+    };
+    if let Some(t) = telemetry {
+        t.record(Distribution::DegradeRungs, rung_index as u64);
+        if rung_index > 0 {
+            t.count(Metric::DegradeSuccesses);
+            if t.tracing_enabled() {
+                t.instant(
+                    "degrade.success",
+                    "degrade",
+                    vec![
+                        ("subject", ArgValue::Text(subject.to_owned())),
+                        ("rung", ArgValue::Int(rung_index as u64)),
+                    ],
+                );
+            }
         }
     }
+    Ok((v, degradation))
 }
 
 /// The hw-independent module-class inventory of a model's monolithic

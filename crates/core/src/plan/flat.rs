@@ -36,8 +36,7 @@ use crate::telemetry::ArgValue;
 use claire_model::{Model, OpClass};
 use claire_ppa::{space_points, DesignSpace, DseSpace, HwParams, SpaceAxes};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// One model's slice of the evaluation table: its area-screened DSE
 /// points in space order, each with its monolithic-shell evaluation
@@ -101,24 +100,31 @@ pub struct EvalTable {
 /// [`ShellPricer`], shared by the lower-bound loop, the pivots and the
 /// big map.
 ///
-/// `cancels` is parallel to `models` (an empty slice disables
-/// cancellation). Each evaluation item checks its model's flag when a
-/// worker claims it — the cooperative checkpoint — and returns
-/// unevaluated when the flag is set, so an expired request stops
-/// consuming workers at item granularity. A cancelled model's row is
-/// garbage (its caller must discard it); every *other* model's row is
-/// bit-identical to an uncancelled build, because screens, bounds and
-/// evaluations are per-model and the shared memo tiers hold
-/// exact values — skipping a neighbour's items can only *miss* warm
-/// entries, never write wrong ones.
+/// `deadlines` is parallel to `models` (an empty slice sets none).
+/// The cooperative checkpoints — a model's pivot and each evaluation
+/// item a worker claims — compare the model's deadline with the clock
+/// and skip the work once it has lapsed, so an expired request stops
+/// consuming workers at item granularity. A lapsed model's row is
+/// garbage (its caller must discard it; the clock is monotonic, so a
+/// caller that reads it after the build sees the lapse too); every
+/// *other* model's row is bit-identical to a build with no deadlines,
+/// because screens, bounds and evaluations are per-model and the
+/// shared memo tiers hold exact values — skipping a neighbour's items
+/// can only *miss* warm entries, never write wrong ones.
 pub fn build_eval_table(
     models: &[Model],
     space: &DseSpace,
     constraints: &Constraints,
     engine: &Engine,
-    cancels: &[Arc<AtomicBool>],
+    deadlines: &[Option<Instant>],
 ) -> EvalTable {
-    let cancelled = |mi: usize| cancels.get(mi).is_some_and(|c| c.load(Ordering::Relaxed));
+    let lapsed = |mi: usize| {
+        deadlines
+            .get(mi)
+            .copied()
+            .flatten()
+            .is_some_and(|d| Instant::now() >= d)
+    };
     let space_points: Vec<(u32, HwParams)> = space_points(space).collect();
     let axes = space.axes();
     let shells: Vec<DesignConfig> = models.iter().map(|m| monolithic_for(m, SHELL_HW)).collect();
@@ -176,11 +182,11 @@ pub fn build_eval_table(
             at += row.points.len();
         }
         // Price each model's pivot (one small parallel map over
-        // models). An empty row has no pivot. A cancelled model gets an
+        // models). An empty row has no pivot. A lapsed model gets an
         // infinite bound, which keeps its points unscreened; the big
         // map below skips them anyway (the cooperative checkpoint).
         let bounds: Vec<f64> = engine.par_map(&rows, |mi, row| {
-            if row.points.is_empty() || cancelled(mi) {
+            if row.points.is_empty() || lapsed(mi) {
                 return f64::INFINITY;
             }
             // The first point with the minimal bound, in space order
@@ -233,9 +239,9 @@ pub fn build_eval_table(
     let mut span = engine.telemetry().span("plan.eval", "plan");
     span.arg("items", ArgValue::Int(items.len() as u64));
     let reports: Vec<Option<PpaReport>> = engine.par_map(&items, |_, &(mi, pi)| {
-        // Cooperative cancellation checkpoint, at item-claim time: an
-        // expired model's remaining items fall through unevaluated.
-        if cancelled(mi) {
+        // Cooperative cancellation checkpoint, at item-claim time: a
+        // lapsed model's remaining items fall through unevaluated.
+        if lapsed(mi) {
             return None;
         }
         let (idx, hw) = rows[mi].points[pi];

@@ -29,11 +29,12 @@ use crate::dse::RobustnessPolicy;
 use crate::error::ClaireError;
 use crate::parallel::Engine;
 use crate::plan::flat::build_eval_table;
-use crate::telemetry::{EventRing, QuantileDigest, QuantileSummary, RateSnapshot, RateWindows};
+use crate::telemetry::{EventRing, RateSnapshot, RateWindows};
 use claire_model::Model;
 use serde::{Number, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// How many lifecycle events the in-memory flight recorder retains.
 /// At the serve layer's ≤ 4 events per request this bounds a dump to
@@ -41,7 +42,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// death with what clients observed.
 pub const FLIGHT_RING_CAPACITY: usize = 256;
 
-/// Poison-tolerant lock: observer state is append-only summaries, so a
+/// Poison-tolerant lock: observer state is append-only records, so a
 /// panicking recorder leaves at worst one complete record.
 fn obs_lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -157,16 +158,15 @@ impl LifecycleEvent {
 }
 
 /// The resident engine's live-observability hub: the monotonic trace
-/// sequence, the flight-recorder ring, exact latency digests, and the
-/// sliding-window rate trackers. All time is injected (µs since the
-/// serve epoch) — no wall-clock reads, so identical request sequences
-/// produce identical digests and rates at any thread count.
+/// sequence, the flight-recorder ring and the sliding-window rate
+/// trackers. All time is injected (µs since the serve epoch) — no
+/// wall-clock reads, so identical request sequences produce identical
+/// rates at any thread count. The queue-wait and latency
+/// distributions live in the engine's [`crate::Telemetry`].
 #[derive(Debug)]
 pub struct ServeObserver {
     trace_seq: AtomicU64,
     ring: Mutex<EventRing<LifecycleEvent>>,
-    queue_wait_us: Mutex<QuantileDigest>,
-    latency_us: Mutex<QuantileDigest>,
     requests: Mutex<RateWindows>,
     sheds: Mutex<RateWindows>,
     expiries: Mutex<RateWindows>,
@@ -185,8 +185,6 @@ impl ServeObserver {
         ServeObserver {
             trace_seq: AtomicU64::new(0),
             ring: Mutex::new(EventRing::new(FLIGHT_RING_CAPACITY)),
-            queue_wait_us: Mutex::new(QuantileDigest::new()),
-            latency_us: Mutex::new(QuantileDigest::new()),
             requests: Mutex::new(RateWindows::new()),
             sheds: Mutex::new(RateWindows::new()),
             expiries: Mutex::new(RateWindows::new()),
@@ -210,27 +208,6 @@ impl ServeObserver {
             _ => {}
         }
         obs_lock(&self.ring).push(event);
-    }
-
-    /// Records one admission-queue wait into the exact digest.
-    pub fn record_queue_wait_us(&self, us: u64) {
-        obs_lock(&self.queue_wait_us).record(us);
-    }
-
-    /// Records one end-to-end (admission to delivery) latency into the
-    /// exact digest.
-    pub fn record_latency_us(&self, us: u64) {
-        obs_lock(&self.latency_us).record(us);
-    }
-
-    /// The exact queue-wait quantile summary so far.
-    pub fn queue_wait_summary(&self) -> QuantileSummary {
-        obs_lock(&self.queue_wait_us).summary()
-    }
-
-    /// The exact end-to-end latency quantile summary so far.
-    pub fn latency_summary(&self) -> QuantileSummary {
-        obs_lock(&self.latency_us).summary()
     }
 
     /// The request / shed / deadline-expiry window rates at the
@@ -296,16 +273,14 @@ pub struct CustomRequest {
     /// so a *looser* override could need points outside it) — still
     /// memo-warm, just not table-replayed.
     pub constraints: Option<Constraints>,
-    /// Cooperative cancellation flag: set it (from a watchdog, a
-    /// deadline, a disconnect) and the request stops consuming workers
-    /// at the next flat-plan checkpoint, answering
-    /// [`ClaireError::DeadlineExceeded`]. `None` means the request
-    /// runs to completion.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// The deadline the caller declared (milliseconds), echoed into
-    /// the [`ClaireError::DeadlineExceeded`] answer when `cancel`
-    /// fires. Informational only — enforcement is the caller's
-    /// watchdog setting `cancel`.
+    /// The instant the request's budget lapses. Once the clock reaches
+    /// it the request stops consuming workers at the next flat-plan
+    /// checkpoint and answers [`ClaireError::DeadlineExceeded`].
+    /// `None` means the request runs to completion.
+    pub deadline: Option<Instant>,
+    /// The budget the caller declared (milliseconds), echoed into the
+    /// [`ClaireError::DeadlineExceeded`] answer. Informational only —
+    /// `deadline` is what is enforced.
     pub deadline_ms: Option<u64>,
 }
 
@@ -316,19 +291,17 @@ impl CustomRequest {
             model,
             policy: None,
             constraints: None,
-            cancel: None,
+            deadline: None,
             deadline_ms: None,
         }
     }
 
-    /// True when the request's cancel flag has been set.
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
+    /// True once the clock has reached the request's deadline.
+    fn lapsed(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The typed answer for a cancelled request.
+    /// The typed answer for a lapsed request.
     fn deadline_error(&self) -> ClaireError {
         ClaireError::DeadlineExceeded {
             deadline_ms: self.deadline_ms.unwrap_or(0),
@@ -360,8 +333,7 @@ pub struct ResidentEngine {
     trained: OnceLock<Result<TrainOutput, ClaireError>>,
     /// Checkpoints written so far (the snapshot generation counter).
     checkpoint_gen: AtomicU64,
-    /// Live-observability hub: trace ids, flight ring, latency
-    /// digests, window rates.
+    /// Live-observability hub: trace ids, flight ring, window rates.
     observer: ServeObserver,
 }
 
@@ -385,7 +357,7 @@ impl ResidentEngine {
     }
 
     /// The live-observability hub (trace-id assignment, lifecycle
-    /// recording, quantile and rate summaries).
+    /// recording, rate summaries).
     pub fn observer(&self) -> &ServeObserver {
         &self.observer
     }
@@ -497,10 +469,8 @@ impl ResidentEngine {
                 .iter()
                 .map(|&i| requests[i].model.clone())
                 .collect();
-            let cancels: Vec<Arc<AtomicBool>> = eligible
-                .iter()
-                .map(|&i| requests[i].cancel.clone().unwrap_or_default())
-                .collect();
+            let deadlines: Vec<Option<Instant>> =
+                eligible.iter().map(|&i| requests[i].deadline).collect();
             let opts = self.claire.options();
             let table = self.engine.time_stage("plan", || {
                 build_eval_table(
@@ -508,13 +478,13 @@ impl ResidentEngine {
                     &opts.space,
                     &opts.constraints,
                     &self.engine,
-                    &cancels,
+                    &deadlines,
                 )
             });
             for (row, &i) in table.rows.iter().zip(&eligible) {
-                // A cancelled request's row is garbage by contract —
+                // A lapsed request's row is garbage by contract —
                 // answer the typed deadline error, never the row.
-                if requests[i].cancelled() {
+                if requests[i].lapsed() {
                     out[i] = Some(Err(requests[i].deadline_error()));
                     continue;
                 }
@@ -525,7 +495,7 @@ impl ResidentEngine {
 
         for (i, req) in requests.iter().enumerate() {
             if out[i].is_none() {
-                if req.cancelled() {
+                if req.lapsed() {
                     out[i] = Some(Err(req.deadline_error()));
                     continue;
                 }
@@ -742,13 +712,9 @@ mod tests {
 
     #[test]
     fn cancelled_requests_answer_deadline_exceeded_without_contamination() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
         let resident = ResidentEngine::new(ClaireOptions::default(), vec![]);
-        let cancel = Arc::new(AtomicBool::new(true));
         let mut doomed = CustomRequest::new(zoo::resnet18());
-        doomed.cancel = Some(cancel);
+        doomed.deadline = Some(Instant::now());
         doomed.deadline_ms = Some(7);
         let requests = vec![CustomRequest::new(zoo::alexnet()), doomed];
         let results = resident.custom_batch(&requests);

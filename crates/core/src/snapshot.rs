@@ -75,6 +75,7 @@
 //! [`Engine::tier_signature`], same header on disk).
 //! [`Engine::save_snapshot`] itself always writes.
 
+use crate::claire::unwritable;
 use crate::error::ClaireError;
 use crate::parallel::{read_lock, write_lock, Engine, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
@@ -678,8 +679,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::SnapshotInvalid`] when the file cannot be
-    /// written.
+    /// [`ClaireError::InvalidInput`] naming `path` when the file
+    /// cannot be written: the path is the caller's output, not a
+    /// corrupt input.
     pub fn save_snapshot(&self, path: &Path) -> Result<bool, ClaireError> {
         if !self.cache_enabled() || self.faults().is_some() {
             return Ok(false);
@@ -701,7 +703,7 @@ impl Engine {
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        result.map_err(|e| invalid(format!("write failed: {e}")))?;
+        result.map_err(|e| unwritable("write snapshot", path, &e))?;
         self.record_persisted(path, signature, &bytes);
         Ok(true)
     }

@@ -15,8 +15,9 @@
 //! * **Gauges** ([`Gauge`]) — last-written values (memo-tier entry
 //!   counts, thread count), set by the engine when a snapshot or an
 //!   export is taken.
-//! * **Histograms** — fixed-bucket distributions: degradation rungs
-//!   and the serve queue-wait and in-flight counts.
+//! * **Distributions** ([`Distribution`]) — one exact
+//!   [`QuantileDigest`] per quantity: degradation rungs and the serve
+//!   queue wait, batch size and end-to-end latency.
 //!
 //! **Spans** come in two kinds. *Stage spans* ([`Telemetry::stage_span`])
 //! are always recorded: their wall-time aggregates feed
@@ -34,9 +35,8 @@
 //! Two exporters read the recorded state: [`Telemetry::chrome_trace`]
 //! renders Chrome Trace Event Format JSON (loadable in Perfetto or
 //! `chrome://tracing`, one track per worker thread), and
-//! [`Telemetry::text_summary`] renders a flamegraph-style indented
-//! text profile. [`Telemetry::metrics_value`] serialises every
-//! instrument for `--metrics-json`.
+//! [`Telemetry::metrics_value`] serialises every instrument for
+//! `--metrics-json`.
 
 use crate::fault::FaultClass;
 use serde::{Number, Value};
@@ -356,70 +356,41 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram: `bounds` are inclusive upper edges; one
-/// overflow bucket catches everything beyond the last bound.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: &'static [u64],
-    counts: Box<[AtomicU64]>,
+/// Distribution instruments, each an exact [`QuantileDigest`] that
+/// one call site records into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(usize)]
+pub enum Distribution {
+    /// The winning degradation-ladder rung of each observed selection.
+    DegradeRungs,
+    /// Microseconds each serve request waited in the admission queue.
+    QueueWaitUs,
+    /// Requests drained into each serve batch.
+    InFlight,
+    /// Microseconds from admission to answer, per serve request.
+    LatencyUs,
 }
 
-impl Histogram {
-    fn new(bounds: &'static [u64]) -> Self {
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram { bounds, counts }
-    }
+impl Distribution {
+    /// Number of distribution instruments.
+    pub const COUNT: usize = 4;
 
-    /// Records one observation of `value`.
-    pub fn record(&self, value: u64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
-    }
+    /// Every distribution, in index order.
+    pub const ALL: [Distribution; Distribution::COUNT] = [
+        Distribution::DegradeRungs,
+        Distribution::QueueWaitUs,
+        Distribution::InFlight,
+        Distribution::LatencyUs,
+    ];
 
-    /// The inclusive upper bucket edges.
-    pub fn bounds(&self) -> &'static [u64] {
-        self.bounds
-    }
-
-    /// Per-bucket counts (`bounds().len() + 1` entries; the last is
-    /// the overflow bucket).
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.snapshot().iter().sum()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "bounds".to_owned(),
-                Value::Array(
-                    self.bounds
-                        .iter()
-                        .map(|&b| Value::Number(Number::PosInt(b)))
-                        .collect(),
-                ),
-            ),
-            (
-                "counts".to_owned(),
-                Value::Array(
-                    self.snapshot()
-                        .into_iter()
-                        .map(|c| Value::Number(Number::PosInt(c)))
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The distribution's dotted instrument name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Distribution::DegradeRungs => "degrade.rungs",
+            Distribution::QueueWaitUs => "serve.queue_wait_us",
+            Distribution::InFlight => "serve.in_flight",
+            Distribution::LatencyUs => "serve.latency_us",
+        }
     }
 }
 
@@ -932,8 +903,8 @@ pub(crate) fn current_tid() -> u32 {
 }
 
 /// The telemetry hub owned by one [`crate::Engine`]: counters, gauges,
-/// histograms, stage aggregates, worker samples and the trace event
-/// log.
+/// distributions, stage aggregates, worker samples and the trace
+/// event log.
 #[derive(Debug)]
 pub struct Telemetry {
     id: u64,
@@ -941,26 +912,12 @@ pub struct Telemetry {
     tracing: AtomicBool,
     counters: [AtomicU64; Metric::COUNT],
     gauges: [AtomicU64; Gauge::COUNT],
-    degrade_rungs: Histogram,
-    queue_wait_us: Histogram,
-    in_flight: Histogram,
+    digests: [Mutex<QuantileDigest>; Distribution::COUNT],
     stage_aggs: Mutex<Vec<StageAgg>>,
     stage_stack: Mutex<Vec<String>>,
     workers: Mutex<Vec<WorkerSample>>,
     events: Mutex<Vec<TraceEvent>>,
 }
-
-/// Degradation-ladder rung buckets: rungs 0–2 get their own bucket,
-/// rung 3 lands in the overflow bucket.
-const RUNG_BOUNDS: &[u64] = &[0, 1, 2];
-
-/// Log-spaced microsecond buckets for serve admission-queue waits
-/// (sub-millisecond through 10 s; slower waits overflow).
-const QUEUE_WAIT_US_BOUNDS: &[u64] = &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
-
-/// Power-of-two buckets for the number of requests in flight when a
-/// serve batch dispatches.
-const IN_FLIGHT_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 impl Default for Telemetry {
     fn default() -> Self {
@@ -977,9 +934,7 @@ impl Telemetry {
             tracing: AtomicBool::new(false),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            degrade_rungs: Histogram::new(RUNG_BOUNDS),
-            queue_wait_us: Histogram::new(QUEUE_WAIT_US_BOUNDS),
-            in_flight: Histogram::new(IN_FLIGHT_BOUNDS),
+            digests: std::array::from_fn(|_| Mutex::new(QuantileDigest::new())),
             stage_aggs: Mutex::new(Vec::new()),
             stage_stack: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
@@ -988,7 +943,7 @@ impl Telemetry {
     }
 
     /// Enables or disables trace-span recording. Counters, gauges,
-    /// histograms and stage aggregates are always on.
+    /// distributions and stage aggregates are always on.
     pub fn set_tracing(&self, on: bool) {
         self.tracing.store(on, Ordering::Relaxed);
     }
@@ -1027,38 +982,14 @@ impl Telemetry {
         self.gauges[gauge as usize].load(Ordering::Relaxed)
     }
 
-    /// The degradation-rung histogram (one observation per successful
-    /// relaxed selection, bucketed by rung).
-    pub fn degrade_rungs(&self) -> &Histogram {
-        &self.degrade_rungs
+    /// Records one sample of a distribution.
+    pub fn record(&self, distribution: Distribution, value: u64) {
+        lock(&self.digests[distribution as usize]).record(value);
     }
 
-    /// Records one observation in the rung histogram.
-    pub(crate) fn record_degrade_rung(&self, rung: u64) {
-        self.degrade_rungs.record(rung);
-    }
-
-    /// The serve admission-queue wait histogram (microsecond log
-    /// buckets, one observation per dispatched request).
-    pub fn queue_waits(&self) -> &Histogram {
-        &self.queue_wait_us
-    }
-
-    /// Records how long a serve request waited in the admission queue
-    /// before its batch dispatched.
-    pub fn record_queue_wait(&self, waited: Duration) {
-        self.queue_wait_us.record(waited.as_micros() as u64);
-    }
-
-    /// The serve in-flight histogram (requests being evaluated when a
-    /// batch dispatches, power-of-two buckets).
-    pub fn in_flight(&self) -> &Histogram {
-        &self.in_flight
-    }
-
-    /// Records the number of requests in flight at a batch dispatch.
-    pub fn record_in_flight(&self, n: u64) {
-        self.in_flight.record(n);
+    /// The distribution's quantile summary so far.
+    pub fn distribution(&self, distribution: Distribution) -> QuantileSummary {
+        lock(&self.digests[distribution as usize]).summary()
     }
 
     /// Opens an always-recorded stage span; its wall time accumulates
@@ -1364,68 +1295,9 @@ impl Telemetry {
         Value::Object(vec![("traceEvents".to_owned(), Value::Array(out))])
     }
 
-    /// Renders a flamegraph-style text summary: per-track span trees
-    /// (indentation = nesting, computed from span containment) plus
-    /// stage aggregates and non-zero counters.
-    pub fn text_summary(&self) -> String {
-        self.flush_thread_events();
-        let mut out = String::from("== telemetry summary ==\n");
-        out.push_str("stages:\n");
-        for agg in self.stage_aggregates_detailed() {
-            out.push_str(&format!(
-                "  {:<12} {:>9.3} ms  ({} span(s))\n",
-                agg.name,
-                agg.total.as_secs_f64() * 1e3,
-                agg.count
-            ));
-        }
-        let mut events = lock(&self.events).clone();
-        events.sort_by(|a, b| {
-            (a.tid, a.ts_ns, std::cmp::Reverse(a.dur_ns)).cmp(&(
-                b.tid,
-                b.ts_ns,
-                std::cmp::Reverse(b.dur_ns),
-            ))
-        });
-        let mut last_tid = None;
-        // Stack of span end times; depth = open enclosing spans.
-        let mut ends: Vec<u64> = Vec::new();
-        for e in &events {
-            if last_tid != Some(e.tid) {
-                let label = if e.tid == 0 {
-                    "main".to_owned()
-                } else {
-                    format!("worker {}", e.tid - 1)
-                };
-                out.push_str(&format!("track {label}:\n"));
-                last_tid = Some(e.tid);
-                ends.clear();
-            }
-            while ends.last().is_some_and(|&end| e.ts_ns >= end) {
-                ends.pop();
-            }
-            let indent = "  ".repeat(ends.len() + 1);
-            match e.dur_ns {
-                Some(dur) => {
-                    out.push_str(&format!("{indent}{} {:.3} ms\n", e.name, dur as f64 / 1e6));
-                    ends.push(e.ts_ns + dur);
-                }
-                None => out.push_str(&format!("{indent}@ {}\n", e.name)),
-            }
-        }
-        out.push_str("counters:\n");
-        for m in Metric::ALL {
-            let v = self.counter(m);
-            if v > 0 {
-                out.push_str(&format!("  {:<28} {v}\n", m.name()));
-            }
-        }
-        out
-    }
-
-    /// Serialises every instrument — counters, gauges, histograms,
-    /// stage aggregates and per-worker utilization — as a JSON value
-    /// for `--metrics-json`.
+    /// Serialises every instrument — counters, gauges, distribution
+    /// summaries, stage aggregates and per-worker utilization — as a
+    /// JSON value for `--metrics-json`.
     pub fn metrics_value(&self) -> Value {
         let counters = Metric::ALL
             .iter()
@@ -1444,6 +1316,10 @@ impl Telemetry {
                     Value::Number(Number::PosInt(self.gauge(g))),
                 )
             })
+            .collect();
+        let digests = Distribution::ALL
+            .iter()
+            .map(|&d| (d.name().to_owned(), self.distribution(d).to_value()))
             .collect();
         let stages = self
             .stage_aggregates_detailed()
@@ -1487,17 +1363,7 @@ impl Telemetry {
         Value::Object(vec![
             ("counters".to_owned(), Value::Object(counters)),
             ("gauges".to_owned(), Value::Object(gauges)),
-            (
-                "histograms".to_owned(),
-                Value::Object(vec![
-                    ("degrade.rungs".to_owned(), self.degrade_rungs.to_value()),
-                    (
-                        "serve.queue_wait_us".to_owned(),
-                        self.queue_wait_us.to_value(),
-                    ),
-                    ("serve.in_flight".to_owned(), self.in_flight.to_value()),
-                ]),
-            ),
+            ("digests".to_owned(), Value::Object(digests)),
             ("stages".to_owned(), Value::Array(stages)),
             ("worker_utilization".to_owned(), Value::Array(workers)),
         ])
@@ -1627,6 +1493,7 @@ mod tests {
         let dump = t.metrics_value();
         let counters = dump["counters"].as_object().unwrap();
         let gauges = dump["gauges"].as_object().unwrap();
+        let digests = dump["digests"].as_object().unwrap();
         for m in Metric::ALL {
             assert!(
                 is_dotted_lowercase(m.name()),
@@ -1651,12 +1518,26 @@ mod tests {
                 g.name()
             );
         }
-        // Uniqueness across both families: a counter and a gauge must
-        // not collide either.
+        for (i, d) in Distribution::ALL.into_iter().enumerate() {
+            assert_eq!(d as usize, i, "{} out of order", d.name());
+            assert!(
+                is_dotted_lowercase(d.name()),
+                "distribution name `{}` is not dotted lowercase",
+                d.name()
+            );
+            assert!(
+                digests.iter().any(|(k, _)| k == d.name()),
+                "distribution `{}` missing from metrics_value",
+                d.name()
+            );
+        }
+        // Uniqueness across every family: no two instruments may share
+        // a name.
         let mut names: Vec<&str> = Metric::ALL
             .iter()
             .map(|m| m.name())
             .chain(Gauge::ALL.iter().map(|g| g.name()))
+            .chain(Distribution::ALL.iter().map(|d| d.name()))
             .collect();
         let before = names.len();
         names.sort_unstable();
@@ -1782,13 +1663,23 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_inclusive_upper_bound() {
-        let h = Histogram::new(&[0, 1, 2]);
+    fn distributions_export_exact_summaries() {
+        let t = Telemetry::new();
         for rung in [0, 0, 1, 3, 7] {
-            h.record(rung);
+            t.record(Distribution::DegradeRungs, rung);
         }
-        assert_eq!(h.snapshot(), vec![2, 1, 0, 2]);
-        assert_eq!(h.total(), 5);
+        let rungs = t.distribution(Distribution::DegradeRungs);
+        assert_eq!((rungs.count, rungs.p50, rungs.p90, rungs.max), (5, 1, 3, 7));
+        assert_eq!(t.distribution(Distribution::LatencyUs).count, 0);
+        let dump = t.metrics_value();
+        let exported = &dump["digests"]["degrade.rungs"];
+        assert_eq!(exported["count"].as_u64(), Some(5));
+        assert_eq!(exported["p99"].as_u64(), Some(3));
+        assert_eq!(exported["max"].as_u64(), Some(7));
+        assert_eq!(
+            dump["digests"]["serve.latency_us"]["count"].as_u64(),
+            Some(0)
+        );
     }
 
     #[test]
@@ -1889,19 +1780,5 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e["name"].as_str() == Some("thread_name")));
-    }
-
-    #[test]
-    fn text_summary_names_stages_and_counters() {
-        let t = Telemetry::new();
-        t.set_tracing(true);
-        {
-            let _s = t.stage_span("demo");
-        }
-        t.count(Metric::GraphMiss);
-        let text = t.text_summary();
-        assert!(text.contains("demo"), "{text}");
-        assert!(text.contains("memo.graph.miss"), "{text}");
-        assert!(text.contains("track main"), "{text}");
     }
 }

@@ -8,10 +8,12 @@
 //! prints `f64` exactly, so two equal strings mean two bit-equal
 //! result sets.
 
+use claire::core::plan::build_eval_table;
 use claire::core::{
     Claire, ClaireOptions, Constraints, Engine, RobustnessPolicy, SubsetStrategy, WeightScale,
 };
 use claire::model::zoo;
+use std::time::Instant;
 
 /// Thread counts the suite sweeps: the serial edge case, a small
 /// pool, and more workers than the machine has cores.
@@ -194,4 +196,39 @@ fn plan_memo_tiers_see_traffic() {
         stats.stages.iter().any(|(name, _)| name == "plan"),
         "plan stage not timed: {stats:?}"
     );
+}
+
+#[test]
+fn a_lapsed_deadline_leaves_every_other_row_bit_identical() {
+    let models = [
+        zoo::resnet18(),
+        zoo::alexnet(),
+        zoo::bert_base(),
+        zoo::vgg16(),
+    ];
+    const LAPSED: usize = 1;
+    let opts = planned();
+    let rows = |threads: usize, deadlines: &[Option<Instant>]| {
+        let engine = Engine::new(threads);
+        build_eval_table(&models, &opts.space, &opts.constraints, &engine, deadlines).rows
+    };
+    for threads in THREAD_COUNTS {
+        let reference = rows(threads, &[]);
+        let mut deadlines = vec![None; models.len()];
+        deadlines[LAPSED] = Some(Instant::now());
+        let got = rows(threads, &deadlines);
+        for (mi, (got, want)) in got.iter().zip(&reference).enumerate() {
+            if mi != LAPSED {
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{} row moved beside a lapsed deadline at {threads} threads",
+                    models[mi].name()
+                );
+            }
+        }
+        // Every checkpoint saw the lapse: the lapsed model priced
+        // nothing.
+        assert!(got[LAPSED].reports.iter().all(Option::is_none));
+    }
 }

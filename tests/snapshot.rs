@@ -304,6 +304,30 @@ fn warmed(claire: &Claire, models: &[claire::model::Model]) -> Engine {
 }
 
 #[test]
+fn unwritable_snapshot_is_invalid_input_naming_the_path() {
+    // The cache dir's `claire.snapshot` is a directory, so the save
+    // cannot land: an output path at fault, not a corrupt snapshot.
+    let dir = scratch("unwritable");
+    let claire = cached(&dir);
+    let path = claire.snapshot_path().expect("cache dir set");
+    std::fs::create_dir(&path).expect("a directory in the snapshot's place");
+    let engine = warmed(&claire, &[zoo::alexnet()]);
+    match claire.save_warm_state(&engine) {
+        Err(ClaireError::InvalidInput { what }) => {
+            assert!(what.contains(path.to_str().expect("utf8")), "{what}");
+        }
+        other => panic!("expected InvalidInput naming the path, got {other:?}"),
+    }
+    assert!(path.is_dir(), "the directory in the way was replaced");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(left, vec![std::ffi::OsString::from("claire.snapshot")]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn warm_state_is_not_rewritten_when_nothing_grew() {
     let dir = scratch("skip");
     let claire = cached(&dir);

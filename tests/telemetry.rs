@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use claire::core::fault::{FaultClass, FaultPlan};
-use claire::core::telemetry::Metric;
+use claire::core::telemetry::{Distribution, Metric};
 use claire::core::{Claire, ClaireOptions, Engine, RobustnessPolicy, TelemetryOptions};
 use claire::model::zoo;
 use serde_json::Value;
@@ -238,7 +238,7 @@ fn worker_busy_never_exceeds_wall() {
 }
 
 #[test]
-fn degrade_ladder_lands_in_rung_histogram() {
+fn degrade_ladder_lands_in_rung_digest() {
     let plan = FaultPlan::new(11).with(FaultClass::InfeasibleConstraints, 1.0);
     let engine = Engine::new(2).with_faults(plan);
     let opts = ClaireOptions {
@@ -258,9 +258,9 @@ fn degrade_ladder_lands_in_rung_histogram() {
         tel.counter(Metric::DegradeSuccesses) > 0,
         "relaxed success must be counted"
     );
-    let rungs = tel.degrade_rungs().snapshot();
-    let relaxed: u64 = rungs.iter().skip(1).sum();
-    assert!(relaxed > 0, "winning rung > 0 must land in the histogram");
+    let rungs = tel.distribution(Distribution::DegradeRungs);
+    assert!(rungs.count > 0, "winning rungs must land in the digest");
+    assert!(rungs.max > 0, "winning rung > 0 must land in the digest");
     assert!(
         tel.counter(Metric::FaultInfeasibleConstraints) > 0,
         "fault trigger sites must count their class"
@@ -309,7 +309,7 @@ fn facade_exports_trace_and_metrics_files() {
     for key in [
         "counters",
         "gauges",
-        "histograms",
+        "digests",
         "stages",
         "worker_utilization",
     ] {
